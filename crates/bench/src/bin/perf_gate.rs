@@ -10,12 +10,6 @@
 //! Usage:
 //!   perf_gate [--threshold-pct 25] \
 //!             [--runner BASELINE FRESH] [--alloc BASELINE FRESH]
-//!   perf_gate --merge-runner OUT BASE EXTRA
-//!
-//! The second form merges two runner profiles: EXTRA's experiment entries
-//! are appended to BASE's (replacing same-name entries) and the result is
-//! written to OUT. check.sh uses it to fold the `--workers 2` leg's
-//! `dist/*` timings into the profile the gate and BENCH_runner.json see.
 
 use serde::Value;
 
@@ -99,12 +93,10 @@ fn gate_runner(base: &Value, fresh: &Value, threshold: f64) -> usize {
                 warns +=
                     usize::from(warn_if_slower(&format!("runner {name}"), b, f, threshold, "s"));
             }
-            // Two families gate per point, matched by label: users_1e6
-            // (heap vs calendar walls at each user-count rung are the
-            // payload) and dist/* (per-point walls include the frame
-            // round-trip, so protocol overhead regressions surface here).
-            // Baselines predating a family contribute nothing.
-            if name == "users_1e6" || name.starts_with("dist/") {
+            // users_1e6 also gates per point, matched by label: the heap
+            // vs calendar walls at each user-count rung are its payload.
+            // Baselines predating it contribute nothing.
+            if name == "users_1e6" {
                 warns += gate_points(be, fe, threshold);
             }
         }
@@ -165,46 +157,6 @@ fn gate_alloc(base: &Value, fresh: &Value, threshold: f64) -> usize {
     warns
 }
 
-/// `--merge-runner OUT BASE EXTRA`: BASE's profile with EXTRA's experiment
-/// entries appended (same-name entries replaced), written to OUT. Totals
-/// and every other top-level field stay BASE's: the merged file is BASE's
-/// smoke run plus the extra leg's per-experiment rows.
-fn merge_runner(out: &str, base: &str, extra: &str) {
-    let (Some(mut merged), Some(extra_v)) = (load(base), load(extra)) else {
-        eprintln!("merge-runner: missing input profile");
-        std::process::exit(2);
-    };
-    let extra_exps = extra_v.get("experiments").and_then(as_array).unwrap_or(&[]).to_vec();
-    let Value::Object(pairs) = &mut merged else {
-        eprintln!("merge-runner: {base} is not a JSON object");
-        std::process::exit(2);
-    };
-    let Some((_, Value::Array(exps))) = pairs.iter_mut().find(|(k, _)| k == "experiments") else {
-        eprintln!("merge-runner: {base} has no experiments array");
-        std::process::exit(2);
-    };
-    let mut added = 0usize;
-    for ee in extra_exps {
-        if let Some(name) = text(&ee, "experiment").map(str::to_string) {
-            exps.retain(|be| text(be, "experiment") != Some(name.as_str()));
-        }
-        exps.push(ee);
-        added += 1;
-    }
-    let rendered = match serde_json::to_string_pretty(&merged) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("merge-runner: render failed: {e}");
-            std::process::exit(2);
-        }
-    };
-    if let Err(e) = std::fs::write(out, rendered + "\n") {
-        eprintln!("merge-runner: write {out}: {e}");
-        std::process::exit(2);
-    }
-    println!("   merged {added} experiment entries from {extra} into {out}");
-}
-
 fn main() {
     let mut threshold = 25.0;
     let mut runner: Option<(String, String)> = None;
@@ -222,20 +174,11 @@ fn main() {
             }
             "--runner" => runner = pair(),
             "--alloc" => alloc = pair(),
-            "--merge-runner" => {
-                let (Some(out), Some(base), Some(extra)) = (args.next(), args.next(), args.next())
-                else {
-                    eprintln!("usage: perf_gate --merge-runner OUT BASE EXTRA");
-                    std::process::exit(2);
-                };
-                merge_runner(&out, &base, &extra);
-                return;
-            }
             other => {
                 eprintln!(
                     "unknown option {other} \
                      (usage: perf_gate [--threshold-pct N] [--runner BASE FRESH] \
-                     [--alloc BASE FRESH] [--merge-runner OUT BASE EXTRA])"
+                     [--alloc BASE FRESH])"
                 );
                 std::process::exit(2);
             }

@@ -3,24 +3,20 @@
 //!
 //! ```text
 //! usage: repro [EXPERIMENT ...] [--scale N] [--seed S] [--intervals K]
-//!              [--jobs J] [--workers W] [--shards S]
-//!              [--event-queue heap|calendar]
-//!              [--users-full] [--json DIR] [--explain]
+//!              [--jobs J] [--shards S] [--event-queue heap|calendar]
+//!              [--users-full] [--store FILE] [--json DIR] [--explain]
+//!        repro export --store FILE --json DIR
 //!
 //! EXPERIMENT: table1 table2 table3 fig1 fig2 fig3 fig4 fig5 table4 fig6 ablations diag
 //!             shard_scaling users_1e6 all (default: all)
 //! --scale N:     divide the paper's 2.8 GB array capacity by N (default 1,
 //!                i.e. full paper scale; benches use 64)
 //! --seed S:      base RNG seed (default 1991)
-//! --intervals K: cap on measured 10 s intervals per performance test
+//! --intervals K: cap on measured 10 s intervals per performance test (at
+//!                least the stabilization window; fewer is a usage error)
 //! --jobs J:      worker threads for the sweep-point runner (default: the
 //!                machine's available parallelism; results are bit-identical
 //!                at any J)
-//! --workers W:   worker *processes* for the registered sweeps (default 0 =
-//!                in-process threads; W ≥ 2 forks that many `--worker-agent`
-//!                copies of this binary and distributes points over pipes —
-//!                results are bit-identical at any W, and dead or hung
-//!                workers are respawned with their points retried)
 //! --shards S:    event-queue shards inside each simulation point (default 1;
 //!                results are bit-identical at any S ≥ 1 — raising it lets a
 //!                point's disk effects run on worker threads, auto-sized from
@@ -30,6 +26,9 @@
 //!                calendar is the O(1) choice for million-user points)
 //! --users-full:  run the users_1e6 experiment on its full ladder (up to a
 //!                million users) instead of the CI smoke rungs
+//! --store FILE:  also mirror every sweep point and JSON artifact into the
+//!                CRC-framed binary results store FILE; rerunning with the
+//!                same FILE resumes a killed run
 //! --json DIR:    also write each result as DIR/<experiment>.json plus its
 //!                observability sidecars DIR/<experiment>.metrics.json and
 //!                DIR/<experiment>.hist.json (per-point latency percentiles),
@@ -37,22 +36,35 @@
 //! --explain:     print each experiment's per-phase disk-time breakdown
 //!                (seek / rotation / transfer / queue wait per sweep point)
 //!                and the Wren IV analytic cross-check against Table 1
-//!
-//! repro --worker-agent   (internal) serve a coordinator over stdin/stdout;
-//!                        spawned by --workers, never invoked by hand
+//! export:        regenerate the JSON artifacts of a finished store into
+//!                DIR, byte for byte (no simulation runs)
 //! ```
 
+use readopt_alloc::PolicyConfig;
 use readopt_core::metrics::{cross_check_table, wren_iv_cross_check, ExperimentHist};
 use readopt_core::report::TextTable;
 use readopt_core::runner::{self, JobTiming};
 use readopt_core::{
-    ablations, diag, distreg, fig1, fig2, fig3, fig4, fig5, fig6, shard_scaling, storex, table1,
-    table2, table3, table4, users_scale, ExperimentContext, ExperimentMetrics,
+    ablations, diag, fig1, fig2, fig3, fig4, fig5, fig6, shard_scaling, storex, table1, table2,
+    table3, table4, users_scale, ExperimentContext, ExperimentMetrics,
 };
 use readopt_sim::EventQueueKind;
+use readopt_workloads::WorkloadKind;
 use serde::Serialize;
 use std::io::Write;
 use std::time::Instant;
+
+/// Printed for `--help` and after every usage error: the synopsis of the
+/// module documentation above (a unit test keeps the two in step).
+const USAGE: &str = "\
+usage: repro [EXPERIMENT ...] [--scale N] [--seed S] [--intervals K]
+             [--jobs J] [--shards S] [--event-queue heap|calendar]
+             [--users-full] [--store FILE] [--json DIR] [--explain]
+       repro export --store FILE --json DIR
+
+EXPERIMENT: table1 table2 table3 fig1 fig2 fig3 fig4 fig5 table4 fig6 ablations diag
+            shard_scaling users_1e6 all (default: all)
+export:     regenerate the JSON artifacts of a finished store (no simulation runs)";
 
 struct Options {
     experiments: Vec<String>,
@@ -60,7 +72,6 @@ struct Options {
     seed: u64,
     intervals: Option<usize>,
     jobs: Option<usize>,
-    workers: usize,
     shards: Option<usize>,
     event_queue: EventQueueKind,
     users_full: bool,
@@ -71,7 +82,7 @@ struct Options {
 }
 
 /// Wall-clock account of one experiment run: total plus per-sweep-point
-/// timings from the runner (or, under `--workers`, from the worker agents).
+/// timings from the runner.
 #[derive(Serialize)]
 struct ExperimentProfile {
     experiment: String,
@@ -80,37 +91,6 @@ struct ExperimentProfile {
     /// experiment's points (0 means every percentile is exact).
     dropped_latency_samples: u64,
     points: Vec<JobTiming>,
-}
-
-/// The `--worker-agent` body: bind the coordinator's context, compute
-/// registered sweep points by (experiment, index) until shutdown.
-struct AgentRunner {
-    ctx: Option<ExperimentContext>,
-}
-
-impl readopt_dist::PointRunner for AgentRunner {
-    fn init(&mut self, ctx_json: &str) -> Result<(), String> {
-        let ctx: ExperimentContext =
-            serde_json::from_str(ctx_json).map_err(|e| format!("parse context: {e}"))?;
-        self.ctx = Some(ctx);
-        Ok(())
-    }
-
-    fn run(&mut self, experiment: &str, index: u64) -> Result<String, String> {
-        let ctx = self.ctx.as_ref().ok_or("point assigned before init")?;
-        distreg::run_point(ctx, experiment, index)
-    }
-}
-
-fn worker_agent_main() -> ! {
-    let mut runner = AgentRunner { ctx: None };
-    match readopt_dist::serve_stdio(&mut runner, &readopt_dist::WorkerOptions::default()) {
-        Ok(()) => std::process::exit(0),
-        Err(e) => {
-            eprintln!("worker-agent: {e}");
-            std::process::exit(1);
-        }
-    }
 }
 
 /// The whole run's timing profile (written as `profile.json`).
@@ -130,8 +110,6 @@ struct RunProfile {
 /// extra work. Calibration probe: a TS allocation test at 1/64 scale vs. 32
 /// averaged snapshots of its end state.
 fn measure_metrics_overhead_pct() -> f64 {
-    use readopt_alloc::PolicyConfig;
-    use readopt_workloads::WorkloadKind;
     let ctx = ExperimentContext::fast(64);
     let cfg = ctx.sim_config(WorkloadKind::Timesharing, PolicyConfig::paper_restricted());
     let mut sim = readopt_sim::Simulation::new(&cfg, ctx.seed);
@@ -153,7 +131,6 @@ fn parse_args() -> Result<Options, String> {
         seed: 1991,
         intervals: None,
         jobs: None,
-        workers: 0,
         shards: None,
         event_queue: EventQueueKind::Heap,
         users_full: false,
@@ -197,13 +174,6 @@ fn parse_args() -> Result<Options, String> {
                     return Err("--jobs must be at least 1".into());
                 }
                 opts.jobs = Some(j);
-            }
-            "--workers" => {
-                opts.workers = args
-                    .next()
-                    .ok_or("--workers needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--workers: {e}"))?;
             }
             "--shards" => {
                 let s: usize = args
@@ -279,10 +249,10 @@ fn write_json<T: Serialize>(dir: &Option<String>, name: &str, value: &T) {
 }
 
 /// The canonical run-configuration fingerprint stored as the `.rrs` meta
-/// record. Results-invariant knobs (`jobs`, `workers`, `shards`,
-/// `shard_workers`, `event_queue`) are normalized out — the whole point
-/// of the store is that a sweep killed under `--jobs 8` can resume under
-/// `--workers 2` and still produce the same bytes — while everything
+/// record. Results-invariant knobs (`jobs`, `shards`, `shard_workers`,
+/// `event_queue`) are normalized out — the whole point of the store is
+/// that a sweep killed under `--jobs 8` can resume under `--jobs 1` and
+/// still produce the same bytes — while everything
 /// results-affecting (array scale, seed, intervals, latency cap, the
 /// users ladder) stays in and is enforced on resume.
 fn store_meta_json(ctx: &ExperimentContext, opts: &Options) -> String {
@@ -294,7 +264,6 @@ fn store_meta_json(ctx: &ExperimentContext, opts: &Options) -> String {
     }
     let mut c = *ctx;
     c.jobs = 1;
-    c.workers = 0;
     c.shards = 1;
     c.shard_workers = 0;
     c.event_queue = EventQueueKind::Heap;
@@ -341,26 +310,21 @@ fn profile_table(profiles: &[ExperimentProfile], jobs: usize) -> String {
     out
 }
 
-fn main() {
-    // The worker-agent mode bypasses normal argument handling entirely:
-    // its whole contract is the frame protocol on stdin/stdout.
-    if std::env::args().skip(1).any(|a| a == "--worker-agent") {
-        worker_agent_main();
+/// Prints the usage text (after `error`, if any) and exits: 0 for
+/// `--help`, 2 for a usage error.
+fn exit_usage(error: Option<&str>) -> ! {
+    if let Some(e) = error {
+        eprintln!("error: {e}\n");
     }
+    eprintln!("{USAGE}");
+    std::process::exit(if error.is_some() { 2 } else { 0 });
+}
 
+fn main() {
     let opts = match parse_args() {
         Ok(o) => o,
-        Err(e) => {
-            if e != "help" {
-                eprintln!("error: {e}\n");
-            }
-            eprintln!(
-                "usage: repro [EXPERIMENT ...] [--scale N] [--seed S] [--intervals K] [--jobs J] [--workers W] [--shards S] [--event-queue heap|calendar] [--users-full] [--store FILE] [--json DIR] [--explain]\n\
-                 experiments: table1 table2 table3 fig1 fig2 fig3 fig4 fig5 table4 fig6 ablations diag shard_scaling users_1e6 all\n\
-                 repro export --store FILE --json DIR: regenerate the JSON artifacts of a finished store (no simulation runs)"
-            );
-            std::process::exit(if e == "help" { 0 } else { 2 });
-        }
+        Err(e) if e == "help" => exit_usage(None),
+        Err(e) => exit_usage(Some(&e)),
     };
 
     if opts.export {
@@ -394,9 +358,20 @@ fn main() {
         ctx = ctx.with_shards(s);
     }
     if let Some(k) = opts.intervals {
+        // A performance test measures at least one stabilization window;
+        // reject fewer intervals here instead of letting the simulation's
+        // config validation panic inside a runner thread.
+        let window = ctx
+            .sim_config(WorkloadKind::Timesharing, PolicyConfig::paper_restricted())
+            .stabilize_window;
+        if k < window {
+            exit_usage(Some(&format!(
+                "--intervals must be at least {window} (the stabilization window)"
+            )));
+        }
         ctx.max_intervals = k;
     }
-    ctx = ctx.with_event_queue(opts.event_queue).with_workers(opts.workers);
+    ctx = ctx.with_event_queue(opts.event_queue);
 
     if let Some(store) = &opts.store {
         match storex::open(std::path::Path::new(store), &store_meta_json(&ctx, &opts)) {
@@ -410,7 +385,7 @@ fn main() {
     }
 
     println!(
-        "readopt repro — array: {} disks, {:.2} GB usable (scale 1/{}), seed {}, {} jobs, {} shards, {} queue{}\n",
+        "readopt repro — array: {} disks, {:.2} GB usable (scale 1/{}), seed {}, {} jobs, {} shards, {} queue\n",
         ctx.array.ndisks,
         ctx.array.capacity_bytes() as f64 / 1e9,
         opts.scale.max(1),
@@ -421,29 +396,12 @@ fn main() {
             EventQueueKind::Heap => "heap",
             EventQueueKind::Calendar => "calendar",
         },
-        if ctx.workers >= 2 {
-            format!(", {} worker processes", ctx.workers)
-        } else {
-            String::new()
-        }
     );
 
     let run_all = opts.experiments.iter().any(|e| e == "all");
     let wants = |name: &str| run_all || opts.experiments.iter().any(|e| e == name);
     let t_start = Instant::now();
     let mut profiles: Vec<ExperimentProfile> = Vec::new();
-
-    // Under --workers, registered sweeps ran distributed; their profile
-    // entries get a `dist/` prefix so the perf gate tracks them as a
-    // separate (warn-only) family instead of comparing process-distributed
-    // wall clocks against in-process history.
-    let profile_name = |name: &str| {
-        if ctx.workers >= 2 && distreg::supports(name) {
-            format!("dist/{name}")
-        } else {
-            name.to_string()
-        }
-    };
 
     // Each arm runs one experiment's profiled driver, prints its table (and
     // chart where the figure has one), records the timing profile, and
@@ -471,7 +429,7 @@ fn main() {
                     write_json(&opts.json_dir, concat!($name, ".hist"), &hists);
                 }
                 profiles.push(ExperimentProfile {
-                    experiment: profile_name($name),
+                    experiment: $name.to_string(),
                     wall_s: t0.elapsed().as_secs_f64(),
                     dropped_latency_samples: hists.dropped_samples(),
                     points: timings,
@@ -592,5 +550,35 @@ fn main() {
             eprintln!("error: {e}");
             std::process::exit(2);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::USAGE;
+    use std::collections::BTreeSet;
+
+    /// Every `--flag` token in `text`.
+    fn flags(text: &str) -> BTreeSet<&str> {
+        text.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .filter(|w| w.starts_with("--"))
+            .collect()
+    }
+
+    #[test]
+    fn usage_text_and_module_doc_list_the_same_options() {
+        let doc: String = include_str!("repro.rs")
+            .lines()
+            .filter_map(|l| l.strip_prefix("//!"))
+            .collect::<Vec<_>>()
+            .join("\n");
+        let synopsis: String = USAGE.lines().take_while(|l| !l.is_empty()).collect();
+        assert!(
+            doc.contains(USAGE.lines().next().expect("usage has a first line").trim()),
+            "the module doc opens with the same synopsis"
+        );
+        assert_eq!(flags(&doc), flags(USAGE));
+        assert_eq!(flags(&synopsis), flags(USAGE), "every option is in the synopsis");
+        assert!(doc.contains("repro export --store FILE --json DIR"));
     }
 }

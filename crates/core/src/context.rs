@@ -33,10 +33,6 @@ pub struct ExperimentContext {
     /// bit-identical on either backend; `Calendar` is the O(1) choice for
     /// million-user points.
     pub event_queue: EventQueueKind,
-    /// Worker *processes* to distribute registered sweeps across (see
-    /// `crates/dist`): 0 or 1 means in-process threads (`jobs`), ≥ 2 forks
-    /// that many worker agents. Results are bit-identical either way.
-    pub workers: usize,
     /// Override for the per-test exact-latency reservoir cap (0 keeps the
     /// simulator's 200 k default). Shrinking it forces sample drops — the
     /// reservoir then degrades to histogram-derived percentiles and the
@@ -57,7 +53,6 @@ impl ExperimentContext {
             shards: 1,
             shard_workers: 0,
             event_queue: EventQueueKind::Heap,
-            workers: 0,
             latency_sample_cap: 0,
         }
     }
@@ -73,7 +68,6 @@ impl ExperimentContext {
             shards: 1,
             shard_workers: 0,
             event_queue: EventQueueKind::Heap,
-            workers: 0,
             latency_sample_cap: 0,
         }
     }
@@ -106,12 +100,6 @@ impl ExperimentContext {
     /// With a different event-queue backend.
     pub fn with_event_queue(mut self, kind: EventQueueKind) -> Self {
         self.event_queue = kind;
-        self
-    }
-
-    /// With a worker-process count (≥ 2 distributes registered sweeps).
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
         self
     }
 

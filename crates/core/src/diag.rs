@@ -8,11 +8,10 @@
 //! how much of each the policies buy.
 
 use crate::context::ExperimentContext;
-use crate::distreg;
 use crate::fig6::policies_for;
 use crate::metrics::{split3, ExperimentHist, ExperimentMetrics, PointHist, PointMetrics};
 use crate::report::{pct, TextTable};
-use crate::runner::{Job, JobTiming};
+use crate::runner::{self, Job, JobTiming};
 use readopt_sim::Simulation;
 use readopt_workloads::WorkloadKind;
 use serde::{Deserialize, Serialize};
@@ -58,7 +57,7 @@ pub fn run(ctx: &ExperimentContext) -> Diag {
 pub fn run_profiled(
     ctx: &ExperimentContext,
 ) -> (Diag, Vec<JobTiming>, ExperimentMetrics, ExperimentHist) {
-    let out = distreg::run_jobs_ctx(ctx, "diag", dist_jobs(ctx));
+    let out = runner::run_recorded(ctx, "diag", sweep_jobs(ctx));
     let (rows, metrics, hists) = split3(out.results);
     (
         Diag { rows },
@@ -68,10 +67,8 @@ pub fn run_profiled(
     )
 }
 
-/// The 12 cells as registry jobs (identical enumeration in every process).
-pub(crate) fn dist_jobs(
-    ctx: &ExperimentContext,
-) -> Vec<Job<'static, (DiagRow, PointMetrics, PointHist)>> {
+/// The 12 cells as runner jobs, in sweep order.
+fn sweep_jobs(ctx: &ExperimentContext) -> Vec<Job<'static, (DiagRow, PointMetrics, PointHist)>> {
     let ctx = *ctx;
     let mut jobs = Vec::new();
     for wl in [

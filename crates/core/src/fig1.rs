@@ -8,7 +8,6 @@
 //! unclustered slightly worse external fragmentation.
 
 use crate::context::ExperimentContext;
-use crate::distreg;
 use crate::metrics::{ExperimentHist, ExperimentMetrics, PointHist, PointMetrics};
 use crate::report::{pct, BarChart, TextTable};
 use crate::runner::{self, Job, JobTiming, RunOutcome};
@@ -68,13 +67,8 @@ pub fn run(ctx: &ExperimentContext) -> Fig1 {
 pub fn run_profiled(
     ctx: &ExperimentContext,
 ) -> (Fig1, Vec<JobTiming>, ExperimentMetrics, ExperimentHist) {
-    assemble(distreg::run_jobs_ctx(ctx, "fig1", dist_jobs(ctx)))
-}
-
-/// The full sweep as registry jobs (worker agents enumerate the identical
-/// list, so a point index means the same configuration in every process).
-pub(crate) fn dist_jobs(ctx: &ExperimentContext) -> Vec<Job<'static, Fig1Out>> {
-    sweep_jobs(ctx, &WorkloadKind::all(), &sweep_configs())
+    let jobs = sweep_jobs(ctx, &WorkloadKind::all(), &sweep_configs());
+    assemble(runner::run_recorded(ctx, "fig1", jobs))
 }
 
 /// Runs an arbitrary subset of the sweep (used by the determinism tests to

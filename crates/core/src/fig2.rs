@@ -6,7 +6,6 @@
 //! the grow factor matters mostly for TS (the Figure 3 interaction).
 
 use crate::context::ExperimentContext;
-use crate::distreg;
 use crate::fig1::sweep_configs;
 use crate::metrics::{split3, ExperimentHist, ExperimentMetrics, PointHist, PointMetrics};
 use crate::report::{pct, BarChart, TextTable};
@@ -54,12 +53,8 @@ pub fn run(ctx: &ExperimentContext) -> Fig2 {
 pub fn run_profiled(
     ctx: &ExperimentContext,
 ) -> (Fig2, Vec<JobTiming>, ExperimentMetrics, ExperimentHist) {
-    assemble(distreg::run_jobs_ctx(ctx, "fig2", dist_jobs(ctx)))
-}
-
-/// The full sweep as registry jobs (identical enumeration in every process).
-pub(crate) fn dist_jobs(ctx: &ExperimentContext) -> Vec<Job<'static, Fig2Out>> {
-    sweep_jobs(ctx, &WorkloadKind::all(), &sweep_configs())
+    let jobs = sweep_jobs(ctx, &WorkloadKind::all(), &sweep_configs());
+    assemble(runner::run_recorded(ctx, "fig2", jobs))
 }
 
 /// Runs an arbitrary subset of the sweep (used by the determinism tests to

@@ -7,10 +7,9 @@
 //! 5 %"; best-fit consistently fragments (slightly) less.
 
 use crate::context::ExperimentContext;
-use crate::distreg;
 use crate::metrics::{split3, ExperimentHist, ExperimentMetrics, PointHist, PointMetrics};
 use crate::report::{pct, BarChart, TextTable};
-use crate::runner::{Job, JobTiming};
+use crate::runner::{self, Job, JobTiming};
 use readopt_alloc::FitStrategy;
 use readopt_workloads::WorkloadKind;
 use serde::{Deserialize, Serialize};
@@ -50,7 +49,7 @@ pub fn run(ctx: &ExperimentContext) -> Fig4 {
 pub fn run_profiled(
     ctx: &ExperimentContext,
 ) -> (Fig4, Vec<JobTiming>, ExperimentMetrics, ExperimentHist) {
-    let out = distreg::run_jobs_ctx(ctx, "fig4", dist_jobs(ctx));
+    let out = runner::run_recorded(ctx, "fig4", sweep_jobs(ctx));
     let (points, metrics, hists) = split3(out.results);
     (
         Fig4 { points },
@@ -60,10 +59,8 @@ pub fn run_profiled(
     )
 }
 
-/// The full sweep as registry jobs (identical enumeration in every process).
-pub(crate) fn dist_jobs(
-    ctx: &ExperimentContext,
-) -> Vec<Job<'static, (Fig4Point, PointMetrics, PointHist)>> {
+/// The full sweep as runner jobs, in sweep order.
+fn sweep_jobs(ctx: &ExperimentContext) -> Vec<Job<'static, (Fig4Point, PointMetrics, PointHist)>> {
     let ctx = *ctx;
     let mut jobs = Vec::new();
     for wl in WorkloadKind::all() {

@@ -13,10 +13,9 @@
 //! application via its enormous blocks.
 
 use crate::context::ExperimentContext;
-use crate::distreg;
 use crate::metrics::{split3, ExperimentHist, ExperimentMetrics, PointHist, PointMetrics};
 use crate::report::{pct, BarChart, TextTable};
-use crate::runner::{Job, JobTiming};
+use crate::runner::{self, Job, JobTiming};
 use readopt_alloc::{FitStrategy, PolicyConfig};
 use readopt_workloads::WorkloadKind;
 use serde::{Deserialize, Serialize};
@@ -66,7 +65,7 @@ pub fn run(ctx: &ExperimentContext) -> Fig6 {
 pub fn run_profiled(
     ctx: &ExperimentContext,
 ) -> (Fig6, Vec<JobTiming>, ExperimentMetrics, ExperimentHist) {
-    let out = distreg::run_jobs_ctx(ctx, "fig6", dist_jobs(ctx));
+    let out = runner::run_recorded(ctx, "fig6", sweep_jobs(ctx));
     let (cells, metrics, hists) = split3(out.results);
     (
         Fig6 { cells },
@@ -76,10 +75,8 @@ pub fn run_profiled(
     )
 }
 
-/// The 12 cells as registry jobs (identical enumeration in every process).
-pub(crate) fn dist_jobs(
-    ctx: &ExperimentContext,
-) -> Vec<Job<'static, (Fig6Cell, PointMetrics, PointHist)>> {
+/// The 12 cells as runner jobs, in sweep order.
+fn sweep_jobs(ctx: &ExperimentContext) -> Vec<Job<'static, (Fig6Cell, PointMetrics, PointHist)>> {
     let ctx = *ctx;
     let mut jobs = Vec::new();
     for wl in [

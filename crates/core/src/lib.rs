@@ -37,7 +37,6 @@
 pub mod ablations;
 pub mod context;
 pub mod diag;
-pub mod distreg;
 pub mod fig1;
 pub mod fig2;
 pub mod fig3;

@@ -112,7 +112,7 @@ impl PointHist {
 /// Sidecar content for one experiment's latency percentiles:
 /// `<experiment>.hist.json`. Like the metrics sidecar, every histogram is
 /// produced inside its point's job and reassembled in sweep order, so the
-/// artifact is bit-identical at any `--jobs` or `--workers`.
+/// artifact is bit-identical at any `--jobs`.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ExperimentHist {
     /// Experiment name ("fig2", "table4", …).

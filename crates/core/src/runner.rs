@@ -14,7 +14,12 @@
 //! vector, so threads pull the next pending point as they free up (the
 //! sweeps' points vary in cost by more than an order of magnitude, which
 //! defeats static chunking).
+//!
+//! The experiment drivers go through `run_recorded`, which runs on the
+//! context's `jobs` threads and mirrors every point into the open results
+//! store (`repro --store`).
 
+use crate::context::ExperimentContext;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -30,18 +35,6 @@ impl<'scope, T> Job<'scope, T> {
     /// Wraps a closure as a runnable sweep point.
     pub fn new(label: impl Into<String>, work: impl FnOnce() -> T + Send + 'scope) -> Self {
         Job { label: label.into(), work: Box::new(work) }
-    }
-
-    /// The job's label.
-    pub fn label(&self) -> &str {
-        &self.label
-    }
-
-    /// Consumes the job and runs its closure inline. The worker agent uses
-    /// this to execute a single point by index instead of going through
-    /// the thread pool.
-    pub fn run(self) -> T {
-        (self.work)()
     }
 }
 
@@ -130,6 +123,28 @@ pub fn run_jobs<'scope, T: Send>(jobs: usize, list: Vec<Job<'scope, T>>) -> RunO
         timings.push(JobTiming { label, wall_ms });
     }
     RunOutcome { results, timings }
+}
+
+/// Runs one experiment's sweep on `ctx.jobs` threads and mirrors each
+/// point into the open results store as `(experiment, index)`, in
+/// submission order. The payload is the point's `serde_json::to_string`
+/// bytes, so a resumed store verifies re-recorded points byte for byte.
+/// Without an open store this is [`run_jobs`].
+pub(crate) fn run_recorded<T: Send + Serialize>(
+    ctx: &ExperimentContext,
+    experiment: &str,
+    list: Vec<Job<'_, T>>,
+) -> RunOutcome<T> {
+    let out = run_jobs(ctx.jobs, list);
+    if crate::storex::active() {
+        for (i, result) in out.results.iter().enumerate() {
+            let payload = serde_json::to_string(result)
+                .unwrap_or_else(|e| panic!("serialize {experiment} point {i}: {e}"));
+            crate::storex::record(experiment, i as u64, &payload)
+                .unwrap_or_else(|e| panic!("results store: {e}"));
+        }
+    }
+    out
 }
 
 #[cfg(test)]

@@ -1,19 +1,19 @@
 //! Process-global binary results-store session (`repro --store FILE`).
 //!
 //! The experiment drivers and the `repro` binary both need to append to
-//! the same `.rrs` file from wherever a result materializes — the
-//! in-process runner, the distributed coordinator's streaming callback,
-//! the `users_1e6` ladder, the artifact writer — so the open store lives
-//! behind one mutex-guarded global session for the life of the run.
+//! the same `.rrs` file from wherever a result materializes — the sweep
+//! runner, the `users_1e6` ladder, the artifact writer — so the open
+//! store lives behind one mutex-guarded global session for the life of
+//! the run.
 //!
 //! Three record families share the file, all addressed by
 //! `(experiment, index)`:
 //!
-//! * **sweep points** — `experiment` is the registered experiment name,
+//! * **sweep points** — `experiment` is the sweep's experiment name,
 //!   `index` its submission order, and the payload the exact
-//!   `serde_json::to_string` bytes of the point result (identical
-//!   between the in-process and worker-process paths by the determinism
-//!   contract, so the store bytes are too);
+//!   `serde_json::to_string` bytes of the point result (identical at any
+//!   thread count by the determinism contract, so the store bytes are
+//!   too);
 //! * **ladder points** — `users_1e6` appends one record per
 //!   (rung, backend) with only deterministic content, which is what lets
 //!   a killed run skip completed rungs on resume;

@@ -9,10 +9,9 @@
 //! | TS       | 18.4 %   |  2.3 %   |  8.4 %      | 12.0 %     |
 
 use crate::context::ExperimentContext;
-use crate::distreg;
 use crate::metrics::{split3, ExperimentHist, ExperimentMetrics, PointHist, PointMetrics};
 use crate::report::{pct, TextTable};
-use crate::runner::{Job, JobTiming};
+use crate::runner::{self, Job, JobTiming};
 use readopt_alloc::PolicyConfig;
 use readopt_workloads::WorkloadKind;
 use serde::{Deserialize, Serialize};
@@ -52,7 +51,7 @@ pub fn run(ctx: &ExperimentContext) -> Table3 {
 pub fn run_profiled(
     ctx: &ExperimentContext,
 ) -> (Table3, Vec<JobTiming>, ExperimentMetrics, ExperimentHist) {
-    let out = distreg::run_jobs_ctx(ctx, "table3", dist_jobs(ctx));
+    let out = runner::run_recorded(ctx, "table3", sweep_jobs(ctx));
     let (values, metrics, hists): (Vec<(f64, f64)>, _, _) = split3(out.results);
     let workloads = [
         WorkloadKind::Supercomputer,
@@ -78,11 +77,9 @@ pub fn run_profiled(
     )
 }
 
-/// The 6 independent simulations as registry jobs (identical enumeration in
-/// every process): alloc then perf per workload, SC/TP/TS order.
-pub(crate) fn dist_jobs(
-    ctx: &ExperimentContext,
-) -> Vec<Job<'static, ((f64, f64), PointMetrics, PointHist)>> {
+/// The 6 independent simulations as runner jobs: alloc then perf per
+/// workload, SC/TP/TS order.
+fn sweep_jobs(ctx: &ExperimentContext) -> Vec<Job<'static, ((f64, f64), PointMetrics, PointHist)>> {
     let ctx = *ctx;
     let workloads = [
         WorkloadKind::Supercomputer,

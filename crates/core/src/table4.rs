@@ -13,10 +13,9 @@
 //! | 5      | 162 | 108 | 6  |
 
 use crate::context::ExperimentContext;
-use crate::distreg;
 use crate::metrics::{split3, ExperimentHist, ExperimentMetrics, PointHist, PointMetrics};
 use crate::report::TextTable;
-use crate::runner::{Job, JobTiming};
+use crate::runner::{self, Job, JobTiming};
 use readopt_alloc::FitStrategy;
 use readopt_workloads::WorkloadKind;
 use serde::{Deserialize, Serialize};
@@ -55,7 +54,7 @@ pub fn run(ctx: &ExperimentContext) -> Table4 {
 pub fn run_profiled(
     ctx: &ExperimentContext,
 ) -> (Table4, Vec<JobTiming>, ExperimentMetrics, ExperimentHist) {
-    let out = distreg::run_jobs_ctx(ctx, "table4", dist_jobs(ctx));
+    let out = runner::run_recorded(ctx, "table4", sweep_jobs(ctx));
     let (values, metrics, hists): (Vec<f64>, _, _) = split3(out.results);
     let rows = (1..=5usize)
         .zip(values.chunks_exact(3))
@@ -69,10 +68,8 @@ pub fn run_profiled(
     )
 }
 
-/// The 15 cells as registry jobs (identical enumeration in every process).
-pub(crate) fn dist_jobs(
-    ctx: &ExperimentContext,
-) -> Vec<Job<'static, (f64, PointMetrics, PointHist)>> {
+/// The 15 cells as runner jobs, in sweep order.
+fn sweep_jobs(ctx: &ExperimentContext) -> Vec<Job<'static, (f64, PointMetrics, PointHist)>> {
     let ctx = *ctx;
     let mut jobs = Vec::new();
     for n_ranges in 1..=5usize {

@@ -1,8 +1,8 @@
 //! End-to-end binary-results-store tests against the real `repro` binary:
 //! `repro export` must regenerate the JSON sidecars byte-identically,
-//! the store's point records must not depend on `--jobs`/`--shards`/
-//! `--workers`, and a `users_1e6` ladder killed mid-rung by the
-//! checkpoint fault injection must resume to the same store bytes.
+//! the store's point records must not depend on `--jobs`/`--shards`,
+//! and a `users_1e6` ladder killed mid-rung by the checkpoint fault
+//! injection must resume to the same store bytes.
 
 use readopt_store::StoreReader;
 use std::collections::BTreeMap;
@@ -99,9 +99,7 @@ fn store_export_roundtrips_and_is_parallelism_invariant() {
         "store holds table4 sweep points: {:?}",
         reference.keys().collect::<Vec<_>>()
     );
-    for (tag, extra) in
-        [("j2", ["--jobs", "2"]), ("s2", ["--shards", "2"]), ("w2", ["--workers", "2"])]
-    {
+    for (tag, extra) in [("j2", ["--jobs", "2"]), ("s2", ["--shards", "2"])] {
         let store = dir.join(format!("{tag}.rrs"));
         run_ok(&[&base[..], &extra[..], &["--store", store.to_str().unwrap()]].concat(), &[]);
         let got = point_records(&store);

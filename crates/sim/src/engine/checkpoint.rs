@@ -1,11 +1,11 @@
 //! Mid-run checkpointing for the application performance test.
 //!
-//! A million-user rung can run for hours; a preempted worker losing the
-//! whole rung makes the distributed sweep's retry story expensive. This
-//! module lets the *serial* measurement loop persist its complete dynamic
-//! state every N steps and resume from the latest snapshot producing
-//! **bit-identical** results — the same `PerfReport`, the same latency
-//! histogram, the same store bytes — as an uninterrupted run.
+//! A million-user rung can run for hours, and a killed run should not
+//! lose the whole rung. This module lets the *serial* measurement loop
+//! persist its complete dynamic state every N steps and resume from the
+//! latest snapshot producing **bit-identical** results — the same
+//! `PerfReport`, the same latency histogram, the same store bytes — as an
+//! uninterrupted run.
 //!
 //! Only the serial loop checkpoints: the pipelined loop is already proven
 //! bit-identical to it by construction (see the `shard` module docs), so a

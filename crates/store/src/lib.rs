@@ -5,8 +5,8 @@
 //! compact, append-only results file in the spirit of MF4-style
 //! measurement logs: a fixed header, length-prefixed CRC-checked record
 //! blocks (one per completed sweep point, carrying the same serialized
-//! payload the in-process runner and the distributed workers already
-//! produce), and a trailing index block for O(1) random access.
+//! payload the sweep runner already produces), and a trailing index block
+//! for O(1) random access.
 //!
 //! Layout (all integers little-endian):
 //!
@@ -34,9 +34,9 @@
 //! there so appending continues from the last intact point.
 //!
 //! The crate is deliberately payload-agnostic: points travel as opaque
-//! JSON strings, exactly the bytes `crates/core`'s runner or the
-//! `crates/dist` workers serialized, which is what keeps a store round
-//! trip byte-identical to the direct JSON sidecars.
+//! JSON strings, exactly the bytes `crates/core`'s runner serialized,
+//! which is what keeps a store round trip byte-identical to the direct
+//! JSON sidecars.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,19 +1,25 @@
 #!/usr/bin/env bash
-# Tier-1 gate (see ROADMAP.md): warnings-as-errors release build, the
-# simlint determinism/robustness pass, the root test suite, and a 2-job
-# smoke run of the reproduction at fast scale with the metrics sidecars
-# enabled. A second 1-job smoke run re-derives the sidecars and byte-
-# compares them against the 2-job run — the observability layer must be
-# deterministic at any worker count — a third run at --shards 2
-# byte-compares again: the sharded engine must be results-invariant in
-# the shard count too — a fourth run at --event-queue calendar
-# byte-compares once more: the calendar-queue backend must be
-# results-invariant in the queue structure — and a fifth run at
-# --workers 2 byte-compares the distributed coordinator/worker path
-# against the in-process runner. The smoke run's timing profile
-# (per-experiment wall clock, per-sweep-point breakdown, and the measured
-# metrics-snapshot overhead) is snapshotted into BENCH_runner.json at the
-# repo root; the lint report is snapshotted into target/check/simlint.json.
+# Tier-1 gate (see ROADMAP.md). Legs, in order:
+#   1. warnings-as-errors release build;
+#   2. the simlint determinism/robustness pass over the workspace, then a
+#      --crates simlint self-lint pass;
+#   3. every workspace crate's test suite (cargo test --workspace);
+#   4. a 2-job smoke run of the reproduction at fast scale with the
+#      metrics sidecars enabled;
+#   5. a 1-job rerun that also writes a binary results store, byte-
+#      compared against the 2-job run: results must not depend on the
+#      thread count;
+#   6. a --shards 2 rerun, byte-compared: the sharded engine must be
+#      results-invariant in the shard count;
+#   7. an --event-queue calendar rerun, byte-compared: the calendar
+#      backend must be results-invariant in the queue structure;
+#   8. `repro export` from the store of leg 5, byte-compared against that
+#      leg's sidecars;
+#   9. the allocator microbench and the warn-only perf gate.
+# The smoke run's timing profile (per-experiment wall clock, per-sweep-
+# point breakdown, and the measured metrics-snapshot overhead) is
+# snapshotted into BENCH_runner.json at the repo root, the microbench into
+# BENCH_alloc.json; the lint report is written to target/check/simlint.json.
 #
 # The perf gate compares against the *committed* BENCH_*.json (HEAD), not
 # the working tree, so a slow run can never become its own baseline; pass
@@ -42,8 +48,8 @@ echo "== simlint self-lint (--crates simlint) =="
 # files are linted — the r7 symbol table still spans the whole workspace.
 cargo run --release -q -p simlint -- --crates simlint
 
-echo "== cargo test -q =="
-cargo test -q
+echo "== cargo test -q --workspace =="
+cargo test -q --workspace
 
 echo "== repro smoke (scale 1/64, 2 jobs, metrics on) =="
 cargo run --release -p readopt-core --bin repro -- \
@@ -104,25 +110,6 @@ for exp in fig1 fig2 table4; do
 done
 echo "   results byte-identical across event-queue backends"
 
-echo "== distributed determinism (re-run at --workers 2, byte-compare) =="
-# The coordinator hands the same sweep points to forked worker processes
-# over the frame protocol and reassembles results in sweep order, so
-# results, metrics sidecars, and latency histograms must all byte-match
-# the in-process --jobs 1 run.
-mkdir -p target/check-w2
-cargo run --release -q -p readopt-core --bin repro -- \
-    fig1 fig2 table4 --scale 64 --intervals 4 --workers 2 \
-    --json target/check-w2 > /dev/null
-for exp in fig1 fig2 table4; do
-    cmp "target/check-j1/$exp.metrics.json" "target/check-w2/$exp.metrics.json" \
-        || { echo "ERROR: $exp metrics sidecar differs between --workers 2 and --jobs 1"; exit 1; }
-    cmp "target/check-j1/$exp.json" "target/check-w2/$exp.json" \
-        || { echo "ERROR: $exp results differ between --workers 2 and --jobs 1"; exit 1; }
-    cmp "target/check-j1/$exp.hist.json" "target/check-w2/$exp.hist.json" \
-        || { echo "ERROR: $exp latency histograms differ between --workers 2 and --jobs 1"; exit 1; }
-done
-echo "   results byte-identical between worker processes and in-process run"
-
 echo "== results store (repro export, byte-compare against the sidecars) =="
 # `repro export` regenerates every JSON sidecar from the sealed .rrs
 # written during the 1-job leg. Artifact records hold the exact bytes
@@ -144,12 +131,6 @@ cargo run --release -q -p readopt-bench --bin alloc_bench -- \
     --json target/check/alloc_bench.json
 
 echo "== perf regression gate (warn-only, +25% vs committed baselines) =="
-# Fold the --workers 2 leg's dist/* rows into the smoke profile first so
-# the distributed timings are gated (per point, warn-only) and land in
-# BENCH_runner.json alongside the in-process history.
-cargo run --release -q -p readopt-bench --bin perf_gate -- \
-    --merge-runner target/check/profile.json \
-    target/check/profile.json target/check-w2/profile.json
 # Baselines come from the committed snapshots (HEAD), never the working
 # tree: comparing against a file this script is about to overwrite would
 # let one slow run silently become the next run's baseline. A snapshot
