@@ -22,8 +22,16 @@
 //! free bits and no interior run is long enough, the whole segment walk is
 //! skipped. Writes only *invalidate* the entry (one byte store), so callers
 //! that never search for runs pay nothing for it.
+//!
+//! Two cheaper shortcuts keep the common searches from rescanning what is
+//! already known. A bitmap with no free slot answers "first free" in O(1)
+//! from `free_count`, before touching the summary. And a lowest-free hint
+//! `lo` holds the invariant "every slot below `lo` is used": frees lower
+//! it, a search that starts at or below it raises it to what the search
+//! found, and every forward search starts at it instead of at slot 0.
 
 use serde::{de_field, Deserialize, Error, Serialize, Value};
+use std::cell::Cell;
 
 /// `max_run` sentinel: the word changed since the entry was computed.
 const STALE_RUN: u8 = u8::MAX;
@@ -63,11 +71,17 @@ pub struct FreeBitmap {
     max_run: Vec<u8>,
     len: usize,
     free_count: usize,
+    /// Lowest-free hint: every slot below `lo` is used. Frees lower it;
+    /// searches that start at or below it raise it to the slot they found
+    /// (or `len`). A `Cell` so the `&self` searches can move it. Derived
+    /// data: not compared, not serialized, restarts at 0 on load.
+    lo: Cell<usize>,
 }
 
 /// Equality is over the ground truth only (`words`, `len`, `free_count`);
-/// the summary levels are a pure function of `words` and the `max_run`
-/// cache may legitimately differ in staleness between two equal bitmaps.
+/// the summary levels are a pure function of `words`, and the `max_run`
+/// cache and the `lo` hint may legitimately differ between two equal
+/// bitmaps.
 impl PartialEq for FreeBitmap {
     fn eq(&self, other: &Self) -> bool {
         self.words == other.words && self.len == other.len && self.free_count == other.free_count
@@ -85,6 +99,7 @@ impl FreeBitmap {
             max_run: vec![0; nwords],
             len,
             free_count: 0,
+            lo: Cell::new(0),
         }
     }
 
@@ -143,6 +158,7 @@ impl FreeBitmap {
         self.words[i / 64] |= 1 << (i % 64);
         self.summary_update(i / 64);
         self.free_count += 1;
+        self.lo.set(self.lo.get().min(i));
     }
 
     /// Marks slot `i` used. Panics in debug builds when not free.
@@ -178,6 +194,7 @@ impl FreeBitmap {
             self.summary_update(w);
         }
         self.free_count += n;
+        self.lo.set(self.lo.get().min(start));
     }
 
     /// Marks every slot in `[start, start + n)` used, word at a time.
@@ -212,9 +229,26 @@ impl FreeBitmap {
 
     /// Index of the first free slot at or after `from`, if any.
     ///
-    /// The word containing `from` is probed directly; past it the summary
-    /// index steers the scan straight to the next word with any free slot.
+    /// An empty bitmap answers at once; otherwise the scan starts at the
+    /// later of `from` and the `lo` hint. The word it starts in is probed
+    /// directly; past it the summary index steers the scan straight to the
+    /// next word with any free slot. A search from at or below the hint
+    /// finds the lowest free slot, so it moves the hint there.
     pub fn first_free_at_or_after(&self, from: usize) -> Option<usize> {
+        if from >= self.len || self.free_count == 0 {
+            return None;
+        }
+        let lo = self.lo.get();
+        let found = self.scan_free(from.max(lo));
+        if from <= lo {
+            self.lo.set(found.unwrap_or(self.len));
+        }
+        found
+    }
+
+    /// The summary-steered forward scan behind
+    /// [`Self::first_free_at_or_after`].
+    fn scan_free(&self, from: usize) -> Option<usize> {
         if from >= self.len {
             return None;
         }
@@ -291,6 +325,33 @@ impl FreeBitmap {
         }
     }
 
+    /// End (exclusive) of the maximal free run that contains free slot
+    /// `from`, when that end lies in the `max_words` words starting at
+    /// `from`'s word; `None` when the run reaches past them. A bounded
+    /// [`Self::first_used_at_or_after`] for callers that only want the
+    /// answer when it is cheap.
+    pub fn free_run_end_within(&self, from: usize, max_words: usize) -> Option<usize> {
+        debug_assert!(self.is_free(from));
+        let w0 = from / 64;
+        let mut w = w0;
+        let mut used = !self.words[w] & (u64::MAX << (from % 64));
+        loop {
+            if used != 0 {
+                // Ghost bits past `len` read as used, so a run touching the
+                // end stops at `len`.
+                return Some((w * 64 + used.trailing_zeros() as usize).min(self.len));
+            }
+            w += 1;
+            if w == self.words.len() {
+                return Some(self.len);
+            }
+            if w - w0 >= max_words {
+                return None;
+            }
+            used = !self.words[w];
+        }
+    }
+
     /// Start of the maximal free run containing free slot `i`.
     ///
     /// The word containing `i` is probed directly; below it the `full`
@@ -345,12 +406,15 @@ impl FreeBitmap {
     /// start at or past `limit` — the caller already knows a qualifying run
     /// begins there, so anything the scan could still find cannot be the
     /// first fit. Runs that *begin* below `limit` are followed to their end.
+    ///
+    /// The scan starts at the word holding the `lo` hint: every slot below
+    /// the hint is used, so no run begins earlier and none is carried in.
     pub fn first_free_run_before(&mut self, k: usize, limit: usize) -> Option<usize> {
         debug_assert!(k > 0);
         let nwords = self.words.len();
         let mut run_start = 0usize;
         let mut run_len = 0usize;
-        let mut w = 0usize;
+        let mut w = self.lo.get() / 64;
         while w < nwords {
             if run_len == 0 && w * 64 >= limit {
                 return None;
@@ -524,6 +588,7 @@ impl Deserialize for FreeBitmap {
             max_run: Vec::new(),
             len: de_field(v, "len")?,
             free_count: de_field(v, "free_count")?,
+            lo: Cell::new(0),
         };
         bitmap
             .validate()

@@ -67,6 +67,18 @@ impl<S: FreeBlockSet> BuddyPolicy<S> {
             .ok_or(AllocError::DeadFile(id))
     }
 
+    /// Frees the file's last buddy block and returns its size; 0 when the
+    /// file has no blocks.
+    fn pop_block(&mut self, file: FileId) -> Result<u64, AllocError> {
+        let f = self.file_mut(file)?;
+        let Some((addr, order)) = f.blocks.pop() else { return Ok(0) };
+        let size = 1u64 << order;
+        let popped = f.map.pop_back(size, |_| {});
+        debug_assert_eq!(popped, size);
+        self.core.free(addr, order);
+        Ok(size)
+    }
+
     /// Size in units of the next extent Koch's doubling rule would pick for
     /// a file currently holding `current_units`, when at least
     /// `needed_units` more are wanted.
@@ -125,54 +137,39 @@ impl<S: FreeBlockSet> Policy for BuddyPolicy<S> {
         Ok(id)
     }
 
-    fn extend(&mut self, file: FileId, units: u64) -> Result<Vec<Extent>, AllocError> {
+    fn extend(&mut self, file: FileId, units: u64) -> Result<u64, AllocError> {
         debug_assert!(units > 0);
-        let mut granted: Vec<Extent> = Vec::new();
-        let mut remaining = units;
-        while remaining > 0 {
+        let first_new = self.file(file)?.blocks.len();
+        let mut granted = 0;
+        while granted < units {
             let current = self.file(file)?.map.total_units();
-            let size = self.next_extent_units(current, remaining);
+            let size = self.next_extent_units(current, units - granted);
             let order = order_for_units(size);
             let Some(addr) = self.core.allocate(order) else {
-                // Roll back this call's partial allocations so a failed
-                // extend is atomic.
-                for e in granted.iter().rev() {
-                    // Each granted extent is exactly one buddy block.
-                    self.core.free(e.start, order_for_units(e.len));
-                    let f = self.file_mut(file)?;
-                    f.blocks.pop();
-                    f.map.pop_back(e.len);
+                // Roll back this call's blocks, the file's last ones, so a
+                // failed extend is atomic.
+                while self.file(file)?.blocks.len() > first_new {
+                    self.pop_block(file)?;
                 }
                 return Err(AllocError::DiskFull(size));
             };
             let f = self.file_mut(file)?;
             f.blocks.push((addr, order));
-            let ext = Extent::new(addr, 1 << order);
-            f.map.push(ext);
-            granted.push(ext);
-            remaining = remaining.saturating_sub(1 << order);
+            f.map.push(Extent::new(addr, 1 << order));
+            granted += 1 << order;
         }
         Ok(granted)
     }
 
-    fn truncate(&mut self, file: FileId, units: u64) -> Result<Vec<Extent>, AllocError> {
+    fn truncate(&mut self, file: FileId, units: u64) -> Result<u64, AllocError> {
         // Buddy blocks cannot be split, so free whole tail blocks that fit
         // entirely within the truncated range.
-        let mut freed = Vec::new();
-        let mut remaining = units;
-        while let Some(&(addr, order)) = self.file(file)?.blocks.last() {
-            let size = 1u64 << order;
-            if size > remaining {
+        let mut freed = 0;
+        while let Some(&(_, order)) = self.file(file)?.blocks.last() {
+            if freed + (1u64 << order) > units {
                 break;
             }
-            let f = self.file_mut(file)?;
-            f.blocks.pop();
-            self.core.free(addr, order);
-            let f = self.file_mut(file)?;
-            let popped = f.map.pop_back(size);
-            debug_assert_eq!(popped.iter().map(|e| e.len).sum::<u64>(), size);
-            freed.push(Extent::new(addr, size));
-            remaining -= size;
+            freed += self.pop_block(file)?;
         }
         Ok(freed)
     }
@@ -392,10 +389,8 @@ mod tests {
         let f = p.create(&FileHints::default()).unwrap();
         p.extend(f, 8).unwrap();
         p.extend(f, 1).unwrap(); // blocks: 8, 8
-        let freed = p.truncate(f, 4).unwrap();
-        assert!(freed.is_empty(), "4 < tail block of 8");
-        let freed = p.truncate(f, 9).unwrap();
-        assert_eq!(freed.len(), 1);
+        assert_eq!(p.truncate(f, 4).unwrap(), 0, "4 < tail block of 8");
+        assert_eq!(p.truncate(f, 9).unwrap(), 8, "one whole block");
         assert_eq!(p.allocated_units(f).unwrap(), 8);
         p.check_invariants();
     }

@@ -136,8 +136,10 @@ impl<M: FreeMap> ExtentPolicy<M> {
             .ok_or(AllocError::DeadFile(id))
     }
 
-    fn file_mut(&mut self, id: FileId) -> Result<&mut EFile, AllocError> {
-        self.files
+    /// The live file `id` in `files`. Takes the table rather than `self`
+    /// so callers can hold the free map mutably at the same time.
+    fn file_mut(files: &mut [Option<EFile>], id: FileId) -> Result<&mut EFile, AllocError> {
+        files
             .get_mut(id.0 as usize)
             .and_then(|slot| slot.as_mut())
             .ok_or(AllocError::DeadFile(id))
@@ -194,32 +196,27 @@ impl<M: FreeMap> Policy for ExtentPolicy<M> {
         Ok(id)
     }
 
-    fn extend(&mut self, file: FileId, units: u64) -> Result<Vec<Extent>, AllocError> {
+    fn extend(&mut self, file: FileId, units: u64) -> Result<u64, AllocError> {
         debug_assert!(units > 0);
         let chunk = self.file(file)?.extent_units;
-        let mut granted: Vec<Extent> = Vec::new();
-        let mut remaining = units;
-        while remaining > 0 {
+        let mut granted = 0;
+        while granted < units {
             let Some(e) = self.allocate(chunk) else {
-                for &g in granted.iter().rev() {
-                    self.free.release(g);
-                    self.file_mut(file)?.map.pop_back(g.len);
-                }
+                // Unwind this call's extents, which are the file's last
+                // `granted` units: a failed extend is atomic.
+                self.truncate(file, granted)?;
                 return Err(AllocError::DiskFull(chunk));
             };
-            self.file_mut(file)?.map.push(e);
-            granted.push(e);
-            remaining = remaining.saturating_sub(chunk);
+            Self::file_mut(&mut self.files, file)?.map.push(e);
+            granted += chunk;
         }
         Ok(granted)
     }
 
-    fn truncate(&mut self, file: FileId, units: u64) -> Result<Vec<Extent>, AllocError> {
-        let freed = self.file_mut(file)?.map.pop_back(units);
-        for &e in &freed {
-            self.free.release(e);
-        }
-        Ok(freed)
+    fn truncate(&mut self, file: FileId, units: u64) -> Result<u64, AllocError> {
+        let f = Self::file_mut(&mut self.files, file)?;
+        let free = &mut self.free;
+        Ok(f.map.pop_back(units, |e| free.release(e)))
     }
 
     fn delete(&mut self, file: FileId) -> Result<u64, AllocError> {
@@ -412,8 +409,7 @@ mod tests {
         let f = p.create(&hints(8 * 1024)).unwrap();
         p.extend(f, 100).unwrap();
         let alloc = p.allocated_units(f).unwrap();
-        let freed = p.truncate(f, 37).unwrap();
-        assert_eq!(freed.iter().map(|e| e.len).sum::<u64>(), 37);
+        assert_eq!(p.truncate(f, 37).unwrap(), 37);
         assert_eq!(p.allocated_units(f).unwrap(), alloc - 37);
         p.check_invariants();
     }

@@ -194,9 +194,20 @@ impl<S: FreeBlockSet> FfsPolicy<S> {
 
     /// Test-only invariant check: the run-length index lists exactly the
     /// fragmented blocks of each group, each filed under its true longest
-    /// free-run length.
+    /// free-run length, and every file's extent map is its blocks followed
+    /// by its fragment tail.
     #[doc(hidden)]
     pub fn check_frag_index(&self) {
+        for f in self.files.iter().flatten() {
+            let mut want = FileMap::new();
+            for &b in &f.blocks {
+                want.push(Extent::new(b, self.block_units));
+            }
+            if let Some((addr, n)) = f.tail {
+                want.push(Extent::new(addr, n));
+            }
+            assert_eq!(f.map, want, "file map is not its blocks followed by its tail");
+        }
         for (gi, g) in self.groups.iter().enumerate() {
             let mut indexed = 0usize;
             for (run, bucket) in g.frag_index.buckets.iter().enumerate() {
@@ -376,20 +387,12 @@ impl<S: FreeBlockSet> FfsPolicy<S> {
         Ok(())
     }
 
-    /// Rebuilds the file's merged extent map from blocks + tail.
-    fn rebuild_map(&mut self, id: FileId) -> Result<(), AllocError> {
-        let (blocks, tail) = {
-            let f = self.file(id)?;
-            (f.blocks.clone(), f.tail)
-        };
-        let bu = self.block_units;
-        let f = self.file_mut(id)?;
-        f.map = FileMap::new();
-        for b in blocks {
-            f.map.push(Extent::new(b, bu));
-        }
-        if let Some((addr, n)) = tail {
-            f.map.push(Extent::new(addr, n));
+    /// Frees the blocks an unfinished extend pushed past the file's first
+    /// `keep` blocks (its map does not list them yet).
+    fn drop_new_blocks(&mut self, id: FileId, keep: usize) -> Result<(), AllocError> {
+        while self.file(id)?.blocks.len() > keep {
+            let Some(a) = self.file_mut(id)?.blocks.pop() else { break };
+            self.free_block(a);
         }
         Ok(())
     }
@@ -496,37 +499,31 @@ impl<S: FreeBlockSet> Policy for FfsPolicy<S> {
         Ok(id)
     }
 
-    fn extend(&mut self, file: FileId, units: u64) -> Result<Vec<Extent>, AllocError> {
+    fn extend(&mut self, file: FileId, units: u64) -> Result<u64, AllocError> {
         debug_assert!(units > 0);
         let bu = self.block_units;
         let (old_blocks, old_tail, group) = {
             let f = self.file(file)?;
-            (f.blocks.len() as u64, f.tail, f.group)
+            (f.blocks.len(), f.tail, f.group)
         };
         let old_tail_units = old_tail.map_or(0, |(_, n)| n);
-        let new_total = old_blocks * bu + old_tail_units + units;
+        let new_total = old_blocks as u64 * bu + old_tail_units + units;
         let want_blocks = new_total / bu;
         let want_tail = new_total % bu;
 
         // Allocate the new full blocks first (the first of them absorbs the
         // old tail's data, FFS-style), then the new tail, then release the
         // old tail — so a failure mid-way can roll back without having
-        // destroyed anything.
-        let mut new_blocks = Vec::new();
+        // destroyed anything. The new blocks go straight onto the file's
+        // block list; a rollback pops them off again.
         let mut prefer = self.file(file)?.blocks.last().map(|&b| b + bu);
-        for _ in old_blocks..want_blocks {
-            match self.alloc_block(group, prefer) {
-                Some(a) => {
-                    prefer = Some(a + bu);
-                    new_blocks.push(a);
-                }
-                None => {
-                    for &a in &new_blocks {
-                        self.free_block(a);
-                    }
-                    return Err(AllocError::DiskFull(bu));
-                }
-            }
+        for _ in old_blocks as u64..want_blocks {
+            let Some(a) = self.alloc_block(group, prefer) else {
+                self.drop_new_blocks(file, old_blocks)?;
+                return Err(AllocError::DiskFull(bu));
+            };
+            prefer = Some(a + bu);
+            self.file_mut(file)?.blocks.push(a);
         }
         let new_tail = if want_tail > 0 {
             match self.alloc_frags(group, want_tail) {
@@ -535,9 +532,7 @@ impl<S: FreeBlockSet> Policy for FfsPolicy<S> {
                     // Roll back the whole-block allocations on both the
                     // disk-full (`Ok(None)`) and corrupt-state outcomes so
                     // a failed extend never leaks blocks.
-                    for &a in &new_blocks {
-                        self.free_block(a);
-                    }
+                    self.drop_new_blocks(file, old_blocks)?;
                     return match no_grant {
                         Err(e) => Err(e),
                         _ => Err(AllocError::DiskFull(want_tail)),
@@ -550,50 +545,45 @@ impl<S: FreeBlockSet> Policy for FfsPolicy<S> {
         if let Some((addr, n)) = old_tail {
             self.free_frags(addr, n)?;
         }
-        {
-            let f = self.file_mut(file)?;
-            f.blocks.extend(&new_blocks);
-            f.tail = new_tail;
+        // The map is the file's blocks followed by its tail: swap the old
+        // tail for the new blocks and the new tail.
+        let f = self.file_mut(file)?;
+        f.map.pop_back(old_tail_units, |_| {});
+        for &b in &f.blocks[old_blocks..] {
+            f.map.push(Extent::new(b, bu));
         }
-        self.rebuild_map(file)?;
-        // Report the newly covered space: the new blocks plus the new tail
-        // (the caller writes `units` new units; the map is authoritative).
-        let mut granted: Vec<Extent> = new_blocks.iter().map(|&a| Extent::new(a, bu)).collect();
-        if let Some((a, n)) = new_tail {
-            granted.push(Extent::new(a, n));
+        if let Some((addr, n)) = new_tail {
+            f.map.push(Extent::new(addr, n));
         }
-        Ok(granted)
+        f.tail = new_tail;
+        // FFS grants exactly: the allocation grew by `units`.
+        Ok(units)
     }
 
-    fn truncate(&mut self, file: FileId, units: u64) -> Result<Vec<Extent>, AllocError> {
+    fn truncate(&mut self, file: FileId, units: u64) -> Result<u64, AllocError> {
         let bu = self.block_units;
-        let mut freed = Vec::new();
-        let mut remaining = units;
+        let mut freed = 0;
         // Free the tail fragments first (they are the logical end).
         if let Some((addr, n)) = self.file(file)?.tail {
-            if n <= remaining {
+            if n <= units {
                 self.free_frags(addr, n)?;
                 self.file_mut(file)?.tail = None;
-                freed.push(Extent::new(addr, n));
-                remaining -= n;
+                freed = n;
             } else {
                 // Shrink the tail in place: free its uppermost fragments.
-                let keep = n - remaining;
-                self.free_frags(addr + keep, remaining)?;
+                let keep = n - units;
+                self.free_frags(addr + keep, units)?;
                 self.file_mut(file)?.tail = Some((addr, keep));
-                freed.push(Extent::new(addr + keep, remaining));
-                remaining = 0;
+                freed = units;
             }
         }
-        while remaining >= bu {
+        while units - freed >= bu {
             let Some(addr) = self.file_mut(file)?.blocks.pop() else { break };
             self.free_block(addr);
-            freed.push(Extent::new(addr, bu));
-            remaining -= bu;
+            freed += bu;
         }
-        if !freed.is_empty() {
-            self.rebuild_map(file)?;
-        }
+        // The freed units are the end of the file's map.
+        self.file_mut(file)?.map.pop_back(freed, |_| {});
         Ok(freed)
     }
 
@@ -735,11 +725,9 @@ mod tests {
         let mut p = policy();
         let f = p.create(&FileHints::default()).unwrap();
         p.extend(f, 21).unwrap(); // 2 blocks + 5 frags
-        let freed = p.truncate(f, 3).unwrap(); // tail 5 -> 2
-        assert_eq!(freed.iter().map(|e| e.len).sum::<u64>(), 3);
+        assert_eq!(p.truncate(f, 3).unwrap(), 3); // tail 5 -> 2
         assert_eq!(p.file(f).unwrap().tail.map(|(_, n)| n), Some(2));
-        let freed = p.truncate(f, 2 + 8).unwrap(); // rest of tail + one block
-        assert_eq!(freed.iter().map(|e| e.len).sum::<u64>(), 10);
+        assert_eq!(p.truncate(f, 2 + 8).unwrap(), 10); // rest of tail + one block
         assert_eq!(p.file(f).unwrap().blocks.len(), 1);
         assert!(p.file(f).unwrap().tail.is_none());
         p.check_invariants();
@@ -834,16 +822,17 @@ mod tests {
     #[test]
     fn linear_scan_matches_index() {
         // The same op stream through the indexed and linear strategies
-        // produces identical grants (the heavyweight version lives in
-        // tests/frag_equiv.rs).
-        let run = |linear: bool| -> Vec<Vec<Extent>> {
+        // lays every file out identically (the heavyweight version lives
+        // in tests/frag_equiv.rs).
+        let run = |linear: bool| -> Vec<FileMap> {
             let mut p = policy();
             p.set_linear_scan(linear);
             let mut grants = Vec::new();
             let mut files = Vec::new();
             for n in [3u64, 5, 1, 7, 2, 6, 4, 3, 5, 1] {
                 let f = p.create(&FileHints::default()).unwrap();
-                grants.push(p.extend(f, n).unwrap());
+                assert_eq!(p.extend(f, n).unwrap(), n);
+                grants.push(p.file_map(f).unwrap().clone());
                 files.push(f);
             }
             for f in files.iter().step_by(3) {
@@ -851,7 +840,8 @@ mod tests {
             }
             for n in [2u64, 4, 6] {
                 let f = p.create(&FileHints::default()).unwrap();
-                grants.push(p.extend(f, n).unwrap());
+                assert_eq!(p.extend(f, n).unwrap(), n);
+                grants.push(p.file_map(f).unwrap().clone());
             }
             p.check_frag_index();
             grants

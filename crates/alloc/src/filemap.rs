@@ -56,31 +56,34 @@ impl FileMap {
         self.extents.push(e);
     }
 
-    /// Removes `units` from the end of the file, returning the freed
-    /// physical runs (tail first). Removes at most the whole file.
-    pub fn pop_back(&mut self, units: u64) -> Vec<Extent> {
-        let mut remaining = units.min(self.total);
-        let mut freed = Vec::new();
+    /// Removes `units` from the end of the file (at most the whole file),
+    /// handing each freed physical run to `freed`, tail first. Returns the
+    /// number of units removed. A callback rather than a returned `Vec`, so
+    /// the allocation policies' truncate and rollback paths allocate
+    /// nothing.
+    pub fn pop_back(&mut self, units: u64, mut freed: impl FnMut(Extent)) -> u64 {
+        let removed = units.min(self.total);
+        let mut remaining = removed;
         while remaining > 0 {
             // `total > 0` implies extents exist; if the two ever disagreed,
-            // stopping early loses nothing (the freed list is still exact).
+            // stopping early loses nothing (the runs handed out are exact).
             let Some(last) = self.extents.last_mut() else {
                 debug_assert!(false, "total > 0 with no extents");
-                break;
+                return removed - remaining;
             };
             if last.len <= remaining {
                 remaining -= last.len;
                 self.total -= last.len;
-                freed.push(*last);
+                freed(*last);
                 self.extents.pop();
             } else {
                 last.len -= remaining;
                 self.total -= remaining;
-                freed.push(Extent::new(last.end(), remaining));
+                freed(Extent::new(last.end(), remaining));
                 remaining = 0;
             }
         }
-        freed
+        removed
     }
 
     /// Removes and returns every extent, emptying the map.
@@ -151,7 +154,8 @@ mod tests {
         let mut m = FileMap::new();
         m.push(Extent::new(0, 8));
         m.push(Extent::new(100, 8));
-        let freed = m.pop_back(10);
+        let mut freed = Vec::new();
+        assert_eq!(m.pop_back(10, |e| freed.push(e)), 10);
         assert_eq!(freed, vec![Extent::new(100, 8), Extent::new(6, 2)]);
         assert_eq!(m.total_units(), 6);
         assert_eq!(m.extents(), &[Extent::new(0, 6)]);
@@ -161,7 +165,8 @@ mod tests {
     fn pop_back_clamps_to_size() {
         let mut m = FileMap::new();
         m.push(Extent::new(5, 3));
-        let freed = m.pop_back(100);
+        let mut freed = Vec::new();
+        assert_eq!(m.pop_back(100, |e| freed.push(e)), 3);
         assert_eq!(freed, vec![Extent::new(5, 3)]);
         assert_eq!(m.total_units(), 0);
         assert_eq!(m.extent_count(), 0);

@@ -63,8 +63,10 @@ impl FixedPolicy {
         self.block_units
     }
 
-    fn file_mut(&mut self, id: FileId) -> Result<&mut FFile, AllocError> {
-        self.files
+    /// The live file `id` in `files`. Takes the table rather than `self`
+    /// so callers can hold the free list mutably at the same time.
+    fn file_mut(files: &mut [Option<FFile>], id: FileId) -> Result<&mut FFile, AllocError> {
+        files
             .get_mut(id.0 as usize)
             .and_then(|slot| slot.as_mut())
             .ok_or(AllocError::DeadFile(id))
@@ -126,41 +128,41 @@ impl Policy for FixedPolicy {
         Ok(id)
     }
 
-    fn extend(&mut self, file: FileId, units: u64) -> Result<Vec<Extent>, AllocError> {
+    fn extend(&mut self, file: FileId, units: u64) -> Result<u64, AllocError> {
         debug_assert!(units > 0);
         let nblocks = units.div_ceil(self.block_units);
         if (self.free_list.len() as u64) < nblocks {
             return Err(AllocError::DiskFull(self.block_units));
         }
-        let mut granted = Vec::with_capacity(nblocks as usize);
+        let f = Self::file_mut(&mut self.files, file)?;
+        let mut granted = 0;
         for _ in 0..nblocks {
             // Length was checked above, so the list cannot run dry
             // mid-loop; stopping early would still be accounted correctly.
             let Some(addr) = self.free_list.pop_front() else { break };
-            let e = Extent::new(addr, self.block_units);
-            self.file_mut(file)?.map.push(e);
-            granted.push(e);
+            f.map.push(Extent::new(addr, self.block_units));
+            granted += self.block_units;
         }
         Ok(granted)
     }
 
-    fn truncate(&mut self, file: FileId, units: u64) -> Result<Vec<Extent>, AllocError> {
+    fn truncate(&mut self, file: FileId, units: u64) -> Result<u64, AllocError> {
         let whole_blocks = units / self.block_units * self.block_units;
         if whole_blocks == 0 {
-            return Ok(Vec::new());
+            return Ok(0);
         }
-        let freed = self.file_mut(file)?.map.pop_back(whole_blocks);
-        for e in &freed {
+        let f = Self::file_mut(&mut self.files, file)?;
+        let (bu, free_list) = (self.block_units, &mut self.free_list);
+        Ok(f.map.pop_back(whole_blocks, |e| {
             // The map may have merged adjacent blocks; return them to the
             // list one block at a time, head-first (V7 behaviour).
-            debug_assert_eq!(e.len % self.block_units, 0);
+            debug_assert_eq!(e.len % bu, 0);
             let mut a = e.start;
             while a < e.end() {
-                self.free_list.push_front(a);
-                a += self.block_units;
+                free_list.push_front(a);
+                a += bu;
             }
-        }
-        Ok(freed)
+        }))
     }
 
     fn delete(&mut self, file: FileId) -> Result<u64, AllocError> {
@@ -266,9 +268,8 @@ mod tests {
         let mut p = policy();
         let f = p.create(&FileHints::default()).unwrap();
         p.extend(f, 16).unwrap();
-        assert!(p.truncate(f, 3).unwrap().is_empty(), "less than a block");
-        let freed = p.truncate(f, 9).unwrap();
-        assert_eq!(freed.iter().map(|e| e.len).sum::<u64>(), 8);
+        assert_eq!(p.truncate(f, 3).unwrap(), 0, "less than a block");
+        assert_eq!(p.truncate(f, 9).unwrap(), 8);
         assert_eq!(p.allocated_units(f).unwrap(), 8);
         p.check_invariants();
     }
@@ -278,8 +279,8 @@ mod tests {
         let mut p = policy();
         let a = p.create(&FileHints::default()).unwrap();
         p.extend(a, 4).unwrap();
-        let freed = p.truncate(a, 4).unwrap();
-        let addr = freed[0].start;
+        let addr = p.file_map(a).unwrap().extents()[0].start;
+        assert_eq!(p.truncate(a, 4).unwrap(), 4);
         let b = p.create(&FileHints::default()).unwrap();
         p.extend(b, 4).unwrap();
         assert_eq!(p.file_map(b).unwrap().extents()[0].start, addr, "LIFO reuse");

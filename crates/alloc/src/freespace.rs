@@ -167,6 +167,18 @@ impl FreeSpaceMap {
     /// hold them.
     pub fn allocate_first_fit(&mut self, len: u64) -> Option<Extent> {
         debug_assert!(len > 0);
+        // The lowest free unit starts the lowest-addressed run. When that
+        // run holds `len`, it is the first fit. Its end is looked for only
+        // a few words out: a longer run (the untouched tail of a fresh
+        // disk) goes to the hybrid below, whose index answers it in
+        // O(log n) where a full end scan would cross the whole tail.
+        const END_PROBE_WORDS: usize = 4;
+        let first = self.bits.first_free()?;
+        if let Some(end) = self.bits.free_run_end_within(first, END_PROBE_WORDS) {
+            if end - first >= len as usize {
+                return self.carve(first, end, len as usize);
+            }
+        }
         // The by-length index and the word scan are complementary: when few
         // runs qualify the index enumerates them all and the lowest start
         // wins outright; when many qualify the first fit sits close to the

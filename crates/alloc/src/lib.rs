@@ -35,7 +35,8 @@
 //! let mut policy = PolicyConfig::paper_restricted().build(1 << 20, 1024, 7);
 //! let file = policy.create(&FileHints::default()).unwrap();
 //! let granted = policy.extend(file, 100).unwrap();
-//! assert!(granted.iter().map(|e| e.len).sum::<u64>() >= 100);
+//! assert!(granted >= 100);
+//! assert_eq!(policy.allocated_units(file).unwrap(), granted);
 //! assert!(policy.extent_count(file).unwrap() <= 3, "sequential growth stays contiguous");
 //! policy.delete(file).unwrap();
 //! assert_eq!(policy.free_units() + policy.metadata_units(), policy.capacity_units());

@@ -90,13 +90,15 @@ pub trait Policy: Send {
     /// Registers a new, empty file. May allocate metadata.
     fn create(&mut self, hints: &FileHints) -> Result<FileId, AllocError>;
 
-    /// Grows `file` by at least `units`, returning the newly allocated
-    /// extents in logical order.
-    fn extend(&mut self, file: FileId, units: u64) -> Result<Vec<Extent>, AllocError>;
+    /// Grows `file` by at least `units`, returning how many units its
+    /// allocation grew by. Where the new space landed is in
+    /// [`Policy::file_map`]. A failed extend is atomic: the file and the
+    /// free space are left exactly as they were.
+    fn extend(&mut self, file: FileId, units: u64) -> Result<u64, AllocError>;
 
     /// Shrinks `file` by at most `units` from its logical end, returning
-    /// the freed extents.
-    fn truncate(&mut self, file: FileId, units: u64) -> Result<Vec<Extent>, AllocError>;
+    /// how many units were freed.
+    fn truncate(&mut self, file: FileId, units: u64) -> Result<u64, AllocError>;
 
     /// Deletes `file`, freeing all of its space (and metadata). Returns the
     /// number of data units freed.

@@ -309,6 +309,19 @@ impl<S: FreeBlockSet> RestrictedPolicy<S> {
         self.sync_region(r);
     }
 
+    /// Frees the file's last block and returns its size; 0 when the file
+    /// has no blocks.
+    fn pop_block(&mut self, file: FileId) -> Result<u64, AllocError> {
+        let Some(&(addr, class)) = self.file(file)?.blocks.last() else { return Ok(0) };
+        let size = self.sizes[class];
+        let f = self.file_mut(file)?;
+        f.blocks.pop();
+        f.units_per_class[class] -= size;
+        f.map.pop_back(size, |_| {});
+        self.free_block(class, addr);
+        Ok(size)
+    }
+
     /// Preferred placement for a file's next block of `class`: the unit
     /// after its last block, rounded **up** to the class alignment. When
     /// the block size has just grown, the file's end is usually not aligned
@@ -388,11 +401,11 @@ impl<S: FreeBlockSet> Policy for RestrictedPolicy<S> {
         Ok(id)
     }
 
-    fn extend(&mut self, file: FileId, units: u64) -> Result<Vec<Extent>, AllocError> {
+    fn extend(&mut self, file: FileId, units: u64) -> Result<u64, AllocError> {
         debug_assert!(units > 0);
-        let mut granted: Vec<(u64, usize)> = Vec::new();
-        let mut remaining = units;
-        while remaining > 0 {
+        let first_new = self.file(file)?.blocks.len();
+        let mut granted = 0;
+        while granted < units {
             let (class, prefer, optimal) = {
                 let f = self.file(file)?;
                 let class = self.next_class(f);
@@ -409,14 +422,10 @@ impl<S: FreeBlockSet> Policy for RestrictedPolicy<S> {
                 (class, prefer, optimal)
             };
             let Some(addr) = self.allocate_block(class, optimal, prefer) else {
-                // Unwind this call's blocks: a failed extend is atomic.
-                for &(a, c) in granted.iter().rev() {
-                    self.free_block(c, a);
-                    let sizes_c = self.sizes[c];
-                    let f = self.file_mut(file)?;
-                    f.blocks.pop();
-                    f.units_per_class[c] -= sizes_c;
-                    f.map.pop_back(sizes_c);
+                // Unwind this call's blocks, the file's last ones, newest
+                // first: a failed extend is atomic.
+                while self.file(file)?.blocks.len() > first_new {
+                    self.pop_block(file)?;
                 }
                 return Err(AllocError::DiskFull(self.sizes[class]));
             };
@@ -425,30 +434,18 @@ impl<S: FreeBlockSet> Policy for RestrictedPolicy<S> {
             f.blocks.push((addr, class));
             f.units_per_class[class] += size;
             f.map.push(Extent::new(addr, size));
-            granted.push((addr, class));
-            remaining = remaining.saturating_sub(size);
+            granted += size;
         }
-        Ok(granted
-            .into_iter()
-            .map(|(a, c)| Extent::new(a, self.sizes[c]))
-            .collect())
+        Ok(granted)
     }
 
-    fn truncate(&mut self, file: FileId, units: u64) -> Result<Vec<Extent>, AllocError> {
-        let mut freed = Vec::new();
-        let mut remaining = units;
-        while let Some(&(addr, class)) = self.file(file)?.blocks.last() {
-            let size = self.sizes[class];
-            if size > remaining {
+    fn truncate(&mut self, file: FileId, units: u64) -> Result<u64, AllocError> {
+        let mut freed = 0;
+        while let Some(&(_, class)) = self.file(file)?.blocks.last() {
+            if freed + self.sizes[class] > units {
                 break;
             }
-            let f = self.file_mut(file)?;
-            f.blocks.pop();
-            f.units_per_class[class] -= size;
-            f.map.pop_back(size);
-            self.free_block(class, addr);
-            freed.push(Extent::new(addr, size));
-            remaining -= size;
+            freed += self.pop_block(file)?;
         }
         Ok(freed)
     }
@@ -623,8 +620,7 @@ mod tests {
         let f = p.create(&FileHints::default()).unwrap();
         p.extend(f, 9).unwrap(); // 8 class-0 + 1 class-1
         assert_eq!(p.file(f).unwrap().blocks.last().unwrap().1, 1);
-        let freed = p.truncate(f, 8).unwrap();
-        assert_eq!(freed.iter().map(|e| e.len).sum::<u64>(), 8);
+        assert_eq!(p.truncate(f, 8).unwrap(), 8);
         // With the class-1 block gone, the grow policy is back at class 0...
         p.extend(f, 1).unwrap();
         // ...but the quota is still met (eight class-0 blocks) → class 1.

@@ -3,13 +3,19 @@
 //! backend under arbitrary operation sequences.
 //!
 //! The same pseudo-random op stream is replayed against both backends of
-//! each policy; after every single operation the grants, freed extents,
-//! error outcomes, free-unit counts, and fragmentation gauges must match
-//! exactly. This is the invariant that lets the word-level structures
-//! replace the ordered sets without perturbing a byte of the paper's
-//! simulation results.
+//! each policy; after every single operation the units granted and freed,
+//! error outcomes, free-unit counts, fragmentation gauges, and every
+//! file's extent map must match exactly. This is the invariant that lets
+//! the word-level structures replace the ordered sets without perturbing a
+//! byte of the paper's simulation results.
+//!
+//! Fixed cases below pin the edges of the bitmap map's first-fit shortcut
+//! (take the lowest free run when it fits), and a churn case holds the map
+//! at the ≥ 95 % utilization the time-sharing allocation tests run at.
 
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{RngExt, SeedableRng};
 use readopt_alloc::blockset::{BTreeBlockSet, BitmapBlockSet};
 use readopt_alloc::freespace::{BTreeFreeSpaceMap, FreeSpaceMap};
 use readopt_alloc::{
@@ -176,5 +182,93 @@ proptest! {
         }
         a.check_invariants();
         b.check_invariants();
+    }
+}
+
+/// Both free-space maps over `capacity` units with the `used` ranges
+/// carved out.
+fn maps_with_used(capacity: u64, used: &[(u64, u64)]) -> (FreeSpaceMap, BTreeFreeSpaceMap) {
+    let mut a = FreeSpaceMap::with_capacity(capacity);
+    let mut b = BTreeFreeSpaceMap::with_capacity(capacity);
+    for &(start, len) in used {
+        assert_eq!(a.allocate_at(start, len), b.allocate_at(start, len), "carving {start}+{len}");
+    }
+    (a, b)
+}
+
+/// First-fit of `len` on both maps: same answer, same runs afterwards.
+fn first_fit_agrees(a: &mut FreeSpaceMap, b: &mut BTreeFreeSpaceMap, len: u64) -> Option<Extent> {
+    let got = a.allocate_first_fit(len);
+    assert_eq!(got, b.allocate_first_fit(len), "first-fit({len}) diverged");
+    assert_eq!(a.runs().collect::<Vec<_>>(), b.runs().collect::<Vec<_>>(), "runs diverged");
+    a.check_invariants();
+    got
+}
+
+#[test]
+fn first_fit_takes_a_lowest_run_of_exactly_len() {
+    // Lowest run [10, 15): a 5-unit request consumes it whole.
+    let (mut a, mut b) = maps_with_used(1000, &[(0, 10), (15, 485)]);
+    assert_eq!(first_fit_agrees(&mut a, &mut b, 5), Some(Extent::new(10, 5)));
+    assert_eq!(first_fit_agrees(&mut a, &mut b, 5), Some(Extent::new(500, 5)));
+}
+
+#[test]
+fn first_fit_skips_a_lowest_run_one_unit_short() {
+    let (mut a, mut b) = maps_with_used(1000, &[(0, 10), (15, 485)]);
+    assert_eq!(first_fit_agrees(&mut a, &mut b, 6), Some(Extent::new(500, 6)));
+    // The short run is still there for a request it does fit.
+    assert_eq!(first_fit_agrees(&mut a, &mut b, 4), Some(Extent::new(10, 4)));
+}
+
+#[test]
+fn first_fit_on_a_lowest_run_longer_than_the_end_probe() {
+    // A fresh map is one run far longer than the end probe.
+    let (mut a, mut b) = maps_with_used(100_000, &[]);
+    assert_eq!(first_fit_agrees(&mut a, &mut b, 1), Some(Extent::new(0, 1)));
+    assert_eq!(first_fit_agrees(&mut a, &mut b, 8), Some(Extent::new(1, 8)));
+    // A 300-unit lowest run ends past the probe: it still wins when it
+    // fits and is passed over when it does not.
+    let (mut a, mut b) = maps_with_used(2000, &[(0, 3), (303, 97)]);
+    assert_eq!(first_fit_agrees(&mut a, &mut b, 301), Some(Extent::new(400, 301)));
+    assert_eq!(first_fit_agrees(&mut a, &mut b, 300), Some(Extent::new(3, 300)));
+}
+
+#[test]
+fn first_fit_on_a_lowest_run_ending_at_a_ragged_capacity() {
+    for capacity in [1000u64, 1601] {
+        let (mut a, mut b) = maps_with_used(capacity, &[(0, capacity - 11)]);
+        assert_eq!(first_fit_agrees(&mut a, &mut b, 12), None, "capacity {capacity}");
+        assert_eq!(
+            first_fit_agrees(&mut a, &mut b, 11),
+            Some(Extent::new(capacity - 11, 11)),
+            "capacity {capacity}"
+        );
+        assert_eq!(first_fit_agrees(&mut a, &mut b, 1), None, "capacity {capacity}");
+    }
+}
+
+#[test]
+fn first_fit_churn_at_95_percent_utilization() {
+    // Time-sharing shape: 1-unit first-fit allocations and releases held
+    // between 95 and 96 % full, with the odd 8-unit request.
+    let capacity = 20_000 + 37;
+    let (mut a, mut b) = maps_with_used(capacity, &[]);
+    let mut rng = SmallRng::seed_from_u64(95);
+    let mut held: Vec<Extent> = Vec::new();
+    let used = |m: &FreeSpaceMap| 1.0 - m.free_units() as f64 / capacity as f64;
+    while used(&a) < 0.95 {
+        held.extend(first_fit_agrees(&mut a, &mut b, 1));
+    }
+    for step in 0..20_000 {
+        if used(&a) < 0.96 {
+            let len = if step % 16 == 0 { 8 } else { 1 };
+            held.extend(first_fit_agrees(&mut a, &mut b, len));
+        } else {
+            let e = held.swap_remove(rng.random_range(0..held.len()));
+            a.release(e);
+            b.release(e);
+        }
+        assert!(used(&a) >= 0.95, "step {step} fell below 95 % utilization");
     }
 }

@@ -10,6 +10,12 @@
 //! `--json PATH`, into a `BENCH_alloc.json`-shaped snapshot that
 //! `scripts/check.sh` uses as its perf-regression baseline.
 //!
+//! One more row times the shipped bitmap backend alone, in absolute ns/op:
+//! first-fit extents at the time-sharing (TS) workload's 1 KB and 8 KB
+//! extent sizes, churned at 95 % utilization on the paper's full array —
+//! the allocator work that dominates the TS points of the paper's §3
+//! allocation tests.
+//!
 //! Wall-clock here is measurement, not simulation: the bench crate is the
 //! one place the workspace reads real time (simlint r2 exemption).
 
@@ -19,6 +25,7 @@ use readopt_alloc::{
     BuddyPolicy, ExtentPolicy, FfsPolicy, FileHints, FileId, FitStrategy, Policy,
     RestrictedPolicy,
 };
+use readopt_disk::ArrayConfig;
 use readopt_sim::SimRng;
 use serde::Serialize;
 use std::time::Instant;
@@ -64,6 +71,14 @@ struct FragRow {
     speedup: f64,
 }
 
+/// One absolute-cost row: the shipped bitmap backend only.
+#[derive(Debug, Serialize)]
+struct AbsRow {
+    policy: String,
+    util_pct: u32,
+    ns_per_op: u64,
+}
+
 /// The `BENCH_alloc.json` snapshot.
 #[derive(Debug, Serialize)]
 struct BenchReport {
@@ -73,6 +88,7 @@ struct BenchReport {
     rows: Vec<BenchRow>,
     frag_ops: u64,
     frag_rows: Vec<FragRow>,
+    abs_rows: Vec<AbsRow>,
 }
 
 /// Backend selector for the policy factories.
@@ -300,6 +316,83 @@ fn measure_frag(linear: bool) -> u64 {
     median(samples)
 }
 
+/// Times first-fit extent allocation in the TS shape on the paper array:
+/// two small files (1 KB extents, 4 KB writes) for every large one (8 KB
+/// extents, 8 KB writes), in the TS workload's 12 % / 74 % capacity split.
+/// The files are grown round-robin to [`FRAG_UTIL`], then a churn of
+/// extends, truncates and delete + re-creates is timed with the same drift
+/// control as the other rows, held within a point of the target.
+fn measure_ts_first_fit() -> u64 {
+    let capacity = ArrayConfig::paper_default().capacity_units();
+    let small = FileHints { mean_extent_bytes: 1024 };
+    let large = FileHints { mean_extent_bytes: 8 * 1024 };
+    let mut samples = Vec::with_capacity(REPS);
+    for rep in 0..REPS as u64 {
+        let mut p: ExtentPolicy<FreeSpaceMap> =
+            ExtentPolicy::new(capacity, &[1, 8], FitStrategy::FirstFit, 0.1, 1024, 3000 + rep);
+        let mut rng = SimRng::new(3000 + rep);
+        // (file, write size in units, small?)
+        let mut files: Vec<(FileId, u64, bool)> = Vec::new();
+        for _ in 0..capacity * 12 / 100 / 8 {
+            files.push((p.create(&small).expect("fresh disk"), 4, true));
+        }
+        for _ in 0..capacity * 74 / 100 / 96 {
+            files.push((p.create(&large).expect("fresh disk"), 8, false));
+        }
+        let mut stalled = 0;
+        let mut k = 0;
+        while utilization(&p) < FRAG_UTIL && stalled < files.len() {
+            let (f, units, _) = files[k % files.len()];
+            if p.extend(f, units).is_ok() {
+                stalled = 0;
+            } else {
+                stalled += 1;
+            }
+            k += 1;
+        }
+        let start = Instant::now();
+        for _ in 0..CHURN_OPS {
+            let util = utilization(&p);
+            let roll = rng.uniform_u64(0, 99);
+            let op = if util > FRAG_UTIL + 0.01 {
+                50 + roll % 50
+            } else if util < FRAG_UTIL - 0.01 {
+                roll % 50
+            } else {
+                roll
+            };
+            let i = rng.index(files.len());
+            let (f, units, is_small) = files[i];
+            match op {
+                // 50 %: a write past the end.
+                0..=49 => {
+                    let _ = p.extend(f, units);
+                }
+                // 25 %: truncate by one write.
+                50..=74 => {
+                    let _ = p.truncate(f, units);
+                }
+                // 25 %: delete and re-create at a fresh initial size.
+                _ => {
+                    let _ = p.delete(f);
+                    let (hints, initial) = if is_small {
+                        (&small, rng.uniform_u64(4, 12))
+                    } else {
+                        (&large, rng.uniform_u64(64, 128))
+                    };
+                    if let Ok(id) = p.create(hints) {
+                        files[i].0 = id;
+                        let _ = p.extend(id, initial);
+                    }
+                }
+            }
+        }
+        let elapsed = start.elapsed().as_nanos();
+        samples.push(u64::try_from(elapsed / u128::from(CHURN_OPS)).unwrap_or(u64::MAX));
+    }
+    median(samples)
+}
+
 fn main() {
     let mut json_path: Option<String> = None;
     let mut args = std::env::args().skip(1);
@@ -354,6 +447,11 @@ fn main() {
         speedup: frag_speedup,
     }];
 
+    // Absolute cost of the shipped backend in the TS first-fit shape.
+    let ts = measure_ts_first_fit();
+    println!("{:<12} {:>4}% {:>14}   (bitmap only, paper capacity)", "extent-ts-ff", 95, ts);
+    let abs_rows = vec![AbsRow { policy: "extent-ts-ff".to_string(), util_pct: 95, ns_per_op: ts }];
+
     let report = BenchReport {
         capacity_units: CAPACITY,
         churn_ops: CHURN_OPS,
@@ -361,6 +459,7 @@ fn main() {
         rows,
         frag_ops: FRAG_OPS,
         frag_rows,
+        abs_rows,
     };
     if let Some(path) = json_path {
         let json = serde_json::to_string_pretty(&report).expect("serialize bench report");

@@ -7,6 +7,13 @@
 //! shared machines makes a hard gate flaky, so this always exits 0; the
 //! warnings are for the human reading the check log.
 //!
+//! Each snapshot also gets one machine-readable verdict line,
+//! `snapshot <runner|alloc>: <status>`, where status is `ok` (gated, no
+//! warning), `warn` (at least one warning), `no-baseline` (nothing to
+//! gate against) or `unreadable` (the fresh file is missing or not JSON).
+//! `scripts/check.sh` refreshes a committed snapshot only on `ok` or
+//! `no-baseline`, so a regressed run never becomes the next baseline.
+//!
 //! Usage:
 //!   perf_gate [--threshold-pct 25] \
 //!             [--runner BASELINE FRESH] [--alloc BASELINE FRESH]
@@ -124,13 +131,15 @@ fn gate_points(base_exp: &Value, fresh_exp: &Value, threshold: f64) -> usize {
 
 /// Allocator microbench: per-(policy, utilization) bitmap ns/op — the
 /// shipped backend is what must not quietly regress — plus the
-/// high-fragmentation phase's indexed ns/op. Baselines predating a row
-/// family simply contribute nothing (the key lookups come up empty).
+/// high-fragmentation phase's indexed ns/op and the absolute-cost rows.
+/// Baselines predating a row family simply contribute nothing (the key
+/// lookups come up empty).
 fn gate_alloc(base: &Value, fresh: &Value, threshold: f64) -> usize {
     let mut warns = 0;
     for (family, key, label) in [
         ("rows", "bitmap_ns_per_op", "alloc"),
         ("frag_rows", "indexed_ns_per_op", "alloc frag"),
+        ("abs_rows", "ns_per_op", "alloc abs"),
     ] {
         let base_rows = base.get(family).and_then(as_array).unwrap_or(&[]);
         let fresh_rows = fresh.get(family).and_then(as_array).unwrap_or(&[]);
@@ -187,18 +196,35 @@ fn main() {
 
     let mut warns = 0;
     if let Some((base, fresh)) = runner {
-        if let (Some(b), Some(f)) = (load(&base), load(&fresh)) {
-            warns += gate_runner(&b, &f, threshold);
-        }
+        warns += gate_snapshot("runner", &base, &fresh, gate_runner, threshold);
     }
     if let Some((base, fresh)) = alloc {
-        if let (Some(b), Some(f)) = (load(&base), load(&fresh)) {
-            warns += gate_alloc(&b, &f, threshold);
-        }
+        warns += gate_snapshot("alloc", &base, &fresh, gate_alloc, threshold);
     }
     if warns == 0 {
         println!("   perf gate: no regressions beyond {threshold}% (warn-only)");
     } else {
         println!("   perf gate: {warns} warning(s) — informational, not fatal");
     }
+}
+
+/// Gates one snapshot and prints its machine-readable verdict line.
+/// Returns the number of warnings.
+fn gate_snapshot(
+    name: &str,
+    base: &str,
+    fresh: &str,
+    gate: fn(&Value, &Value, f64) -> usize,
+    threshold: f64,
+) -> usize {
+    let (status, warns) = match (load(base), load(fresh)) {
+        (_, None) => ("unreadable", 0),
+        (None, Some(_)) => ("no-baseline", 0),
+        (Some(b), Some(f)) => {
+            let warns = gate(&b, &f, threshold);
+            (if warns == 0 { "ok" } else { "warn" }, warns)
+        }
+    };
+    println!("snapshot {name}: {status}");
+    warns
 }

@@ -19,19 +19,27 @@
 # The smoke run's timing profile (per-experiment wall clock, per-sweep-
 # point breakdown, and the measured metrics-snapshot overhead) is
 # snapshotted into BENCH_runner.json at the repo root, the microbench into
-# BENCH_alloc.json; the lint report is written to target/check/simlint.json.
+# BENCH_alloc.json, each only when the gate passed it (see below); the lint
+# report is written to target/check/simlint.json.
 #
 # The perf gate compares against the *committed* BENCH_*.json (HEAD), not
-# the working tree, so a slow run can never become its own baseline; pass
-# --no-refresh to leave the working-tree snapshots untouched (gate only).
+# the working tree, so a slow run can never become its own baseline. A
+# snapshot is refreshed only when the gate found no regression in it (or
+# had no baseline to gate against); a snapshot that warned is kept, and the
+# script says so. Pass --accept to refresh every snapshot anyway (after a
+# deliberate slowdown, or a rerun that confirmed a warning was noise), or
+# --no-refresh to leave the working-tree snapshots untouched (gate only;
+# it wins over --accept).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 REFRESH=1
+ACCEPT=0
 for arg in "$@"; do
     case "$arg" in
         --no-refresh) REFRESH=0 ;;
-        *) echo "unknown option $arg (usage: check.sh [--no-refresh])"; exit 2 ;;
+        --accept) ACCEPT=1 ;;
+        *) echo "unknown option $arg (usage: check.sh [--no-refresh] [--accept])"; exit 2 ;;
     esac
 done
 
@@ -144,12 +152,24 @@ done
 cargo run --release -q -p readopt-bench --bin perf_gate -- \
     --threshold-pct 25 \
     --runner target/check/base_BENCH_runner.json target/check/profile.json \
-    --alloc target/check/base_BENCH_alloc.json target/check/alloc_bench.json
+    --alloc target/check/base_BENCH_alloc.json target/check/alloc_bench.json \
+    | tee target/check/perf_gate.txt
 
 if [ "$REFRESH" = 1 ]; then
-    cp target/check/profile.json BENCH_runner.json
-    cp target/check/alloc_bench.json BENCH_alloc.json
-    echo "== wrote BENCH_runner.json + BENCH_alloc.json =="
+    # perf_gate ends each snapshot's gating with `snapshot NAME: STATUS`.
+    for entry in runner:profile.json:BENCH_runner.json alloc:alloc_bench.json:BENCH_alloc.json; do
+        IFS=: read -r name fresh snap <<< "$entry"
+        status=$(sed -n "s/^snapshot $name: //p" target/check/perf_gate.txt)
+        if [ "$status" = ok ] || [ "$status" = no-baseline ]; then
+            cp "target/check/$fresh" "$snap"
+            echo "== wrote $snap (gate: $status) =="
+        elif [ "$ACCEPT" = 1 ]; then
+            cp "target/check/$fresh" "$snap"
+            echo "== wrote $snap (gate: ${status:-none}; taken by --accept) =="
+        else
+            echo "== kept $snap: the fresh run is '${status:-ungated}' against it (--accept takes it anyway) =="
+        fi
+    done
 else
     echo "== --no-refresh: BENCH_runner.json + BENCH_alloc.json left untouched =="
 fi

@@ -5,7 +5,10 @@
 //! * live extents are in-bounds, non-overlapping, non-empty;
 //! * `free + data + metadata == capacity` after every operation;
 //! * policy-specific structure (buddy alignment/coalescing, region
-//!   accounting, extent-map coalescing) holds.
+//!   accounting, extent-map coalescing) holds;
+//! * `extend` grows the file by exactly the units it reports (at least
+//!   the request) or, failing, changes nothing; `truncate` shrinks it by
+//!   exactly the units it reports (at most the request).
 
 use proptest::prelude::*;
 use readopt::alloc::{
@@ -51,13 +54,28 @@ fn exercise(policy: &mut dyn Policy, ops: &[Op]) {
             Op::Extend { file_sel, units } => {
                 if !live.is_empty() {
                     let id = live[file_sel % live.len()];
-                    let _ = policy.extend(id, *units); // disk-full is fine
+                    let before = policy.allocated_units(id).unwrap();
+                    let free_before = policy.free_units();
+                    match policy.extend(id, *units) {
+                        Ok(granted) => {
+                            assert!(granted >= *units, "granted {granted} < asked {units}");
+                            assert_eq!(policy.allocated_units(id).unwrap(), before + granted);
+                        }
+                        // Disk-full is fine, but it must leave no trace.
+                        Err(_) => {
+                            assert_eq!(policy.allocated_units(id).unwrap(), before);
+                            assert_eq!(policy.free_units(), free_before);
+                        }
+                    }
                 }
             }
             Op::Truncate { file_sel, units } => {
                 if !live.is_empty() {
                     let id = live[file_sel % live.len()];
-                    let _ = policy.truncate(id, *units);
+                    let before = policy.allocated_units(id).unwrap();
+                    let freed = policy.truncate(id, *units).expect("truncating a live file");
+                    assert!(freed <= *units, "freed {freed} > asked {units}");
+                    assert_eq!(policy.allocated_units(id).unwrap(), before - freed);
                 }
             }
             Op::Delete { file_sel } => {

@@ -148,9 +148,11 @@ proptest! {
             base += len + 7; // never adjacent
         }
         let total = m.total_units();
-        let freed = m.pop_back(take);
+        let mut freed = Vec::new();
+        let removed = m.pop_back(take, |e| freed.push(e));
         let freed_units: u64 = freed.iter().map(|e| e.len).sum();
         prop_assert_eq!(freed_units, take.min(total));
+        prop_assert_eq!(removed, freed_units);
         prop_assert_eq!(m.total_units(), total - freed_units);
         // What remains plus what was freed is exactly the original layout.
         let mut all: Vec<Extent> = m.extents().to_vec();
