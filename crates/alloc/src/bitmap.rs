@@ -1,11 +1,10 @@
 //! A word-level bitmap over block slots.
 //!
 //! §4.2: "A bit map is used to record the state (free or used) of every
-//! maximum sized block in the system." Originally only the restricted buddy
-//! policy's largest block class lived here; the bitmap now backs *every*
-//! policy's free lists (via [`crate::blockset::BitmapBlockSet`]) and the
-//! extent system's free-space map, so the primitives below are the
-//! simulator's allocation hot path.
+//! maximum sized block in the system." The bitmap backs *every* policy's
+//! free lists (each one a [`crate::blockset::BitmapBlockSet`]) and the
+//! extent system's [`crate::freespace::FreeSpaceMap`], so the primitives
+//! below are the simulator's allocation hot path.
 //!
 //! All scans are word-at-a-time (`u64` plus `trailing_zeros`/`count_ones`),
 //! steered by two per-word *summary indexes*: `summary` (bit `j` set iff

@@ -1,56 +1,25 @@
-//! Ordered sets of free block addresses, backed by either a word-level
-//! bitmap or a `BTreeSet`.
+//! Ordered sets of free block addresses backed by a word-level bitmap.
 //!
 //! Every allocation policy keeps "free lists" of equally-sized,
-//! equally-strided blocks (FFS cylinder-group blocks, restricted-buddy
-//! class lists, buddy per-order lists). Historically those were
-//! `BTreeSet<u64>`; the paper's own design (§4.2) records free state in bit
-//! maps instead. [`FreeBlockSet`] abstracts the container so each policy is
-//! written once, generically, and is *provably* decision-identical across
-//! backends: both iterate lowest-address-first, so the same queries return
-//! the same addresses. [`BitmapBlockSet`] is the production default;
-//! [`BTreeBlockSet`] remains as the differential-testing and benchmarking
-//! reference.
+//! equally-strided blocks: FFS cylinder-group blocks, restricted-buddy
+//! class lists, and buddy per-order lists. §4.2 records free state in bit
+//! maps and keeps the smaller classes in sorted lists; [`BitmapBlockSet`]
+//! does both at once. It answers the sorted-list queries (lowest address,
+//! lowest address at or after a point) lowest-address-first, exactly as a
+//! `BTreeSet<u64>` would. `tests/bitmap_equiv.rs` checks it against a plain
+//! `BTreeSet` on random lattices.
 
 use crate::bitmap::FreeBitmap;
 use serde::{de_field, Deserialize, Error, Serialize, Value};
-use std::collections::BTreeSet;
-use std::fmt::Debug;
 
-/// An ordered set of free block addresses with a fixed stride.
+/// An ordered set of free block addresses with a fixed stride, one bitmap
+/// slot per block: slot `k` covers address `base + k * stride`.
 ///
-/// Addresses are u64 block-unit offsets. A set is created for a region
-/// `[base, end)` whose member addresses are exactly `base + k * stride`
-/// with `addr + stride <= end`; implementations may reject (return
-/// `false` / `None` for) addresses outside that lattice, which callers
-/// rely on for "buddy beyond capacity" style probes.
-pub trait FreeBlockSet: Debug + Clone + Send {
-    /// Creates an empty set for blocks of `stride` units in `[base, end)`.
-    fn new(base: u64, end: u64, stride: u64) -> Self;
-    /// Number of addresses in the set.
-    fn len(&self) -> usize;
-    /// True when the set has no addresses.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-    /// Whether `addr` is in the set.
-    fn contains(&self, addr: u64) -> bool;
-    /// Inserts `addr`; returns `true` when it was not already present.
-    fn insert(&mut self, addr: u64) -> bool;
-    /// Removes `addr`; returns `true` when it was present.
-    fn remove(&mut self, addr: u64) -> bool;
-    /// Smallest address in the set, if any.
-    fn first(&self) -> Option<u64>;
-    /// Smallest address `>= addr` in the set, if any (like
-    /// `BTreeSet::range(addr..).next()`).
-    fn first_at_or_after(&self, addr: u64) -> Option<u64>;
-    /// All addresses in ascending order (diagnostics/invariant checks).
-    fn addrs(&self) -> Vec<u64>;
-}
-
-/// Bitmap-backed [`FreeBlockSet`]: slot `k` of the bitmap covers address
-/// `base + k * stride`. Membership ops are O(1) word ops; ordered scans
-/// ride the bitmap's summary index.
+/// A set is created for a region `[base, end)` whose member addresses are
+/// exactly `base + k * stride` with `addr + stride <= end`. Addresses off
+/// that lattice are never members (`false` / `None`), which callers rely
+/// on for "buddy beyond capacity" style probes. Membership ops are O(1)
+/// word ops; ordered scans ride the bitmap's summary index.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BitmapBlockSet {
     base: u64,
@@ -59,27 +28,8 @@ pub struct BitmapBlockSet {
 }
 
 impl BitmapBlockSet {
-    /// Slot index for `addr`, or `None` when `addr` is below `base`, not
-    /// on the stride lattice, or at/past the last whole block before `end`.
-    fn slot_of(&self, addr: u64) -> Option<usize> {
-        if addr < self.base {
-            return None;
-        }
-        let off = addr - self.base;
-        if off % self.stride != 0 {
-            return None;
-        }
-        let slot = (off / self.stride) as usize;
-        (slot < self.bits.len()).then_some(slot)
-    }
-
-    fn addr_of(&self, slot: usize) -> u64 {
-        self.base + slot as u64 * self.stride
-    }
-}
-
-impl FreeBlockSet for BitmapBlockSet {
-    fn new(base: u64, end: u64, stride: u64) -> Self {
+    /// Creates an empty set for blocks of `stride` units in `[base, end)`.
+    pub fn new(base: u64, end: u64, stride: u64) -> Self {
         debug_assert!(stride > 0);
         let span = end.saturating_sub(base);
         BitmapBlockSet {
@@ -89,15 +39,41 @@ impl FreeBlockSet for BitmapBlockSet {
         }
     }
 
-    fn len(&self) -> usize {
+    /// Slot index for `addr`, or `None` when `addr` is below `base`, not
+    /// on the stride lattice, or at/past the last whole block before `end`.
+    fn slot_of(&self, addr: u64) -> Option<usize> {
+        if addr < self.base {
+            return None;
+        }
+        let off = addr - self.base;
+        if !off.is_multiple_of(self.stride) {
+            return None;
+        }
+        let slot = (off / self.stride) as usize;
+        (slot < self.bits.len()).then_some(slot)
+    }
+
+    fn addr_of(&self, slot: usize) -> u64 {
+        self.base + slot as u64 * self.stride
+    }
+
+    /// Number of addresses in the set.
+    pub fn len(&self) -> usize {
         self.bits.free_count()
     }
 
-    fn contains(&self, addr: u64) -> bool {
+    /// True when the set has no addresses.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Whether `addr` is in the set.
+    pub fn contains(&self, addr: u64) -> bool {
         self.slot_of(addr).is_some_and(|s| self.bits.is_free(s))
     }
 
-    fn insert(&mut self, addr: u64) -> bool {
+    /// Inserts `addr`; returns `true` when it was not already present.
+    pub fn insert(&mut self, addr: u64) -> bool {
         match self.slot_of(addr) {
             Some(s) if !self.bits.is_free(s) => {
                 self.bits.set_free(s);
@@ -107,7 +83,8 @@ impl FreeBlockSet for BitmapBlockSet {
         }
     }
 
-    fn remove(&mut self, addr: u64) -> bool {
+    /// Removes `addr`; returns `true` when it was present.
+    pub fn remove(&mut self, addr: u64) -> bool {
         match self.slot_of(addr) {
             Some(s) if self.bits.is_free(s) => {
                 self.bits.set_used(s);
@@ -117,11 +94,14 @@ impl FreeBlockSet for BitmapBlockSet {
         }
     }
 
-    fn first(&self) -> Option<u64> {
+    /// Smallest address in the set, if any.
+    pub fn first(&self) -> Option<u64> {
         self.bits.first_free().map(|s| self.addr_of(s))
     }
 
-    fn first_at_or_after(&self, addr: u64) -> Option<u64> {
+    /// Smallest address `>= addr` in the set, if any (like
+    /// `BTreeSet::range(addr..).next()`).
+    pub fn first_at_or_after(&self, addr: u64) -> Option<u64> {
         if addr <= self.base {
             return self.first();
         }
@@ -129,7 +109,8 @@ impl FreeBlockSet for BitmapBlockSet {
         self.bits.first_free_at_or_after(from).map(|s| self.addr_of(s))
     }
 
-    fn addrs(&self) -> Vec<u64> {
+    /// All addresses in ascending order (diagnostics/invariant checks).
+    pub fn addrs(&self) -> Vec<u64> {
         let mut out = Vec::with_capacity(self.bits.free_count());
         let mut i = self.bits.first_free();
         while let Some(s) = i {
@@ -164,92 +145,30 @@ impl Deserialize for BitmapBlockSet {
     }
 }
 
-/// `BTreeSet`-backed reference [`FreeBlockSet`]; `base`/`end`/`stride` are
-/// ignored because the tree stores arbitrary addresses. Kept for
-/// differential property tests and as the microbenchmark baseline.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct BTreeBlockSet(BTreeSet<u64>);
-
-impl FreeBlockSet for BTreeBlockSet {
-    fn new(_base: u64, _end: u64, _stride: u64) -> Self {
-        BTreeBlockSet(BTreeSet::new())
-    }
-
-    fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    fn contains(&self, addr: u64) -> bool {
-        self.0.contains(&addr)
-    }
-
-    fn insert(&mut self, addr: u64) -> bool {
-        self.0.insert(addr)
-    }
-
-    fn remove(&mut self, addr: u64) -> bool {
-        self.0.remove(&addr)
-    }
-
-    fn first(&self) -> Option<u64> {
-        self.0.iter().next().copied()
-    }
-
-    fn first_at_or_after(&self, addr: u64) -> Option<u64> {
-        self.0.range(addr..).next().copied()
-    }
-
-    fn addrs(&self) -> Vec<u64> {
-        self.0.iter().copied().collect()
-    }
-}
-
-impl Serialize for BTreeBlockSet {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![(
-            "addrs".to_string(),
-            self.0.iter().copied().collect::<Vec<u64>>().to_value(),
-        )])
-    }
-}
-
-impl Deserialize for BTreeBlockSet {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let addrs: Vec<u64> = de_field(v, "addrs")?;
-        Ok(BTreeBlockSet(addrs.into_iter().collect()))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn both(base: u64, end: u64, stride: u64) -> (BitmapBlockSet, BTreeBlockSet) {
-        (
-            BitmapBlockSet::new(base, end, stride),
-            BTreeBlockSet::new(base, end, stride),
-        )
-    }
-
     #[test]
     fn insert_remove_first_match_reference() {
-        let (mut bm, mut bt) = both(100, 1000, 8);
+        let mut bm = BitmapBlockSet::new(100, 1000, 8);
+        let mut bt = std::collections::BTreeSet::new();
         for a in [100u64, 108, 900, 492, 988] {
             assert_eq!(bm.insert(a), bt.insert(a), "insert {a}");
         }
         assert_eq!(bm.len(), bt.len());
-        assert_eq!(bm.first(), bt.first());
-        assert_eq!(bm.addrs(), bt.addrs());
+        assert_eq!(bm.first(), bt.first().copied());
+        assert_eq!(bm.addrs(), bt.iter().copied().collect::<Vec<_>>());
         for probe in [0u64, 99, 100, 101, 108, 400, 492, 900, 988, 989, 2000] {
             assert_eq!(
                 bm.first_at_or_after(probe),
-                bt.first_at_or_after(probe),
+                bt.range(probe..).next().copied(),
                 "first_at_or_after {probe}"
             );
         }
-        assert_eq!(bm.remove(492), bt.remove(492));
-        assert_eq!(bm.remove(492), bt.remove(492)); // absent now
-        assert_eq!(bm.addrs(), bt.addrs());
+        assert!(bm.remove(492));
+        assert!(!bm.remove(492), "absent now");
+        assert_eq!(bm.addrs(), vec![100, 108, 900, 988]);
     }
 
     #[test]
@@ -288,7 +207,7 @@ mod tests {
 
     #[test]
     fn serde_round_trip() {
-        let (mut bm, _) = both(64, 512, 16);
+        let mut bm = BitmapBlockSet::new(64, 512, 16);
         bm.insert(64);
         bm.insert(240);
         let back = BitmapBlockSet::from_value(&bm.to_value()).expect("round trip");

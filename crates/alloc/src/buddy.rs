@@ -14,7 +14,6 @@
 //! internal fragmentation Table 3 reports (43 % for the supercomputer
 //! workload); Knuth and Knowlton predicted as much.
 
-use crate::blockset::{BitmapBlockSet, FreeBlockSet};
 use crate::buddy_core::{order_for_units, BuddyCore};
 use crate::filemap::FileMap;
 use crate::policy::Policy;
@@ -30,17 +29,16 @@ struct BuddyFile {
     map: FileMap,
 }
 
-/// The Koch buddy policy, generic over the buddy core's free-block
-/// container (bitmap by default; see [`BuddyCore`]).
+/// The Koch buddy policy over a [`BuddyCore`].
 #[derive(Debug, Clone)]
-pub struct BuddyPolicy<S: FreeBlockSet = BitmapBlockSet> {
-    core: BuddyCore<S>,
+pub struct BuddyPolicy {
+    core: BuddyCore,
     files: Vec<Option<BuddyFile>>,
     free_slots: Vec<u32>,
     max_extent_units: u64,
 }
 
-impl<S: FreeBlockSet> BuddyPolicy<S> {
+impl BuddyPolicy {
     /// Creates the policy over `capacity_units`, capping extents at
     /// `max_extent_units` (rounded up to a power of two).
     pub fn new(capacity_units: u64, max_extent_units: u64) -> Self {
@@ -96,7 +94,7 @@ impl<S: FreeBlockSet> BuddyPolicy<S> {
     }
 }
 
-impl<S: FreeBlockSet> Policy for BuddyPolicy<S> {
+impl Policy for BuddyPolicy {
     fn name(&self) -> &'static str {
         "buddy"
     }
@@ -269,6 +267,10 @@ impl<S: FreeBlockSet> Policy for BuddyPolicy<S> {
         }
         Ok(Some(moved))
     }
+
+    fn check_structure(&self) {
+        self.core.check_invariants();
+    }
 }
 
 /// Koch's reallocator rewrites each file into at most this many extents
@@ -313,7 +315,7 @@ fn exact_decomposition(units: u64, max_extent_units: u64) -> Vec<u32> {
     orders
 }
 
-impl<S: FreeBlockSet> BuddyPolicy<S> {
+impl BuddyPolicy {
     /// Whether blocks of the planned orders can all be carved from the
     /// current free structure (conservative: checks the largest need).
     fn plan_fits(&self, plan: &[u32]) -> bool {

@@ -5,23 +5,19 @@
 //! block whose buddy is also free coalesces back into its parent,
 //! recursively. Used by the Koch policy (§4.1).
 
-use crate::blockset::{BitmapBlockSet, FreeBlockSet};
+use crate::blockset::BitmapBlockSet;
 
 /// Binary-buddy manager over the unit range `[0, capacity)`.
 ///
 /// The capacity need not be a power of two: the space is seeded with the
 /// greedy decomposition of `[0, capacity)` into maximal aligned blocks, and
 /// coalescing never produces a block extending past `capacity`.
-///
-/// Generic over the per-order free-block container (bitmap by default; the
-/// `BTreeBlockSet` reference backend makes identical decisions and exists
-/// for differential tests and benchmark baselines).
 #[derive(Debug, Clone)]
-pub struct BuddyCore<S: FreeBlockSet = BitmapBlockSet> {
+pub struct BuddyCore {
     capacity: u64,
     max_order: u32,
     /// `free[k]` holds the start addresses of free order-`k` blocks.
-    free: Vec<S>,
+    free: Vec<BitmapBlockSet>,
     free_units: u64,
 }
 
@@ -31,13 +27,13 @@ pub fn order_for_units(units: u64) -> u32 {
     units.next_power_of_two().trailing_zeros()
 }
 
-impl<S: FreeBlockSet> BuddyCore<S> {
+impl BuddyCore {
     /// Creates a manager with `[0, capacity)` entirely free.
     pub fn new(capacity: u64) -> Self {
         assert!(capacity > 0, "empty buddy space");
         let max_order = 63 - capacity.leading_zeros();
-        let mut free: Vec<S> =
-            (0..=max_order).map(|k| S::new(0, capacity, 1 << k)).collect();
+        let mut free: Vec<BitmapBlockSet> =
+            (0..=max_order).map(|k| BitmapBlockSet::new(0, capacity, 1 << k)).collect();
         // Greedy decomposition: at each address, take the largest aligned
         // block that still fits.
         let mut addr = 0u64;

@@ -18,7 +18,7 @@
 //! the disk system" buys a little seek locality.
 
 use crate::filemap::FileMap;
-use crate::freespace::{FreeMap, FreeSpaceMap};
+use crate::freespace::FreeSpaceMap;
 use crate::policy::Policy;
 use crate::types::{AllocError, Extent, FileHints, FileId};
 use rand::rngs::SmallRng;
@@ -43,13 +43,9 @@ struct EFile {
 }
 
 /// The extent-based policy.
-///
-/// Generic over the free-space map backend (word-level bitmap by default;
-/// the `BTreeFreeSpaceMap` reference backend makes identical decisions and
-/// exists for differential tests and benchmark baselines).
 #[derive(Debug, Clone)]
-pub struct ExtentPolicy<M: FreeMap = FreeSpaceMap> {
-    free: M,
+pub struct ExtentPolicy {
+    free: FreeSpaceMap,
     capacity: u64,
     fit: FitStrategy,
     /// Available extent-size range means, in units.
@@ -62,7 +58,7 @@ pub struct ExtentPolicy<M: FreeMap = FreeSpaceMap> {
     free_slots: Vec<u32>,
 }
 
-impl<M: FreeMap> ExtentPolicy<M> {
+impl ExtentPolicy {
     /// Builds the policy.
     ///
     /// * `range_means_units` — the configuration's extent ranges (µ of each
@@ -84,7 +80,7 @@ impl<M: FreeMap> ExtentPolicy<M> {
         let mut means = range_means_units.to_vec();
         means.sort_unstable();
         ExtentPolicy {
-            free: M::with_capacity(capacity_units),
+            free: FreeSpaceMap::with_capacity(capacity_units),
             capacity: capacity_units,
             fit,
             range_means: means,
@@ -156,7 +152,7 @@ impl<M: FreeMap> ExtentPolicy<M> {
     }
 }
 
-impl<M: FreeMap> Policy for ExtentPolicy<M> {
+impl Policy for ExtentPolicy {
     fn name(&self) -> &'static str {
         "extent"
     }
@@ -255,11 +251,9 @@ impl<M: FreeMap> Policy for ExtentPolicy<M> {
 
     fn checkpoint_state(&self) -> Option<Value> {
         // Only the dynamic state: config fields are reconstructed by the
-        // resuming caller. Propagates `None` from backends (the BTree
-        // reference map) that opt out of checkpointing.
-        let free = self.free.checkpoint_state()?;
+        // resuming caller.
         Some(Value::Object(vec![
-            ("free".to_string(), free),
+            ("free".to_string(), self.free.to_value()),
             ("rng".to_string(), self.rng.state().to_value()),
             ("files".to_string(), self.files.to_value()),
             ("free_slots".to_string(), self.free_slots.to_value()),
@@ -276,9 +270,7 @@ impl<M: FreeMap> Policy for ExtentPolicy<M> {
         }
         let files: Vec<Option<EFile>> = de_field(snapshot, "files").map_err(|e| e.to_string())?;
         let free_slots: Vec<u32> = de_field(snapshot, "free_slots").map_err(|e| e.to_string())?;
-        let free_snap = snapshot.get("free").ok_or("extent snapshot missing the free map")?;
-        let mut free = M::new();
-        free.restore_state(free_snap)?;
+        let free: FreeSpaceMap = de_field(snapshot, "free").map_err(|e| e.to_string())?;
 
         // Slot bookkeeping: free_slots must name exactly the dead slots.
         let dead = files.iter().filter(|f| f.is_none()).count();
@@ -303,8 +295,7 @@ impl<M: FreeMap> Policy for ExtentPolicy<M> {
         // Per-file sanity, then space conservation: the free runs and the
         // data extents together must perfectly tile [0, capacity) — any
         // overlap, gap, or out-of-bounds extent breaks the tiling.
-        let mut marks: Vec<(u64, u64)> =
-            free.collect_runs().iter().map(|e| (e.start, e.end())).collect();
+        let mut marks: Vec<(u64, u64)> = free.runs().map(|e| (e.start, e.end())).collect();
         for f in files.iter().flatten() {
             if f.extent_units == 0 {
                 return Err("file with a zero extent size".into());
@@ -337,6 +328,10 @@ impl<M: FreeMap> Policy for ExtentPolicy<M> {
         self.files = files;
         self.free_slots = free_slots;
         Ok(())
+    }
+
+    fn check_structure(&self) {
+        self.free.check_invariants();
     }
 }
 
@@ -513,10 +508,6 @@ mod tests {
         // A failed restore leaves the target untouched.
         assert_eq!(q.free_units(), q.capacity_units());
         assert!(q.live_files().is_empty());
-        // The BTree reference backend opts out of checkpointing entirely.
-        let r: ExtentPolicy<crate::freespace::BTreeFreeSpaceMap> =
-            ExtentPolicy::new(100, &[8], FitStrategy::FirstFit, 0.0, 1024, 1);
-        assert!(r.checkpoint_state().is_none());
     }
 
     #[test]

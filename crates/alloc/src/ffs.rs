@@ -18,7 +18,7 @@
 //! Allocation prefers the file's current group and physically sequential
 //! placement (standing in for FFS's rotational-layout optimization).
 
-use crate::blockset::{BitmapBlockSet, FreeBlockSet};
+use crate::blockset::BitmapBlockSet;
 use crate::filemap::FileMap;
 use crate::policy::Policy;
 use crate::types::{AllocError, Extent, FileHints, FileId};
@@ -56,9 +56,8 @@ impl Default for FfsConfig {
 /// qualifying bucket — O(frags_per_block · log blocks) — instead of a
 /// linear scan over every fragmented block in the group. It is maintained
 /// incrementally on every fragment allocation, fragment free, and
-/// whole-block promotion/demotion, and is deliberately backend-independent
-/// (plain `BTreeSet`s) so `FfsPolicy<BitmapBlockSet>` and
-/// `FfsPolicy<BTreeBlockSet>` stay decision-identical by construction.
+/// whole-block promotion/demotion; `FfsPolicy::check_frag_index` checks
+/// every lookup against that linear scan.
 #[derive(Debug, Clone, Default)]
 struct FragIndex {
     buckets: Vec<BTreeSet<u64>>,
@@ -98,9 +97,9 @@ impl FragIndex {
 
 /// One cylinder group's free-space bookkeeping.
 #[derive(Debug, Clone)]
-struct CylGroup<S: FreeBlockSet> {
+struct CylGroup {
     /// Addresses of fully free blocks.
-    free_blocks: S,
+    free_blocks: BitmapBlockSet,
     /// Fragmented blocks: address → bitmap of free fragments (bit i set =
     /// fragment i free). Blocks with all fragments free are promoted back
     /// to `free_blocks`.
@@ -120,28 +119,22 @@ struct FfsFile {
     group: usize,
 }
 
-/// The FFS-style block+fragment policy, generic over the free-block
-/// container (bitmap by default; `BTreeBlockSet` for differential tests and
-/// benchmark baselines — the policy logic is identical either way).
+/// The FFS-style block+fragment policy.
 #[derive(Debug, Clone)]
-pub struct FfsPolicy<S: FreeBlockSet = BitmapBlockSet> {
+pub struct FfsPolicy {
     block_units: u64,
     frags_per_block: u64,
     group_units: u64,
-    groups: Vec<CylGroup<S>>,
+    groups: Vec<CylGroup>,
     capacity: u64,
     files: Vec<Option<FfsFile>>,
     free_slots: Vec<u32>,
     /// Round-robin rotor for placing new files (FFS spreads inodes across
     /// cylinder groups).
     rotor: usize,
-    /// When set, `alloc_frags` uses the pre-index linear scan over
-    /// `frag_blocks` instead of the run-length index (which is still
-    /// maintained). Differential-test and benchmark hook only.
-    linear_scan: bool,
 }
 
-impl<S: FreeBlockSet> FfsPolicy<S> {
+impl FfsPolicy {
     /// Builds the policy over `capacity_units` with `block_units` per block
     /// (fragments are one disk unit) and `group_units` per cylinder group.
     pub fn new(capacity_units: u64, block_units: u64, group_units: u64) -> Self {
@@ -155,7 +148,7 @@ impl<S: FreeBlockSet> FfsPolicy<S> {
         while base < capacity {
             let end = (base + group_units).min(capacity);
             let mut g = CylGroup {
-                free_blocks: S::new(base, end, block_units),
+                free_blocks: BitmapBlockSet::new(base, end, block_units),
                 frag_blocks: BTreeMap::new(),
                 frag_index: FragIndex::new(block_units),
                 free_units: 0,
@@ -178,26 +171,15 @@ impl<S: FreeBlockSet> FfsPolicy<S> {
             files: Vec::new(),
             free_slots: Vec::new(),
             rotor: 0,
-            linear_scan: false,
         }
     }
 
-    /// Routes `alloc_frags` through the pre-index linear scan instead of
-    /// the run-length index (which stays maintained either way). The two
-    /// strategies are decision-identical by construction; the differential
-    /// proptests in `tests/frag_equiv.rs` and the `alloc_bench` baseline
-    /// flip this on to prove/measure it.
-    #[doc(hidden)]
-    pub fn set_linear_scan(&mut self, linear: bool) {
-        self.linear_scan = linear;
-    }
-
-    /// Test-only invariant check: the run-length index lists exactly the
+    /// Part of `check_structure`: the run-length index lists exactly the
     /// fragmented blocks of each group, each filed under its true longest
-    /// free-run length, and every file's extent map is its blocks followed
-    /// by its fragment tail.
-    #[doc(hidden)]
-    pub fn check_frag_index(&self) {
+    /// free-run length; for every tail size it picks the block a linear
+    /// scan over `frag_blocks` picks; and every file's extent map is its
+    /// blocks followed by its fragment tail.
+    fn check_frag_index(&self) {
         for f in self.files.iter().flatten() {
             let mut want = FileMap::new();
             for &b in &f.blocks {
@@ -222,6 +204,18 @@ impl<S: FreeBlockSet> FfsPolicy<S> {
                 }
             }
             assert_eq!(indexed, g.frag_blocks.len(), "group {gi}: index/map size mismatch");
+            for n in 1..self.frags_per_block {
+                let linear = g
+                    .frag_blocks
+                    .iter()
+                    .find(|&(_, &bm)| free_run(bm, self.frags_per_block, n).is_some())
+                    .map(|(&addr, _)| addr);
+                assert_eq!(
+                    g.frag_index.first_with_run(n),
+                    linear,
+                    "group {gi}: index and linear scan disagree on a {n}-fragment tail"
+                );
+            }
         }
     }
 
@@ -304,41 +298,18 @@ impl<S: FreeBlockSet> FfsPolicy<S> {
         for k in 0..total {
             let gi = (group + k) % total;
             // The lowest-addressed fragmented block with a contiguous free
-            // run of n fragments. The run-length index answers with one
-            // probe per qualifying bucket; the pre-index linear scan (kept
-            // for the differential tests and the benchmark baseline) walks
-            // every block. A block has a free run of n iff its longest run
-            // is ≥ n, and both strategies take the lowest qualifying
-            // address, so they pick the same block — and `free_run` then
-            // picks the same offset inside it.
-            let found = if self.linear_scan {
-                self.groups[gi]
-                    .frag_blocks
-                    .iter()
-                    .find_map(|(&addr, &bitmap)| free_run(bitmap, fpb, n).map(|off| (addr, off)))
-            } else {
-                match self.groups[gi].frag_index.first_with_run(n) {
-                    Some(addr) => {
-                        let &bitmap = self.groups[gi]
-                            .frag_blocks
-                            .get(&addr)
-                            .ok_or(AllocError::CorruptState)?;
-                        let off = free_run(bitmap, fpb, n).ok_or(AllocError::CorruptState)?;
-                        Some((addr, off))
-                    }
-                    None => None,
-                }
-            };
-            if let Some((addr, off)) = found {
-                let Some(bm) = self.groups[gi].frag_blocks.get_mut(&addr) else {
-                    debug_assert!(false, "block {addr} vanished from its fragment map");
-                    return Err(AllocError::CorruptState);
-                };
+            // run of n fragments: the run-length index answers with one
+            // probe per qualifying bucket (a block has a free run of n iff
+            // its longest run is ≥ n), and `free_run` picks the offset.
+            let g = &mut self.groups[gi];
+            if let Some(addr) = g.frag_index.first_with_run(n) {
+                let bm = g.frag_blocks.get_mut(&addr).ok_or(AllocError::CorruptState)?;
+                let off = free_run(*bm, fpb, n).ok_or(AllocError::CorruptState)?;
                 let old_run = longest_run(*bm);
                 *bm &= !(run_mask(off, n));
                 let new_run = longest_run(*bm);
-                self.groups[gi].frag_index.update(addr, old_run, new_run);
-                self.groups[gi].free_units -= n;
+                g.frag_index.update(addr, old_run, new_run);
+                g.free_units -= n;
                 return Ok(Some(addr + off));
             }
         }
@@ -435,7 +406,7 @@ fn longest_run(bitmap: u32) -> u64 {
     n
 }
 
-impl<S: FreeBlockSet> Policy for FfsPolicy<S> {
+impl Policy for FfsPolicy {
     fn name(&self) -> &'static str {
         "ffs"
     }
@@ -622,6 +593,10 @@ impl<S: FreeBlockSet> Policy for FfsPolicy<S> {
     fn allocation_count(&self, file: FileId) -> Result<usize, AllocError> {
         let f = self.file(file)?;
         Ok(f.blocks.len() + usize::from(f.tail.is_some()))
+    }
+
+    fn check_structure(&self) {
+        self.check_frag_index();
     }
 }
 
@@ -817,35 +792,5 @@ mod tests {
             p.truncate(*f, 1).unwrap();
             p.check_frag_index();
         }
-    }
-
-    #[test]
-    fn linear_scan_matches_index() {
-        // The same op stream through the indexed and linear strategies
-        // lays every file out identically (the heavyweight version lives
-        // in tests/frag_equiv.rs).
-        let run = |linear: bool| -> Vec<FileMap> {
-            let mut p = policy();
-            p.set_linear_scan(linear);
-            let mut grants = Vec::new();
-            let mut files = Vec::new();
-            for n in [3u64, 5, 1, 7, 2, 6, 4, 3, 5, 1] {
-                let f = p.create(&FileHints::default()).unwrap();
-                assert_eq!(p.extend(f, n).unwrap(), n);
-                grants.push(p.file_map(f).unwrap().clone());
-                files.push(f);
-            }
-            for f in files.iter().step_by(3) {
-                p.delete(*f).unwrap();
-            }
-            for n in [2u64, 4, 6] {
-                let f = p.create(&FileHints::default()).unwrap();
-                assert_eq!(p.extend(f, n).unwrap(), n);
-                grants.push(p.file_map(f).unwrap().clone());
-            }
-            p.check_frag_index();
-            grants
-        };
-        assert_eq!(run(false), run(true));
     }
 }

@@ -1,66 +1,18 @@
 //! Address-ordered, always-coalesced free-space map for extent systems.
 //!
 //! §4.3: "When an extent is freed, it is coalesced with its adjoining
-//! extents if they are free." Two interchangeable backends implement the
-//! [`FreeMap`] interface:
-//!
-//! * [`FreeSpaceMap`] (default) — a word-level [`FreeBitmap`] records the
-//!   free/used state of every unit; maximal free runs are recovered with
-//!   word scans (`trailing_zeros`/`leading_zeros`), while a
-//!   `BTreeSet<(len, start)>` index answers best-fit and "largest free run"
-//!   queries in O(log n).
-//! * [`BTreeFreeSpaceMap`] — the original `BTreeMap<start, len>` run map,
-//!   kept as the differential-testing reference and benchmark baseline.
-//!
-//! Both iterate runs lowest-address-first, so first-fit/best-fit decisions
-//! are identical between backends.
+//! extents if they are free." [`FreeSpaceMap`] keeps that state in a
+//! word-level [`FreeBitmap`] of every unit: maximal free runs are
+//! recovered with word scans (`trailing_zeros`/`leading_zeros`), so
+//! coalescing is automatic, while a `BTreeSet<(len, start)>` index answers
+//! best-fit and "largest free run" queries in O(log n). Runs are searched
+//! lowest-address-first. `tests/bitmap_equiv.rs` checks every operation
+//! against a plain `BTreeMap<start, len>` run map.
 
 use crate::bitmap::FreeBitmap;
 use crate::types::Extent;
-use serde::{Deserialize, Serialize, Value};
-use std::collections::{BTreeMap, BTreeSet};
-use std::fmt::Debug;
-
-/// The free-space interface the extent policy allocates through.
-pub trait FreeMap: Debug + Clone + Send {
-    /// An empty map (no free space).
-    fn new() -> Self;
-    /// A map with the whole range `[0, capacity)` free.
-    fn with_capacity(capacity: u64) -> Self;
-    /// Total free units.
-    fn free_units(&self) -> u64;
-    /// Number of distinct free runs.
-    fn run_count(&self) -> usize;
-    /// Length of the largest free run (0 when empty).
-    fn largest_run(&self) -> u64;
-    /// Returns a free run to the map, coalescing with neighbours.
-    fn release(&mut self, ext: Extent);
-    /// First-fit: carves `len` units from the lowest-addressed run that can
-    /// hold them.
-    fn allocate_first_fit(&mut self, len: u64) -> Option<Extent>;
-    /// Best-fit: carves `len` units from the smallest run that can hold
-    /// them (ties broken toward the lower address).
-    fn allocate_best_fit(&mut self, len: u64) -> Option<Extent>;
-    /// Allocates exactly `[start, start + len)` if entirely free.
-    fn allocate_at(&mut self, start: u64, len: u64) -> Option<Extent>;
-    /// True when `[start, start + len)` is entirely free.
-    fn is_free(&self, start: u64, len: u64) -> bool;
-    /// Every maximal free run in address order, collected. Used by
-    /// checkpoint validation (never on the allocation hot path).
-    fn collect_runs(&self) -> Vec<Extent>;
-    /// Checkpoint snapshot of the map's state, when the backend supports
-    /// checkpointing. The default reports `None` (unsupported).
-    fn checkpoint_state(&self) -> Option<Value> {
-        None
-    }
-    /// Replaces this map's state with a [`FreeMap::checkpoint_state`]
-    /// snapshot, validating it first; on error the map is left unchanged.
-    fn restore_state(&mut self, _snapshot: &Value) -> Result<(), String> {
-        Err("this free-map backend does not support checkpointing".into())
-    }
-    /// Debug invariant check.
-    fn check_invariants(&self);
-}
+use serde::{Deserialize, Error, Serialize, Value};
+use std::collections::BTreeSet;
 
 /// Bitmap-backed coalesced free-extent map over a linear unit space.
 ///
@@ -267,261 +219,20 @@ impl FreeSpaceMap {
     }
 }
 
-impl FreeMap for FreeSpaceMap {
-    fn new() -> Self {
-        FreeSpaceMap::new()
+/// A snapshot is the bitmap alone: the by-length index is derived data.
+impl Serialize for FreeSpaceMap {
+    fn to_value(&self) -> Value {
+        self.bits.to_value()
     }
-    fn with_capacity(capacity: u64) -> Self {
-        FreeSpaceMap::with_capacity(capacity)
-    }
-    fn free_units(&self) -> u64 {
-        FreeSpaceMap::free_units(self)
-    }
-    fn run_count(&self) -> usize {
-        FreeSpaceMap::run_count(self)
-    }
-    fn largest_run(&self) -> u64 {
-        FreeSpaceMap::largest_run(self)
-    }
-    fn release(&mut self, ext: Extent) {
-        FreeSpaceMap::release(self, ext)
-    }
-    fn allocate_first_fit(&mut self, len: u64) -> Option<Extent> {
-        FreeSpaceMap::allocate_first_fit(self, len)
-    }
-    fn allocate_best_fit(&mut self, len: u64) -> Option<Extent> {
-        FreeSpaceMap::allocate_best_fit(self, len)
-    }
-    fn allocate_at(&mut self, start: u64, len: u64) -> Option<Extent> {
-        FreeSpaceMap::allocate_at(self, start, len)
-    }
-    fn is_free(&self, start: u64, len: u64) -> bool {
-        FreeSpaceMap::is_free(self, start, len)
-    }
-    fn collect_runs(&self) -> Vec<Extent> {
-        self.runs().collect()
-    }
-    fn checkpoint_state(&self) -> Option<Value> {
-        // The by_len index is derived data; the bitmap alone is the truth.
-        Some(self.bits.to_value())
-    }
-    fn restore_state(&mut self, snapshot: &Value) -> Result<(), String> {
+}
+
+impl Deserialize for FreeSpaceMap {
+    fn from_value(v: &Value) -> Result<Self, Error> {
         // FreeBitmap's deserializer validates word count, ghost bits, and
         // the popcount before handing anything back.
-        let bits = FreeBitmap::from_value(snapshot).map_err(|e| e.to_string())?;
-        self.bits = bits;
-        let runs: Vec<(u64, u64)> = self.runs().map(|e| (e.len, e.start)).collect();
-        self.by_len = runs.into_iter().collect();
-        Ok(())
-    }
-    fn check_invariants(&self) {
-        FreeSpaceMap::check_invariants(self)
-    }
-}
-
-/// The original `BTreeMap`-backed coalesced free-extent map, kept as the
-/// differential-testing reference and benchmark baseline for
-/// [`FreeSpaceMap`].
-#[derive(Debug, Clone, Default)]
-pub struct BTreeFreeSpaceMap {
-    by_addr: BTreeMap<u64, u64>,
-    by_len: BTreeSet<(u64, u64)>,
-    free_units: u64,
-}
-
-impl BTreeFreeSpaceMap {
-    /// An empty map (no free space).
-    pub fn new() -> Self {
-        BTreeFreeSpaceMap::default()
-    }
-
-    /// A map with the whole range `[0, capacity)` free.
-    pub fn with_capacity(capacity: u64) -> Self {
-        let mut m = BTreeFreeSpaceMap::new();
-        if capacity > 0 {
-            m.insert_raw(0, capacity);
-        }
-        m
-    }
-
-    /// Total free units.
-    pub fn free_units(&self) -> u64 {
-        self.free_units
-    }
-
-    /// Number of distinct free runs.
-    pub fn run_count(&self) -> usize {
-        self.by_addr.len()
-    }
-
-    /// Length of the largest free run (0 when empty).
-    pub fn largest_run(&self) -> u64 {
-        self.by_len.iter().next_back().map_or(0, |&(len, _)| len)
-    }
-
-    /// Iterates free runs in address order.
-    pub fn runs(&self) -> impl Iterator<Item = Extent> + '_ {
-        self.by_addr.iter().map(|(&s, &l)| Extent::new(s, l))
-    }
-
-    fn insert_raw(&mut self, start: u64, len: u64) {
-        self.by_addr.insert(start, len);
-        self.by_len.insert((len, start));
-        self.free_units += len;
-    }
-
-    fn remove_raw(&mut self, start: u64, len: u64) {
-        let removed = self.by_addr.remove(&start);
-        debug_assert_eq!(removed, Some(len));
-        let was = self.by_len.remove(&(len, start));
-        debug_assert!(was);
-        self.free_units -= len;
-    }
-
-    /// Returns a free run to the map, coalescing with neighbours.
-    ///
-    /// The run must not overlap any existing free run (debug-asserted).
-    pub fn release(&mut self, ext: Extent) {
-        debug_assert!(ext.len > 0);
-        let mut start = ext.start;
-        let mut len = ext.len;
-        // Coalesce with the predecessor if it abuts.
-        if let Some((&p_start, &p_len)) = self.by_addr.range(..start).next_back() {
-            debug_assert!(p_start + p_len <= start, "release overlaps predecessor");
-            if p_start + p_len == start {
-                self.remove_raw(p_start, p_len);
-                start = p_start;
-                len += p_len;
-            }
-        }
-        // Coalesce with the successor if it abuts.
-        if let Some((&n_start, &n_len)) = self.by_addr.range(ext.start..).next() {
-            debug_assert!(ext.end() <= n_start, "release overlaps successor");
-            if n_start == ext.end() {
-                self.remove_raw(n_start, n_len);
-                len += n_len;
-            }
-        }
-        self.insert_raw(start, len);
-    }
-
-    /// First-fit: carves `len` units from the lowest-addressed run that can
-    /// hold them.
-    pub fn allocate_first_fit(&mut self, len: u64) -> Option<Extent> {
-        debug_assert!(len > 0);
-        // The address-ordered scan is O(runs) and on a fragmented disk most
-        // oversized requests can't be satisfied at all; the by_len index
-        // answers that in O(log n) before we walk anything.
-        if self.largest_run() < len {
-            return None;
-        }
-        let (start, run_len) = self
-            .by_addr
-            .iter()
-            .find(|&(_, &l)| l >= len)
-            .map(|(&s, &l)| (s, l))?;
-        self.carve(start, run_len, len)
-    }
-
-    /// Best-fit: carves `len` units from the smallest run that can hold
-    /// them (ties broken toward the lower address).
-    pub fn allocate_best_fit(&mut self, len: u64) -> Option<Extent> {
-        debug_assert!(len > 0);
-        let &(run_len, start) = self.by_len.range((len, 0)..).next()?;
-        self.carve(start, run_len, len)
-    }
-
-    /// Allocates exactly `[start, start + len)` if that range is entirely
-    /// free, e.g. for contiguity-preserving placement.
-    pub fn allocate_at(&mut self, start: u64, len: u64) -> Option<Extent> {
-        debug_assert!(len > 0);
-        let (&run_start, &run_len) = self.by_addr.range(..=start).next_back()?;
-        if run_start + run_len < start + len {
-            return None;
-        }
-        self.remove_raw(run_start, run_len);
-        if start > run_start {
-            self.insert_raw(run_start, start - run_start);
-        }
-        let tail = (run_start + run_len) - (start + len);
-        if tail > 0 {
-            self.insert_raw(start + len, tail);
-        }
-        Some(Extent::new(start, len))
-    }
-
-    /// True when `[start, start+len)` is entirely free.
-    pub fn is_free(&self, start: u64, len: u64) -> bool {
-        match self.by_addr.range(..=start).next_back() {
-            Some((&run_start, &run_len)) => run_start + run_len >= start + len,
-            None => false,
-        }
-    }
-
-    fn carve(&mut self, run_start: u64, run_len: u64, len: u64) -> Option<Extent> {
-        self.remove_raw(run_start, run_len);
-        if run_len > len {
-            self.insert_raw(run_start + len, run_len - len);
-        }
-        Some(Extent::new(run_start, len))
-    }
-
-    /// Debug invariant: runs are disjoint, sorted, non-adjacent (maximally
-    /// coalesced) and the two indexes agree.
-    #[doc(hidden)]
-    pub fn check_invariants(&self) {
-        let mut prev_end: Option<u64> = None;
-        let mut total = 0;
-        for (&s, &l) in &self.by_addr {
-            assert!(l > 0, "zero-length run at {s}");
-            if let Some(pe) = prev_end {
-                assert!(pe < s, "runs overlap or abut at {s} (prev end {pe})");
-            }
-            assert!(self.by_len.contains(&(l, s)), "missing len index for ({s}, {l})");
-            prev_end = Some(s + l);
-            total += l;
-        }
-        assert_eq!(total, self.free_units, "free_units out of sync");
-        assert_eq!(self.by_len.len(), self.by_addr.len(), "index sizes differ");
-    }
-}
-
-impl FreeMap for BTreeFreeSpaceMap {
-    fn new() -> Self {
-        BTreeFreeSpaceMap::new()
-    }
-    fn with_capacity(capacity: u64) -> Self {
-        BTreeFreeSpaceMap::with_capacity(capacity)
-    }
-    fn free_units(&self) -> u64 {
-        BTreeFreeSpaceMap::free_units(self)
-    }
-    fn run_count(&self) -> usize {
-        BTreeFreeSpaceMap::run_count(self)
-    }
-    fn largest_run(&self) -> u64 {
-        BTreeFreeSpaceMap::largest_run(self)
-    }
-    fn release(&mut self, ext: Extent) {
-        BTreeFreeSpaceMap::release(self, ext)
-    }
-    fn allocate_first_fit(&mut self, len: u64) -> Option<Extent> {
-        BTreeFreeSpaceMap::allocate_first_fit(self, len)
-    }
-    fn allocate_best_fit(&mut self, len: u64) -> Option<Extent> {
-        BTreeFreeSpaceMap::allocate_best_fit(self, len)
-    }
-    fn allocate_at(&mut self, start: u64, len: u64) -> Option<Extent> {
-        BTreeFreeSpaceMap::allocate_at(self, start, len)
-    }
-    fn is_free(&self, start: u64, len: u64) -> bool {
-        BTreeFreeSpaceMap::is_free(self, start, len)
-    }
-    fn collect_runs(&self) -> Vec<Extent> {
-        self.runs().collect()
-    }
-    fn check_invariants(&self) {
-        BTreeFreeSpaceMap::check_invariants(self)
+        let mut m = FreeSpaceMap { bits: FreeBitmap::from_value(v)?, by_len: BTreeSet::new() };
+        m.by_len = m.runs().map(|e| (e.len, e.start)).collect();
+        Ok(m)
     }
 }
 
@@ -529,207 +240,127 @@ impl FreeMap for BTreeFreeSpaceMap {
 mod tests {
     use super::*;
 
-    /// Runs the same scenario against both backends.
-    fn on_both(scenario: impl Fn(&mut dyn FnMut() -> Box<dyn FreeMapDyn>)) {
-        let mut make_bitmap = || Box::new(FreeSpaceMap::new()) as Box<dyn FreeMapDyn>;
-        let mut make_btree = || Box::new(BTreeFreeSpaceMap::new()) as Box<dyn FreeMapDyn>;
-        scenario(&mut make_bitmap);
-        scenario(&mut make_btree);
-    }
-
-    /// Object-safe mirror of [`FreeMap`] for the dual-backend tests.
-    trait FreeMapDyn {
-        fn free_units(&self) -> u64;
-        fn run_count(&self) -> usize;
-        fn largest_run(&self) -> u64;
-        fn release(&mut self, ext: Extent);
-        fn allocate_first_fit(&mut self, len: u64) -> Option<Extent>;
-        fn allocate_best_fit(&mut self, len: u64) -> Option<Extent>;
-        fn allocate_at(&mut self, start: u64, len: u64) -> Option<Extent>;
-        fn is_free(&self, start: u64, len: u64) -> bool;
-        fn check_invariants(&self);
-        fn seed_capacity(&mut self, capacity: u64);
-    }
-
-    impl<M: FreeMap> FreeMapDyn for M {
-        fn free_units(&self) -> u64 {
-            FreeMap::free_units(self)
-        }
-        fn run_count(&self) -> usize {
-            FreeMap::run_count(self)
-        }
-        fn largest_run(&self) -> u64 {
-            FreeMap::largest_run(self)
-        }
-        fn release(&mut self, ext: Extent) {
-            FreeMap::release(self, ext)
-        }
-        fn allocate_first_fit(&mut self, len: u64) -> Option<Extent> {
-            FreeMap::allocate_first_fit(self, len)
-        }
-        fn allocate_best_fit(&mut self, len: u64) -> Option<Extent> {
-            FreeMap::allocate_best_fit(self, len)
-        }
-        fn allocate_at(&mut self, start: u64, len: u64) -> Option<Extent> {
-            FreeMap::allocate_at(self, start, len)
-        }
-        fn is_free(&self, start: u64, len: u64) -> bool {
-            FreeMap::is_free(self, start, len)
-        }
-        fn check_invariants(&self) {
-            FreeMap::check_invariants(self)
-        }
-        fn seed_capacity(&mut self, capacity: u64) {
-            *self = M::with_capacity(capacity);
-        }
-    }
-
     #[test]
     fn with_capacity_single_run() {
-        on_both(|make| {
-            let mut m = make();
-            m.seed_capacity(100);
-            assert_eq!(m.free_units(), 100);
-            assert_eq!(m.run_count(), 1);
-            assert_eq!(m.largest_run(), 100);
-            m.check_invariants();
-        });
+        let m = FreeSpaceMap::with_capacity(100);
+        assert_eq!(m.free_units(), 100);
+        assert_eq!(m.run_count(), 1);
+        assert_eq!(m.largest_run(), 100);
+        m.check_invariants();
     }
 
     #[test]
     fn first_fit_takes_lowest_address() {
-        on_both(|make| {
-            let mut m = make();
-            m.release(Extent::new(50, 10));
-            m.release(Extent::new(0, 5));
-            let e = m.allocate_first_fit(5).unwrap();
-            assert_eq!(e, Extent::new(0, 5));
-            // Next request of 6 only fits in the high run.
-            let e = m.allocate_first_fit(6).unwrap();
-            assert_eq!(e.start, 50);
-            m.check_invariants();
-        });
+        let mut m = FreeSpaceMap::new();
+        m.release(Extent::new(50, 10));
+        m.release(Extent::new(0, 5));
+        let e = m.allocate_first_fit(5).unwrap();
+        assert_eq!(e, Extent::new(0, 5));
+        // Next request of 6 only fits in the high run.
+        let e = m.allocate_first_fit(6).unwrap();
+        assert_eq!(e.start, 50);
+        m.check_invariants();
     }
 
     #[test]
     fn best_fit_takes_smallest_run() {
-        on_both(|make| {
-            let mut m = make();
-            m.release(Extent::new(0, 100));
-            m.release(Extent::new(200, 6));
-            let e = m.allocate_best_fit(5).unwrap();
-            assert_eq!(e.start, 200, "prefers the 6-unit run over the 100-unit one");
-            assert_eq!(m.largest_run(), 100);
-            m.check_invariants();
-        });
+        let mut m = FreeSpaceMap::new();
+        m.release(Extent::new(0, 100));
+        m.release(Extent::new(200, 6));
+        let e = m.allocate_best_fit(5).unwrap();
+        assert_eq!(e.start, 200, "prefers the 6-unit run over the 100-unit one");
+        assert_eq!(m.largest_run(), 100);
+        m.check_invariants();
     }
 
     #[test]
     fn best_fit_tie_breaks_low_address() {
-        on_both(|make| {
-            let mut m = make();
-            m.release(Extent::new(300, 8));
-            m.release(Extent::new(100, 8));
-            let e = m.allocate_best_fit(8).unwrap();
-            assert_eq!(e.start, 100);
-        });
+        let mut m = FreeSpaceMap::new();
+        m.release(Extent::new(300, 8));
+        m.release(Extent::new(100, 8));
+        let e = m.allocate_best_fit(8).unwrap();
+        assert_eq!(e.start, 100);
     }
 
     #[test]
     fn release_coalesces_both_sides() {
-        on_both(|make| {
-            let mut m = make();
-            m.release(Extent::new(0, 10));
-            m.release(Extent::new(20, 10));
-            assert_eq!(m.run_count(), 2);
-            m.release(Extent::new(10, 10));
-            assert_eq!(m.run_count(), 1);
-            assert_eq!(m.largest_run(), 30);
-            m.check_invariants();
-        });
+        let mut m = FreeSpaceMap::new();
+        m.release(Extent::new(0, 10));
+        m.release(Extent::new(20, 10));
+        assert_eq!(m.run_count(), 2);
+        m.release(Extent::new(10, 10));
+        assert_eq!(m.run_count(), 1);
+        assert_eq!(m.largest_run(), 30);
+        m.check_invariants();
     }
 
     #[test]
     fn allocate_at_splits_run() {
-        on_both(|make| {
-            let mut m = make();
-            m.seed_capacity(100);
-            let e = m.allocate_at(40, 20).unwrap();
-            assert_eq!(e, Extent::new(40, 20));
-            assert_eq!(m.run_count(), 2);
-            assert_eq!(m.free_units(), 80);
-            assert!(m.allocate_at(45, 1).is_none(), "already taken");
-            assert!(m.is_free(0, 40));
-            assert!(!m.is_free(39, 2));
-            m.check_invariants();
-        });
+        let mut m = FreeSpaceMap::with_capacity(100);
+        let e = m.allocate_at(40, 20).unwrap();
+        assert_eq!(e, Extent::new(40, 20));
+        assert_eq!(m.run_count(), 2);
+        assert_eq!(m.free_units(), 80);
+        assert!(m.allocate_at(45, 1).is_none(), "already taken");
+        assert!(m.is_free(0, 40));
+        assert!(!m.is_free(39, 2));
+        m.check_invariants();
     }
 
     #[test]
     fn allocate_at_edges() {
-        on_both(|make| {
-            let mut m = make();
-            m.seed_capacity(10);
-            assert!(m.allocate_at(0, 10).is_some());
-            assert_eq!(m.free_units(), 0);
-            assert!(m.allocate_at(0, 1).is_none());
-            m.check_invariants();
-        });
+        let mut m = FreeSpaceMap::with_capacity(10);
+        assert!(m.allocate_at(0, 10).is_some());
+        assert_eq!(m.free_units(), 0);
+        assert!(m.allocate_at(0, 1).is_none());
+        m.check_invariants();
     }
 
     #[test]
     fn allocation_fails_when_no_run_large_enough() {
-        on_both(|make| {
-            let mut m = make();
-            m.release(Extent::new(0, 4));
-            m.release(Extent::new(10, 4));
-            assert_eq!(m.free_units(), 8);
-            assert!(m.allocate_first_fit(5).is_none(), "external fragmentation");
-            assert!(m.allocate_best_fit(5).is_none());
-        });
+        let mut m = FreeSpaceMap::new();
+        m.release(Extent::new(0, 4));
+        m.release(Extent::new(10, 4));
+        assert_eq!(m.free_units(), 8);
+        assert!(m.allocate_first_fit(5).is_none(), "external fragmentation");
+        assert!(m.allocate_best_fit(5).is_none());
     }
 
     #[test]
     fn first_fit_early_exit_leaves_map_intact() {
-        // Requests beyond largest_run() bail out of allocate_first_fit
-        // before the address-ordered scan; the map must be untouched and
-        // boundary sizes (== largest run) must still succeed.
-        on_both(|make| {
-            let mut m = make();
-            m.release(Extent::new(0, 4));
-            m.release(Extent::new(10, 16));
-            m.release(Extent::new(100, 8));
-            assert_eq!(m.largest_run(), 16);
-            assert!(m.allocate_first_fit(17).is_none(), "larger than every run");
-            assert_eq!(m.free_units(), 28, "failed allocation must not consume space");
-            assert_eq!(m.run_count(), 3);
-            m.check_invariants();
-            // Exactly the largest run still allocates (no off-by-one in the
-            // early exit), and first-fit semantics are preserved.
-            let e = m.allocate_first_fit(16).unwrap();
-            assert_eq!(e, Extent::new(10, 16));
-            assert_eq!(m.largest_run(), 8);
-            m.check_invariants();
-        });
+        // Requests beyond largest_run() fail without consuming space, and
+        // boundary sizes (== largest run) still succeed.
+        let mut m = FreeSpaceMap::new();
+        m.release(Extent::new(0, 4));
+        m.release(Extent::new(10, 16));
+        m.release(Extent::new(100, 8));
+        assert_eq!(m.largest_run(), 16);
+        assert!(m.allocate_first_fit(17).is_none(), "larger than every run");
+        assert_eq!(m.free_units(), 28, "failed allocation must not consume space");
+        assert_eq!(m.run_count(), 3);
+        m.check_invariants();
+        // Exactly the largest run still allocates (no off-by-one in the
+        // early exit), and first-fit semantics are preserved.
+        let e = m.allocate_first_fit(16).unwrap();
+        assert_eq!(e, Extent::new(10, 16));
+        assert_eq!(m.largest_run(), 8);
+        m.check_invariants();
     }
 
     #[test]
     fn alternating_alloc_free_round_trips() {
-        on_both(|make| {
-            let mut m = make();
-            m.seed_capacity(1000);
-            let a = m.allocate_first_fit(100).unwrap();
-            let b = m.allocate_first_fit(100).unwrap();
-            let c = m.allocate_first_fit(100).unwrap();
-            m.release(b);
-            m.check_invariants();
-            m.release(a);
-            m.check_invariants();
-            m.release(c);
-            m.check_invariants();
-            assert_eq!(m.run_count(), 1);
-            assert_eq!(m.free_units(), 1000);
-        });
+        let mut m = FreeSpaceMap::with_capacity(1000);
+        let a = m.allocate_first_fit(100).unwrap();
+        let b = m.allocate_first_fit(100).unwrap();
+        let c = m.allocate_first_fit(100).unwrap();
+        m.release(b);
+        m.check_invariants();
+        m.release(a);
+        m.check_invariants();
+        m.release(c);
+        m.check_invariants();
+        assert_eq!(m.run_count(), 1);
+        assert_eq!(m.free_units(), 1000);
     }
 
     #[test]
@@ -742,32 +373,24 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_roundtrip_restores_runs_and_rejects_corruption() {
+    fn snapshot_roundtrip_restores_runs_and_rejects_corruption() {
         let mut m = FreeSpaceMap::with_capacity(300);
         m.allocate_at(20, 30).unwrap();
         m.allocate_at(90, 10).unwrap();
         m.allocate_first_fit(5).unwrap();
-        let snapshot = FreeMap::checkpoint_state(&m).unwrap();
-        let mut restored = FreeSpaceMap::new();
-        FreeMap::restore_state(&mut restored, &snapshot).unwrap();
-        assert_eq!(restored.collect_runs(), FreeMap::collect_runs(&m));
+        let snapshot = m.to_value();
+        let mut restored = FreeSpaceMap::from_value(&snapshot).unwrap();
+        assert_eq!(restored.runs().collect::<Vec<_>>(), m.runs().collect::<Vec<_>>());
         assert_eq!(restored.free_units(), m.free_units());
         restored.check_invariants();
         // Restored maps make identical allocation decisions.
         assert_eq!(restored.allocate_best_fit(7), m.allocate_best_fit(7));
-        // A tampered snapshot (free_count off by one) is rejected and the
-        // target map keeps its previous state.
+        // A tampered snapshot (free_count off by one) is rejected.
         let Value::Object(mut fields) = snapshot else { panic!("bitmap serializes as an object") };
         let count = fields.iter_mut().find(|(k, _)| k == "free_count").unwrap();
         count.1 = Value::U64(1);
-        let mut intact = FreeSpaceMap::with_capacity(64);
-        let err = FreeMap::restore_state(&mut intact, &Value::Object(fields)).unwrap_err();
-        assert!(err.contains("free_count"), "{err}");
-        assert_eq!(intact.free_units(), 64, "failed restore must not mutate");
-        // The reference backend opts out of checkpointing.
-        let b = BTreeFreeSpaceMap::with_capacity(10);
-        assert!(FreeMap::checkpoint_state(&b).is_none());
-        assert!(FreeMap::restore_state(&mut BTreeFreeSpaceMap::new(), &Value::Null).is_err());
+        let err = FreeSpaceMap::from_value(&Value::Object(fields)).unwrap_err();
+        assert!(err.to_string().contains("free_count"), "{err}");
     }
 
     #[test]

@@ -60,12 +60,12 @@ pub mod policy;
 pub mod restricted;
 pub mod types;
 
-pub use blockset::{BTreeBlockSet, BitmapBlockSet, FreeBlockSet};
+pub use blockset::BitmapBlockSet;
 pub use buddy::BuddyPolicy;
 pub use config::{BuddyConfig, ExtentConfig, FitStrategy, FixedConfig, PolicyConfig, RestrictedConfig};
 pub use extent::ExtentPolicy;
 pub use ffs::{FfsConfig, FfsPolicy};
-pub use freespace::{BTreeFreeSpaceMap, FreeMap, FreeSpaceMap};
+pub use freespace::FreeSpaceMap;
 pub use filemap::FileMap;
 pub use fixed::FixedPolicy;
 pub use policy::{FragGauges, Policy, PolicyStats};

@@ -183,7 +183,7 @@ pub trait Policy: Send {
 
     /// Expensive global invariant check used by tests: extents of live
     /// files are in-bounds, disjoint, and `free + data + metadata` equals
-    /// capacity.
+    /// capacity; then the policy's own [`Policy::check_structure`].
     #[doc(hidden)]
     fn check_invariants(&self) {
         let mut spans: Vec<Extent> = Vec::new();
@@ -224,7 +224,14 @@ pub trait Policy: Send {
             self.metadata_units(),
             self.capacity_units()
         );
+        self.check_structure();
     }
+
+    /// Policy-specific half of [`Policy::check_invariants`]: asserts the
+    /// policy's free-space structures and indexes are consistent. The
+    /// default checks nothing.
+    #[doc(hidden)]
+    fn check_structure(&self) {}
 }
 
 #[cfg(test)]

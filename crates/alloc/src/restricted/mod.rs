@@ -28,7 +28,6 @@
 pub mod region;
 
 use crate::bitmap::FreeBitmap;
-use crate::blockset::{BitmapBlockSet, FreeBlockSet};
 use crate::filemap::FileMap;
 use crate::policy::Policy;
 use crate::types::{AllocError, Extent, FileHints, FileId};
@@ -46,16 +45,13 @@ struct RFile {
     fd_addr: u64,
 }
 
-/// The restricted buddy policy, generic over the free-list container
-/// (bitmap by default; the `BTreeBlockSet` reference backend makes the
-/// exact same allocation decisions and exists for differential tests and
-/// benchmark baselines).
+/// The restricted buddy policy.
 #[derive(Debug, Clone)]
-pub struct RestrictedPolicy<S: FreeBlockSet = BitmapBlockSet> {
+pub struct RestrictedPolicy {
     /// Block class sizes in units, ascending, each dividing the next.
     sizes: Vec<u64>,
     grow_factor: u64,
-    regions: Vec<Region<S>>,
+    regions: Vec<Region>,
     /// Region length in units (`u64::MAX`-like sentinel not needed: equals
     /// capacity when unclustered).
     region_units: u64,
@@ -70,12 +66,9 @@ pub struct RestrictedPolicy<S: FreeBlockSet = BitmapBlockSet> {
     /// of the paper's region-selection algorithm become word-wise bitmap
     /// scans instead of a linear walk over every region.
     avail: Vec<FreeBitmap>,
-    /// Differential-testing escape hatch: when set, steps 2–3 use the
-    /// original linear region scans instead of the availability index.
-    linear_region_scan: bool,
 }
 
-impl<S: FreeBlockSet> RestrictedPolicy<S> {
+impl RestrictedPolicy {
     /// Builds the policy.
     ///
     /// * `sizes_units` — ascending block classes (each must divide the next).
@@ -121,7 +114,6 @@ impl<S: FreeBlockSet> RestrictedPolicy<S> {
             fd_cursor: 0,
             metadata_units: 0,
             avail: sizes_units.iter().map(|_| FreeBitmap::new(nregions)).collect(),
-            linear_region_scan: false,
         };
         for r in 0..nregions {
             policy.sync_region(r);
@@ -129,19 +121,12 @@ impl<S: FreeBlockSet> RestrictedPolicy<S> {
         policy
     }
 
-    /// Forces steps 2–3 of `allocate_block` back onto the original linear
-    /// region scans (the availability index stays maintained but unused) —
-    /// for differential tests pinning that the index changes no decision.
-    pub fn set_linear_region_scan(&mut self, linear: bool) {
-        self.linear_region_scan = linear;
-    }
-
     /// Re-derives region `r`'s bits in the availability index from the
     /// region's own state. Must be called after any operation that may
     /// change which classes have free blocks in `r`.
     fn sync_region(&mut self, r: usize) {
         for c in 0..self.sizes.len() {
-            let has = self.regions[r].has_free(&self.sizes, c);
+            let has = self.regions[r].has_free(c);
             if has != self.avail[c].is_free(r) {
                 if has {
                     self.avail[c].set_free(r);
@@ -171,16 +156,34 @@ impl<S: FreeBlockSet> RestrictedPolicy<S> {
         (r + self.regions.len() - optimal) % self.regions.len()
     }
 
-    /// Verifies the availability index against the regions (test hook).
-    #[doc(hidden)]
-    pub fn check_region_index(&self) {
+    /// Part of `check_structure`: verifies the availability index against
+    /// the regions, and that from every optimal region steps 2–3 pick, for
+    /// every class, the region a linear walk in wrap order picks.
+    fn check_region_index(&self) {
+        let nregions = self.regions.len();
         for (c, bits) in self.avail.iter().enumerate() {
-            assert_eq!(bits.len(), self.regions.len());
+            assert_eq!(bits.len(), nregions);
             for (r, region) in self.regions.iter().enumerate() {
                 assert_eq!(
                     bits.is_free(r),
-                    region.has_free(&self.sizes, c),
+                    region.has_free(c),
                     "avail index out of sync for class {c}, region {r}"
+                );
+            }
+            for optimal in 0..nregions {
+                let walk = |fits: fn(&Region, usize) -> bool| {
+                    let mut wrap_order = (1..nregions).map(|k| (optimal + k) % nregions);
+                    wrap_order.find(|&r| fits(&self.regions[r], c))
+                };
+                assert_eq!(
+                    self.step2_region(c, optimal),
+                    walk(Region::has_free),
+                    "step 2 disagrees with the linear walk for class {c} from region {optimal}"
+                );
+                assert_eq!(
+                    self.step3_region(c, optimal),
+                    walk(Region::has_larger),
+                    "step 3 disagrees with the linear walk for class {c} from region {optimal}"
                 );
             }
         }
@@ -271,12 +274,6 @@ impl<S: FreeBlockSet> RestrictedPolicy<S> {
     /// Step 2's region choice: the first region in wrap order past
     /// `optimal` with a free block of exactly `class`.
     fn step2_region(&self, class: usize, optimal: usize) -> Option<usize> {
-        if self.linear_region_scan {
-            let nregions = self.regions.len();
-            return (1..nregions)
-                .map(|k| (optimal + k) % nregions)
-                .find(|&r| self.regions[r].has_free(&self.sizes, class));
-        }
         Self::next_region_in(&self.avail[class], optimal)
     }
 
@@ -284,12 +281,6 @@ impl<S: FreeBlockSet> RestrictedPolicy<S> {
     /// `optimal` with a free block of any class larger than `class` —
     /// the minimum wrap distance over the per-class indexes.
     fn step3_region(&self, class: usize, optimal: usize) -> Option<usize> {
-        if self.linear_region_scan {
-            let nregions = self.regions.len();
-            return (1..nregions)
-                .map(|k| (optimal + k) % nregions)
-                .find(|&r| self.regions[r].has_larger(&self.sizes, class));
-        }
         let mut best: Option<usize> = None;
         for k in class + 1..self.sizes.len() {
             if let Some(r) = Self::next_region_in(&self.avail[k], optimal) {
@@ -334,7 +325,7 @@ impl<S: FreeBlockSet> RestrictedPolicy<S> {
     }
 }
 
-impl<S: FreeBlockSet> Policy for RestrictedPolicy<S> {
+impl Policy for RestrictedPolicy {
     fn name(&self) -> &'static str {
         "restricted-buddy"
     }
@@ -354,7 +345,7 @@ impl<S: FreeBlockSet> Policy for RestrictedPolicy<S> {
         let mut free_blocks = 0u64;
         let mut largest = 0u64;
         for (c, &size) in self.sizes.iter().enumerate() {
-            let n: u64 = self.regions.iter().map(|r| r.free_block_count(&self.sizes, c)).sum();
+            let n: u64 = self.regions.iter().map(|r| r.free_block_count(c)).sum();
             free_blocks += n;
             if n > 0 {
                 largest = largest.max(size);
@@ -482,6 +473,13 @@ impl<S: FreeBlockSet> Policy for RestrictedPolicy<S> {
 
     fn allocation_count(&self, file: FileId) -> Result<usize, AllocError> {
         Ok(self.file(file)?.blocks.len())
+    }
+
+    fn check_structure(&self) {
+        for region in &self.regions {
+            region.check_invariants(&self.sizes);
+        }
+        self.check_region_index();
     }
 }
 

@@ -8,12 +8,12 @@
 //!
 //! A [`Region`] manages the blocks inside one bookkeeping region (32 MB in
 //! the paper's clustered configurations; the whole disk when unclustered).
-//! The largest block class is tracked with a [`FreeBitmap`]; each smaller
-//! class uses an ordered set (the functional equivalent of the paper's
-//! sorted circular list, with O(log n) instead of O(n) operations).
+//! Every class, the largest included, keeps its free blocks in one
+//! [`BitmapBlockSet`]: the paper's bit map for the top class, and for the
+//! smaller ones the functional equivalent of its sorted circular list, with
+//! word scans instead of O(n) list walks.
 
-use crate::bitmap::FreeBitmap;
-use crate::blockset::{BitmapBlockSet, FreeBlockSet};
+use crate::blockset::BitmapBlockSet;
 
 /// Free-block bookkeeping for one region.
 ///
@@ -22,17 +22,15 @@ use crate::blockset::{BitmapBlockSet, FreeBlockSet};
 /// always aligned to `sizes[c]` in the *global* address space — "a block of
 /// size N always starts at an address which is an integral multiple [of] N".
 #[derive(Debug, Clone)]
-pub struct Region<S: FreeBlockSet = BitmapBlockSet> {
+pub struct Region {
     base: u64,
     end: u64,
-    /// Free lists for classes `0..top` (the top class lives in the bitmap).
-    lists: Vec<S>,
-    /// Bitmap over top-class slots covering `[base, end)`.
-    top_bitmap: FreeBitmap,
+    /// `lists[c]` holds the free class-`c` blocks.
+    lists: Vec<BitmapBlockSet>,
     free_units: u64,
 }
 
-impl<S: FreeBlockSet> Region<S> {
+impl Region {
     /// Builds a region spanning `[base, end)` with every block free.
     ///
     /// `base` must be aligned to the largest class size (true for the
@@ -43,12 +41,10 @@ impl<S: FreeBlockSet> Region<S> {
         // simlint::allow(r3, "non-emptiness asserted on the previous line")
         let top = *sizes.last().unwrap_or_else(|| unreachable!("asserted non-empty above"));
         assert_eq!(base % top, 0, "region base must be aligned to the top block class");
-        let top_slots = ((end - base) / top) as usize;
         let mut region = Region {
             base,
             end,
-            lists: (0..sizes.len() - 1).map(|c| S::new(base, end, sizes[c])).collect(),
-            top_bitmap: FreeBitmap::new(top_slots),
+            lists: sizes.iter().map(|&size| BitmapBlockSet::new(base, end, size)).collect(),
             free_units: 0,
         };
         // Greedy seeding: at each address take the largest class that is
@@ -83,90 +79,47 @@ impl<S: FreeBlockSet> Region<S> {
         self.free_units
     }
 
-    /// Whether `addr` falls inside this region.
-    pub fn contains(&self, addr: u64) -> bool {
-        (self.base..self.end).contains(&addr)
-    }
-
-    fn top_class(&self, sizes: &[u64]) -> usize {
-        sizes.len() - 1
-    }
-
-    fn slot(&self, sizes: &[u64], addr: u64) -> usize {
-        ((addr - self.base) / sizes[self.top_class(sizes)]) as usize
-    }
-
-    fn slot_addr(&self, sizes: &[u64], slot: usize) -> u64 {
-        self.base + slot as u64 * sizes[self.top_class(sizes)]
-    }
-
     /// Whether any block of exactly class `c` is free.
-    pub fn has_free(&self, sizes: &[u64], c: usize) -> bool {
-        if c == self.top_class(sizes) {
-            self.top_bitmap.free_count() > 0
-        } else {
-            !self.lists[c].is_empty()
-        }
+    pub fn has_free(&self, c: usize) -> bool {
+        !self.lists[c].is_empty()
     }
 
     /// Whether any block of a class strictly larger than `c` is free —
     /// "adequate contiguous space" for a split.
-    pub fn has_larger(&self, sizes: &[u64], c: usize) -> bool {
-        (c + 1..sizes.len()).any(|k| self.has_free(sizes, k))
+    pub fn has_larger(&self, c: usize) -> bool {
+        (c + 1..self.lists.len()).any(|k| self.has_free(k))
     }
 
     /// Inserts a free block without coalescing (seeding / split remainders).
     fn insert(&mut self, sizes: &[u64], c: usize, addr: u64) {
-        debug_assert!(self.contains(addr));
-        debug_assert_eq!(addr % sizes[c], 0, "misaligned class-{c} block at {addr}");
-        if c == self.top_class(sizes) {
-            self.top_bitmap.set_free(self.slot(sizes, addr));
-        } else {
-            let fresh = self.lists[c].insert(addr);
-            debug_assert!(fresh, "double insert of class-{c} block at {addr}");
-        }
+        let fresh = self.lists[c].insert(addr);
+        debug_assert!(fresh, "double or misplaced insert of class-{c} block at {addr}");
         self.free_units += sizes[c];
     }
 
     /// Removes a specific free block (must be present).
     fn remove(&mut self, sizes: &[u64], c: usize, addr: u64) {
-        if c == self.top_class(sizes) {
-            self.top_bitmap.set_used(self.slot(sizes, addr));
-        } else {
-            let was = self.lists[c].remove(addr);
-            debug_assert!(was, "removing absent class-{c} block at {addr}");
-        }
+        let was = self.lists[c].remove(addr);
+        debug_assert!(was, "removing absent class-{c} block at {addr}");
         self.free_units -= sizes[c];
     }
 
     /// Number of free blocks of exactly class `c`.
-    pub fn free_block_count(&self, sizes: &[u64], c: usize) -> u64 {
-        if c == self.top_class(sizes) {
-            self.top_bitmap.free_count() as u64
-        } else {
-            self.lists[c].len() as u64
-        }
+    pub fn free_block_count(&self, c: usize) -> u64 {
+        self.lists[c].len() as u64
     }
 
-    /// Whether the specific class-`c` block at `addr` is free.
-    pub fn is_block_free(&self, sizes: &[u64], c: usize, addr: u64) -> bool {
-        // A well-formed class-`c` block is aligned and lies fully inside
-        // the region. The fit check matters for the top class on scaled
-        // disks: the region length need not be a multiple of the top size,
-        // and tail slack beyond the last full slot has no bitmap entry.
-        if !self.contains(addr) || addr % sizes[c] != 0 || addr + sizes[c] > self.end {
-            return false;
-        }
-        if c == self.top_class(sizes) {
-            self.top_bitmap.is_free(self.slot(sizes, addr))
-        } else {
-            self.lists[c].contains(addr)
-        }
+    /// Whether the specific class-`c` block at `addr` is free. Misaligned
+    /// addresses and blocks not wholly inside the region are never free
+    /// (on scaled disks the region length need not be a multiple of the
+    /// top size, and the ragged tail holds no top-class slot).
+    pub fn is_block_free(&self, c: usize, addr: u64) -> bool {
+        self.lists[c].contains(addr)
     }
 
     /// Takes the class-`c` block at exactly `addr`, if free.
     pub fn take_exact(&mut self, sizes: &[u64], c: usize, addr: u64) -> bool {
-        if self.is_block_free(sizes, c, addr) {
+        if self.is_block_free(c, addr) {
             self.remove(sizes, c, addr);
             true
         } else {
@@ -174,53 +127,43 @@ impl<S: FreeBlockSet> Region<S> {
         }
     }
 
-    /// Takes a free class-`c` block, preferring the lowest address ≥
-    /// `prefer` ("blocks are arranged sequentially, and the allocator
-    /// attempts to allocate logically sequential blocks of a file to
-    /// physically contiguous regions"), falling back to the lowest address
-    /// in the region.
+    /// Takes a free class-`c` block near `prefer` ("blocks are arranged
+    /// sequentially, and the allocator attempts to allocate logically
+    /// sequential blocks of a file to physically contiguous regions"); see
+    /// [`Region::peek_near`] for the rule.
     pub fn take_near(&mut self, sizes: &[u64], c: usize, prefer: Option<u64>) -> Option<u64> {
         let addr = self.peek_near(sizes, c, prefer)?;
         self.remove(sizes, c, addr);
         Some(addr)
     }
 
+    /// The free class-`c` block containing `prefer`, else the lowest one
+    /// above it, else the lowest one in the region.
     fn peek_near(&self, sizes: &[u64], c: usize, prefer: Option<u64>) -> Option<u64> {
-        if c == self.top_class(sizes) {
-            let from = prefer
-                .filter(|&p| self.contains(p))
-                .map(|p| self.slot(sizes, p.min(self.end - 1)))
-                .unwrap_or(0);
-            let slot = self
-                .top_bitmap
-                .first_free_at_or_after(from)
-                .or_else(|| self.top_bitmap.first_free())?;
-            Some(self.slot_addr(sizes, slot))
-        } else {
-            if let Some(p) = prefer {
-                if let Some(a) = self.lists[c].first_at_or_after(p) {
-                    return Some(a);
+        let list = &self.lists[c];
+        prefer
+            .and_then(|p| {
+                let container = p - p % sizes[c];
+                if list.contains(container) {
+                    Some(container)
+                } else {
+                    list.first_at_or_after(p)
                 }
-            }
-            self.lists[c].first()
-        }
+            })
+            .or_else(|| list.first())
     }
 
     /// Splits a larger free block to produce one class-`c` block.
     ///
-    /// Chooses the smallest larger class with a free block (preferring the
-    /// block at or after `prefer`), carves out the child containing
-    /// `prefer` when possible (else the first child), and returns the
-    /// resulting block's address. Split remainders go onto the free lists —
-    /// "the remaining space is linked into the free lists for the
-    /// appropriate sized blocks".
+    /// Chooses the smallest larger class with a free block, takes its block
+    /// near `prefer` (the [`Region::peek_near`] rule), carves out the child
+    /// containing `prefer` when possible (else the first child), and
+    /// returns the resulting block's address. Split remainders go onto the
+    /// free lists — "the remaining space is linked into the free lists for
+    /// the appropriate sized blocks".
     pub fn split_for(&mut self, sizes: &[u64], c: usize, prefer: Option<u64>) -> Option<u64> {
-        let source_class = (c + 1..sizes.len()).find(|&k| self.has_free(sizes, k))?;
-        // Prefer the larger block containing the preferred address.
-        let container = prefer.map(|p| p - p % sizes[source_class]);
-        let addr = container
-            .filter(|&a| self.is_block_free(sizes, source_class, a))
-            .or_else(|| self.peek_near(sizes, source_class, prefer))?;
+        let source_class = (c + 1..sizes.len()).find(|&k| self.has_free(k))?;
+        let addr = self.peek_near(sizes, source_class, prefer)?;
         self.remove(sizes, source_class, addr);
         let mut cur_class = source_class;
         let mut cur_addr = addr;
@@ -258,9 +201,7 @@ impl<S: FreeBlockSet> Region<S> {
                 break;
             }
             let nchildren = sizes[c + 1] / sizes[c];
-            let all_free = (0..nchildren).all(|k| {
-                self.is_block_free(sizes, c, parent + k * sizes[c])
-            });
+            let all_free = (0..nchildren).all(|k| self.is_block_free(c, parent + k * sizes[c]));
             if !all_free {
                 break;
             }
@@ -287,14 +228,6 @@ impl<S: FreeBlockSet> Region<S> {
                 total += sizes[c];
             }
         }
-        let top = sizes.len() - 1;
-        for slot in 0..self.top_bitmap.len() {
-            if self.top_bitmap.is_free(slot) {
-                let a = self.slot_addr(sizes, slot);
-                spans.push((a, sizes[top]));
-                total += sizes[top];
-            }
-        }
         assert_eq!(total, self.free_units, "region free-unit count out of sync");
         spans.sort_unstable();
         for w in spans.windows(2) {
@@ -306,7 +239,7 @@ impl<S: FreeBlockSet> Region<S> {
                 let parent = a - a % sizes[c + 1];
                 if parent >= self.base && parent + sizes[c + 1] <= self.end {
                     let nchildren = sizes[c + 1] / sizes[c];
-                    let all = (0..nchildren).all(|k| self.is_block_free(sizes, c, parent + k * sizes[c]));
+                    let all = (0..nchildren).all(|k| self.is_block_free(c, parent + k * sizes[c]));
                     assert!(!all, "unpromoted complete parent at {parent} class {c}");
                 }
             }
@@ -324,8 +257,8 @@ mod tests {
     fn seeding_fills_with_top_blocks() {
         let r: Region = Region::new(0, 640, SIZES);
         assert_eq!(r.free_units(), 640);
-        assert!(r.has_free(SIZES, 2));
-        assert!(!r.has_free(SIZES, 0), "everything promoted to top blocks");
+        assert!(r.has_free(2));
+        assert!(!r.has_free(0), "everything promoted to top blocks");
         r.check_invariants(SIZES);
     }
 
@@ -352,14 +285,26 @@ mod tests {
     }
 
     #[test]
+    fn take_near_takes_the_block_containing_an_unaligned_prefer() {
+        // Splitting the first top block leaves class-1 blocks at 8..64. A
+        // class-1 request preferring unit 10 takes the block containing it,
+        // not the next one up.
+        let mut r: Region = Region::new(0, 640, SIZES);
+        assert_eq!(r.split_for(SIZES, 0, None), Some(0));
+        assert_eq!(r.take_near(SIZES, 1, Some(10)), Some(8));
+        assert_eq!(r.take_near(SIZES, 1, Some(10)), Some(16), "then the lowest one above it");
+        r.check_invariants(SIZES);
+    }
+
+    #[test]
     fn split_descends_to_requested_class() {
         let mut r: Region = Region::new(0, 640, SIZES);
-        assert!(!r.has_free(SIZES, 0));
+        assert!(!r.has_free(0));
         let a = r.split_for(SIZES, 0, None).unwrap();
         assert_eq!(a, 0);
         // Remainders: 7 class-0 blocks and 7 class-1 blocks.
-        assert!(r.has_free(SIZES, 0));
-        assert!(r.has_free(SIZES, 1));
+        assert!(r.has_free(0));
+        assert!(r.has_free(1));
         assert_eq!(r.free_units(), 640 - 1);
         r.check_invariants(SIZES);
     }
@@ -389,8 +334,8 @@ mod tests {
             r.free_block(SIZES, 0, a);
         }
         assert_eq!(r.free_units(), 640);
-        assert!(!r.has_free(SIZES, 0), "all coalesced back to top blocks");
-        assert!(!r.has_free(SIZES, 1));
+        assert!(!r.has_free(0), "all coalesced back to top blocks");
+        assert!(!r.has_free(1));
         r.check_invariants(SIZES);
     }
 
@@ -401,8 +346,8 @@ mod tests {
         // inside the region but past the last full top slot — used to walk
         // off the bitmap; it must simply report "not free".
         let mut r: Region = Region::new(0, 100, SIZES);
-        assert!(!r.is_block_free(SIZES, 2, 64));
-        assert!(!r.is_block_free(SIZES, 1, 70), "misaligned class-1 probe");
+        assert!(!r.is_block_free(2, 64));
+        assert!(!r.is_block_free(1, 70), "misaligned class-1 probe");
         // The original failure path: a split preferring an address in the
         // ragged tail probes the containing top block first.
         let a = r.split_for(SIZES, 0, Some(65));
@@ -424,8 +369,7 @@ mod tests {
         let mut r: Region = Region::new(640, 1280, SIZES);
         let a = r.take_near(SIZES, 2, None).unwrap();
         assert_eq!(a, 640);
-        assert!(r.contains(700));
-        assert!(!r.contains(100));
+        assert_eq!((r.base(), r.end()), (640, 1280));
         r.free_block(SIZES, 2, a);
         assert_eq!(r.free_units(), 640);
         r.check_invariants(SIZES);
@@ -434,10 +378,10 @@ mod tests {
     #[test]
     fn has_larger_reports_split_potential() {
         let mut r: Region = Region::new(0, 64, SIZES);
-        assert!(r.has_larger(SIZES, 0));
-        assert!(!r.has_larger(SIZES, 2));
+        assert!(r.has_larger(0));
+        assert!(!r.has_larger(2));
         let _ = r.take_near(SIZES, 2, None).unwrap();
-        assert!(!r.has_larger(SIZES, 0), "nothing left at all");
+        assert!(!r.has_larger(0), "nothing left at all");
     }
 
     #[test]

@@ -1,13 +1,12 @@
-//! Differential property tests: every bitmap-backed free-space structure
-//! must make decisions *identical* to its `BTreeSet`/`BTreeMap` reference
-//! backend under arbitrary operation sequences.
+//! Differential property tests: the bitmap-backed free-space structures
+//! against plain ordered-collection models.
 //!
-//! The same pseudo-random op stream is replayed against both backends of
-//! each policy; after every single operation the units granted and freed,
-//! error outcomes, free-unit counts, fragmentation gauges, and every
-//! file's extent map must match exactly. This is the invariant that lets
-//! the word-level structures replace the ordered sets without perturbing a
-//! byte of the paper's simulation results.
+//! * `BitmapBlockSet`, the free list of every block-based policy, must
+//!   answer exactly as a `BTreeSet<u64>` of the same lattice addresses,
+//!   on lattices with any base, stride and ragged end.
+//! * `FreeSpaceMap`, the extent policy's free space, must carve and
+//!   coalesce exactly as a `BTreeMap<start, len>` run map ([`RunMap`])
+//!   under arbitrary fit/release traffic.
 //!
 //! Fixed cases below pin the edges of the bitmap map's first-fit shortcut
 //! (take the lowest free run when it fits), and a churn case holds the map
@@ -16,152 +15,173 @@
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
-use readopt_alloc::blockset::{BTreeBlockSet, BitmapBlockSet};
-use readopt_alloc::freespace::{BTreeFreeSpaceMap, FreeSpaceMap};
-use readopt_alloc::{
-    BuddyPolicy, Extent, ExtentPolicy, FfsPolicy, FileHints, FileId, FitStrategy, Policy,
-    RestrictedPolicy,
-};
+use readopt_alloc::{BitmapBlockSet, Extent, FreeSpaceMap};
+use std::collections::{BTreeMap, BTreeSet};
 
-/// One step of the policy op stream; fields are raw entropy shaped inside
-/// the driver.
-type RawOp = (u8, u16);
+/// Reference free-space model: maximal free runs keyed by start address,
+/// coalesced on every release, searched by walking the runs in address
+/// order.
+#[derive(Debug)]
+struct RunMap(BTreeMap<u64, u64>);
 
-/// Replays `ops` against both policies, asserting identical behaviour
-/// after every step.
-fn run_differential(a: &mut dyn Policy, b: &mut dyn Policy, ops: &[RawOp]) {
-    let mut files: Vec<FileId> = Vec::new();
-    for &(sel, arg) in ops {
-        let arg = u64::from(arg);
-        match sel % 4 {
-            0 => {
-                // Create with an allocation-size hint spanning sub-unit to
-                // multi-block sizes.
-                let hints = FileHints { mean_extent_bytes: (arg % 64 + 1) * 1024 };
-                let ra = a.create(&hints);
-                let rb = b.create(&hints);
-                assert_eq!(ra, rb, "create diverged");
-                if let Ok(id) = ra {
-                    files.push(id);
-                }
-            }
-            1 if !files.is_empty() => {
-                let f = files[arg as usize % files.len()];
-                let units = arg % 96 + 1;
-                let ra = a.extend(f, units);
-                let rb = b.extend(f, units);
-                assert_eq!(ra, rb, "extend({units}) diverged");
-            }
-            2 if !files.is_empty() => {
-                let f = files[arg as usize % files.len()];
-                let units = arg % 128 + 1;
-                let ra = a.truncate(f, units);
-                let rb = b.truncate(f, units);
-                assert_eq!(ra, rb, "truncate({units}) diverged");
-            }
-            3 if !files.is_empty() => {
-                let f = files.swap_remove(arg as usize % files.len());
-                let ra = a.delete(f);
-                let rb = b.delete(f);
-                assert_eq!(ra, rb, "delete diverged");
-            }
-            _ => {}
-        }
-        assert_eq!(a.free_units(), b.free_units(), "free_units diverged");
-        assert_eq!(a.frag_gauges(), b.frag_gauges(), "frag gauges diverged");
-        for &f in &files {
-            assert_eq!(
-                a.file_map(f).map(|m| m.extents().to_vec()),
-                b.file_map(f).map(|m| m.extents().to_vec()),
-                "extent maps diverged"
-            );
-        }
+impl RunMap {
+    fn with_capacity(capacity: u64) -> Self {
+        RunMap(BTreeMap::from([(0, capacity)]))
     }
-    a.check_invariants();
-    b.check_invariants();
+
+    fn free_units(&self) -> u64 {
+        self.0.values().sum()
+    }
+
+    fn largest_run(&self) -> u64 {
+        self.0.values().copied().max().unwrap_or(0)
+    }
+
+    fn runs(&self) -> Vec<Extent> {
+        self.0.iter().map(|(&start, &len)| Extent::new(start, len)).collect()
+    }
+
+    fn release(&mut self, e: Extent) {
+        let (mut start, mut len) = (e.start, e.len);
+        if let Some((&p_start, &p_len)) = self.0.range(..e.start).next_back() {
+            assert!(p_start + p_len <= e.start, "release overlaps a free run");
+            if p_start + p_len == e.start {
+                self.0.remove(&p_start);
+                start = p_start;
+                len += p_len;
+            }
+        }
+        if let Some((&n_start, &n_len)) = self.0.range(e.start..).next() {
+            assert!(e.end() <= n_start, "release overlaps a free run");
+            if n_start == e.end() {
+                self.0.remove(&n_start);
+                len += n_len;
+            }
+        }
+        self.0.insert(start, len);
+    }
+
+    /// Takes `[start, start + len)` out of the free run holding all of it.
+    fn allocate_at(&mut self, start: u64, len: u64) -> Option<Extent> {
+        let (&run_start, &run_len) = self.0.range(..=start).next_back()?;
+        if run_start + run_len < start + len {
+            return None;
+        }
+        self.0.remove(&run_start);
+        if start > run_start {
+            self.0.insert(run_start, start - run_start);
+        }
+        if run_start + run_len > start + len {
+            self.0.insert(start + len, run_start + run_len - start - len);
+        }
+        Some(Extent::new(start, len))
+    }
+
+    /// The lowest-addressed run that holds `len`.
+    fn allocate_first_fit(&mut self, len: u64) -> Option<Extent> {
+        let (&start, _) = self.0.iter().find(|&(_, &run_len)| run_len >= len)?;
+        self.allocate_at(start, len)
+    }
+
+    /// The smallest run that holds `len`, the lower address on a tie.
+    fn allocate_best_fit(&mut self, len: u64) -> Option<Extent> {
+        let (_, start) =
+            self.0.iter().filter(|&(_, &l)| l >= len).map(|(&s, &l)| (l, s)).min()?;
+        self.allocate_at(start, len)
+    }
 }
 
 const CAPACITY: u64 = 4096;
 
-fn raw_ops() -> impl Strategy<Value = Vec<RawOp>> {
-    proptest::collection::vec((any::<u8>(), any::<u16>()), 1..120)
+/// A `(base, stride, end)` lattice: nonzero base; strides of 1, powers of
+/// two and odd values; an end that may leave a ragged partial block.
+fn lattice() -> impl Strategy<Value = (u64, u64, u64)> {
+    let stride = prop_oneof![
+        Just(1u64),
+        (1u32..7).prop_map(|k| 1u64 << k),
+        (1u64..20).prop_map(|k| 2 * k + 1),
+    ];
+    (1u64..5000, stride, 0u64..300, any::<u64>()).prop_map(|(base, stride, blocks, ragged)| {
+        (base, stride, base + stride * blocks + ragged % stride)
+    })
+}
+
+/// An address around the lattice, from raw entropy: below the base, on the
+/// lattice (up to two slots past the last whole block), anywhere in the
+/// span (mostly off the lattice), or past the end.
+fn probe((base, stride, end): (u64, u64, u64), raw: u64) -> u64 {
+    let r = raw / 4;
+    match raw % 4 {
+        0 => r % base,
+        1 => base + r % ((end - base) / stride + 2) * stride,
+        2 => base + r % (end - base + 2 * stride),
+        _ => end + r % (2 * stride),
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// FFS cylinder groups: bitmap block sets vs ordered sets.
+    /// `BitmapBlockSet` agrees with a `BTreeSet` holding the same lattice
+    /// addresses: inserts and removes report the same outcome, and every
+    /// query agrees after every step. Off-lattice addresses are never
+    /// members.
     #[test]
-    fn ffs_backends_are_equivalent(ops in raw_ops()) {
-        let mut a: FfsPolicy<BitmapBlockSet> = FfsPolicy::new(CAPACITY, 8, 512);
-        let mut b: FfsPolicy<BTreeBlockSet> = FfsPolicy::new(CAPACITY, 8, 512);
-        run_differential(&mut a, &mut b, &ops);
+    fn blockset_matches_btreeset(
+        lat in lattice(),
+        ops in proptest::collection::vec((any::<u8>(), any::<u64>(), any::<u64>()), 1..200),
+    ) {
+        let (base, stride, end) = lat;
+        let on_lattice = |a: u64| a >= base && (a - base).is_multiple_of(stride) && a + stride <= end;
+        let mut set = BitmapBlockSet::new(base, end, stride);
+        let mut model = BTreeSet::new();
+        for &(sel, raw, raw_q) in &ops {
+            let a = probe(lat, raw);
+            if sel % 3 == 2 {
+                assert_eq!(set.remove(a), model.remove(&a), "remove({a})");
+            } else {
+                assert_eq!(set.insert(a), on_lattice(a) && model.insert(a), "insert({a})");
+            }
+            let q = probe(lat, raw_q);
+            assert_eq!(set.len(), model.len(), "len");
+            assert_eq!(set.is_empty(), model.is_empty(), "is_empty");
+            assert_eq!(set.first(), model.first().copied(), "first");
+            assert_eq!(set.contains(q), model.contains(&q), "contains({q})");
+            assert_eq!(
+                set.first_at_or_after(q),
+                model.range(q..).next().copied(),
+                "first_at_or_after({q})"
+            );
+        }
+        assert_eq!(set.addrs(), model.into_iter().collect::<Vec<_>>(), "addrs");
     }
 
-    /// Restricted-buddy per-class free lists: bitmap vs ordered sets.
-    #[test]
-    fn restricted_backends_are_equivalent(ops in raw_ops()) {
-        let mut a: RestrictedPolicy<BitmapBlockSet> =
-            RestrictedPolicy::new(CAPACITY, &[1, 4, 16, 64], 2, Some(1024));
-        let mut b: RestrictedPolicy<BTreeBlockSet> =
-            RestrictedPolicy::new(CAPACITY, &[1, 4, 16, 64], 2, Some(1024));
-        run_differential(&mut a, &mut b, &ops);
-    }
-
-    /// Binary-buddy per-order free lists: bitmap vs ordered sets.
-    #[test]
-    fn buddy_backends_are_equivalent(ops in raw_ops()) {
-        let mut a: BuddyPolicy<BitmapBlockSet> = BuddyPolicy::new(CAPACITY, 256);
-        let mut b: BuddyPolicy<BTreeBlockSet> = BuddyPolicy::new(CAPACITY, 256);
-        run_differential(&mut a, &mut b, &ops);
-    }
-
-    /// Extent policy: bitmap free-space map vs the BTree run map. Both
-    /// sides share an RNG seed, so extent-size draws line up and any
-    /// divergence is the free-space search itself.
-    #[test]
-    fn extent_backends_are_equivalent(ops in raw_ops(), seed in any::<u64>()) {
-        let mut a: ExtentPolicy<FreeSpaceMap> =
-            ExtentPolicy::new(CAPACITY, &[8, 64], FitStrategy::FirstFit, 0.1, 1024, seed);
-        let mut b: ExtentPolicy<BTreeFreeSpaceMap> =
-            ExtentPolicy::new(CAPACITY, &[8, 64], FitStrategy::FirstFit, 0.1, 1024, seed);
-        run_differential(&mut a, &mut b, &ops);
-        let mut a: ExtentPolicy<FreeSpaceMap> =
-            ExtentPolicy::new(CAPACITY, &[8, 64], FitStrategy::BestFit, 0.1, 1024, seed);
-        let mut b: ExtentPolicy<BTreeFreeSpaceMap> =
-            ExtentPolicy::new(CAPACITY, &[8, 64], FitStrategy::BestFit, 0.1, 1024, seed);
-        run_differential(&mut a, &mut b, &ops);
-    }
-
-    /// The raw free-space maps under direct fit/release traffic, including
-    /// targeted `allocate_at` splits — exercises run coalescing and the
-    /// by-length index far harder than the policy layer above.
+    /// The free-space map under direct fit/release traffic, including
+    /// targeted `allocate_at` splits: run coalescing and the by-length
+    /// index against the run map.
     #[test]
     fn freespace_maps_are_equivalent(ops in proptest::collection::vec(
         (any::<u8>(), 0u64..CAPACITY, 1u64..128),
         1..200,
     )) {
         let mut a = FreeSpaceMap::with_capacity(CAPACITY);
-        let mut b = BTreeFreeSpaceMap::with_capacity(CAPACITY);
+        let mut b = RunMap::with_capacity(CAPACITY);
         let mut held: Vec<Extent> = Vec::new();
         for &(sel, addr, len) in &ops {
             match sel % 4 {
                 0 => {
                     let ra = a.allocate_first_fit(len);
-                    let rb = b.allocate_first_fit(len);
-                    assert_eq!(ra, rb, "first-fit diverged");
+                    assert_eq!(ra, b.allocate_first_fit(len), "first-fit diverged");
                     held.extend(ra);
                 }
                 1 => {
                     let ra = a.allocate_best_fit(len);
-                    let rb = b.allocate_best_fit(len);
-                    assert_eq!(ra, rb, "best-fit diverged");
+                    assert_eq!(ra, b.allocate_best_fit(len), "best-fit diverged");
                     held.extend(ra);
                 }
                 2 => {
                     let ra = a.allocate_at(addr, len);
-                    let rb = b.allocate_at(addr, len);
-                    assert_eq!(ra, rb, "allocate_at({addr}, {len}) diverged");
+                    assert_eq!(ra, b.allocate_at(addr, len), "allocate_at({addr}, {len}) diverged");
                     held.extend(ra);
                 }
                 3 if !held.is_empty() => {
@@ -172,35 +192,31 @@ proptest! {
                 _ => {}
             }
             assert_eq!(a.free_units(), b.free_units(), "free_units diverged");
-            assert_eq!(a.run_count(), b.run_count(), "run_count diverged");
+            assert_eq!(a.run_count(), b.0.len(), "run_count diverged");
             assert_eq!(a.largest_run(), b.largest_run(), "largest_run diverged");
-            assert_eq!(
-                a.runs().collect::<Vec<_>>(),
-                b.runs().collect::<Vec<_>>(),
-                "run lists diverged"
-            );
+            assert_eq!(a.runs().collect::<Vec<_>>(), b.runs(), "run lists diverged");
         }
         a.check_invariants();
-        b.check_invariants();
     }
 }
 
-/// Both free-space maps over `capacity` units with the `used` ranges
+/// The map and the model over `capacity` units with the `used` ranges
 /// carved out.
-fn maps_with_used(capacity: u64, used: &[(u64, u64)]) -> (FreeSpaceMap, BTreeFreeSpaceMap) {
+fn maps_with_used(capacity: u64, used: &[(u64, u64)]) -> (FreeSpaceMap, RunMap) {
     let mut a = FreeSpaceMap::with_capacity(capacity);
-    let mut b = BTreeFreeSpaceMap::with_capacity(capacity);
+    let mut b = RunMap::with_capacity(capacity);
     for &(start, len) in used {
         assert_eq!(a.allocate_at(start, len), b.allocate_at(start, len), "carving {start}+{len}");
     }
     (a, b)
 }
 
-/// First-fit of `len` on both maps: same answer, same runs afterwards.
-fn first_fit_agrees(a: &mut FreeSpaceMap, b: &mut BTreeFreeSpaceMap, len: u64) -> Option<Extent> {
+/// First-fit of `len` on the map and the model: same answer, same runs
+/// afterwards.
+fn first_fit_agrees(a: &mut FreeSpaceMap, b: &mut RunMap, len: u64) -> Option<Extent> {
     let got = a.allocate_first_fit(len);
     assert_eq!(got, b.allocate_first_fit(len), "first-fit({len}) diverged");
-    assert_eq!(a.runs().collect::<Vec<_>>(), b.runs().collect::<Vec<_>>(), "runs diverged");
+    assert_eq!(a.runs().collect::<Vec<_>>(), b.runs(), "runs diverged");
     a.check_invariants();
     got
 }

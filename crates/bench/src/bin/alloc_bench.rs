@@ -1,26 +1,20 @@
-//! Allocator microbenchmarks: bitmap-backed free-space structures vs their
-//! `BTreeSet`/`BTreeMap` reference backends.
+//! Allocator microbenchmarks: absolute ns/op of each policy's shipped
+//! free-space structures.
 //!
 //! For each policy family and each steady-state utilization level the
-//! harness fills a disk to the target, then times an identical churn
-//! stream (extend / truncate / delete+create, identical RNG seeds, so both
-//! backends make byte-identical decisions — see
-//! `crates/alloc/tests/bitmap_equiv.rs`) against each backend. Median
-//! ns/op over several repetitions goes to stdout as a table and, with
-//! `--json PATH`, into a `BENCH_alloc.json`-shaped snapshot that
-//! `scripts/check.sh` uses as its perf-regression baseline.
-//!
-//! One more row times the shipped bitmap backend alone, in absolute ns/op:
-//! first-fit extents at the time-sharing (TS) workload's 1 KB and 8 KB
-//! extent sizes, churned at 95 % utilization on the paper's full array —
-//! the allocator work that dominates the TS points of the paper's §3
-//! allocation tests.
+//! harness fills a disk to the target, then times a churn stream (extend /
+//! truncate / delete+create) with fixed RNG seeds. Two more rows time the
+//! shapes that dominate particular experiments: `ffs-frag`, the FFS
+//! fragment paths at 95 % utilization with tiny files only, and
+//! `extent-ts-ff`, first-fit extents at the time-sharing (TS) workload's
+//! 1 KB and 8 KB extent sizes, churned at 95 % utilization on the paper's
+//! full array. Median ns/op over several repetitions goes to stdout as a
+//! table and, with `--json PATH`, into a `BENCH_alloc.json`-shaped
+//! snapshot that `scripts/check.sh` uses as its perf-regression baseline.
 //!
 //! Wall-clock here is measurement, not simulation: the bench crate is the
 //! one place the workspace reads real time (simlint r2 exemption).
 
-use readopt_alloc::blockset::{BTreeBlockSet, BitmapBlockSet};
-use readopt_alloc::freespace::{BTreeFreeSpaceMap, FreeSpaceMap};
 use readopt_alloc::{
     BuddyPolicy, ExtentPolicy, FfsPolicy, FileHints, FileId, FitStrategy, Policy,
     RestrictedPolicy,
@@ -30,50 +24,22 @@ use readopt_sim::SimRng;
 use serde::Serialize;
 use std::time::Instant;
 
-/// Unit capacity of the benchmark disk. Large enough that the reference
-/// backends' ordered sets hold tens of thousands of entries at low
-/// utilization.
+/// Unit capacity of the benchmark disk.
 const CAPACITY: u64 = 1 << 18;
 /// Churn operations timed per repetition.
 const CHURN_OPS: u64 = 40_000;
-/// Repetitions per (policy, utilization, backend); the median is reported.
+/// Repetitions per row; the median is reported.
 const REPS: usize = 5;
-/// Ops timed per repetition in the high-fragmentation phase. The op mix is
-/// all tail-sized, so every operation hits the ffs fragment paths; fewer
-/// ops than the main churn keep `scripts/check.sh` fast.
+/// Ops timed per repetition of the `ffs-frag` row. The op mix is all
+/// tail-sized, so every operation hits the ffs fragment paths.
 const FRAG_OPS: u64 = 6_000;
-/// Utilization of the high-fragmentation phase: near-full, where the
-/// fragmented-block population (and thus the linear scan's work) peaks.
+/// Utilization of the `ffs-frag` and `extent-ts-ff` rows: near-full, where
+/// the fragmented-block population and the free-run count peak.
 const FRAG_UTIL: f64 = 0.95;
 
-/// One (policy, utilization) comparison.
+/// One (policy, utilization) timing.
 #[derive(Debug, Serialize)]
 struct BenchRow {
-    policy: String,
-    util_pct: u32,
-    bitmap_ns_per_op: u64,
-    btree_ns_per_op: u64,
-    /// btree / bitmap — above 1.0 means the bitmap backend is faster.
-    speedup: f64,
-}
-
-/// One high-fragmentation comparison: the ffs fragment path with the
-/// run-length `FragIndex` vs the pre-index linear `frag_blocks` scan
-/// (identical seeds, identical decisions — see
-/// `crates/alloc/tests/frag_equiv.rs`).
-#[derive(Debug, Serialize)]
-struct FragRow {
-    policy: String,
-    util_pct: u32,
-    indexed_ns_per_op: u64,
-    linear_ns_per_op: u64,
-    /// linear / indexed — above 1.0 means the index is faster.
-    speedup: f64,
-}
-
-/// One absolute-cost row: the shipped bitmap backend only.
-#[derive(Debug, Serialize)]
-struct AbsRow {
     policy: String,
     util_pct: u32,
     ns_per_op: u64,
@@ -85,58 +51,24 @@ struct BenchReport {
     capacity_units: u64,
     churn_ops: u64,
     reps: usize,
-    rows: Vec<BenchRow>,
     frag_ops: u64,
-    frag_rows: Vec<FragRow>,
-    abs_rows: Vec<AbsRow>,
+    rows: Vec<BenchRow>,
 }
 
-/// Backend selector for the policy factories.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Backend {
-    Bitmap,
-    BTree,
-}
-
-/// Builds a fresh policy of the named family over the chosen backend.
-fn build(policy: &str, backend: Backend) -> Box<dyn Policy> {
-    match (policy, backend) {
-        ("ffs", Backend::Bitmap) => {
-            let p: FfsPolicy<BitmapBlockSet> = FfsPolicy::new(CAPACITY, 8, 1 << 15);
-            Box::new(p)
-        }
-        ("ffs", Backend::BTree) => {
-            let p: FfsPolicy<BTreeBlockSet> = FfsPolicy::new(CAPACITY, 8, 1 << 15);
-            Box::new(p)
-        }
-        ("restricted", Backend::Bitmap) => {
-            let p: RestrictedPolicy<BitmapBlockSet> =
-                RestrictedPolicy::new(CAPACITY, &[1, 4, 16, 64], 2, None);
-            Box::new(p)
-        }
-        ("restricted", Backend::BTree) => {
-            let p: RestrictedPolicy<BTreeBlockSet> =
-                RestrictedPolicy::new(CAPACITY, &[1, 4, 16, 64], 2, None);
-            Box::new(p)
-        }
-        ("buddy", Backend::Bitmap) => {
-            let p: BuddyPolicy<BitmapBlockSet> = BuddyPolicy::new(CAPACITY, 256);
-            Box::new(p)
-        }
-        ("buddy", Backend::BTree) => {
-            let p: BuddyPolicy<BTreeBlockSet> = BuddyPolicy::new(CAPACITY, 256);
-            Box::new(p)
-        }
-        ("extent", Backend::Bitmap) => {
-            let p: ExtentPolicy<FreeSpaceMap> =
-                ExtentPolicy::new(CAPACITY, &[8, 64], FitStrategy::FirstFit, 0.1, 1024, 11);
-            Box::new(p)
-        }
-        ("extent", Backend::BTree) => {
-            let p: ExtentPolicy<BTreeFreeSpaceMap> =
-                ExtentPolicy::new(CAPACITY, &[8, 64], FitStrategy::FirstFit, 0.1, 1024, 11);
-            Box::new(p)
-        }
+/// Builds a fresh policy of the named family.
+fn build(policy: &str) -> Box<dyn Policy> {
+    match policy {
+        "ffs" => Box::new(FfsPolicy::new(CAPACITY, 8, 1 << 15)),
+        "restricted" => Box::new(RestrictedPolicy::new(CAPACITY, &[1, 4, 16, 64], 2, None)),
+        "buddy" => Box::new(BuddyPolicy::new(CAPACITY, 256)),
+        "extent" => Box::new(ExtentPolicy::new(
+            CAPACITY,
+            &[8, 64],
+            FitStrategy::FirstFit,
+            0.1,
+            1024,
+            11,
+        )),
         _ => unreachable!("unknown policy family {policy}"),
     }
 }
@@ -226,12 +158,12 @@ fn median(mut xs: Vec<u64>) -> u64 {
     xs[xs.len() / 2]
 }
 
-/// Times one (policy, utilization, backend) cell: median ns/op over
-/// `REPS` fresh fill+churn repetitions, all seeded identically.
-fn measure(policy: &str, backend: Backend, target: f64) -> u64 {
+/// Times one (policy, utilization) cell: median ns/op over `REPS` fresh
+/// fill+churn repetitions.
+fn measure(policy: &str, target: f64) -> u64 {
     let mut samples = Vec::with_capacity(REPS);
     for rep in 0..REPS {
-        let mut p = build(policy, backend);
+        let mut p = build(policy);
         let mut rng = SimRng::new(1000 + rep as u64);
         let mut files = fill(p.as_mut(), &mut rng, target);
         samples.push(churn(p.as_mut(), &mut files, &mut rng, target));
@@ -241,13 +173,11 @@ fn measure(policy: &str, backend: Backend, target: f64) -> u64 {
 
 /// Times the ffs fragment path under heavy fragmentation: the disk is
 /// packed to `FRAG_UTIL` with tail-only (1..7-fragment) files, then a
-/// tail-sized op mix churns the fragment maps. Both strategies replay the
-/// same seeds and make identical decisions; only the lookup differs.
-fn measure_frag(linear: bool) -> u64 {
+/// tail-sized op mix churns the fragment maps.
+fn measure_frag() -> u64 {
     let mut samples = Vec::with_capacity(REPS);
     for rep in 0..REPS {
-        let mut p: FfsPolicy<BitmapBlockSet> = FfsPolicy::new(CAPACITY, 8, 1 << 15);
-        p.set_linear_scan(linear);
+        let mut p = FfsPolicy::new(CAPACITY, 8, 1 << 15);
         let mut rng = SimRng::new(2000 + rep as u64);
         // Fragment-heavy fill: tiny files only, so reaching the target
         // utilization leaves thousands of fragmented blocks per group.
@@ -328,7 +258,7 @@ fn measure_ts_first_fit() -> u64 {
     let large = FileHints { mean_extent_bytes: 8 * 1024 };
     let mut samples = Vec::with_capacity(REPS);
     for rep in 0..REPS as u64 {
-        let mut p: ExtentPolicy<FreeSpaceMap> =
+        let mut p =
             ExtentPolicy::new(capacity, &[1, 8], FitStrategy::FirstFit, 0.1, 1024, 3000 + rep);
         let mut rng = SimRng::new(3000 + rep);
         // (file, write size in units, small?)
@@ -406,60 +336,26 @@ fn main() {
         }
     }
 
+    println!("{:<12} {:>5} {:>10}", "policy", "util", "ns/op");
     let mut rows = Vec::new();
-    println!(
-        "{:<12} {:>5} {:>14} {:>14} {:>9}",
-        "policy", "util", "bitmap ns/op", "btree ns/op", "speedup"
-    );
+    let mut row = |policy: &str, util_pct: u32, ns_per_op: u64| {
+        println!("{policy:<12} {util_pct:>4}% {ns_per_op:>10}");
+        rows.push(BenchRow { policy: policy.to_string(), util_pct, ns_per_op });
+    };
     for policy in ["ffs", "restricted", "buddy", "extent"] {
         for util_pct in [50u32, 80, 95] {
-            let target = f64::from(util_pct) / 100.0;
-            let bitmap = measure(policy, Backend::Bitmap, target);
-            let btree = measure(policy, Backend::BTree, target);
-            let speedup = btree as f64 / bitmap.max(1) as f64;
-            println!(
-                "{policy:<12} {util_pct:>4}% {bitmap:>14} {btree:>14} {speedup:>8.2}x"
-            );
-            rows.push(BenchRow {
-                policy: policy.to_string(),
-                util_pct,
-                bitmap_ns_per_op: bitmap,
-                btree_ns_per_op: btree,
-                speedup,
-            });
+            row(policy, util_pct, measure(policy, f64::from(util_pct) / 100.0));
         }
     }
-
-    // High-fragmentation phase: FragIndex vs the pre-index linear scan on
-    // the ffs fragment path, identical seeds and identical decisions.
-    let indexed = measure_frag(false);
-    let linear = measure_frag(true);
-    let frag_speedup = linear as f64 / indexed.max(1) as f64;
-    println!(
-        "{:<12} {:>4}% {:>14} {:>14} {:>8.2}x   (indexed vs linear frag scan)",
-        "ffs-frag", 95, indexed, linear, frag_speedup
-    );
-    let frag_rows = vec![FragRow {
-        policy: "ffs-frag".to_string(),
-        util_pct: 95,
-        indexed_ns_per_op: indexed,
-        linear_ns_per_op: linear,
-        speedup: frag_speedup,
-    }];
-
-    // Absolute cost of the shipped backend in the TS first-fit shape.
-    let ts = measure_ts_first_fit();
-    println!("{:<12} {:>4}% {:>14}   (bitmap only, paper capacity)", "extent-ts-ff", 95, ts);
-    let abs_rows = vec![AbsRow { policy: "extent-ts-ff".to_string(), util_pct: 95, ns_per_op: ts }];
+    row("ffs-frag", 95, measure_frag());
+    row("extent-ts-ff", 95, measure_ts_first_fit());
 
     let report = BenchReport {
         capacity_units: CAPACITY,
         churn_ops: CHURN_OPS,
         reps: REPS,
-        rows,
         frag_ops: FRAG_OPS,
-        frag_rows,
-        abs_rows,
+        rows,
     };
     if let Some(path) = json_path {
         let json = serde_json::to_string_pretty(&report).expect("serialize bench report");

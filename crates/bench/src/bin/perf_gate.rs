@@ -9,8 +9,9 @@
 //!
 //! Each snapshot also gets one machine-readable verdict line,
 //! `snapshot <runner|alloc>: <status>`, where status is `ok` (gated, no
-//! warning), `warn` (at least one warning), `no-baseline` (nothing to
-//! gate against) or `unreadable` (the fresh file is missing or not JSON).
+//! warning), `warn` (at least one warning), `no-baseline` (no baseline
+//! file, or no baseline number matched a fresh one, so nothing was
+//! compared) or `unreadable` (the fresh file is missing or not JSON).
 //! `scripts/check.sh` refreshes a committed snapshot only on `ok` or
 //! `no-baseline`, so a regressed run never becomes the next baseline.
 //!
@@ -44,18 +45,27 @@ fn as_array(v: &Value) -> Option<&[Value]> {
     }
 }
 
-/// True (and prints a WARN) when `fresh` exceeds `base` by more than
-/// `threshold` percent.
-fn warn_if_slower(label: &str, base: f64, fresh: f64, threshold: f64, unit: &str) -> bool {
-    if base <= 0.0 || !base.is_finite() || !fresh.is_finite() {
-        return false;
-    }
-    let pct = (fresh / base - 1.0) * 100.0;
-    if pct > threshold {
-        println!("WARN: {label}: {fresh:.3}{unit} vs baseline {base:.3}{unit} (+{pct:.0}%)");
-        true
-    } else {
-        false
+/// What gating one snapshot did: how many baseline numbers found a fresh
+/// counterpart, and how many of those warned.
+#[derive(Debug, Default)]
+struct Gated {
+    compared: usize,
+    warns: usize,
+}
+
+impl Gated {
+    /// Compares one baseline/fresh pair; prints a WARN and counts it when
+    /// `fresh` exceeds `base` by more than `threshold` percent.
+    fn compare(&mut self, label: &str, base: f64, fresh: f64, threshold: f64, unit: &str) {
+        self.compared += 1;
+        if base <= 0.0 || !base.is_finite() || !fresh.is_finite() {
+            return;
+        }
+        let pct = (fresh / base - 1.0) * 100.0;
+        if pct > threshold {
+            println!("WARN: {label}: {fresh:.3}{unit} vs baseline {base:.3}{unit} (+{pct:.0}%)");
+            self.warns += 1;
+        }
     }
 }
 
@@ -85,10 +95,10 @@ fn text<'a>(v: &'a Value, key: &str) -> Option<&'a str> {
 }
 
 /// Runner profile: total wall time plus per-experiment wall times.
-fn gate_runner(base: &Value, fresh: &Value, threshold: f64) -> usize {
-    let mut warns = 0;
+fn gate_runner(base: &Value, fresh: &Value, threshold: f64) -> Gated {
+    let mut gated = Gated::default();
     if let (Some(b), Some(f)) = (num(base, "total_wall_s"), num(fresh, "total_wall_s")) {
-        warns += usize::from(warn_if_slower("runner total", b, f, threshold, "s"));
+        gated.compare("runner total", b, f, threshold, "s");
     }
     let base_exps = base.get("experiments").and_then(as_array).unwrap_or(&[]);
     let fresh_exps = fresh.get("experiments").and_then(as_array).unwrap_or(&[]);
@@ -97,23 +107,21 @@ fn gate_runner(base: &Value, fresh: &Value, threshold: f64) -> usize {
         let fe = fresh_exps.iter().find(|f| text(f, "experiment") == Some(name));
         if let Some(fe) = fe {
             if let (Some(b), Some(f)) = (num(be, "wall_s"), num(fe, "wall_s")) {
-                warns +=
-                    usize::from(warn_if_slower(&format!("runner {name}"), b, f, threshold, "s"));
+                gated.compare(&format!("runner {name}"), b, f, threshold, "s");
             }
             // users_1e6 also gates per point, matched by label: the heap
             // vs calendar walls at each user-count rung are its payload.
             // Baselines predating it contribute nothing.
             if name == "users_1e6" {
-                warns += gate_points(be, fe, threshold);
+                gate_points(be, fe, threshold, &mut gated);
             }
         }
     }
-    warns
+    gated
 }
 
 /// Per-sweep-point wall times of one experiment, matched by point label.
-fn gate_points(base_exp: &Value, fresh_exp: &Value, threshold: f64) -> usize {
-    let mut warns = 0;
+fn gate_points(base_exp: &Value, fresh_exp: &Value, threshold: f64, gated: &mut Gated) {
     let base_points = base_exp.get("points").and_then(as_array).unwrap_or(&[]);
     let fresh_points = fresh_exp.get("points").and_then(as_array).unwrap_or(&[]);
     for bp in base_points {
@@ -121,49 +129,31 @@ fn gate_points(base_exp: &Value, fresh_exp: &Value, threshold: f64) -> usize {
         let fp = fresh_points.iter().find(|p| text(p, "label") == Some(label));
         if let Some(fp) = fp {
             if let (Some(b), Some(f)) = (num(bp, "wall_ms"), num(fp, "wall_ms")) {
-                warns +=
-                    usize::from(warn_if_slower(&format!("runner {label}"), b, f, threshold, "ms"));
+                gated.compare(&format!("runner {label}"), b, f, threshold, "ms");
             }
         }
     }
-    warns
 }
 
-/// Allocator microbench: per-(policy, utilization) bitmap ns/op — the
-/// shipped backend is what must not quietly regress — plus the
-/// high-fragmentation phase's indexed ns/op and the absolute-cost rows.
-/// Baselines predating a row family simply contribute nothing (the key
-/// lookups come up empty).
-fn gate_alloc(base: &Value, fresh: &Value, threshold: f64) -> usize {
-    let mut warns = 0;
-    for (family, key, label) in [
-        ("rows", "bitmap_ns_per_op", "alloc"),
-        ("frag_rows", "indexed_ns_per_op", "alloc frag"),
-        ("abs_rows", "ns_per_op", "alloc abs"),
-    ] {
-        let base_rows = base.get(family).and_then(as_array).unwrap_or(&[]);
-        let fresh_rows = fresh.get(family).and_then(as_array).unwrap_or(&[]);
-        for br in base_rows {
-            let (Some(policy), Some(util)) = (text(br, "policy"), num(br, "util_pct")) else {
-                continue;
-            };
-            let fr = fresh_rows
-                .iter()
-                .find(|f| text(f, "policy") == Some(policy) && num(f, "util_pct") == Some(util));
-            if let Some(fr) = fr {
-                if let (Some(b), Some(f)) = (num(br, key), num(fr, key)) {
-                    warns += usize::from(warn_if_slower(
-                        &format!("{label} {policy}@{util}%"),
-                        b,
-                        f,
-                        threshold,
-                        "ns/op",
-                    ));
-                }
-            }
+/// Allocator microbench: ns/op per (policy, utilization) row. Baseline
+/// rows without a fresh counterpart, or without an `ns_per_op` key (older
+/// schemas), compare nothing.
+fn gate_alloc(base: &Value, fresh: &Value, threshold: f64) -> Gated {
+    let mut gated = Gated::default();
+    let base_rows = base.get("rows").and_then(as_array).unwrap_or(&[]);
+    let fresh_rows = fresh.get("rows").and_then(as_array).unwrap_or(&[]);
+    for br in base_rows {
+        let (Some(policy), Some(util)) = (text(br, "policy"), num(br, "util_pct")) else {
+            continue;
+        };
+        let fr = fresh_rows
+            .iter()
+            .find(|f| text(f, "policy") == Some(policy) && num(f, "util_pct") == Some(util));
+        if let (Some(b), Some(f)) = (num(br, "ns_per_op"), fr.and_then(|fr| num(fr, "ns_per_op"))) {
+            gated.compare(&format!("alloc {policy}@{util}%"), b, f, threshold, "ns/op");
         }
     }
-    warns
+    gated
 }
 
 fn main() {
@@ -208,23 +198,76 @@ fn main() {
     }
 }
 
+/// A snapshot's verdict and warning count: `no-baseline` when nothing
+/// was compared, even if a baseline file was there.
+fn verdict(
+    base: Option<&Value>,
+    fresh: Option<&Value>,
+    gate: fn(&Value, &Value, f64) -> Gated,
+    threshold: f64,
+) -> (&'static str, usize) {
+    match (base, fresh) {
+        (_, None) => ("unreadable", 0),
+        (None, Some(_)) => ("no-baseline", 0),
+        (Some(b), Some(f)) => match gate(b, f, threshold) {
+            Gated { compared: 0, .. } => ("no-baseline", 0),
+            Gated { warns: 0, .. } => ("ok", 0),
+            Gated { warns, .. } => ("warn", warns),
+        },
+    }
+}
+
 /// Gates one snapshot and prints its machine-readable verdict line.
 /// Returns the number of warnings.
 fn gate_snapshot(
     name: &str,
     base: &str,
     fresh: &str,
-    gate: fn(&Value, &Value, f64) -> usize,
+    gate: fn(&Value, &Value, f64) -> Gated,
     threshold: f64,
 ) -> usize {
-    let (status, warns) = match (load(base), load(fresh)) {
-        (_, None) => ("unreadable", 0),
-        (None, Some(_)) => ("no-baseline", 0),
-        (Some(b), Some(f)) => {
-            let warns = gate(&b, &f, threshold);
-            (if warns == 0 { "ok" } else { "warn" }, warns)
-        }
-    };
+    let (status, warns) = verdict(load(base).as_ref(), load(fresh).as_ref(), gate, threshold);
     println!("snapshot {name}: {status}");
     warns
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn alloc_snapshot(policy: &str, key: &str, ns: u64) -> Value {
+        let row = format!(r#"{{"policy": "{policy}", "util_pct": 50, "{key}": {ns}}}"#);
+        let text = format!(r#"{{"rows": [{row}]}}"#);
+        serde_json::from_str(&text).expect("valid JSON")
+    }
+
+    #[test]
+    fn alloc_verdicts() {
+        let base = alloc_snapshot("ffs", "ns_per_op", 1000);
+        let gate = |fresh: &Value| verdict(Some(&base), Some(fresh), gate_alloc, 25.0);
+        assert_eq!(gate(&alloc_snapshot("ffs", "ns_per_op", 1200)), ("ok", 0));
+        assert_eq!(gate(&alloc_snapshot("ffs", "ns_per_op", 1300)), ("warn", 1));
+        // Rows that match no baseline row compare nothing: not `ok`.
+        assert_eq!(gate(&alloc_snapshot("buddy", "ns_per_op", 99_999)), ("no-baseline", 0));
+        assert_eq!(gate(&alloc_snapshot("ffs", "bitmap_ns_per_op", 99_999)), ("no-baseline", 0));
+        let old_schema = alloc_snapshot("ffs", "bitmap_ns_per_op", 876);
+        let fresh = alloc_snapshot("ffs", "ns_per_op", 99_999);
+        assert_eq!(verdict(Some(&old_schema), Some(&fresh), gate_alloc, 25.0), ("no-baseline", 0));
+        assert_eq!(verdict(None, Some(&fresh), gate_alloc, 25.0), ("no-baseline", 0));
+        assert_eq!(verdict(Some(&base), None, gate_alloc, 25.0), ("unreadable", 0));
+    }
+
+    #[test]
+    fn runner_verdicts() {
+        let profile = |total: f64| -> Value {
+            serde_json::from_str(&format!(r#"{{"total_wall_s": {total}}}"#)).expect("valid JSON")
+        };
+        let gate = |base: &Value, fresh: f64| {
+            verdict(Some(base), Some(&profile(fresh)), gate_runner, 25.0)
+        };
+        assert_eq!(gate(&profile(1.0), 1.1), ("ok", 0));
+        assert_eq!(gate(&profile(1.0), 2.0), ("warn", 1));
+        let empty: Value = serde_json::from_str("{}").expect("valid JSON");
+        assert_eq!(gate(&empty, 2.0), ("no-baseline", 0));
+    }
 }

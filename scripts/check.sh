@@ -134,7 +134,7 @@ done
     || { echo "ERROR: store export wrote a different artifact set"; exit 1; }
 echo "   store export byte-identical to the original sidecars"
 
-echo "== allocator microbench (bitmap vs btree backends) =="
+echo "== allocator microbench (ns/op per policy) =="
 cargo run --release -q -p readopt-bench --bin alloc_bench -- \
     --json target/check/alloc_bench.json
 

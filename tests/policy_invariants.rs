@@ -4,8 +4,9 @@
 //! The invariants (checked by `Policy::check_invariants`):
 //! * live extents are in-bounds, non-overlapping, non-empty;
 //! * `free + data + metadata == capacity` after every operation;
-//! * policy-specific structure (buddy alignment/coalescing, region
-//!   accounting, extent-map coalescing) holds;
+//! * policy-specific structure holds (`Policy::check_structure`: buddy
+//!   alignment/coalescing, restricted region accounting and the region
+//!   index, the extent map's by-length index, the FFS fragment index);
 //! * `extend` grows the file by exactly the units it reports (at least
 //!   the request) or, failing, changes nothing; `truncate` shrinks it by
 //!   exactly the units it reports (at most the request).
