@@ -9,8 +9,8 @@
 //!
 //! EXPERIMENT: table1 table2 table3 fig1 fig2 fig3 fig4 fig5 table4 fig6 ablations diag
 //!             shard_scaling users_1e6 all (default: all)
-//! --scale N:     divide the paper's 2.8 GB array capacity by N (default 1,
-//!                i.e. full paper scale; benches use 64)
+//! --scale N:     divide the paper's 2.8 GB array capacity by N (at least 1;
+//!                default 1, i.e. full paper scale)
 //! --seed S:      base RNG seed (default 1991)
 //! --intervals K: cap on measured 10 s intervals per performance test (at
 //!                least the stabilization window; fewer is a usage error)
@@ -143,11 +143,15 @@ fn parse_args() -> Result<Options, String> {
     while let Some(a) = args.next() {
         match a.as_str() {
             "--scale" => {
-                opts.scale = args
+                let n: u32 = args
                     .next()
                     .ok_or("--scale needs a value")?
                     .parse()
                     .map_err(|e| format!("--scale: {e}"))?;
+                if n == 0 {
+                    return Err("--scale must be at least 1".into());
+                }
+                opts.scale = n;
             }
             "--seed" => {
                 opts.seed = args
@@ -348,7 +352,7 @@ fn main() {
     }
 
     let jobs = opts.jobs.unwrap_or_else(runner::default_jobs);
-    let mut ctx = if opts.scale <= 1 {
+    let mut ctx = if opts.scale == 1 {
         ExperimentContext::full()
     } else {
         ExperimentContext::fast(opts.scale)
@@ -388,7 +392,7 @@ fn main() {
         "readopt repro — array: {} disks, {:.2} GB usable (scale 1/{}), seed {}, {} jobs, {} shards, {} queue\n",
         ctx.array.ndisks,
         ctx.array.capacity_bytes() as f64 / 1e9,
-        opts.scale.max(1),
+        opts.scale,
         ctx.seed,
         jobs,
         ctx.shards,

@@ -270,8 +270,8 @@ mod tests {
         assert_eq!(a, b);
     }
 
-    /// The PR's acceptance criterion: measured single-disk phase averages
-    /// match the Table 1 analytic values within 1%.
+    /// Measured single-disk phase averages match the Table 1 analytic
+    /// values within 1%.
     #[test]
     fn measured_phases_match_table1_within_one_percent() {
         let check = wren_iv_cross_check(20_000, 1991);

@@ -53,8 +53,9 @@ pub struct ShardScaling {
     pub point: String,
     /// One entry per shard count, in [`SHARD_SWEEP`] order.
     pub points: Vec<ShardScalingPoint>,
-    /// Speedup at the largest shard count (the headline number the perf
-    /// gate tracks, warn-only).
+    /// `speedup_vs_serial` of the largest shard count: 1-shard wall /
+    /// largest-shard-count wall (>1: sharding was faster). Wall-clock, so it
+    /// varies run to run; nothing gates on it.
     pub speedup_at_max_shards: f64,
 }
 

@@ -99,8 +99,9 @@ pub struct UsersScale {
     pub full_ladder: bool,
     /// One entry per rung, ascending user count.
     pub points: Vec<UsersScalePoint>,
-    /// Calendar speedup at the largest rung (the headline number the perf
-    /// gate tracks, warn-only).
+    /// `calendar_speedup` of the largest rung: heap wall / calendar wall
+    /// (>1: the calendar queue was faster). Wall-clock, so it varies run to
+    /// run; nothing gates on it.
     pub speedup_at_max_users: f64,
 }
 

@@ -54,3 +54,31 @@ fn intervals_at_the_stabilization_window_run() {
         );
     }
 }
+
+#[test]
+fn bad_flag_values_are_usage_errors() {
+    // Each case names a cheap experiment first, so a flag that is wrongly
+    // accepted fails the test at once instead of running a full sweep.
+    let cases: [(&[&str], &str); 7] = [
+        (&["--scale", "0"], "--scale must be at least 1"),
+        (&["--jobs", "0"], "--jobs must be at least 1"),
+        (&["--jobs", "abc"], "--jobs: invalid digit"),
+        (&["--jobs"], "--jobs needs a value"),
+        (&["--shards", "0"], "--shards must be at least 1"),
+        (&["--event-queue", "bogus"], "--event-queue: unknown backend bogus"),
+        (&["--workers", "2"], "unknown option --workers"),
+    ];
+    for (flags, message) in cases {
+        let args: Vec<&str> = ["table2"].iter().chain(flags).copied().collect();
+        let out = repro(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}:\n{stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?} panicked:\n{stderr}");
+        assert!(stderr.contains(message), "{args:?} names the problem:\n{stderr}");
+        assert!(
+            stderr.contains("usage: repro"),
+            "{args:?}: usage text follows the error:\n{stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?}: no experiment started before the rejection");
+    }
+}

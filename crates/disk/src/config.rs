@@ -52,7 +52,7 @@ impl ArrayConfig {
     }
 
     /// The paper system scaled down by `factor` in capacity (same mechanics,
-    /// same disk count) — used by tests and criterion benches so full sweeps
+    /// same disk count) — used by tests and `repro --scale` so full sweeps
     /// stay fast. Throughput *percentages* remain comparable.
     pub fn scaled(factor: u32) -> Self {
         ArrayConfig { geometry: DiskGeometry::wren_iv_scaled(factor), ..Self::paper_default() }

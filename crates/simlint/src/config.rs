@@ -97,7 +97,7 @@ impl LintConfig {
             (
                 "r3".to_string(),
                 rule(
-                    set(&["sim", "disk", "alloc", "workloads", "fs", "bench", "simlint", "readopt"]),
+                    set(&["sim", "disk", "alloc", "workloads", "fs", "simlint", "readopt"]),
                     true,
                     true,
                 ),

@@ -14,34 +14,17 @@
 #   7. an --event-queue calendar rerun, byte-compared: the calendar
 #      backend must be results-invariant in the queue structure;
 #   8. `repro export` from the store of leg 5, byte-compared against that
-#      leg's sidecars;
-#   9. the allocator microbench and the warn-only perf gate.
-# The smoke run's timing profile (per-experiment wall clock, per-sweep-
-# point breakdown, and the measured metrics-snapshot overhead) is
-# snapshotted into BENCH_runner.json at the repo root, the microbench into
-# BENCH_alloc.json, each only when the gate passed it (see below); the lint
-# report is written to target/check/simlint.json.
-#
-# The perf gate compares against the *committed* BENCH_*.json (HEAD), not
-# the working tree, so a slow run can never become its own baseline. A
-# snapshot is refreshed only when the gate found no regression in it (or
-# had no baseline to gate against); a snapshot that warned is kept, and the
-# script says so. Pass --accept to refresh every snapshot anyway (after a
-# deliberate slowdown, or a rerun that confirmed a warning was noise), or
-# --no-refresh to leave the working-tree snapshots untouched (gate only;
-# it wins over --accept).
+#      leg's sidecars.
+# Every file the script writes is under target/ (the lint report is
+# target/check/simlint.json); it changes no tracked file. It checks
+# correctness only: speed is measured by the benchmark in perfbench/.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-REFRESH=1
-ACCEPT=0
-for arg in "$@"; do
-    case "$arg" in
-        --no-refresh) REFRESH=0 ;;
-        --accept) ACCEPT=1 ;;
-        *) echo "unknown option $arg (usage: check.sh [--no-refresh] [--accept])"; exit 2 ;;
-    esac
-done
+if [ "$#" -gt 0 ]; then
+    echo "usage: scripts/check.sh (takes no options)" >&2
+    exit 2
+fi
 
 echo "== cargo build --release (warnings deny) =="
 RUSTFLAGS="-D warnings" cargo build --release
@@ -133,43 +116,3 @@ done
 [ "$(ls target/check-j1/*.json | wc -l)" = "$(ls target/check-export/*.json | wc -l)" ] \
     || { echo "ERROR: store export wrote a different artifact set"; exit 1; }
 echo "   store export byte-identical to the original sidecars"
-
-echo "== allocator microbench (ns/op per policy) =="
-cargo run --release -q -p readopt-bench --bin alloc_bench -- \
-    --json target/check/alloc_bench.json
-
-echo "== perf regression gate (warn-only, +25% vs committed baselines) =="
-# Baselines come from the committed snapshots (HEAD), never the working
-# tree: comparing against a file this script is about to overwrite would
-# let one slow run silently become the next run's baseline. A snapshot
-# that was never committed falls back to the working-tree copy (first run
-# in a fresh history); perf_gate skips missing/empty baselines gracefully.
-for snap in BENCH_runner.json BENCH_alloc.json; do
-    if ! git show "HEAD:$snap" > "target/check/base_$snap" 2>/dev/null; then
-        if [ -f "$snap" ]; then cp "$snap" "target/check/base_$snap"; else : > "target/check/base_$snap"; fi
-    fi
-done
-cargo run --release -q -p readopt-bench --bin perf_gate -- \
-    --threshold-pct 25 \
-    --runner target/check/base_BENCH_runner.json target/check/profile.json \
-    --alloc target/check/base_BENCH_alloc.json target/check/alloc_bench.json \
-    | tee target/check/perf_gate.txt
-
-if [ "$REFRESH" = 1 ]; then
-    # perf_gate ends each snapshot's gating with `snapshot NAME: STATUS`.
-    for entry in runner:profile.json:BENCH_runner.json alloc:alloc_bench.json:BENCH_alloc.json; do
-        IFS=: read -r name fresh snap <<< "$entry"
-        status=$(sed -n "s/^snapshot $name: //p" target/check/perf_gate.txt)
-        if [ "$status" = ok ] || [ "$status" = no-baseline ]; then
-            cp "target/check/$fresh" "$snap"
-            echo "== wrote $snap (gate: $status) =="
-        elif [ "$ACCEPT" = 1 ]; then
-            cp "target/check/$fresh" "$snap"
-            echo "== wrote $snap (gate: ${status:-none}; taken by --accept) =="
-        else
-            echo "== kept $snap: the fresh run is '${status:-ungated}' against it (--accept takes it anyway) =="
-        fi
-    done
-else
-    echo "== --no-refresh: BENCH_runner.json + BENCH_alloc.json left untouched =="
-fi
