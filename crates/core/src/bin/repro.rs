@@ -8,7 +8,7 @@
 //!        repro export --store FILE --json DIR
 //!
 //! EXPERIMENT: table1 table2 table3 fig1 fig2 fig3 fig4 fig5 table4 fig6 ablations diag
-//!             shard_scaling users_1e6 all (default: all)
+//!             users_1e6 all (default: all; any other name is a usage error)
 //! --scale N:     divide the paper's 2.8 GB array capacity by N (at least 1;
 //!                default 1, i.e. full paper scale)
 //! --seed S:      base RNG seed (default 1991)
@@ -17,10 +17,13 @@
 //! --jobs J:      worker threads for the sweep-point runner (default: the
 //!                machine's available parallelism; results are bit-identical
 //!                at any J)
-//! --shards S:    event-queue shards inside each simulation point (default 1;
-//!                results are bit-identical at any S ≥ 1 — raising it lets a
-//!                point's disk effects run on worker threads, auto-sized from
-//!                what the machine affords after --jobs is accounted for)
+//! --shards S:    disk groups inside each simulation point (default 1;
+//!                results are bit-identical at any S ≥ 1). S ≥ 2 runs a
+//!                performance test's disk work on worker threads (disk d in
+//!                group d mod S), auto-sized from what the machine affords
+//!                after --jobs is accounted for. Slower where measured: on
+//!                a 2-vCPU VM, full-scale `fig2 --jobs 1` took 13.1 s at
+//!                S = 2 against 3.5 s at S = 1 (medians of 3)
 //! --event-queue: structure backing every simulation's event queue
 //!                (default heap; results are bit-identical either way —
 //!                calendar is the O(1) choice for million-user points)
@@ -45,8 +48,8 @@ use readopt_core::metrics::{cross_check_table, wren_iv_cross_check, ExperimentHi
 use readopt_core::report::TextTable;
 use readopt_core::runner::{self, JobTiming};
 use readopt_core::{
-    ablations, diag, fig1, fig2, fig3, fig4, fig5, fig6, shard_scaling, storex, table1, table2,
-    table3, table4, users_scale, ExperimentContext, ExperimentMetrics,
+    ablations, diag, fig1, fig2, fig3, fig4, fig5, fig6, storex, table1, table2, table3, table4,
+    users_scale, ExperimentContext, ExperimentMetrics,
 };
 use readopt_sim::EventQueueKind;
 use readopt_workloads::WorkloadKind;
@@ -63,8 +66,14 @@ usage: repro [EXPERIMENT ...] [--scale N] [--seed S] [--intervals K]
        repro export --store FILE --json DIR
 
 EXPERIMENT: table1 table2 table3 fig1 fig2 fig3 fig4 fig5 table4 fig6 ablations diag
-            shard_scaling users_1e6 all (default: all)
+            users_1e6 all (default: all; any other name is a usage error)
 export:     regenerate the JSON artifacts of a finished store (no simulation runs)";
+
+/// Every experiment name `repro` accepts (`all` runs every one).
+const EXPERIMENTS: [&str; 14] = [
+    "table1", "table2", "table3", "fig1", "fig2", "fig3", "fig4", "fig5", "table4", "fig6",
+    "ablations", "diag", "users_1e6", "all",
+];
 
 struct Options {
     experiments: Vec<String>,
@@ -216,7 +225,8 @@ fn parse_args() -> Result<Options, String> {
             "--help" | "-h" => {
                 return Err("help".into());
             }
-            name if !name.starts_with('-') => opts.experiments.push(name.to_string()),
+            name if EXPERIMENTS.contains(&name) => opts.experiments.push(name.to_string()),
+            name if !name.starts_with('-') => return Err(format!("unknown experiment {name}")),
             other => return Err(format!("unknown option {other}")),
         }
     }
@@ -330,6 +340,13 @@ fn main() {
         Err(e) if e == "help" => exit_usage(None),
         Err(e) => exit_usage(Some(&e)),
     };
+    // The users_1e6 ladder's environment settings: a malformed value is
+    // rejected here, before anything runs, instead of falling back to a
+    // default.
+    if let Err(e) = users_scale::LadderEnv::from_env() {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    }
 
     if opts.export {
         let (Some(store), Some(dir)) = (&opts.store, &opts.json_dir) else {
@@ -445,9 +462,9 @@ fn main() {
 
     // table1/table2 are parameter dumps with no sweep to fan out; they run
     // inline and appear in the profile with no per-point breakdown and
-    // empty metrics/histogram sidecars (nothing to decompose). fig3 and
-    // shard_scaling derive from other sweeps' simulations and keep no
-    // latency reservoir of their own.
+    // empty metrics/histogram sidecars (nothing to decompose). fig3
+    // derives from other sweeps' simulations and keeps no latency
+    // reservoir of its own.
     experiment!(
         "table1",
         (
@@ -478,10 +495,6 @@ fn main() {
     experiment!("fig5", fig5::run_profiled(&ctx), |r: &fig5::Fig5| println!("{}", r.chart()));
     experiment!("table4", table4::run_profiled(&ctx));
     experiment!("fig6", fig6::run_profiled(&ctx), |r: &fig6::Fig6| println!("{}", r.chart()));
-    experiment!("shard_scaling", {
-        let (r, t, m) = shard_scaling::run_profiled(&ctx);
-        (r, t, m, ExperimentHist::empty("shard_scaling"))
-    });
     experiment!("users_1e6", users_scale::run_profiled(&ctx, opts.users_full));
     if wants("ablations") {
         let t0 = Instant::now();
@@ -523,11 +536,6 @@ fn main() {
         let _ = std::io::stdout().flush();
     }
 
-    if profiles.is_empty() {
-        eprintln!("no experiment matched {:?}", opts.experiments);
-        std::process::exit(2);
-    }
-
     if opts.explain {
         // Ground the phase tables above: on an idle single Wren IV, the
         // measured per-phase averages must match the Table 1 analytics.
@@ -559,7 +567,7 @@ fn main() {
 
 #[cfg(test)]
 mod tests {
-    use super::USAGE;
+    use super::{EXPERIMENTS, USAGE};
     use std::collections::BTreeSet;
 
     /// Every `--flag` token in `text`.
@@ -584,5 +592,14 @@ mod tests {
         assert_eq!(flags(&doc), flags(USAGE));
         assert_eq!(flags(&synopsis), flags(USAGE), "every option is in the synopsis");
         assert!(doc.contains("repro export --store FILE --json DIR"));
+        // The EXPERIMENT list names exactly the experiments parse_args accepts.
+        let listed: BTreeSet<&str> = USAGE
+            .lines()
+            .skip_while(|l| !l.starts_with("EXPERIMENT:"))
+            .take(2)
+            .flat_map(|l| l.trim_start_matches("EXPERIMENT:").split(" (").next())
+            .flat_map(str::split_whitespace)
+            .collect();
+        assert_eq!(listed, EXPERIMENTS.into_iter().collect());
     }
 }

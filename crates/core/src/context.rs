@@ -21,9 +21,10 @@ pub struct ExperimentContext {
     /// Worker threads sweep points run across (see `runner`). Results are
     /// bit-identical at any value; 1 means fully sequential.
     pub jobs: usize,
-    /// Event-queue shards per simulation point (≥ 1). Results are
-    /// bit-identical at any value; raising it lets one point's disk effects
-    /// execute on `shard_workers` threads.
+    /// Disk groups per simulation point (≥ 1; see `SimConfig::shards`).
+    /// Results are bit-identical at any value; above 1 a point's disk
+    /// effects execute on `shard_workers` threads, which was slower
+    /// wherever it was timed (README "Sharded engine").
     pub shards: usize,
     /// Effect-worker threads per point: 0 = auto (what the machine affords
     /// after `jobs` point-level workers are accounted for), 1 = in-line,

@@ -17,7 +17,6 @@
 //! | [`fig6`]   | Figure 6 — comparative performance of all policies |
 //! | [`ablations`] | §6 extensions: RAID-5 (incl. degraded mode), stripe unit, file-mix, Koch reallocation, FFS |
 //! | [`diag`]   | disk-time decomposition diagnostics |
-//! | [`shard_scaling`] | sharded-engine wall-clock scaling (results-invariant) |
 //! | [`users_scale`] | `users_1e6` — heap vs calendar queue at rising user counts (results-invariant) |
 //!
 //! Every driver takes an [`ExperimentContext`] choosing full (paper-scale)
@@ -46,7 +45,6 @@ pub mod fig6;
 pub mod metrics;
 pub mod report;
 pub mod runner;
-pub mod shard_scaling;
 pub mod storex;
 pub mod table1;
 pub mod table2;

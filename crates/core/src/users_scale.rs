@@ -27,7 +27,7 @@ use readopt_sim::{
 };
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::path::Path;
+use std::path::PathBuf;
 
 /// The user counts CI visits (in order, ascending).
 pub const SMOKE_LADDER: [u32; 3] = [1_000, 4_000, 16_000];
@@ -50,28 +50,80 @@ pub const LADDER_ENV: &str = "REPRO_USERS_LADDER";
 /// and the file is removed when the rung completes.
 pub const CKPT_DIR_ENV: &str = "REPRO_CKPT_DIR";
 
-/// Steps between checkpoint snapshots (default 5000).
+/// Steps between checkpoint snapshots (default 5000; 0 writes none).
 pub const CKPT_EVERY_ENV: &str = "REPRO_CKPT_EVERY";
 
 /// Fault injection for the kill/resume tests: exit with
-/// [`readopt_sim::CHECKPOINT_KILL_EXIT`] after the N-th snapshot write.
-/// Unset it on the resuming run, or the resume kills itself again.
+/// [`readopt_sim::CHECKPOINT_KILL_EXIT`] after the N-th snapshot write
+/// (N ≥ 1). Unset it on the resuming run, or the resume kills itself
+/// again.
 pub const CKPT_KILL_ENV: &str = "REPRO_CKPT_KILL";
 
-fn env_u64(name: &str) -> Option<u64> {
-    std::env::var(name).ok().and_then(|v| v.parse().ok())
+/// The ladder's `REPRO_*` environment settings, parsed. A set variable
+/// whose value does not parse is an error naming it, never a silent
+/// default: `repro` checks them at start-up and exits 2, and the ladder
+/// parses them the same way.
+#[derive(Debug)]
+pub struct LadderEnv {
+    /// [`LADDER_ENV`]: the rungs to run instead of the built-in ladder.
+    pub ladder: Option<Vec<u32>>,
+    /// [`CKPT_DIR_ENV`]: where rung checkpoints go (unset: none).
+    pub ckpt_dir: Option<PathBuf>,
+    /// [`CKPT_EVERY_ENV`]: steps between checkpoint writes.
+    pub ckpt_every: u64,
+    /// [`CKPT_KILL_ENV`]: exit after this many checkpoint writes.
+    pub ckpt_kill: Option<u64>,
 }
 
-/// The [`LADDER_ENV`] ladder, if set and well-formed.
-pub fn ladder_from_env() -> Option<Vec<u32>> {
-    let raw = std::env::var(LADDER_ENV).ok()?;
-    let rungs: Option<Vec<u32>> = raw
-        .split(',')
-        .map(str::trim)
-        .filter(|t| !t.is_empty())
-        .map(|t| t.parse().ok())
-        .collect();
-    rungs.filter(|r| !r.is_empty())
+impl LadderEnv {
+    /// Reads and checks every variable.
+    pub fn from_env() -> Result<Self, String> {
+        Ok(LadderEnv {
+            ladder: env_parsed(LADDER_ENV, parse_ladder)?,
+            ckpt_dir: env_parsed(CKPT_DIR_ENV, parse_dir)?,
+            ckpt_every: env_parsed(CKPT_EVERY_ENV, |raw| parse_count(CKPT_EVERY_ENV, raw, 0))?
+                .unwrap_or(5_000),
+            ckpt_kill: env_parsed(CKPT_KILL_ENV, |raw| parse_count(CKPT_KILL_ENV, raw, 1))?,
+        })
+    }
+}
+
+/// `name`'s value through `parse`; `None` when unset.
+fn env_parsed<T>(
+    name: &str,
+    parse: impl Fn(&str) -> Result<T, String>,
+) -> Result<Option<T>, String> {
+    match std::env::var(name) {
+        Ok(raw) => parse(&raw).map(Some),
+        Err(std::env::VarError::NotPresent) => Ok(None),
+        Err(std::env::VarError::NotUnicode(_)) => Err(format!("{name} is not valid UTF-8")),
+    }
+}
+
+/// A comma-separated list of user counts, each at least 1.
+fn parse_ladder(raw: &str) -> Result<Vec<u32>, String> {
+    raw.split(',')
+        .map(|rung| match rung.trim().parse::<u32>() {
+            Ok(users) if users > 0 => Ok(users),
+            _ => Err(format!(
+                "{LADDER_ENV}={raw:?}: rung {rung:?} is not a user count of at least 1"
+            )),
+        })
+        .collect()
+}
+
+fn parse_dir(raw: &str) -> Result<PathBuf, String> {
+    if raw.is_empty() {
+        return Err(format!("{CKPT_DIR_ENV} is set but empty"));
+    }
+    Ok(PathBuf::from(raw))
+}
+
+fn parse_count(name: &str, raw: &str, min: u64) -> Result<u64, String> {
+    match raw.trim().parse::<u64>() {
+        Ok(n) if n >= min => Ok(n),
+        _ => Err(format!("{name}={raw:?}: expected a whole number of at least {min}")),
+    }
 }
 
 /// One rung's measurement: the same simulation on both backends.
@@ -165,8 +217,8 @@ pub fn run_profiled(
     ctx: &ExperimentContext,
     full: bool,
 ) -> (UsersScale, Vec<JobTiming>, ExperimentMetrics, ExperimentHist) {
-    let env_ladder = ladder_from_env();
-    let ladder: &[u32] = match &env_ladder {
+    let env = LadderEnv::from_env().unwrap_or_else(|e| panic!("{e}"));
+    let ladder: &[u32] = match &env.ladder {
         Some(l) => l,
         None if full => &FULL_LADDER,
         None => &SMOKE_LADDER,
@@ -197,7 +249,7 @@ pub fn run_ladder(
     ctx: &ExperimentContext,
     ladder: &[u32],
 ) -> (Vec<UsersScalePoint>, Vec<JobTiming>, Vec<PointHist>) {
-    let ckpt_dir = std::env::var(CKPT_DIR_ENV).ok();
+    let env = LadderEnv::from_env().unwrap_or_else(|e| panic!("{e}"));
     let mut points: Vec<UsersScalePoint> = Vec::new();
     let mut timings: Vec<JobTiming> = Vec::new();
     let mut hists: Vec<PointHist> = Vec::new();
@@ -225,10 +277,10 @@ pub fn run_ladder(
                 timings.push(JobTiming { label, wall_ms: 0.0 });
                 continue;
             }
-            let ckpt = ckpt_dir.as_ref().map(|dir| CheckpointSpec {
-                path: Path::new(dir).join(format!("users_{users}_{backend}.ckpt")),
-                every_steps: env_u64(CKPT_EVERY_ENV).unwrap_or(5_000),
-                kill_after: env_u64(CKPT_KILL_ENV),
+            let ckpt = env.ckpt_dir.as_ref().map(|dir| CheckpointSpec {
+                path: dir.join(format!("users_{users}_{backend}.ckpt")),
+                every_steps: env.ckpt_every,
+                kill_after: env.ckpt_kill,
                 config_fingerprint: serde_json::to_string(&cfg)
                     .unwrap_or_else(|e| panic!("serialize rung config: {e}")),
             });

@@ -2,7 +2,7 @@
 //! workload together and runs the paper's three test procedures (§2.2, §3).
 
 use crate::config::SimConfig;
-use crate::event::{EventQueueKind, UserId};
+use crate::event::{EventQueue, EventQueueKind, UserId};
 use crate::filetype::{FileTypeConfig, OpKind};
 use crate::hist::{LatencyReservoir, TestHist};
 use crate::measure::ThroughputMeter;
@@ -11,13 +11,14 @@ use crate::results::{FragReport, PerfReport, SuiteReport};
 use crate::rng::SimRng;
 use crate::shard::{
     worker_loop, CloseOnDrop, EffectChannels, EffectPipeline, EventRec, MarkDeadOnPanic,
-    ShardedEventQueue,
 };
 use crate::state::{FileTable, UserTable};
 use readopt_alloc::{AllocError, Extent, FileHints, FileId, Policy};
 use readopt_disk::{
     calibrate_max_bandwidth, Disk, IoKind, IoRequest, PiecePlan, SimDuration, SimTime, Storage,
 };
+use std::convert::Infallible;
+use std::ops::ControlFlow;
 
 /// Which test procedure the event loop is running.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,6 +70,19 @@ struct Decided {
     outcome: StepOutcome,
 }
 
+/// The frame of a performance test's measurement loop: the values that
+/// live outside `Simulation` while the loop runs. A checkpoint saves it
+/// and a resume hands it back to the loop.
+struct PerfFrame {
+    /// Events stepped so far in this measurement.
+    steps: u64,
+    /// `ops` when the measurement began (the report counts from here).
+    ops_before: u64,
+    /// `disk_full_events` when the measurement began.
+    disk_full_before: u64,
+    meter: ThroughputMeter,
+}
+
 /// The simulator (§2's three-component model, assembled).
 pub struct Simulation {
     storage: Box<dyn Storage>,
@@ -81,7 +95,7 @@ pub struct Simulation {
     files_by_type: Vec<Vec<u32>>,
     /// user → file-type index, packed struct-of-arrays.
     users: UserTable,
-    queue: ShardedEventQueue,
+    queue: EventQueue,
     rng: SimRng,
     unit_bytes: u64,
     /// Calibrated maximum sequential bandwidth, bytes/ms.
@@ -123,7 +137,9 @@ pub struct Simulation {
     counters: EngineCounters,
     ops_at_counter_reset: u64,
     disk_full_at_counter_reset: u64,
-    /// Event-queue shard count (≥ 1); results-invariant by construction.
+    /// Disk groups for the effect workers (disk `d` in group
+    /// `d mod shards`, ≥ 1); with two or more workers, more than one group
+    /// turns the pipelined loop on. Results-invariant by construction.
     shards: usize,
     /// Which structure backs the event queue; results-invariant (both
     /// backends pop in identical order), re-applied on `schedule_users`.
@@ -163,7 +179,7 @@ impl Simulation {
             files: FileTable::new(),
             files_by_type: vec![Vec::new(); config.file_types.len()],
             users: UserTable::new(),
-            queue: ShardedEventQueue::with_kind(config.shards, config.event_queue),
+            queue: EventQueue::with_kind(config.event_queue),
             rng,
             unit_bytes,
             max_bw,
@@ -360,7 +376,7 @@ impl Simulation {
     /// Discards pending events and schedules every user afresh: start times
     /// uniform in `[now, now + users × hit frequency)` per §2.2 phase one.
     fn schedule_users(&mut self) {
-        self.queue = ShardedEventQueue::with_kind(self.shards, self.event_queue);
+        self.queue = EventQueue::with_kind(self.event_queue);
         self.users.clear();
         for (t_idx, t) in self.types.iter().enumerate() {
             let spread = f64::from(t.num_users) * t.hit_frequency_ms;
@@ -753,27 +769,39 @@ impl Simulation {
     }
 
     fn run_perf(&mut self, mode: Mode) -> PerfReport {
+        let mut frame = self.begin_perf();
+        // The pipelined path needs real parallelism (≥ 2 workers, capped at
+        // the shard count and the u64 routing mask) and a storage layout
+        // whose requests decompose into independent per-disk pieces;
+        // anything else runs the serial loop.
+        let workers = self.shard_workers.min(self.shards).min(64);
+        let (stabilized, throughput_pct) =
+            if self.shards > 1 && workers > 1 && self.storage.as_shardable().is_some() {
+                self.run_perf_pipelined(mode, &mut frame.meter, workers)
+            } else {
+                let no_hook = |_: &mut Self, _: &PerfFrame| ControlFlow::<Infallible>::Continue(());
+                let ControlFlow::Continue(outcome) = self.run_perf_serial(mode, &mut frame, no_hook);
+                outcome
+            };
+        self.finish_perf(&frame, stabilized, throughput_pct)
+    }
+
+    /// The preamble of every performance test, plain or checkpointed:
+    /// top the disk up to the lower bound, let a previous test's backlog
+    /// drain, schedule every user afresh and start the meter.
+    fn begin_perf(&mut self) -> PerfFrame {
         self.fill_to_lower_bound();
         // Let any backlog from a previous test drain before measuring, so
         // this test's intervals reflect only its own traffic.
         self.clock = self.clock.max(self.storage.next_idle());
         self.schedule_users();
-        let disk_full_before = self.disk_full_events;
-        let ops_before = self.ops;
         self.reset_latencies();
-        let mut meter = ThroughputMeter::new(self.clock, self.interval);
-        // The pipelined path needs real parallelism (≥ 2 workers, capped at
-        // the shard count and the u64 routing mask) and a storage layout
-        // whose requests decompose into independent per-disk pieces;
-        // anything else runs the classic in-line loop.
-        let workers = self.shard_workers.min(self.shards).min(64);
-        let (stabilized, throughput_pct) =
-            if self.shards > 1 && workers > 1 && self.storage.as_shardable().is_some() {
-                self.run_perf_pipelined(mode, &mut meter, workers)
-            } else {
-                self.run_perf_serial(mode, &mut meter)
-            };
-        self.finish_perf(&meter, stabilized, throughput_pct, ops_before, disk_full_before)
+        PerfFrame {
+            steps: 0,
+            ops_before: self.ops,
+            disk_full_before: self.disk_full_events,
+            meter: ThroughputMeter::new(self.clock, self.interval),
+        }
     }
 
     /// Final p50/p99 of the current measurement. While the exact buffer
@@ -800,14 +828,8 @@ impl Simulation {
     /// The shared epilogue of every performance run (plain and
     /// checkpointed): fragmentation probe, final percentiles, and the
     /// assembled report.
-    fn finish_perf(
-        &mut self,
-        meter: &ThroughputMeter,
-        stabilized: bool,
-        throughput_pct: f64,
-        ops_before: u64,
-        disk_full_before: u64,
-    ) -> PerfReport {
+    fn finish_perf(&mut self, frame: &PerfFrame, stabilized: bool, throughput_pct: f64) -> PerfReport {
+        let meter = &frame.meter;
         let end = self.clock.max(meter.last_span_end());
         let frag = self.fragmentation_report(0);
         let (p50, p99) = self.final_percentiles();
@@ -818,43 +840,53 @@ impl Simulation {
             stabilized,
             measured_ms: end.since(meter.start_time()).as_ms(),
             bytes_moved: meter.total_bytes() as u64,
-            operations: self.ops - ops_before,
-            disk_full_events: self.disk_full_events - disk_full_before,
+            operations: self.ops - frame.ops_before,
+            disk_full_events: self.disk_full_events - frame.disk_full_before,
             op_latency_p50_ms: p50,
             op_latency_p99_ms: p99,
             avg_extents_per_file: frag.avg_extents_per_file,
         }
     }
 
-    /// The classic in-line measurement loop: decide and commit each event
-    /// on this thread. Returns `(stabilized, throughput_pct)`.
-    fn run_perf_serial(&mut self, mode: Mode, meter: &mut ThroughputMeter) -> (bool, f64) {
-        let mut steps: u64 = 0;
+    /// The serial measurement loop, shared by plain and checkpointed runs:
+    /// decide and commit each event on this thread. `at_step` runs before
+    /// every step, after the stop checks — where `self` and `frame` fully
+    /// determine the rest of the run, so a checkpoint written there
+    /// resumes bit-identically — and may break out of the loop. Returns
+    /// `(stabilized, throughput_pct)` once the test ends.
+    fn run_perf_serial<B>(
+        &mut self,
+        mode: Mode,
+        frame: &mut PerfFrame,
+        mut at_step: impl FnMut(&mut Self, &PerfFrame) -> ControlFlow<B>,
+    ) -> ControlFlow<B, (bool, f64)> {
         while let Some(t_next) = self.queue.peek_time() {
-            if let Some(pct) = meter.stabilized(
+            if let Some(pct) = frame.meter.stabilized(
                 t_next,
                 self.max_bw,
                 self.stabilize_window,
                 self.stabilize_tolerance_pct,
             ) {
-                return (true, pct);
+                return ControlFlow::Continue((true, pct));
             }
-            if meter.complete_intervals(t_next) >= self.max_intervals {
-                return (false, meter.recent_mean_pct(t_next, self.max_bw, self.stabilize_window));
+            if frame.meter.complete_intervals(t_next) >= self.max_intervals {
+                let pct = frame.meter.recent_mean_pct(t_next, self.max_bw, self.stabilize_window);
+                return ControlFlow::Continue((false, pct));
             }
-            self.step(mode, Some(&mut *meter));
-            steps += 1;
+            at_step(self, frame)?;
+            self.step(mode, Some(&mut frame.meter));
+            frame.steps += 1;
             // "The disk utilization is kept between N and M while
             // measurements are being taken": the upper bound is enforced by
             // extend→truncate conversion; the lower bound by topping the
             // disk back up when deletions drain it (no I/O charged, like
             // the initial fill).
-            if steps.is_multiple_of(256) && self.utilization() < self.util_lower - 0.02 {
+            if frame.steps.is_multiple_of(256) && self.utilization() < self.util_lower - 0.02 {
                 self.counters.refill_passes += 1;
                 self.fill_to_lower_bound();
             }
         }
-        (false, 0.0)
+        ControlFlow::Continue((false, 0.0))
     }
 
     /// The sharded measurement loop: moves the member disks onto `workers`

@@ -9,7 +9,9 @@
 //!
 //! Only the serial loop checkpoints: the pipelined loop is already proven
 //! bit-identical to it by construction (see the `shard` module docs), so a
-//! resumed serial run stands in for any worker count.
+//! resumed serial run stands in for any worker count. The checkpointed run
+//! is the plain run's serial loop with a hook at the top of every step
+//! that writes the snapshot (and, for tests, pauses or kills the process).
 //!
 //! The snapshot is a single JSON object (the vendored writer prints floats
 //! via Rust's shortest round-trip `Display`, so every `f64` survives the
@@ -25,16 +27,17 @@
 //! diverging later. A snapshot whose config fingerprint does not match the
 //! resuming run is rejected outright.
 
-use super::{Mode, Simulation};
+use super::{Mode, PerfFrame, Simulation};
+use crate::event::EventQueue;
 use crate::hist::LatencyReservoir;
 use crate::measure::ThroughputMeter;
 use crate::metrics::EngineCounters;
 use crate::results::PerfReport;
 use crate::rng::SimRng;
-use crate::shard::ShardedEventQueue;
 use crate::state::{FileTable, UserTable};
 use readopt_disk::SimTime;
 use serde::{de_field, Serialize, Value};
+use std::ops::ControlFlow;
 use std::path::PathBuf;
 
 /// Snapshot format version; bumped on any layout change so an old binary
@@ -63,15 +66,6 @@ pub struct CheckpointSpec {
     /// config's canonical JSON. A snapshot written under a different
     /// fingerprint is rejected instead of resumed.
     pub config_fingerprint: String,
-}
-
-/// The loop-frame values that live outside `Simulation` during a
-/// measurement: what a resume must hand back to the loop.
-struct ResumeFrame {
-    steps: u64,
-    ops_before: u64,
-    disk_full_before: u64,
-    meter: ThroughputMeter,
 }
 
 impl Simulation {
@@ -121,88 +115,56 @@ impl Simulation {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
             Err(e) => return Err(format!("cannot read checkpoint {}: {e}", spec.path.display())),
         };
-        let frame = match snapshot {
+        let mut frame = match snapshot {
             Some(v) => self
                 .restore_checkpoint(&v, spec)
                 .map_err(|e| format!("cannot resume from {}: {e}", spec.path.display()))?,
-            None => {
-                // The uninterrupted preamble, exactly as `run_perf` does it.
-                self.fill_to_lower_bound();
-                self.clock = self.clock.max(self.storage.next_idle());
-                self.schedule_users();
-                let disk_full_before = self.disk_full_events;
-                let ops_before = self.ops;
-                self.reset_latencies();
-                let meter = ThroughputMeter::new(self.clock, self.interval);
-                ResumeFrame { steps: 0, ops_before, disk_full_before, meter }
-            }
+            None => self.begin_perf(),
         };
-        let ResumeFrame { mut steps, ops_before, disk_full_before, mut meter } = frame;
         // A resumed step count is itself a checkpoint boundary; the
         // sentinel keeps the loop from immediately rewriting it.
-        let mut last_checkpoint = steps;
+        let mut last_checkpoint = frame.steps;
         let mut written_this_process: u64 = 0;
-
-        // The body below is `run_perf_serial` with the checkpoint write
-        // spliced in at the loop top, after the stop checks and before the
-        // step — i.e. at a point where the snapshot fully determines the
-        // rest of the run. Writing a snapshot perturbs nothing: the only
-        // state it touches is the event queue (drained and re-queued,
-        // which preserves pop order exactly).
-        let (stabilized, throughput_pct) = loop {
-            let Some(t_next) = self.queue.peek_time() else {
-                break (false, 0.0);
-            };
-            if let Some(pct) = meter.stabilized(
-                t_next,
-                self.max_bw,
-                self.stabilize_window,
-                self.stabilize_tolerance_pct,
-            ) {
-                break (true, pct);
-            }
-            if meter.complete_intervals(t_next) >= self.max_intervals {
-                break (false, meter.recent_mean_pct(t_next, self.max_bw, self.stabilize_window));
-            }
-            if spec.every_steps > 0
-                && steps > 0
-                && steps.is_multiple_of(spec.every_steps)
-                && steps != last_checkpoint
+        // Writing a snapshot perturbs nothing: the only state it touches is
+        // the event queue (drained and re-queued, which preserves pop order
+        // exactly). The hook breaks with `Ok(())` to pause, `Err` on a
+        // failed write.
+        let hook = |sim: &mut Self, frame: &PerfFrame| {
+            let steps = frame.steps;
+            if spec.every_steps == 0
+                || steps == 0
+                || !steps.is_multiple_of(spec.every_steps)
+                || steps == last_checkpoint
             {
-                self.write_checkpoint(spec, steps, ops_before, disk_full_before, &meter)?;
-                last_checkpoint = steps;
-                written_this_process += 1;
-                if pause_after.is_some_and(|n| written_this_process >= n) {
-                    return Ok(None);
-                }
-                if spec.kill_after.is_some_and(|n| written_this_process >= n) {
-                    std::process::exit(CHECKPOINT_KILL_EXIT);
-                }
+                return ControlFlow::Continue(());
             }
-            self.step(Mode::Application, Some(&mut meter));
-            steps += 1;
-            if steps.is_multiple_of(256) && self.utilization() < self.util_lower - 0.02 {
-                self.counters.refill_passes += 1;
-                self.fill_to_lower_bound();
+            if let Err(e) = sim.write_checkpoint(spec, frame) {
+                return ControlFlow::Break(Err(e));
             }
+            last_checkpoint = steps;
+            written_this_process += 1;
+            if pause_after.is_some_and(|n| written_this_process >= n) {
+                return ControlFlow::Break(Ok(()));
+            }
+            if spec.kill_after.is_some_and(|n| written_this_process >= n) {
+                std::process::exit(CHECKPOINT_KILL_EXIT);
+            }
+            ControlFlow::Continue(())
         };
-        let report =
-            self.finish_perf(&meter, stabilized, throughput_pct, ops_before, disk_full_before);
+        let (stabilized, throughput_pct) =
+            match self.run_perf_serial(Mode::Application, &mut frame, hook) {
+                ControlFlow::Continue(outcome) => outcome,
+                ControlFlow::Break(paused) => return paused.map(|()| None),
+            };
+        let report = self.finish_perf(&frame, stabilized, throughput_pct);
         let _ = std::fs::remove_file(&spec.path);
         Ok(Some(report))
     }
 
     /// Serializes the complete dynamic state and writes it atomically
     /// (full `.tmp` write, then rename over `spec.path`).
-    fn write_checkpoint(
-        &mut self,
-        spec: &CheckpointSpec,
-        steps: u64,
-        ops_before: u64,
-        disk_full_before: u64,
-        meter: &ThroughputMeter,
-    ) -> Result<(), String> {
-        let snapshot = self.checkpoint_value(spec, steps, ops_before, disk_full_before, meter)?;
+    fn write_checkpoint(&mut self, spec: &CheckpointSpec, frame: &PerfFrame) -> Result<(), String> {
+        let snapshot = self.checkpoint_value(spec, frame)?;
         let text = serde_json::to_string(&snapshot).map_err(|e| e.to_string())?;
         let tmp = spec.path.with_extension("tmp");
         std::fs::write(&tmp, text)
@@ -212,14 +174,7 @@ impl Simulation {
         Ok(())
     }
 
-    fn checkpoint_value(
-        &mut self,
-        spec: &CheckpointSpec,
-        steps: u64,
-        ops_before: u64,
-        disk_full_before: u64,
-        meter: &ThroughputMeter,
-    ) -> Result<Value, String> {
+    fn checkpoint_value(&mut self, spec: &CheckpointSpec, frame: &PerfFrame) -> Result<Value, String> {
         let policy = self.policy.checkpoint_state().ok_or_else(|| {
             format!("the {} policy does not support checkpointing", self.policy.name())
         })?;
@@ -238,10 +193,10 @@ impl Simulation {
         Ok(Value::Object(vec![
             ("version".into(), CHECKPOINT_VERSION.to_value()),
             ("fingerprint".into(), spec.config_fingerprint.to_value()),
-            ("steps".into(), steps.to_value()),
-            ("ops_before".into(), ops_before.to_value()),
-            ("disk_full_before".into(), disk_full_before.to_value()),
-            ("meter".into(), meter.to_value()),
+            ("steps".into(), frame.steps.to_value()),
+            ("ops_before".into(), frame.ops_before.to_value()),
+            ("disk_full_before".into(), frame.disk_full_before.to_value()),
+            ("meter".into(), frame.meter.to_value()),
             ("clock".into(), self.clock.to_value()),
             ("ops".into(), self.ops.to_value()),
             ("disk_full_events".into(), self.disk_full_events.to_value()),
@@ -272,7 +227,7 @@ impl Simulation {
         &mut self,
         v: &Value,
         spec: &CheckpointSpec,
-    ) -> Result<ResumeFrame, String> {
+    ) -> Result<PerfFrame, String> {
         let err = |e: serde::Error| e.to_string();
         let version: u64 = de_field(v, "version").map_err(err)?;
         if version != CHECKPOINT_VERSION {
@@ -326,7 +281,7 @@ impl Simulation {
         if entries.iter().any(|e| e.2 as usize >= users.type_idx.len()) {
             return Err("queued event names a user outside the user table".into());
         }
-        let mut queue = ShardedEventQueue::with_kind(self.shards, self.event_queue);
+        let mut queue = EventQueue::with_kind(self.event_queue);
         queue.restore_entries(&entries, next_seq)?;
         let policy_snap =
             v.get("policy").ok_or_else(|| "missing field `policy`".to_string())?;
@@ -355,7 +310,7 @@ impl Simulation {
         self.hist = hist;
         self.planning = false;
         self.pending_span = None;
-        Ok(ResumeFrame { steps, ops_before, disk_full_before, meter })
+        Ok(PerfFrame { steps, ops_before, disk_full_before, meter })
     }
 }
 

@@ -115,11 +115,9 @@ impl EventQueue {
         self.schedule_with_seq(time, user, seq);
     }
 
-    /// Schedules `user` at `time` under an externally assigned sequence
-    /// number. Used by the sharded queue, which stamps one *global*
-    /// sequence across all shard-local queues so the k-way merge reproduces
-    /// the single-queue tie-break exactly.
-    pub fn schedule_with_seq(&mut self, time: SimTime, user: UserId, seq: u64) {
+    /// Schedules `user` at `time` under a sequence number taken from a
+    /// snapshot (see [`Self::restore_entries`]) instead of the counter.
+    fn schedule_with_seq(&mut self, time: SimTime, user: UserId, seq: u64) {
         match &mut self.backend {
             Backend::Heap(h) => h.push(Reverse((time, seq, user.0))),
             Backend::Calendar(c) => c.insert(time, seq, user.0),
@@ -136,8 +134,8 @@ impl EventQueue {
         }
     }
 
-    /// The full ordering key `(time, seq)` of the earliest pending event —
-    /// what the sharded queue's merge compares across shard queues.
+    /// The `(time, seq)` key of the earliest pending event: its place in
+    /// the pop order, as [`Self::drain_entries`] records it.
     pub fn peek_key(&mut self) -> Option<(SimTime, u64)> {
         match &mut self.backend {
             Backend::Heap(h) => h.peek().map(|Reverse((t, s, _))| (*t, *s)),
@@ -151,6 +149,54 @@ impl EventQueue {
             Backend::Heap(h) => h.pop().map(|Reverse((time, _, user))| Event { time, user: UserId(user) }),
             Backend::Calendar(c) => c.pop(),
         }
+    }
+
+    /// Drains every pending event in pop order, returning the
+    /// `(time, seq, user)` entries plus the sequence counter: the
+    /// checkpoint form of the queue. The calendar backend cannot be
+    /// cloned (its bucket cursor is lazy), so a checkpoint empties the
+    /// queue and the caller rebuilds it at once via
+    /// [`Self::restore_entries`].
+    pub fn drain_entries(&mut self) -> (Vec<(SimTime, u64, u32)>, u64) {
+        let mut out = Vec::with_capacity(self.len());
+        while let (Some((time, seq)), Some(ev)) = (self.peek_key(), self.pop()) {
+            out.push((time, seq, ev.user.0));
+        }
+        (out, self.seq)
+    }
+
+    /// Refills an empty queue from a [`Self::drain_entries`] snapshot.
+    /// Each entry keeps its sequence stamp, so the pop order (ties
+    /// included) is exactly what it was when the snapshot was taken, and
+    /// later schedules continue from `next_seq`. Entries must arrive in
+    /// strictly ascending `(time, seq)` order (the drain order) with every
+    /// stamp below `next_seq`; anything else means the snapshot is
+    /// corrupt, and the queue is left as it was.
+    pub fn restore_entries(
+        &mut self,
+        entries: &[(SimTime, u64, u32)],
+        next_seq: u64,
+    ) -> Result<(), String> {
+        if !self.is_empty() {
+            return Err("restoring into a non-empty event queue".into());
+        }
+        // Validate everything first: a failed restore must leave the queue
+        // empty, not half-filled.
+        let mut prev: Option<(SimTime, u64)> = None;
+        for &(time, seq, _) in entries {
+            if seq >= next_seq {
+                return Err(format!("event seq {seq} at or past the counter {next_seq}"));
+            }
+            if prev.is_some_and(|p| p >= (time, seq)) {
+                return Err(format!("event entries out of pop order at seq {seq}"));
+            }
+            prev = Some((time, seq));
+        }
+        for &(time, seq, user) in entries {
+            self.schedule_with_seq(time, UserId(user), seq);
+        }
+        self.seq = next_seq;
+        Ok(())
     }
 }
 
@@ -190,11 +236,9 @@ mod tests {
 
     #[test]
     fn ties_break_by_time_then_seq_then_user() {
-        // Regression: the ordering key is the full (time, seq, user)
-        // tuple. The sharded queue stamps external seqs, so equal
-        // (time, seq) pairs are reachable — the third field must break
-        // them identically on every backend (ascending user), or a
-        // backend swap could silently reorder equal-time events.
+        // Regression: both backends order by the full (time, seq, user)
+        // key, whatever stamps a restored snapshot carries, so a backend
+        // swap can never reorder equal-time events.
         for kind in KINDS {
             let mut q = EventQueue::with_kind(kind);
             q.schedule_with_seq(t(5.0), UserId(8), 7);
@@ -218,6 +262,89 @@ mod tests {
             assert_eq!(q.len(), 1);
             assert!(!q.is_empty());
             assert_eq!(q.kind(), kind);
+        }
+    }
+
+    /// 100 events over six distinct times, so most of them tie with
+    /// others, then 17 pops: a snapshot of it is taken mid-run, not on a
+    /// pristine queue.
+    fn mid_run_queue(kind: EventQueueKind) -> EventQueue {
+        let mut q = EventQueue::with_kind(kind);
+        for i in 0u64..100 {
+            q.schedule(SimTime::from_us((i * 2654435761) % 6 * 50), UserId((i % 13) as u32));
+        }
+        for _ in 0..17 {
+            q.pop();
+        }
+        q
+    }
+
+    fn pop_all(q: &mut EventQueue) -> Vec<(SimTime, u32)> {
+        std::iter::from_fn(|| q.pop()).map(|e| (e.time, e.user.0)).collect()
+    }
+
+    /// Draining to checkpoint form and restoring must reproduce the exact
+    /// pop order, ties included, on either backend, in place or into a
+    /// fresh queue of either kind (the snapshot carries no backend state);
+    /// schedules after a restore continue the restored counter.
+    #[test]
+    fn drain_restore_roundtrip_preserves_pop_order() {
+        for kind in KINDS {
+            let reference = pop_all(&mut mid_run_queue(kind));
+            let mut q = mid_run_queue(kind);
+            let (entries, next_seq) = q.drain_entries();
+            assert!(q.is_empty(), "draining empties the queue ({kind:?})");
+            assert_eq!(entries.len(), 83);
+            assert_eq!(next_seq, 100, "the counter is part of the snapshot ({kind:?})");
+            let drained: Vec<(SimTime, u32)> = entries.iter().map(|&(t, _, u)| (t, u)).collect();
+            assert_eq!(drained, reference, "drain order is pop order ({kind:?})");
+            q.restore_entries(&entries, next_seq).expect("restore in place");
+            assert_eq!(pop_all(&mut q), reference, "in-place restore ({kind:?})");
+            for to in KINDS {
+                let mut restored = EventQueue::with_kind(to);
+                restored.restore_entries(&entries, next_seq).expect("restore");
+                assert_eq!(restored.len(), 83);
+                assert_eq!(pop_all(&mut restored), reference, "{kind:?} -> {to:?}");
+            }
+            // A new event at the last restored time ties with several
+            // restored ones and must pop after all of them: a counter
+            // restarted at 0 would pop it first among them.
+            let mut restored = EventQueue::with_kind(kind);
+            restored.restore_entries(&entries, next_seq).expect("restore");
+            let last = entries[entries.len() - 1].0;
+            assert!(entries.iter().filter(|e| e.0 == last).count() > 1, "the snapshot has ties");
+            restored.schedule(last, UserId(0));
+            assert_eq!(pop_all(&mut restored).last(), Some(&(last, 0)), "{kind:?}");
+            assert_eq!(restored.drain_entries(), (Vec::new(), next_seq + 1), "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn restore_rejects_corrupt_snapshots() {
+        for kind in KINDS {
+            let mut q = EventQueue::with_kind(kind);
+            q.schedule(t(10.0), UserId(0));
+            q.schedule(t(5.0), UserId(1));
+            let (entries, seq) = q.drain_entries();
+            assert_eq!(entries[0].0, t(5.0), "drain order is pop order");
+            // A non-empty target is refused and keeps what it held.
+            let mut busy = EventQueue::with_kind(kind);
+            busy.schedule(t(1.0), UserId(0));
+            assert!(busy.restore_entries(&entries, seq).is_err());
+            assert_eq!(busy.len(), 1);
+            let mut fresh = EventQueue::with_kind(kind);
+            // A stamp at or past the counter.
+            assert!(fresh.restore_entries(&entries, 1).is_err());
+            // Entries out of pop order, or one key twice.
+            let mut swapped = entries.clone();
+            swapped.swap(0, 1);
+            assert!(fresh.restore_entries(&swapped, seq).is_err());
+            assert!(fresh.restore_entries(&[entries[0], entries[0]], seq).is_err());
+            // Every failed restore left the queue empty, counter included.
+            assert!(fresh.is_empty(), "failed restore leaves nothing behind ({kind:?})");
+            assert_eq!(fresh.drain_entries(), (Vec::new(), 0), "{kind:?}");
+            fresh.restore_entries(&entries, seq).expect("the intact snapshot still restores");
+            assert_eq!(fresh.len(), 2);
         }
     }
 }

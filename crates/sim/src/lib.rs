@@ -51,7 +51,7 @@ pub mod measure;
 pub mod metrics;
 pub mod results;
 pub mod rng;
-pub mod shard;
+mod shard;
 pub mod state;
 
 pub use calendar::{CalendarQueue, EventArena, EventHandle, EventRecord};
@@ -64,5 +64,4 @@ pub use measure::{percentile_ms, percentile_of_sorted_ms, ThroughputMeter};
 pub use metrics::{AllocGauges, DiskPhaseMetrics, EngineCounters, StorageMetrics, TestMetrics};
 pub use results::{FragReport, PerfReport, SuiteReport};
 pub use rng::SimRng;
-pub use shard::ShardedEventQueue;
 pub use state::{FileSlot, FileTable, FileView, UserTable};

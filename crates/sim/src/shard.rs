@@ -1,4 +1,5 @@
-//! Sharded execution of a single simulation point.
+//! The effect pipeline: a single simulation point's disk work on worker
+//! threads (`SimConfig::shards` > 1 with at least two `shard_workers`).
 //!
 //! The serial engine interleaves two kinds of work in one loop: *decisions*
 //! (which op a user performs, every RNG draw, every allocator call) and
@@ -6,182 +7,33 @@
 //! model). Decisions form an inherently serial stream — each one depends on
 //! the allocator and RNG state left by the last — but effects only touch
 //! per-disk state, and under plain striping the pieces of one disk never
-//! interact with another's. The sharded engine exploits exactly that split:
+//! interact with another's. The pipeline splits along exactly that line:
 //!
-//! * the decision stream stays on one thread, in the exact serial order
-//!   (so every RNG draw and allocator mutation is bit-identical);
-//! * each worker thread owns the disks of a disjoint set of shards and
-//!   services their pieces in decision order — a subsequence of the serial
-//!   per-disk order, so every `Disk`'s f64 state evolves identically;
+//! * the decision stream stays on one thread, popping the one event queue
+//!   in the exact serial order (so every RNG draw and allocator mutation
+//!   is bit-identical);
+//! * disks are grouped `d mod shards`, and each worker thread owns the
+//!   disks of a disjoint set of groups and services their pieces in
+//!   decision order — a subsequence of the serial per-disk order, so every
+//!   `Disk`'s f64 state evolves identically;
 //! * completions are merged back and committed strictly in decision order,
 //!   so the throughput meter, the latency buffer and the event queue see
 //!   the same values in the same order as the serial loop.
 //!
-//! Two pieces of machinery make the merge deterministic:
-//!
-//! 1. [`ShardedEventQueue`] — `S` shard-local heaps with one *global*
-//!    sequence counter. Popping the minimum `(time, seq)` over shard heads
-//!    reproduces the single-heap order exactly, including ties, at any
-//!    shard count: the tie-break is `(time, shard-owned seq)` where `seq`
-//!    is assigned globally in schedule order.
-//! 2. The *lookahead window* (the pop rule in the engine's pipelined
-//!    loop): an event at time `h` may be decided while effects are still
-//!    in flight only if `h ≤ min(tᵢ + thinkᵢ)` over all in-flight events
-//!    `i` — the earliest time any pending completion could reschedule its
-//!    user. Completions only ever land at `completionᵢ + thinkᵢ ≥ tᵢ +
-//!    thinkᵢ`, and an exact tie goes to the already-queued event because
-//!    pending reschedules always receive larger global sequence numbers.
-//!    The window is tracked as a classic monotone min-deque.
+//! What keeps the decision stream in serial order is the *lookahead
+//! window* (the pop rule in the engine's pipelined loop): an event at time
+//! `h` may be decided while effects are still in flight only if
+//! `h ≤ min(tᵢ + thinkᵢ)` over all in-flight events `i` — the earliest
+//! time any pending completion could reschedule its user. Completions only
+//! ever land at `completionᵢ + thinkᵢ ≥ tᵢ + thinkᵢ`, and an exact tie goes
+//! to the already-queued event because pending reschedules always receive
+//! larger sequence numbers from the queue's counter. The window is tracked
+//! as a classic monotone min-deque.
 
-use crate::event::{Event, EventQueue, EventQueueKind, UserId};
+use crate::event::UserId;
 use readopt_disk::{Disk, PiecePlan, SimTime};
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, PoisonError};
-
-/// `S` shard-local event heaps sharing one global sequence counter.
-///
-/// Users are partitioned by `user_id mod S`; each shard's heap holds only
-/// its own users' events. Because every `schedule` stamps the next *global*
-/// sequence number, the minimum `(time, seq)` over shard heads is exactly
-/// the entry the single-heap [`EventQueue`] would pop — the merge order is
-/// bit-identical at any shard count, ties included.
-#[derive(Debug)]
-pub struct ShardedEventQueue {
-    shards: Vec<EventQueue>,
-    seq: u64,
-    len: usize,
-}
-
-impl ShardedEventQueue {
-    /// An empty queue over `nshards ≥ 1` shards on the default (heap)
-    /// backend.
-    pub fn new(nshards: usize) -> Self {
-        ShardedEventQueue::with_kind(nshards, EventQueueKind::Heap)
-    }
-
-    /// An empty queue over `nshards ≥ 1` shards, every shard-local queue
-    /// on the chosen backend.
-    pub fn with_kind(nshards: usize, kind: EventQueueKind) -> Self {
-        let nshards = nshards.max(1);
-        ShardedEventQueue {
-            shards: (0..nshards).map(|_| EventQueue::with_kind(kind)).collect(),
-            seq: 0,
-            len: 0,
-        }
-    }
-
-    /// Number of shards.
-    pub fn nshards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The shard owning `user`.
-    pub fn shard_of(&self, user: UserId) -> usize {
-        user.0 as usize % self.shards.len()
-    }
-
-    /// Number of pending events across all shards.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when no events remain in any shard.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Schedules `user` to act at `time` on its owning shard, stamping the
-    /// next global sequence number.
-    pub fn schedule(&mut self, time: SimTime, user: UserId) {
-        let shard = self.shard_of(user);
-        self.shards[shard].schedule_with_seq(time, user, self.seq);
-        self.seq += 1;
-        self.len += 1;
-    }
-
-    /// The shard index holding the globally earliest event, if any.
-    /// `&mut` because peeking a calendar-backed shard advances its bucket
-    /// cursor (observationally pure memoization).
-    fn min_shard(&mut self) -> Option<usize> {
-        let mut best: Option<(usize, (SimTime, u64))> = None;
-        for (i, shard) in self.shards.iter_mut().enumerate() {
-            if let Some(key) = shard.peek_key() {
-                if best.is_none_or(|(_, k)| key < k) {
-                    best = Some((i, key));
-                }
-            }
-        }
-        best.map(|(i, _)| i)
-    }
-
-    /// The earliest pending event time across all shards, if any.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        let i = self.min_shard()?;
-        self.shards[i].peek_time()
-    }
-
-    /// Removes and returns the globally earliest event (k-way merge pop).
-    pub fn pop(&mut self) -> Option<Event> {
-        let i = self.min_shard()?;
-        let ev = self.shards[i].pop();
-        if ev.is_some() {
-            self.len -= 1;
-        }
-        ev
-    }
-
-    /// Drains every pending event in global merge order, returning the
-    /// `(time, seq, user)` entries plus the global sequence counter — the
-    /// checkpoint form of the queue. The calendar backend is not cloneable
-    /// (its bucket cursor is lazy), so a checkpoint empties the queue and
-    /// the caller immediately rebuilds it via [`Self::restore_entries`].
-    pub fn drain_entries(&mut self) -> (Vec<(SimTime, u64, u32)>, u64) {
-        let mut out = Vec::with_capacity(self.len);
-        while let Some(i) = self.min_shard() {
-            let key = self.shards[i].peek_key();
-            if let (Some((time, seq)), Some(ev)) = (key, self.shards[i].pop()) {
-                self.len -= 1;
-                out.push((time, seq, ev.user.0));
-            }
-        }
-        (out, self.seq)
-    }
-
-    /// Refills the queue from a [`Self::drain_entries`] snapshot,
-    /// preserving each entry's original sequence stamp so the merge order
-    /// (ties included) is exactly what it was when the snapshot was taken.
-    /// Entries must arrive in strictly ascending `(time, seq)` order (the
-    /// drain order) with every stamp below `next_seq`; anything else means
-    /// the snapshot is corrupt.
-    pub fn restore_entries(
-        &mut self,
-        entries: &[(SimTime, u64, u32)],
-        next_seq: u64,
-    ) -> Result<(), String> {
-        if !self.is_empty() {
-            return Err("restoring into a non-empty event queue".into());
-        }
-        // Validate everything first: a failed restore must leave the queue
-        // untouched, not half-filled.
-        let mut prev: Option<(SimTime, u64)> = None;
-        for &(time, seq, _) in entries {
-            if seq >= next_seq {
-                return Err(format!("event seq {seq} at or past the counter {next_seq}"));
-            }
-            if prev.is_some_and(|p| p >= (time, seq)) {
-                return Err(format!("event entries out of merge order at seq {seq}"));
-            }
-            prev = Some((time, seq));
-        }
-        for &(time, seq, user) in entries {
-            let shard = self.shard_of(UserId(user));
-            self.shards[shard].schedule_with_seq(time, UserId(user), seq);
-            self.len += 1;
-        }
-        self.seq = next_seq;
-        Ok(())
-    }
-}
 
 /// One per-disk piece of one decided event, as shipped to a worker.
 #[derive(Debug, Clone, Copy)]
@@ -547,141 +399,6 @@ mod tests {
 
     fn t(us: u64) -> SimTime {
         SimTime::from_us(us)
-    }
-
-    /// Interleaved schedules and pops must match the single-heap queue at
-    /// any shard count — the bit-identical merge-order guarantee.
-    #[test]
-    fn sharded_queue_matches_single_heap_at_any_shard_count() {
-        // Deterministic pseudo-random schedule pattern with many exact-time
-        // ties (times quantized to 8 distinct values).
-        let script: Vec<(u64, u32)> = (0u64..200)
-            .map(|i| ((i * 2654435761) % 8 * 100, (i % 23) as u32))
-            .collect();
-        let reference = |pops_between: usize| {
-            let mut q = EventQueue::new();
-            let mut out = Vec::new();
-            for (i, &(time, user)) in script.iter().enumerate() {
-                q.schedule(t(time), UserId(user));
-                if i % (pops_between + 1) == pops_between {
-                    if let Some(e) = q.pop() {
-                        out.push((e.time, e.user.0));
-                    }
-                }
-            }
-            while let Some(e) = q.pop() {
-                out.push((e.time, e.user.0));
-            }
-            out
-        };
-        for kind in [EventQueueKind::Heap, EventQueueKind::Calendar] {
-            for shards in [1usize, 2, 3, 7, 16, 64] {
-                for pops_between in [0usize, 2] {
-                    let mut q = ShardedEventQueue::with_kind(shards, kind);
-                    let mut merged = Vec::new();
-                    for (i, &(time, user)) in script.iter().enumerate() {
-                        q.schedule(t(time), UserId(user));
-                        if i % (pops_between + 1) == pops_between {
-                            let peek = q.peek_time();
-                            if let Some(e) = q.pop() {
-                                assert_eq!(peek, Some(e.time), "peek/pop disagree");
-                                merged.push((e.time, e.user.0));
-                            }
-                        }
-                    }
-                    while let Some(e) = q.pop() {
-                        merged.push((e.time, e.user.0));
-                    }
-                    assert_eq!(
-                        merged,
-                        reference(pops_between),
-                        "merge order diverged at {shards} shards \
-                         (pops_between={pops_between}, {kind:?})"
-                    );
-                    assert!(q.is_empty());
-                    assert_eq!(q.len(), 0);
-                }
-            }
-        }
-    }
-
-    /// Draining to checkpoint form and restoring must reproduce the exact
-    /// pop order — ties included — at any shard count, including a restore
-    /// into a queue with a *different* shard count (checkpoints are
-    /// shard-count-portable because the seq stamps are global).
-    #[test]
-    fn drain_restore_roundtrip_preserves_merge_order() {
-        for (from_shards, to_shards) in [(1usize, 1usize), (4, 4), (4, 7), (7, 2)] {
-            let mut q = ShardedEventQueue::new(from_shards);
-            for i in 0u64..100 {
-                q.schedule(t((i * 2654435761) % 6 * 50), UserId((i % 13) as u32));
-            }
-            // Pop a few first so the snapshot is mid-run, not pristine.
-            for _ in 0..17 {
-                q.pop();
-            }
-            let mut reference = Vec::new();
-            {
-                let mut probe = ShardedEventQueue::new(from_shards);
-                let (entries, seq) = q.drain_entries();
-                probe.restore_entries(&entries, seq).expect("restore probe");
-                while let Some(e) = probe.pop() {
-                    reference.push((e.time, e.user.0));
-                }
-                probe.restore_entries(&entries, seq).expect("restore again");
-                q.restore_entries(&entries, seq).expect("restore original");
-            }
-            let (entries, seq) = q.drain_entries();
-            assert_eq!(entries.len(), 83);
-            let mut restored = ShardedEventQueue::new(to_shards);
-            restored.restore_entries(&entries, seq).expect("restore");
-            assert_eq!(restored.len(), 83);
-            let mut order = Vec::new();
-            while let Some(e) = restored.pop() {
-                order.push((e.time, e.user.0));
-            }
-            assert_eq!(order, reference, "{from_shards} -> {to_shards} shards");
-            // New schedules continue the global seq stream after the old
-            // counter, so they tie-break *after* restored entries.
-            let mut restored = ShardedEventQueue::new(to_shards);
-            restored.restore_entries(&entries, seq).expect("restore");
-            restored.schedule(SimTime::ZERO, UserId(1));
-            let first = restored.pop().map(|e| (e.time, e.user.0));
-            assert_eq!(first, Some((SimTime::ZERO, 1)), "time still dominates seq");
-        }
-    }
-
-    #[test]
-    fn restore_rejects_corrupt_snapshots() {
-        let mut q = ShardedEventQueue::new(3);
-        q.schedule(t(10), UserId(0));
-        q.schedule(t(5), UserId(1));
-        let (entries, seq) = q.drain_entries();
-        assert_eq!(entries[0].0, t(5), "drain order is merge order");
-        // Non-empty target.
-        let mut busy = ShardedEventQueue::new(3);
-        busy.schedule(t(1), UserId(0));
-        assert!(busy.restore_entries(&entries, seq).is_err());
-        // Seq at/past the counter.
-        let mut fresh = ShardedEventQueue::new(3);
-        assert!(fresh.restore_entries(&entries, 1).is_err());
-        // Out of merge order.
-        let mut swapped = entries.clone();
-        swapped.swap(0, 1);
-        assert!(fresh.restore_entries(&swapped, seq).is_err());
-        assert!(fresh.is_empty(), "failed restore leaves nothing committed");
-    }
-
-    #[test]
-    fn sharded_queue_routes_users_to_owning_shards() {
-        let q = ShardedEventQueue::new(4);
-        assert_eq!(q.nshards(), 4);
-        assert_eq!(q.shard_of(UserId(0)), 0);
-        assert_eq!(q.shard_of(UserId(5)), 1);
-        assert_eq!(q.shard_of(UserId(7)), 3);
-        // More shards than users is legal: high shards simply stay empty.
-        let q = ShardedEventQueue::new(16);
-        assert_eq!(q.shard_of(UserId(3)), 3);
     }
 
     #[test]

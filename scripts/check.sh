@@ -9,7 +9,7 @@
 #   5. a 1-job rerun that also writes a binary results store, byte-
 #      compared against the 2-job run: results must not depend on the
 #      thread count;
-#   6. a --shards 2 rerun, byte-compared: the sharded engine must be
+#   6. a --shards 2 rerun, byte-compared: the effect pipeline must be
 #      results-invariant in the shard count;
 #   7. an --event-queue calendar rerun, byte-compared: the calendar
 #      backend must be results-invariant in the queue structure;
@@ -44,7 +44,7 @@ cargo test -q --workspace
 
 echo "== repro smoke (scale 1/64, 2 jobs, metrics on) =="
 cargo run --release -p readopt-core --bin repro -- \
-    fig1 fig2 table4 shard_scaling users_1e6 --scale 64 --intervals 4 --jobs 2 --json target/check
+    fig1 fig2 table4 users_1e6 --scale 64 --intervals 4 --jobs 2 --json target/check
 
 echo "== sidecar determinism (re-run at 1 job, byte-compare) =="
 # This run also writes the binary results store so the export leg below
@@ -65,9 +65,8 @@ done
 echo "   sidecars byte-identical across job counts"
 
 echo "== shard determinism (re-run at --shards 2, byte-compare) =="
-# shard_scaling itself is excluded from the comparison: its payload is
-# wall-clock (timing differs run to run by design); its bit-identity
-# assertion runs inside the driver on every invocation above.
+# At --jobs 1 on two or more cores this runs fig2's performance tests on
+# the pipelined loop with two effect workers.
 mkdir -p target/check-s2
 cargo run --release -q -p readopt-core --bin repro -- \
     fig1 fig2 table4 --scale 64 --intervals 4 --jobs 1 --shards 2 \

@@ -154,8 +154,9 @@ fn fig2_results_are_bit_identical_at_any_shard_count() {
 #[test]
 fn fig1_results_are_bit_identical_under_sharding() {
     // Allocation-test sweeps never enter the pipelined loop (no performance
-    // phase), but the shard setting still reroutes every event through the
-    // sharded queue — fig1 pins that the allocation path is also invariant.
+    // phase) and the event queue is the same single queue at any shard
+    // count, so the shard setting reaches no code fig1 runs — this pins
+    // that the allocation path stays invariant to it.
     let workloads = [WorkloadKind::Timesharing];
     let configs = [(3usize, 2u64, false)];
     let (seq, _, seq_metrics, seq_hists) = fig1::run_sweep(&ctx_with_jobs(1), &workloads, &configs);
