@@ -9,6 +9,16 @@
 //! physically contiguous run per disk — which is exactly why the paper's
 //! allocation policies chase contiguity: it buys both fewer seeks *and* free
 //! parallelism.
+//!
+//! [`striped_runs`] computes those runs in closed form. A range covering
+//! stripes `s0..=s1` touches `min(s1 - s0 + 1, N)` disks, first met in the
+//! order `s0, s0 + 1, …`. The stripes `s, s + N, s + 2N, …` of one disk fill
+//! its consecutive slots, so each disk's run starts in the row of its first
+//! stripe (offset into the stripe unit only for `s0`) and ends in the row of
+//! its last one: row `s1 div N` for the disks up to `s1 mod N`, the row
+//! before for the rest (cut short only on disk `s1 mod N`). A request costs
+//! the same few integer divisions whatever its length, and allocates
+//! nothing.
 
 use crate::disk::Disk;
 use crate::geometry::DiskGeometry;
@@ -29,34 +39,79 @@ pub struct PhysicalRun {
 }
 
 /// Decomposes a logical byte range into per-disk physical runs under plain
-/// striping, merging chunks that are physically adjacent on the same disk.
+/// striping: one run for each disk the range touches, holding every chunk
+/// that disk serves.
 ///
-/// The returned runs are ordered by logical position, which is also the
+/// The runs come in the order of their first chunk, which is also the
 /// order in which each disk must service its own runs.
-pub fn striped_runs(start_byte: u64, len: u64, stripe_unit: u64, ndisks: usize) -> Vec<PhysicalRun> {
+pub fn striped_runs(start_byte: u64, len: u64, stripe_unit: u64, ndisks: usize) -> StripedRuns {
     debug_assert!(stripe_unit > 0 && ndisks > 0);
-    let mut runs: Vec<PhysicalRun> = Vec::new();
-    let mut last_per_disk: Vec<Option<usize>> = vec![None; ndisks];
-    let mut cursor = start_byte;
-    let end = start_byte + len;
-    while cursor < end {
-        let stripe = cursor / stripe_unit;
-        let within = cursor % stripe_unit;
-        let chunk = (stripe_unit - within).min(end - cursor);
-        let disk = (stripe % ndisks as u64) as usize;
-        let phys = (stripe / ndisks as u64) * stripe_unit + within;
-        match last_per_disk[disk] {
-            Some(idx) if runs[idx].start_byte + runs[idx].len == phys => {
-                runs[idx].len += chunk;
-            }
-            _ => {
-                runs.push(PhysicalRun { disk, start_byte: phys, len: chunk });
-                last_per_disk[disk] = Some(runs.len() - 1);
-            }
-        }
-        cursor += chunk;
+    let n = ndisks as u64;
+    let first = start_byte / stripe_unit;
+    let last = (start_byte + len).saturating_sub(1) / stripe_unit;
+    let stripes = if len == 0 { 0 } else { last - first + 1 };
+    StripedRuns {
+        stripe_unit,
+        ndisks,
+        disk: (first % n) as usize,
+        row: first / n,
+        head: start_byte - first * stripe_unit,
+        remaining: stripes.min(n) as usize,
+        last_disk: (last % n) as usize,
+        last_row: last / n,
+        tail: start_byte + len - last * stripe_unit,
     }
-    runs
+}
+
+/// Iterator over the runs of [`striped_runs`].
+#[derive(Debug, Clone)]
+pub struct StripedRuns {
+    stripe_unit: u64,
+    ndisks: usize,
+    /// Disk and stripe row of the next run's first chunk.
+    disk: usize,
+    row: u64,
+    /// Bytes the next run skips at the start of its first chunk (non-zero
+    /// only for the range's first stripe).
+    head: u64,
+    remaining: usize,
+    /// Disk and row of the range's last stripe.
+    last_disk: usize,
+    last_row: u64,
+    /// Bytes of the last stripe inside the range, in `1..=stripe_unit`.
+    tail: u64,
+}
+
+impl Iterator for StripedRuns {
+    type Item = PhysicalRun;
+
+    fn next(&mut self) -> Option<PhysicalRun> {
+        if self.remaining == 0 {
+            return None;
+        }
+        self.remaining -= 1;
+        let disk = self.disk;
+        let su = self.stripe_unit;
+        let start_byte = self.row * su + self.head;
+        let end_byte = if disk == self.last_disk {
+            self.last_row * su + self.tail
+        } else if disk < self.last_disk {
+            (self.last_row + 1) * su
+        } else {
+            self.last_row * su
+        };
+        self.head = 0;
+        self.disk += 1;
+        if self.disk == self.ndisks {
+            self.disk = 0;
+            self.row += 1;
+        }
+        Some(PhysicalRun {
+            disk,
+            start_byte,
+            len: end_byte - start_byte,
+        })
+    }
 }
 
 /// An array of identical disks with data striped across all of them and no
@@ -301,7 +356,7 @@ mod tests {
     #[test]
     fn runs_round_robin_across_disks() {
         // 4 stripe units starting at 0 → disks 0,1,2,3, each one chunk.
-        let runs = striped_runs(0, 4 * 24 * KB, 24 * KB, 8);
+        let runs: Vec<_> = striped_runs(0, 4 * 24 * KB, 24 * KB, 8).collect();
         assert_eq!(runs.len(), 4);
         for (i, r) in runs.iter().enumerate() {
             assert_eq!(r.disk, i);
@@ -314,7 +369,7 @@ mod tests {
     fn runs_merge_physically_adjacent_chunks() {
         // Two full rows across 4 disks → each disk gets ONE 2-stripe-unit run.
         let su = 24 * KB;
-        let runs = striped_runs(0, 8 * su, su, 4);
+        let runs: Vec<_> = striped_runs(0, 8 * su, su, 4).collect();
         assert_eq!(runs.len(), 4);
         for r in &runs {
             assert_eq!(r.len, 2 * su);
@@ -326,7 +381,7 @@ mod tests {
     fn runs_handle_unaligned_ends() {
         let su = 24 * KB;
         // Start mid-stripe-unit, cover 1.5 units.
-        let runs = striped_runs(su / 2, su + su / 2, su, 8);
+        let runs: Vec<_> = striped_runs(su / 2, su + su / 2, su, 8).collect();
         assert_eq!(runs.len(), 2);
         assert_eq!(runs[0], PhysicalRun { disk: 0, start_byte: su / 2, len: su / 2 });
         assert_eq!(runs[1], PhysicalRun { disk: 1, start_byte: 0, len: su });
@@ -337,7 +392,7 @@ mod tests {
     #[test]
     fn runs_conserve_bytes_and_stay_in_bounds() {
         for (start, len) in [(0u64, 1u64), (1000, 24 * KB * 17 + 13), (24 * KB * 5, 512)] {
-            let runs = striped_runs(start, len, 24 * KB, 8);
+            let runs: Vec<_> = striped_runs(start, len, 24 * KB, 8).collect();
             assert_eq!(runs.iter().map(|r| r.len).sum::<u64>(), len);
             for r in &runs {
                 assert!(r.disk < 8);

@@ -12,7 +12,18 @@
 //! 3. **transfer** — one sector time per sector, plus a head-switch penalty
 //!    per track boundary and a single-track seek per cylinder boundary
 //!    (computed in closed form, so multi-hundred-megabyte requests cost O(1)
-//!    to evaluate).
+//!    to evaluate). The crossings are counted once and give both the
+//!    transfer time and its head-switch share.
+//!
+//! The phase arithmetic takes no floating-point remainder, yet gives bit
+//! for bit what one would. Times are never negative, so for `q = t /
+//! rotation ≥ 0` the fractional rotation is `q - trunc(q)`: that
+//! subtraction is exact (for `q ≥ 1`, `trunc(q) ≤ q ≤ 2·trunc(q)`, so
+//! Sterbenz's lemma applies; below 1 it subtracts zero), and a remainder of
+//! `q` by 1 is the same exact value. The distance from the phase (in
+//! `[0, spt)`) to a target sector (in `[0, spt)`) lies in `(-spt, spt)`,
+//! where the remainder modulo `spt` is the distance itself, plus `spt` when
+//! it is negative — one comparison and one add.
 
 use crate::geometry::DiskGeometry;
 
@@ -56,16 +67,16 @@ fn crossing_counts(geom: &DiskGeometry, start_sector: u64, nsectors: u64) -> (u6
     (track_crossings - cylinder_crossings, cylinder_crossings)
 }
 
-/// Rotational phase of the platter at absolute time `at_ms`, expressed as a
-/// fractional sector index in `[0, sectors_per_track)`.
+/// Rotational phase of the platter at absolute time `at_ms ≥ 0`, expressed
+/// as a fractional sector index in `[0, sectors_per_track)`.
 ///
 /// All surfaces share a spindle, so the phase is a property of the disk, not
 /// of a track: the sector with index `k` passes under the heads when the
 /// phase equals `k`.
 pub fn rotational_phase_sectors(geom: &DiskGeometry, at_ms: f64) -> f64 {
     let spt = geom.sectors_per_track() as f64;
-    let frac = (at_ms / geom.rotation_ms).rem_euclid(1.0);
-    frac * spt
+    let q = at_ms / geom.rotation_ms;
+    (q - q.trunc()) * spt
 }
 
 /// Tolerance (in sectors) for "the target sector is arriving right now".
@@ -75,14 +86,17 @@ pub fn rotational_phase_sectors(geom: &DiskGeometry, at_ms: f64) -> f64 {
 /// microsecond *past* the next sector and would otherwise be charged a
 /// phantom full rotation. 0.02 sectors ≈ 7 µs on the Wren IV — far below
 /// anything the model resolves, far above the rounding error.
-const SECTOR_PHASE_TOLERANCE: f64 = 0.02;
+pub const SECTOR_PHASE_TOLERANCE: f64 = 0.02;
 
-/// Time the head must wait, starting at `at_ms`, for sector-within-track
-/// `target_sector` to arrive under it.
+/// Time the head must wait, starting at `at_ms ≥ 0`, for
+/// sector-within-track `target_sector` to arrive under it.
 pub fn rotational_latency_ms(geom: &DiskGeometry, at_ms: f64, target_sector: u32) -> f64 {
     let spt = geom.sectors_per_track() as f64;
     let phase = rotational_phase_sectors(geom, at_ms);
-    let distance = (f64::from(target_sector) - phase).rem_euclid(spt);
+    let mut distance = f64::from(target_sector) - phase;
+    if distance < 0.0 {
+        distance += spt;
+    }
     if distance > spt - SECTOR_PHASE_TOLERANCE {
         // Just-missed by less than the timestamp resolution: the sector is
         // effectively under the head.
@@ -91,26 +105,15 @@ pub fn rotational_latency_ms(geom: &DiskGeometry, at_ms: f64, target_sector: u32
     distance * geom.sector_time_ms()
 }
 
-/// Closed-form transfer time for `nsectors` starting at absolute sector
-/// `start_sector`, assuming the head is already positioned over the start.
-///
-/// Charges `sector_time` per sector, `head_switch` per intra-cylinder track
-/// boundary, and a single-track seek per cylinder boundary. Track skew is
-/// assumed to hide re-synchronisation after crossings (see DESIGN.md).
-pub fn transfer_time_ms(geom: &DiskGeometry, start_sector: u64, nsectors: u64) -> f64 {
-    if nsectors == 0 {
-        return 0.0;
-    }
-    let (head_switches, cylinder_crossings) = crossing_counts(geom, start_sector, nsectors);
-    nsectors as f64 * geom.sector_time_ms()
-        + head_switches as f64 * geom.track_crossing_ms(false)
-        + cylinder_crossings as f64 * geom.track_crossing_ms(true)
-}
-
 /// Full service-time computation for a contiguous physical run.
 ///
-/// `head_cylinder` is where the head currently rests; `ready_ms` is the
+/// `head_cylinder` is where the head currently rests; `ready_ms ≥ 0` is the
 /// absolute time at which the disk starts working on this request.
+///
+/// The transfer charges `sector_time` per sector, `head_switch` per
+/// intra-cylinder track boundary, and a single-track seek per cylinder
+/// boundary. Track skew is assumed to hide re-synchronisation after
+/// crossings (see DESIGN.md).
 pub fn service_breakdown(
     geom: &DiskGeometry,
     head_cylinder: u32,
@@ -121,9 +124,11 @@ pub fn service_breakdown(
     let target = geom.locate_sector(start_sector);
     let seek_ms = geom.seek_time_ms(head_cylinder, target.cylinder);
     let rotational_ms = rotational_latency_ms(geom, ready_ms + seek_ms, target.sector);
-    let transfer_ms = transfer_time_ms(geom, start_sector, nsectors);
-    let (head_switches, _) = crossing_counts(geom, start_sector, nsectors);
+    let (head_switches, cylinder_crossings) = crossing_counts(geom, start_sector, nsectors);
     let head_switch_ms = head_switches as f64 * geom.track_crossing_ms(false);
+    let transfer_ms = nsectors as f64 * geom.sector_time_ms()
+        + head_switch_ms
+        + cylinder_crossings as f64 * geom.track_crossing_ms(true);
     ServiceBreakdown { seek_ms, rotational_ms, transfer_ms, head_switch_ms }
 }
 
@@ -133,6 +138,11 @@ mod tests {
 
     fn g() -> DiskGeometry {
         DiskGeometry::wren_iv()
+    }
+
+    /// The transfer share of a run's service time.
+    fn transfer_time_ms(g: &DiskGeometry, start_sector: u64, nsectors: u64) -> f64 {
+        service_breakdown(g, 0, 0.0, start_sector, nsectors).transfer_ms
     }
 
     #[test]

@@ -848,30 +848,57 @@ impl Simulation {
         }
     }
 
+    /// The stop rule at head event time `t_next`, with `iv` complete
+    /// intervals: `(true, pct)` once the throughput has stabilized,
+    /// `(false, recent mean)` when the interval cap is reached, `None` to
+    /// go on.
+    fn stop_verdict(
+        &self,
+        meter: &ThroughputMeter,
+        t_next: SimTime,
+        iv: usize,
+    ) -> Option<(bool, f64)> {
+        if let Some(pct) = meter.stabilized(
+            t_next,
+            self.max_bw,
+            self.stabilize_window,
+            self.stabilize_tolerance_pct,
+        ) {
+            return Some((true, pct));
+        }
+        if iv >= self.max_intervals {
+            let pct = meter.recent_mean_pct(t_next, self.max_bw, self.stabilize_window);
+            return Some((false, pct));
+        }
+        None
+    }
+
     /// The serial measurement loop, shared by plain and checkpointed runs:
     /// decide and commit each event on this thread. `at_step` runs before
     /// every step, after the stop checks — where `self` and `frame` fully
     /// determine the rest of the run, so a checkpoint written there
     /// resumes bit-identically — and may break out of the loop. Returns
     /// `(stabilized, throughput_pct)` once the test ends.
+    ///
+    /// The stop checks run once per measurement interval, at its first
+    /// event: their verdicts depend only on the complete intervals, which
+    /// no later event of the same interval changes (spans begin at or after
+    /// the event's time, and `total_bytes` only grows). A resumed run
+    /// checks again at its first event and gets the same verdict.
     fn run_perf_serial<B>(
         &mut self,
         mode: Mode,
         frame: &mut PerfFrame,
         mut at_step: impl FnMut(&mut Self, &PerfFrame) -> ControlFlow<B>,
     ) -> ControlFlow<B, (bool, f64)> {
+        let mut last_eval: Option<usize> = None;
         while let Some(t_next) = self.queue.peek_time() {
-            if let Some(pct) = frame.meter.stabilized(
-                t_next,
-                self.max_bw,
-                self.stabilize_window,
-                self.stabilize_tolerance_pct,
-            ) {
-                return ControlFlow::Continue((true, pct));
-            }
-            if frame.meter.complete_intervals(t_next) >= self.max_intervals {
-                let pct = frame.meter.recent_mean_pct(t_next, self.max_bw, self.stabilize_window);
-                return ControlFlow::Continue((false, pct));
+            let iv = frame.meter.complete_intervals(t_next);
+            if last_eval != Some(iv) {
+                if let Some(verdict) = self.stop_verdict(&frame.meter, t_next, iv) {
+                    return ControlFlow::Continue(verdict);
+                }
+                last_eval = Some(iv);
             }
             at_step(self, frame)?;
             self.step(mode, Some(&mut frame.meter));
@@ -1023,18 +1050,8 @@ impl Simulation {
                 while !fx.is_empty() {
                     self.commit_front_blocking(&mut fx, meter, chans);
                 }
-                if let Some(pct) = meter.stabilized(
-                    t_next,
-                    self.max_bw,
-                    self.stabilize_window,
-                    self.stabilize_tolerance_pct,
-                ) {
-                    outcome = (true, pct);
-                    break 'outer;
-                }
-                if iv >= self.max_intervals {
-                    outcome =
-                        (false, meter.recent_mean_pct(t_next, self.max_bw, self.stabilize_window));
+                if let Some(verdict) = self.stop_verdict(meter, t_next, iv) {
+                    outcome = verdict;
                     break 'outer;
                 }
                 last_eval = Some(iv);

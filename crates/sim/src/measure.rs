@@ -111,11 +111,15 @@ impl ThroughputMeter {
         if complete < window {
             return None;
         }
-        let pcts: Vec<f64> = (complete - window..complete)
-            .map(|i| self.interval_pct(i, max_bytes_per_ms))
-            .collect();
-        let lo = pcts.iter().cloned().fold(f64::INFINITY, f64::min);
-        let hi = pcts.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+        // One pass in ascending interval order, which also pins the sum's
+        // accumulation order (r6: no unpinned f64 `sum()`).
+        let (mut lo, mut hi, mut total) = (f64::INFINITY, f64::NEG_INFINITY, 0.0);
+        for i in complete - window..complete {
+            let p = self.interval_pct(i, max_bytes_per_ms);
+            lo = lo.min(p);
+            hi = hi.max(p);
+            total += p;
+        }
         // An all-idle window while transfers are pending elsewhere (e.g.
         // queued behind a backlog) is not a steady state.
         // simlint::allow(r9, "0.0 is an exact sentinel: an idle interval's pct is assigned, never accumulated")
@@ -125,12 +129,6 @@ impl ThroughputMeter {
         // The epsilon absorbs float noise when the spread is exactly at the
         // tolerance (e.g. 10.05 − 9.95 in binary floats).
         if hi - lo <= tolerance_pct + 1e-9 {
-            // Accumulate in ascending interval order (r6: no unpinned
-            // f64 `sum()`).
-            let mut total = 0.0;
-            for p in &pcts {
-                total += p;
-            }
             Some(total / window as f64)
         } else {
             None

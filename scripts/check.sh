@@ -5,12 +5,14 @@
 #      --crates simlint self-lint pass;
 #   3. every workspace crate's test suite (cargo test --workspace);
 #   4. a 2-job smoke run of the reproduction at fast scale with the
-#      metrics sidecars enabled;
-#   5. a 1-job rerun that also writes a binary results store, byte-
-#      compared against the 2-job run: results must not depend on the
-#      thread count;
-#   6. a --shards 2 rerun, byte-compared: the effect pipeline must be
-#      results-invariant in the shard count;
+#      metrics sidecars enabled (fig1, fig2, fig6, table4, users_1e6;
+#      fig6 puts all four policy families' I/O through the disk model);
+#   5. a 1-job rerun of fig1, fig2, fig6 and table4 that also writes a
+#      binary results store, byte-compared against the 2-job run: results
+#      must not depend on the thread count;
+#   6. a --shards 2 rerun, byte-compared: the effect pipeline (and the
+#      per-disk piece plans it services) must be results-invariant in
+#      the shard count;
 #   7. an --event-queue calendar rerun, byte-compared: the calendar
 #      backend must be results-invariant in the queue structure;
 #   8. `repro export` from the store of leg 5, byte-compared against that
@@ -44,7 +46,7 @@ cargo test -q --workspace
 
 echo "== repro smoke (scale 1/64, 2 jobs, metrics on) =="
 cargo run --release -p readopt-core --bin repro -- \
-    fig1 fig2 table4 users_1e6 --scale 64 --intervals 4 --jobs 2 --json target/check
+    fig1 fig2 fig6 table4 users_1e6 --scale 64 --intervals 4 --jobs 2 --json target/check
 
 echo "== sidecar determinism (re-run at 1 job, byte-compare) =="
 # This run also writes the binary results store so the export leg below
@@ -52,9 +54,9 @@ echo "== sidecar determinism (re-run at 1 job, byte-compare) =="
 mkdir -p target/check-j1
 rm -f target/check/run.rrs
 cargo run --release -q -p readopt-core --bin repro -- \
-    fig1 fig2 table4 --scale 64 --intervals 4 --jobs 1 --json target/check-j1 \
+    fig1 fig2 fig6 table4 --scale 64 --intervals 4 --jobs 1 --json target/check-j1 \
     --store target/check/run.rrs > /dev/null
-for exp in fig1 fig2 table4; do
+for exp in fig1 fig2 fig6 table4; do
     cmp "target/check/$exp.metrics.json" "target/check-j1/$exp.metrics.json" \
         || { echo "ERROR: $exp metrics sidecar differs between --jobs 2 and --jobs 1"; exit 1; }
     cmp "target/check/$exp.json" "target/check-j1/$exp.json" \
@@ -65,13 +67,13 @@ done
 echo "   sidecars byte-identical across job counts"
 
 echo "== shard determinism (re-run at --shards 2, byte-compare) =="
-# At --jobs 1 on two or more cores this runs fig2's performance tests on
-# the pipelined loop with two effect workers.
+# At --jobs 1 on two or more cores this runs fig2's and fig6's
+# performance tests on the pipelined loop with two effect workers.
 mkdir -p target/check-s2
 cargo run --release -q -p readopt-core --bin repro -- \
-    fig1 fig2 table4 --scale 64 --intervals 4 --jobs 1 --shards 2 \
+    fig1 fig2 fig6 table4 --scale 64 --intervals 4 --jobs 1 --shards 2 \
     --json target/check-s2 > /dev/null
-for exp in fig1 fig2 table4; do
+for exp in fig1 fig2 fig6 table4; do
     cmp "target/check-j1/$exp.metrics.json" "target/check-s2/$exp.metrics.json" \
         || { echo "ERROR: $exp metrics sidecar differs between --shards 1 and --shards 2"; exit 1; }
     cmp "target/check-j1/$exp.json" "target/check-s2/$exp.json" \
@@ -88,9 +90,9 @@ echo "== event-queue determinism (re-run on calendar backend, byte-compare) =="
 # and sidecars byte for byte.
 mkdir -p target/check-cal
 cargo run --release -q -p readopt-core --bin repro -- \
-    fig1 fig2 table4 --scale 64 --intervals 4 --jobs 1 --event-queue calendar \
+    fig1 fig2 fig6 table4 --scale 64 --intervals 4 --jobs 1 --event-queue calendar \
     --json target/check-cal > /dev/null
-for exp in fig1 fig2 table4; do
+for exp in fig1 fig2 fig6 table4; do
     cmp "target/check-j1/$exp.metrics.json" "target/check-cal/$exp.metrics.json" \
         || { echo "ERROR: $exp metrics sidecar differs between heap and calendar event queues"; exit 1; }
     cmp "target/check-j1/$exp.json" "target/check-cal/$exp.json" \

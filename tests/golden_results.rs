@@ -1,14 +1,20 @@
-//! Golden-value regression suite: `--scale 64` snapshots of fig1, fig2 and
-//! table4 pinned as JSON under `tests/golden/`. The simulator is
-//! deterministic, so any byte of drift in these results is a behavior
-//! change — intended changes are re-snapshotted with
+//! Golden-value regression suite: `--scale 64` snapshots of fig1, fig2,
+//! fig6 and table4 pinned as JSON under `tests/golden/`. The fig6 snapshot
+//! also pins each test's array-combined disk-time decomposition (seek,
+//! rotational, transfer, head-switch, busy and queue-wait ms, requests,
+//! seeks), so a change to the disk service model shows even where the
+//! throughput percentages round it away. The simulator is deterministic,
+//! so any byte of drift in these results is a behavior change — intended
+//! changes are re-snapshotted with
 //! `REPRO_UPDATE_GOLDEN=1 cargo test --test golden_results`.
 //!
 //! Failures print every differing JSON path with the golden and current
 //! values, so a perturbation shows up as (say) `points[3].app_pct` rather
 //! than an opaque string mismatch.
 
-use readopt::experiments::{fig1, fig2, table4, ExperimentContext};
+use readopt::experiments::fig6::Fig6;
+use readopt::experiments::{fig1, fig2, fig6, table4, ExperimentContext};
+use readopt::sim::DiskPhaseMetrics;
 use serde::Serialize;
 use serde_json::Value;
 use std::path::PathBuf;
@@ -102,6 +108,66 @@ fn fig1_matches_golden_snapshot() {
 fn fig2_matches_golden_snapshot() {
     let (result, _, _, _) = fig2::run_profiled(&ctx());
     check_golden("fig2", &result);
+}
+
+/// The disk-time decomposition of one test, array-combined.
+#[derive(Serialize)]
+struct DiskTime {
+    test: String,
+    requests: u64,
+    seeks: u64,
+    seek_ms: f64,
+    rotational_ms: f64,
+    transfer_ms: f64,
+    head_switch_ms: f64,
+    busy_ms: f64,
+    queue_wait_ms: f64,
+}
+
+impl DiskTime {
+    fn new(test: &str, c: &DiskPhaseMetrics) -> Self {
+        DiskTime {
+            test: test.to_string(),
+            requests: c.requests,
+            seeks: c.seeks,
+            seek_ms: c.seek_ms,
+            rotational_ms: c.rotational_ms,
+            transfer_ms: c.transfer_ms,
+            head_switch_ms: c.head_switch_ms,
+            busy_ms: c.busy_ms,
+            queue_wait_ms: c.queue_wait_ms,
+        }
+    }
+}
+
+#[derive(Serialize)]
+struct PointDiskTime {
+    label: String,
+    tests: Vec<DiskTime>,
+}
+
+#[derive(Serialize)]
+struct Fig6Golden {
+    results: Fig6,
+    disk: Vec<PointDiskTime>,
+}
+
+#[test]
+fn fig6_matches_golden_snapshot() {
+    let (results, _, metrics, _) = fig6::run_profiled(&ctx());
+    let disk = metrics
+        .points
+        .iter()
+        .map(|p| PointDiskTime {
+            label: p.label.clone(),
+            tests: p
+                .tests
+                .iter()
+                .map(|t| DiskTime::new(&t.test, &t.storage.combined))
+                .collect(),
+        })
+        .collect();
+    check_golden("fig6", &Fig6Golden { results, disk });
 }
 
 #[test]
