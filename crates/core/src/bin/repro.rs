@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! usage: repro [EXPERIMENT ...] [--scale N] [--seed S] [--intervals K]
-//!              [--jobs J] [--shards S] [--event-queue heap|calendar]
+//!              [--jobs J] [--event-queue heap|calendar]
 //!              [--users-full] [--store FILE] [--json DIR] [--explain]
 //!        repro export --store FILE --json DIR
 //!
@@ -17,13 +17,6 @@
 //! --jobs J:      worker threads for the sweep-point runner (default: the
 //!                machine's available parallelism; results are bit-identical
 //!                at any J)
-//! --shards S:    disk groups inside each simulation point (default 1;
-//!                results are bit-identical at any S ≥ 1). S ≥ 2 runs a
-//!                performance test's disk work on worker threads (disk d in
-//!                group d mod S), auto-sized from what the machine affords
-//!                after --jobs is accounted for. Slower where measured: on
-//!                a 2-vCPU VM, full-scale `fig2 --jobs 1` took 13.1 s at
-//!                S = 2 against 3.5 s at S = 1 (medians of 3)
 //! --event-queue: structure backing every simulation's event queue
 //!                (default heap; results are bit-identical either way —
 //!                calendar is the O(1) choice for million-user points)
@@ -61,7 +54,7 @@ use std::time::Instant;
 /// module documentation above (a unit test keeps the two in step).
 const USAGE: &str = "\
 usage: repro [EXPERIMENT ...] [--scale N] [--seed S] [--intervals K]
-             [--jobs J] [--shards S] [--event-queue heap|calendar]
+             [--jobs J] [--event-queue heap|calendar]
              [--users-full] [--store FILE] [--json DIR] [--explain]
        repro export --store FILE --json DIR
 
@@ -81,7 +74,6 @@ struct Options {
     seed: u64,
     intervals: Option<usize>,
     jobs: Option<usize>,
-    shards: Option<usize>,
     event_queue: EventQueueKind,
     users_full: bool,
     json_dir: Option<String>,
@@ -140,7 +132,6 @@ fn parse_args() -> Result<Options, String> {
         seed: 1991,
         intervals: None,
         jobs: None,
-        shards: None,
         event_queue: EventQueueKind::Heap,
         users_full: false,
         json_dir: None,
@@ -187,17 +178,6 @@ fn parse_args() -> Result<Options, String> {
                     return Err("--jobs must be at least 1".into());
                 }
                 opts.jobs = Some(j);
-            }
-            "--shards" => {
-                let s: usize = args
-                    .next()
-                    .ok_or("--shards needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--shards: {e}"))?;
-                if s == 0 {
-                    return Err("--shards must be at least 1".into());
-                }
-                opts.shards = Some(s);
             }
             "--event-queue" => {
                 opts.event_queue = match args.next().ok_or("--event-queue needs a value")?.as_str()
@@ -263,12 +243,12 @@ fn write_json<T: Serialize>(dir: &Option<String>, name: &str, value: &T) {
 }
 
 /// The canonical run-configuration fingerprint stored as the `.rrs` meta
-/// record. Results-invariant knobs (`jobs`, `shards`, `shard_workers`,
-/// `event_queue`) are normalized out — the whole point of the store is
-/// that a sweep killed under `--jobs 8` can resume under `--jobs 1` and
-/// still produce the same bytes — while everything
-/// results-affecting (array scale, seed, intervals, latency cap, the
-/// users ladder) stays in and is enforced on resume.
+/// record. Results-invariant knobs (`jobs`, `event_queue`) are
+/// normalized out — the whole point of the store is that a sweep killed
+/// under `--jobs 8` can resume under `--jobs 1` and still produce the
+/// same bytes — while everything results-affecting (array scale, seed,
+/// intervals, latency cap, the users ladder) stays in and is enforced on
+/// resume.
 fn store_meta_json(ctx: &ExperimentContext, opts: &Options) -> String {
     #[derive(Serialize)]
     struct StoreMeta {
@@ -278,8 +258,6 @@ fn store_meta_json(ctx: &ExperimentContext, opts: &Options) -> String {
     }
     let mut c = *ctx;
     c.jobs = 1;
-    c.shards = 1;
-    c.shard_workers = 0;
     c.event_queue = EventQueueKind::Heap;
     let meta = StoreMeta {
         context: c,
@@ -375,9 +353,6 @@ fn main() {
         ExperimentContext::fast(opts.scale)
     };
     ctx = ctx.with_seed(opts.seed).with_jobs(jobs);
-    if let Some(s) = opts.shards {
-        ctx = ctx.with_shards(s);
-    }
     if let Some(k) = opts.intervals {
         // A performance test measures at least one stabilization window;
         // reject fewer intervals here instead of letting the simulation's
@@ -406,13 +381,12 @@ fn main() {
     }
 
     println!(
-        "readopt repro — array: {} disks, {:.2} GB usable (scale 1/{}), seed {}, {} jobs, {} shards, {} queue\n",
+        "readopt repro — array: {} disks, {:.2} GB usable (scale 1/{}), seed {}, {} jobs, {} queue\n",
         ctx.array.ndisks,
         ctx.array.capacity_bytes() as f64 / 1e9,
         opts.scale,
         ctx.seed,
         jobs,
-        ctx.shards,
         match ctx.event_queue {
             EventQueueKind::Heap => "heap",
             EventQueueKind::Calendar => "calendar",

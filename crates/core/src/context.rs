@@ -21,15 +21,6 @@ pub struct ExperimentContext {
     /// Worker threads sweep points run across (see `runner`). Results are
     /// bit-identical at any value; 1 means fully sequential.
     pub jobs: usize,
-    /// Disk groups per simulation point (≥ 1; see `SimConfig::shards`).
-    /// Results are bit-identical at any value; above 1 a point's disk
-    /// effects execute on `shard_workers` threads, which was slower
-    /// wherever it was timed (README "Sharded engine").
-    pub shards: usize,
-    /// Effect-worker threads per point: 0 = auto (what the machine affords
-    /// after `jobs` point-level workers are accounted for), 1 = in-line,
-    /// higher = that many threads (capped at `shards`).
-    pub shard_workers: usize,
     /// Which structure backs every simulation's event queue. Results are
     /// bit-identical on either backend; `Calendar` is the O(1) choice for
     /// million-user points.
@@ -51,8 +42,6 @@ impl ExperimentContext {
             seed: 1991,
             max_intervals: 30,
             jobs: 1,
-            shards: 1,
-            shard_workers: 0,
             event_queue: EventQueueKind::Heap,
             latency_sample_cap: 0,
         }
@@ -66,8 +55,6 @@ impl ExperimentContext {
             seed: 1991,
             max_intervals: 12,
             jobs: 1,
-            shards: 1,
-            shard_workers: 0,
             event_queue: EventQueueKind::Heap,
             latency_sample_cap: 0,
         }
@@ -82,19 +69,6 @@ impl ExperimentContext {
     /// With a different worker-thread count.
     pub fn with_jobs(mut self, jobs: usize) -> Self {
         self.jobs = jobs.max(1);
-        self
-    }
-
-    /// With a different shard count (worker threads stay on auto).
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
-        self
-    }
-
-    /// With explicit effect-worker threads (mostly for tests that must
-    /// force the threaded path regardless of the machine).
-    pub fn with_shard_workers(mut self, workers: usize) -> Self {
-        self.shard_workers = workers;
         self
     }
 
@@ -115,17 +89,6 @@ impl ExperimentContext {
         let types = workload.build(self.array.capacity_bytes());
         let mut cfg = SimConfig::new(self.array, policy, types);
         cfg.max_intervals = self.max_intervals;
-        cfg.shards = self.shards.max(1);
-        cfg.shard_workers = if self.shard_workers == 0 {
-            // Auto: split what the machine affords across the `jobs`
-            // point-level workers so jobs × shard-workers stays within the
-            // core count. Never more threads than shards; 1 collapses to
-            // the in-line path.
-            let cores = std::thread::available_parallelism().map_or(1, usize::from);
-            (cores / self.jobs.max(1)).max(1).min(cfg.shards)
-        } else {
-            self.shard_workers.min(cfg.shards)
-        };
         cfg.event_queue = self.event_queue;
         if self.latency_sample_cap > 0 {
             cfg.latency_sample_cap = self.latency_sample_cap;
@@ -270,29 +233,6 @@ mod tests {
         for wl in WorkloadKind::all() {
             ctx.sim_config(wl, PolicyConfig::paper_extent_based()).validate().unwrap();
         }
-    }
-
-    #[test]
-    fn shard_settings_flow_into_sim_config() {
-        let ctx = ExperimentContext::fast(64);
-        let cfg = ctx.sim_config(WorkloadKind::Timesharing, PolicyConfig::paper_extent_based());
-        assert_eq!(cfg.shards, 1, "default is unsharded");
-        let ctx = ctx.with_shards(4).with_shard_workers(2);
-        let cfg = ctx.sim_config(WorkloadKind::Timesharing, PolicyConfig::paper_extent_based());
-        assert_eq!(cfg.shards, 4);
-        assert_eq!(cfg.shard_workers, 2);
-        // Explicit workers are capped at the shard count.
-        let cfg = ctx
-            .with_shards(2)
-            .with_shard_workers(16)
-            .sim_config(WorkloadKind::Timesharing, PolicyConfig::paper_extent_based());
-        assert_eq!(cfg.shard_workers, 2);
-        // Auto resolution never exceeds shards and is at least 1.
-        let cfg = ExperimentContext::fast(64)
-            .with_shards(3)
-            .sim_config(WorkloadKind::Timesharing, PolicyConfig::paper_extent_based());
-        assert!((1..=3).contains(&cfg.shard_workers));
-        cfg.validate().unwrap();
     }
 
     #[test]

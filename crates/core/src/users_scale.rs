@@ -174,8 +174,6 @@ fn point_config(ctx: &ExperimentContext, users: u32, kind: EventQueueKind) -> Si
     // without making the million-user rung take minutes.
     cfg.interval = SimDuration::from_secs(1.0);
     cfg.max_intervals = 6;
-    cfg.shards = 1;
-    cfg.shard_workers = 1;
     cfg.event_queue = kind;
     cfg
 }

@@ -65,7 +65,7 @@ fn bad_flag_values_are_usage_errors() {
         (&["--jobs", "0"], "--jobs must be at least 1"),
         (&["--jobs", "abc"], "--jobs: invalid digit"),
         (&["--jobs"], "--jobs needs a value"),
-        (&["--shards", "0"], "--shards must be at least 1"),
+        (&["--shards", "2"], "unknown option --shards"),
         (&["--event-queue", "bogus"], "--event-queue: unknown backend bogus"),
         (&["--workers", "2"], "unknown option --workers"),
         (&["fgi1"], "unknown experiment fgi1"),

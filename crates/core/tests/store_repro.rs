@@ -1,6 +1,6 @@
 //! End-to-end binary-results-store tests against the real `repro` binary:
 //! `repro export` must regenerate the JSON sidecars byte-identically,
-//! the store's point records must not depend on `--jobs`/`--shards`,
+//! the store's point records must not depend on `--jobs`/`--event-queue`,
 //! and a `users_1e6` ladder killed mid-rung by the checkpoint fault
 //! injection must resume to the same store bytes.
 
@@ -59,7 +59,7 @@ fn point_records(store: &Path) -> BTreeMap<(String, u64), String> {
 
 /// `repro --store` + `repro export` round-trips every sidecar
 /// byte-identically, and neither the sweep point records nor the
-/// deterministic artifacts depend on the parallelism knobs.
+/// deterministic artifacts depend on `--jobs` or `--event-queue`.
 #[test]
 fn store_export_roundtrips_and_is_parallelism_invariant() {
     let dir = out_dir("store_roundtrip");
@@ -91,15 +91,15 @@ fn store_export_roundtrips_and_is_parallelism_invariant() {
         );
     }
 
-    // The same sweep under every parallelism knob appends the same
-    // point records and the same deterministic artifacts.
+    // The same sweep at another job count or on the other event-queue
+    // backend appends the same point records and deterministic artifacts.
     let reference = point_records(&store1);
     assert!(
         reference.keys().any(|(exp, _)| exp == "table4"),
         "store holds table4 sweep points: {:?}",
         reference.keys().collect::<Vec<_>>()
     );
-    for (tag, extra) in [("j2", ["--jobs", "2"]), ("s2", ["--shards", "2"])] {
+    for (tag, extra) in [("j2", ["--jobs", "2"]), ("cal", ["--event-queue", "calendar"])] {
         let store = dir.join(format!("{tag}.rrs"));
         run_ok(&[&base[..], &extra[..], &["--store", store.to_str().unwrap()]].concat(), &[]);
         let got = point_records(&store);

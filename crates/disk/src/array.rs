@@ -22,7 +22,7 @@
 
 use crate::disk::Disk;
 use crate::geometry::DiskGeometry;
-use crate::request::{IoKind, IoRequest, IoSpan, PiecePlan, ShardableStorage, Storage};
+use crate::request::{IoKind, IoRequest, IoSpan, Storage};
 use crate::stats::StorageStats;
 use crate::time::SimTime;
 use serde::{de_field, Serialize, Value};
@@ -120,10 +120,6 @@ impl Iterator for StripedRuns {
 #[derive(Debug, Clone)]
 pub struct StripedArray {
     disks: Vec<Disk>,
-    /// Member count, kept separately from `disks.len()` so logical-side
-    /// geometry (capacity, striping) stays valid while the disks are moved
-    /// out to sharded-execution workers via [`ShardableStorage::take_disks`].
-    nmembers: usize,
     stripe_unit_bytes: u64,
     disk_unit_bytes: u64,
     /// Usable bytes per member (the smallest disk's capacity, stripe
@@ -170,7 +166,6 @@ impl StripedArray {
         let ndisks = geoms.len();
         StripedArray {
             disks: geoms.into_iter().map(Disk::new).collect(),
-            nmembers: ndisks,
             stripe_unit_bytes,
             disk_unit_bytes,
             per_disk_share_bytes: share,
@@ -210,11 +205,11 @@ impl Storage for StripedArray {
     }
 
     fn capacity_units(&self) -> u64 {
-        self.nmembers as u64 * self.per_disk_share_bytes / self.disk_unit_bytes
+        self.disks.len() as u64 * self.per_disk_share_bytes / self.disk_unit_bytes
     }
 
     fn ndisks(&self) -> usize {
-        self.nmembers
+        self.disks.len()
     }
 
     fn submit(&mut self, ready: SimTime, req: &IoRequest) -> IoSpan {
@@ -225,7 +220,7 @@ impl Storage for StripedArray {
         let len = req.units * self.disk_unit_bytes;
         let mut begin = SimTime::MAX;
         let mut end = ready;
-        for run in striped_runs(start, len, self.stripe_unit_bytes, self.nmembers) {
+        for run in striped_runs(start, len, self.stripe_unit_bytes, self.disks.len()) {
             begin = begin.min(self.disks[run.disk].free_at().max(ready));
             let completion = self.disks[run.disk].service_bytes(ready, run.start_byte, run.len, req.kind);
             end = end.max(completion);
@@ -252,18 +247,7 @@ impl Storage for StripedArray {
         self.stats.reset();
     }
 
-    fn as_shardable(&mut self) -> Option<&mut dyn ShardableStorage> {
-        // Plain striping has no cross-disk coupling: every piece touches
-        // exactly one disk, so pieces can be serviced independently.
-        Some(self)
-    }
-
     fn checkpoint_state(&self) -> Option<Value> {
-        if self.disks.len() != self.nmembers {
-            // Disks are out with sharded-execution workers; no coherent
-            // snapshot exists until they come back.
-            return None;
-        }
         Some(Value::Object(vec![
             (
                 "disks".to_string(),
@@ -274,25 +258,22 @@ impl Storage for StripedArray {
     }
 
     fn restore_state(&mut self, snapshot: &Value) -> Result<(), String> {
-        if self.disks.len() != self.nmembers {
-            return Err("cannot restore while member disks are taken".into());
-        }
         let Some(Value::Array(disk_snaps)) = snapshot.get("disks") else {
             return Err("array snapshot missing the per-disk states".into());
         };
-        if disk_snaps.len() != self.nmembers {
+        if disk_snaps.len() != self.disks.len() {
             return Err(format!(
                 "snapshot holds {} disks, array has {}",
                 disk_snaps.len(),
-                self.nmembers
+                self.disks.len()
             ));
         }
         let logical: StorageStats = de_field(snapshot, "logical").map_err(|e| e.to_string())?;
-        if logical.per_disk.len() != self.nmembers {
+        if logical.per_disk.len() != self.disks.len() {
             return Err(format!(
                 "logical stats cover {} disks, array has {}",
                 logical.per_disk.len(),
-                self.nmembers
+                self.disks.len()
             ));
         }
         // Validate every member against its geometry before committing any.
@@ -303,37 +284,6 @@ impl Storage for StripedArray {
         self.disks = disks;
         self.stats = logical;
         Ok(())
-    }
-}
-
-impl ShardableStorage for StripedArray {
-    fn plan_pieces(&mut self, req: &IoRequest, out: &mut Vec<PiecePlan>) {
-        // Mirrors `submit` minus the servicing: same validation, same
-        // logical accounting, same run decomposition in the same order.
-        debug_assert!(req.units > 0, "empty request");
-        debug_assert!(req.end() <= self.capacity_units(), "request beyond array end");
-        self.account(req);
-        let start = req.unit * self.disk_unit_bytes;
-        let len = req.units * self.disk_unit_bytes;
-        for run in striped_runs(start, len, self.stripe_unit_bytes, self.nmembers) {
-            out.push(PiecePlan {
-                disk: run.disk,
-                start_byte: run.start_byte,
-                len_bytes: run.len,
-                kind: req.kind,
-            });
-        }
-    }
-
-    fn take_disks(&mut self) -> Vec<Disk> {
-        debug_assert_eq!(self.disks.len(), self.nmembers, "disks already taken");
-        std::mem::take(&mut self.disks)
-    }
-
-    fn restore_disks(&mut self, disks: Vec<Disk>) {
-        debug_assert!(self.disks.is_empty(), "restoring over live disks");
-        debug_assert_eq!(disks.len(), self.nmembers, "wrong member count restored");
-        self.disks = disks;
     }
 }
 
@@ -466,12 +416,6 @@ mod tests {
         let mut small = StripedArray::new(DiskGeometry::wren_iv(), 4, 24 * KB, KB);
         let err = small.restore_state(&snap).unwrap_err();
         assert!(err.contains("8 disks"), "{err}");
-        // No snapshot while the disks are out with sharded workers.
-        let taken = a.take_disks();
-        assert!(Storage::checkpoint_state(&a).is_none());
-        assert!(a.restore_state(&snap).is_err());
-        a.restore_disks(taken);
-        assert!(Storage::checkpoint_state(&a).is_some());
     }
 
     #[test]

@@ -63,6 +63,6 @@ pub use geometry::DiskGeometry;
 pub use mirror::MirroredArray;
 pub use parity_stripe::ParityStripedArray;
 pub use raid::Raid5Array;
-pub use request::{IoKind, IoRequest, PiecePlan, ShardableStorage, Storage};
+pub use request::{IoKind, IoRequest, Storage};
 pub use stats::{DiskStats, StorageStats, QUEUE_DEPTH_BUCKETS};
 pub use time::{SimDuration, SimTime};

@@ -115,63 +115,6 @@ pub trait Storage: Send {
     fn restore_state(&mut self, _snapshot: &Value) -> Result<(), String> {
         Err("this storage layout does not support checkpointing".into())
     }
-
-    /// The sharded-execution view of this layout, when it has one.
-    ///
-    /// Layouts whose requests decompose into *independent per-disk pieces*
-    /// (no cross-disk coupling such as parity or mirror fan-out) return
-    /// `Some`; the simulator's sharded engine then plans pieces centrally
-    /// and services them on worker threads that own disjoint disk subsets.
-    /// The default `None` keeps a layout on the serial submit path.
-    fn as_shardable(&mut self) -> Option<&mut dyn ShardableStorage> {
-        None
-    }
-}
-
-/// One per-disk piece of a planned request: the unit of work shipped to a
-/// sharded-execution worker. Servicing it is exactly
-/// `disk.service_bytes(ready, start_byte, len_bytes, kind)` — the same
-/// primitive `submit` uses, so piecewise execution is bit-identical.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PiecePlan {
-    /// Index of the disk that services this piece.
-    pub disk: usize,
-    /// First physical byte on that disk.
-    pub start_byte: u64,
-    /// Length in bytes.
-    pub len_bytes: u64,
-    /// Transfer direction.
-    pub kind: IoKind,
-}
-
-/// Piecewise planning and disk ownership transfer for layouts without
-/// cross-disk coupling (see [`Storage::as_shardable`]).
-///
-/// The contract mirrors `submit` split in two: [`plan_pieces`] performs the
-/// logical-side bookkeeping (validation, logical stats) and emits the same
-/// per-disk runs `submit` would service, in the same order; the caller then
-/// services each piece against the owned [`Disk`]s — which it obtains via
-/// [`take_disks`] and must return with [`restore_disks`] before any other
-/// trait method needs them. Pieces must be serviced per disk in plan order
-/// with non-decreasing `ready`, matching `submit`'s queueing contract.
-///
-/// [`plan_pieces`]: ShardableStorage::plan_pieces
-/// [`take_disks`]: ShardableStorage::take_disks
-/// [`restore_disks`]: ShardableStorage::restore_disks
-pub trait ShardableStorage {
-    /// Plans `req` into per-disk pieces, appending them to `out` in the
-    /// order `submit` would service them, and accounts the request in the
-    /// logical stats exactly as `submit` would.
-    fn plan_pieces(&mut self, req: &IoRequest, out: &mut Vec<PiecePlan>);
-
-    /// Moves the member disks out to the caller (the layout keeps its
-    /// logical geometry; disk-touching methods are off-limits until
-    /// [`restore_disks`](ShardableStorage::restore_disks)).
-    fn take_disks(&mut self) -> Vec<crate::disk::Disk>;
-
-    /// Returns disks previously obtained from
-    /// [`take_disks`](ShardableStorage::take_disks), in the same order.
-    fn restore_disks(&mut self, disks: Vec<crate::disk::Disk>);
 }
 
 #[cfg(test)]

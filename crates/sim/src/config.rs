@@ -35,20 +35,14 @@ pub struct SimConfig {
     pub max_intervals: usize,
     /// Safety cap on operations for the allocation test.
     pub max_allocation_ops: u64,
-    /// Disk groups for the effect pipeline (≥ 1): disk `d` belongs to
-    /// group `d mod shards`, and each of the [`shard_workers`] threads
-    /// owns whole groups. Above 1, with at least two workers, performance
-    /// tests run the pipelined loop; the event queue stays one queue.
-    /// Results are bit-identical at any value. Slower where measured: on
-    /// a 2-vCPU VM, full-scale fig2 at one job took 13.1 s at 2 against
-    /// 3.5 s at 1.
-    ///
-    /// [`shard_workers`]: SimConfig::shard_workers
+    /// Pinned to 1: the engine runs one serial loop. The field outlives
+    /// the sharded effect pipeline it configured only because the
+    /// benchmark still assigns it; [`validate`](SimConfig::validate)
+    /// rejects any other value, and the next benchmark change deletes it.
     pub shards: usize,
-    /// Worker threads servicing disk effects during performance tests.
-    /// `0` or `1` keeps execution in-line on the decision thread; higher
-    /// values are capped at [`shards`](SimConfig::shards). Execution-only:
-    /// never affects results.
+    /// Pinned to 0 or 1 (no effect-worker threads), like
+    /// [`shards`](SimConfig::shards) and for the same reason; the next
+    /// benchmark change deletes it.
     pub shard_workers: usize,
     /// Which structure backs the event queue (heap by default, calendar
     /// for O(1) scheduling at million-user densities). Purely a speed
@@ -98,11 +92,18 @@ impl SimConfig {
                 self.util_lower, self.util_upper
             ));
         }
+        if self.interval.is_zero() {
+            return Err("measurement interval must be positive".into());
+        }
         if self.stabilize_window == 0 || self.max_intervals < self.stabilize_window {
             return Err("interval counts inconsistent".into());
         }
-        if self.shards == 0 {
-            return Err("shards must be at least 1".into());
+        if self.shards != 1 || self.shard_workers > 1 {
+            return Err(format!(
+                "shards = {}, shard_workers = {}: the sharded effect pipeline was removed, \
+                 so only shards = 1 with shard_workers 0 or 1 is accepted",
+                self.shards, self.shard_workers
+            ));
         }
         if self.latency_sample_cap == 0 {
             return Err("latency_sample_cap must be at least 1".into());
@@ -146,16 +147,26 @@ mod tests {
         let mut c = config();
         c.file_types[0].read_pct += 1.0;
         assert!(c.validate().is_err());
+        let mut c = config();
+        c.interval = SimDuration::ZERO;
+        assert!(c.validate().is_err(), "a zero interval would divide by zero in the meter");
     }
 
     #[test]
-    fn shard_fields_default_inert_and_validate() {
+    fn shard_fields_accept_only_the_serial_values() {
         let c = config();
-        assert_eq!(c.shards, 1, "sharding is opt-in");
-        assert_eq!(c.shard_workers, 0, "in-line execution by default");
+        assert_eq!((c.shards, c.shard_workers), (1, 0));
+        c.validate().unwrap();
         let mut c = config();
-        c.shards = 0;
-        assert!(c.validate().is_err(), "zero shards is rejected");
+        c.shard_workers = 1;
+        c.validate().unwrap();
+        for (shards, shard_workers) in [(0, 0), (2, 0), (1, 2)] {
+            let mut c = config();
+            c.shards = shards;
+            c.shard_workers = shard_workers;
+            let err = c.validate().unwrap_err();
+            assert!(err.contains("pipeline was removed"), "({shards}, {shard_workers}): {err}");
+        }
     }
 
     #[test]

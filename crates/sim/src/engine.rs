@@ -9,14 +9,9 @@ use crate::measure::ThroughputMeter;
 use crate::metrics::{AllocGauges, EngineCounters, StorageMetrics, TestMetrics};
 use crate::results::{FragReport, PerfReport, SuiteReport};
 use crate::rng::SimRng;
-use crate::shard::{
-    worker_loop, CloseOnDrop, EffectChannels, EffectPipeline, EventRec, MarkDeadOnPanic,
-};
 use crate::state::{FileTable, UserTable};
 use readopt_alloc::{AllocError, Extent, FileHints, FileId, Policy};
-use readopt_disk::{
-    calibrate_max_bandwidth, Disk, IoKind, IoRequest, PiecePlan, SimDuration, SimTime, Storage,
-};
+use readopt_disk::{calibrate_max_bandwidth, IoKind, IoRequest, SimDuration, SimTime, Storage};
 use std::convert::Infallible;
 use std::ops::ControlFlow;
 
@@ -48,26 +43,6 @@ pub use checkpoint::{CheckpointSpec, CHECKPOINT_KILL_EXIT};
 enum StepOutcome {
     Ran,
     AllocationFailed,
-}
-
-/// The decision half of one event (see [`Simulation::decide`]): everything
-/// the serial step computes *before* the effects are known — including the
-/// think-time draw, made at decision time so the RNG stream position never
-/// depends on effect timing.
-#[derive(Debug, Clone, Copy)]
-struct Decided {
-    user: UserId,
-    /// The event's scheduled time (the decision clock).
-    t: SimTime,
-    think_ms: f64,
-    /// Whether an operation actually ran (false for users whose file-type
-    /// population is empty) — gates the latency sample.
-    op_ran: bool,
-    /// In-line completion time. Meaningful on the serial path; on the
-    /// planning path I/O completions come from the effect pipeline instead
-    /// and this holds the decision clock.
-    completion: SimTime,
-    outcome: StepOutcome,
 }
 
 /// The frame of a performance test's measurement loop: the values that
@@ -137,26 +112,12 @@ pub struct Simulation {
     counters: EngineCounters,
     ops_at_counter_reset: u64,
     disk_full_at_counter_reset: u64,
-    /// Disk groups for the effect workers (disk `d` in group
-    /// `d mod shards`, ≥ 1); with two or more workers, more than one group
-    /// turns the pipelined loop on. Results-invariant by construction.
-    shards: usize,
     /// Which structure backs the event queue; results-invariant (both
     /// backends pop in identical order), re-applied on `schedule_users`.
     event_queue: EventQueueKind,
-    /// Configured effect-worker thread count (0/1 = in-line execution).
-    shard_workers: usize,
-    /// True while the pipelined loop is deciding: `transfer` then *plans*
-    /// per-disk pieces into `plan_pieces` instead of submitting, because
-    /// the disks live on worker threads.
-    planning: bool,
     /// The service window + bytes of the current event's transfer, staged
-    /// by `transfer` for `commit_direct` to meter (serial path only).
+    /// by `transfer` for `step` to meter.
     pending_span: Option<(SimTime, SimTime, u64)>,
-    /// Piece staging buffer for planning-mode `transfer` (reused).
-    plan_pieces: Vec<PiecePlan>,
-    /// Meter bytes of the current event's planned transfer, if any.
-    plan_bytes: u64,
 }
 
 impl Simulation {
@@ -206,13 +167,8 @@ impl Simulation {
             counters: EngineCounters::default(),
             ops_at_counter_reset: 0,
             disk_full_at_counter_reset: 0,
-            shards: config.shards.max(1),
             event_queue: config.event_queue,
-            shard_workers: config.shard_workers,
-            planning: false,
             pending_span: None,
-            plan_pieces: Vec::new(),
-            plan_bytes: 0,
         };
         sim.initialize_files();
         sim
@@ -389,35 +345,22 @@ impl Simulation {
         }
     }
 
-    /// Processes one event. Returns the outcome; schedules the user's next
-    /// event at `completion + Exp(process time)`. When measuring, the
-    /// operation's issue→completion latency is appended to `latencies`.
+    /// Processes one event: pops the head, draws every random value (file,
+    /// op choice, sizes, think time) in a fixed order and runs the
+    /// operation — its allocator side, plus its I/O outside the allocation
+    /// test. When an operation ran, its issue→completion latency is
+    /// recorded; the transfer's service window goes to `meter`, and the
+    /// user's next event is scheduled at `completion + Exp(process time)`.
     fn step(&mut self, mode: Mode, meter: Option<&mut ThroughputMeter>) -> StepOutcome {
-        let d = self.decide(mode);
-        self.commit_direct(&d, meter);
-        d.outcome
-    }
-
-    /// The decision half of an event: pops the head, draws every random
-    /// value (op choice, sizes, think time) in exactly the serial order,
-    /// runs the operation's allocator side, and — depending on
-    /// `self.planning` — either services its I/O in-line (staging the
-    /// metered span in `pending_span`) or plans its per-disk pieces into
-    /// `plan_pieces`. Makes every RNG draw of the legacy monolithic step,
-    /// in the same order, so the stream position is identical.
-    fn decide(&mut self, mode: Mode) -> Decided {
         // simlint::allow(r3, "every caller refills the queue before stepping; asserted by the run loops")
         let ev = self.queue.pop().unwrap_or_else(|| unreachable!("step called with an empty queue"));
         self.counters.events += 1;
         self.clock = ev.time;
         let t_idx = self.users.type_of(ev.user.0) as usize;
-        let outcome;
-        let completion;
-        let op_ran;
-        if self.files_by_type[t_idx].is_empty() {
-            (outcome, completion) = (StepOutcome::Ran, self.clock);
-            op_ran = false;
-        } else {
+        let mut outcome = StepOutcome::Ran;
+        let mut completion = self.clock;
+        // A user whose file type has no live files runs no operation.
+        if !self.files_by_type[t_idx].is_empty() {
             let file_idx =
                 self.files_by_type[t_idx][self.rng.index(self.files_by_type[t_idx].len())] as usize;
             let op = {
@@ -430,34 +373,22 @@ impl Simulation {
             };
             (outcome, completion) = self.execute(file_idx, op, mode);
             self.ops += 1;
-            op_ran = true;
+            self.record_latency(completion.since(ev.time).as_ms());
         }
         let think_ms = self.rng.exponential(self.types[t_idx].process_time_ms);
-        Decided { user: ev.user, t: ev.time, think_ms, op_ran, completion, outcome }
-    }
-
-    /// The commit half of an in-line (non-pipelined) event: records the
-    /// latency sample, meters the staged span, and reschedules the user.
-    /// None of this draws RNG, so running it after `decide`'s think draw is
-    /// arithmetically identical to the legacy interleaving.
-    fn commit_direct(&mut self, d: &Decided, meter: Option<&mut ThroughputMeter>) {
-        if d.op_ran {
-            self.record_latency(d.completion.since(d.t).as_ms());
-        }
         if let Some((begin, end, bytes)) = self.pending_span.take() {
             if let Some(m) = meter {
                 m.add_span(begin, end, bytes);
             }
         }
-        self.queue.schedule(d.completion + SimDuration::from_ms(d.think_ms), d.user);
+        self.queue.schedule(completion + SimDuration::from_ms(think_ms), ev.user);
+        outcome
     }
 
     /// Records one completed operation's issue→completion latency: into
     /// the exact buffer while it has room (the `PerfReport` percentiles),
     /// counting overflow instead of silently clipping, and into the
     /// uncapped log-bucketed reservoir (the `*.hist.json` percentiles).
-    /// The single home of the sample cap — both the serial and the
-    /// pipelined commit paths go through here.
     fn record_latency(&mut self, latency_ms: f64) {
         if self.latencies.len() < self.latency_sample_cap {
             self.latencies.push(latency_ms);
@@ -540,12 +471,9 @@ impl Simulation {
         }
     }
 
-    /// Maps a logical range through the file's extent map, then either
-    /// submits the physical runs in-line (staging the metered span in
-    /// `pending_span`) or — in planning mode — emits their per-disk pieces
-    /// into `plan_pieces` for the effect workers. Returns the completion
-    /// time (the decision clock in planning mode, where real completions
-    /// come back through the pipeline).
+    /// Maps a logical range through the file's extent map and submits the
+    /// physical runs, staging the metered span in `pending_span`. Returns
+    /// the completion time.
     fn transfer(&mut self, file_idx: usize, offset_units: u64, size_units: u64, kind: IoKind, io: bool) -> SimTime {
         if !io || size_units == 0 {
             return self.clock;
@@ -560,21 +488,6 @@ impl Simulation {
             // simlint::allow(r3, "file_idx is drawn from the live set on the previous step")
             .unwrap_or_else(|_| unreachable!("transfer targets a live file"))
             .map_range_into(offset_units, size_units, &mut runs);
-        if self.planning {
-            let mut pieces = std::mem::take(&mut self.plan_pieces);
-            let storage = self
-                .storage
-                .as_shardable()
-                // simlint::allow(r3, "run_perf only enables planning after checking as_shardable")
-                .unwrap_or_else(|| unreachable!("planning mode on non-shardable storage"));
-            for r in &runs {
-                storage.plan_pieces(&IoRequest { unit: r.start, units: r.len, kind }, &mut pieces);
-            }
-            self.plan_pieces = pieces;
-            self.plan_bytes = size_units * self.unit_bytes;
-            self.runs_scratch = runs;
-            return self.clock;
-        }
         let mut begin = SimTime::MAX;
         let mut completion = self.clock;
         for r in &runs {
@@ -770,19 +683,9 @@ impl Simulation {
 
     fn run_perf(&mut self, mode: Mode) -> PerfReport {
         let mut frame = self.begin_perf();
-        // The pipelined path needs real parallelism (≥ 2 workers, capped at
-        // the shard count and the u64 routing mask) and a storage layout
-        // whose requests decompose into independent per-disk pieces;
-        // anything else runs the serial loop.
-        let workers = self.shard_workers.min(self.shards).min(64);
-        let (stabilized, throughput_pct) =
-            if self.shards > 1 && workers > 1 && self.storage.as_shardable().is_some() {
-                self.run_perf_pipelined(mode, &mut frame.meter, workers)
-            } else {
-                let no_hook = |_: &mut Self, _: &PerfFrame| ControlFlow::<Infallible>::Continue(());
-                let ControlFlow::Continue(outcome) = self.run_perf_serial(mode, &mut frame, no_hook);
-                outcome
-            };
+        let no_hook = |_: &mut Self, _: &PerfFrame| ControlFlow::<Infallible>::Continue(());
+        let ControlFlow::Continue((stabilized, throughput_pct)) =
+            self.run_perf_loop(mode, &mut frame, no_hook);
         self.finish_perf(&frame, stabilized, throughput_pct)
     }
 
@@ -873,19 +776,19 @@ impl Simulation {
         None
     }
 
-    /// The serial measurement loop, shared by plain and checkpointed runs:
-    /// decide and commit each event on this thread. `at_step` runs before
-    /// every step, after the stop checks — where `self` and `frame` fully
-    /// determine the rest of the run, so a checkpoint written there
-    /// resumes bit-identically — and may break out of the loop. Returns
-    /// `(stabilized, throughput_pct)` once the test ends.
+    /// The measurement loop, shared by plain and checkpointed runs: step
+    /// each event in queue order. `at_step` runs before every step, after
+    /// the stop checks — where `self` and `frame` fully determine the rest
+    /// of the run, so a checkpoint written there resumes bit-identically —
+    /// and may break out of the loop. Returns `(stabilized,
+    /// throughput_pct)` once the test ends.
     ///
     /// The stop checks run once per measurement interval, at its first
     /// event: their verdicts depend only on the complete intervals, which
     /// no later event of the same interval changes (spans begin at or after
     /// the event's time, and `total_bytes` only grows). A resumed run
     /// checks again at its first event and gets the same verdict.
-    fn run_perf_serial<B>(
+    fn run_perf_loop<B>(
         &mut self,
         mode: Mode,
         frame: &mut PerfFrame,
@@ -914,212 +817,6 @@ impl Simulation {
             }
         }
         ControlFlow::Continue((false, 0.0))
-    }
-
-    /// The sharded measurement loop: moves the member disks onto `workers`
-    /// scoped threads (worker `w` owns the disks of shards `s` with
-    /// `s mod workers == w`, shard `s` owning disks `d` with
-    /// `d mod shards == s`), runs the decision stream on this thread, and
-    /// joins the disks back afterwards. Bit-identical to the serial loop by
-    /// construction — see the `shard` module docs for the argument.
-    fn run_perf_pipelined(
-        &mut self,
-        mode: Mode,
-        meter: &mut ThroughputMeter,
-        workers: usize,
-    ) -> (bool, f64) {
-        let shards = self.shards;
-        let ndisks = self.storage.ndisks();
-        let disks = self
-            .storage
-            .as_shardable()
-            // simlint::allow(r3, "run_perf dispatches here only after as_shardable returned Some")
-            .unwrap_or_else(|| unreachable!("pipelined run on non-shardable storage"))
-            .take_disks();
-        // Full-size Option tables give workers O(1) piece→disk lookup.
-        let mut owned: Vec<Vec<Option<Disk>>> =
-            (0..workers).map(|_| (0..ndisks).map(|_| None).collect()).collect();
-        for (d, disk) in disks.into_iter().enumerate() {
-            owned[(d % shards) % workers][d] = Some(disk);
-        }
-        let chans = EffectChannels::new(workers);
-        let mut outcome = (false, 0.0);
-        let mut returned: Vec<Vec<Option<Disk>>> = Vec::new();
-        std::thread::scope(|scope| {
-            // Unwind safety: if the decision loop panics, this guard closes
-            // every inbox so the workers exit and the scope's implicit joins
-            // finish instead of deadlocking.
-            let guard = CloseOnDrop(&chans);
-            let handles: Vec<_> = owned
-                .drain(..)
-                .enumerate()
-                .map(|(w, disks_w)| {
-                    let inbox = &chans.inboxes[w];
-                    let results = &chans.results;
-                    scope.spawn(move || {
-                        // Symmetric guard: a worker panic marks the result
-                        // channel dead so a blocked decision thread fails
-                        // fast; disarmed on a normal return.
-                        let dead = MarkDeadOnPanic(results);
-                        let out = worker_loop(inbox, results, disks_w);
-                        std::mem::forget(dead);
-                        out
-                    })
-                })
-                .collect();
-            outcome = self.pipelined_decision_loop(mode, meter, shards, workers, &chans);
-            drop(guard);
-            for h in handles {
-                match h.join() {
-                    Ok(disks_w) => returned.push(disks_w),
-                    Err(p) => std::panic::resume_unwind(p),
-                }
-            }
-        });
-        let mut merged: Vec<Option<Disk>> = (0..ndisks).map(|_| None).collect();
-        for disks_w in returned {
-            for (d, slot) in disks_w.into_iter().enumerate() {
-                if let Some(disk) = slot {
-                    merged[d] = Some(disk);
-                }
-            }
-        }
-        let disks: Vec<Disk> = merged
-            .into_iter()
-            .map(|slot| match slot {
-                Some(d) => d,
-                // simlint::allow(r3, "the worker partition covers every disk index exactly once")
-                None => unreachable!("a disk was lost in the worker partition"),
-            })
-            .collect();
-        self.storage
-            .as_shardable()
-            // simlint::allow(r3, "same storage object that returned Some above")
-            .unwrap_or_else(|| unreachable!("pipelined run on non-shardable storage"))
-            .restore_disks(disks);
-        outcome
-    }
-
-    /// The decision stream of a pipelined run. Per iteration: (A) commit
-    /// until the queue head provably equals the serial loop's next event —
-    /// head time `h` must satisfy `h ≤ min(tᵢ + thinkᵢ)` over in-flight
-    /// events, the conservative lookahead window (any pending completion
-    /// reschedules its user at `≥ tᵢ + thinkᵢ`, and an exact tie loses to
-    /// the queued entry on the global sequence number); (B) at each new
-    /// measurement-interval boundary, drain the pipeline and evaluate the
-    /// stop conditions exactly where the serial loop would (the verdicts
-    /// are frozen within an interval: spans added later begin at or after
-    /// the head, so completed buckets never change); (C) decide the event
-    /// and hand its pieces to the workers; (D) periodic refill, as in the
-    /// serial loop.
-    fn pipelined_decision_loop(
-        &mut self,
-        mode: Mode,
-        meter: &mut ThroughputMeter,
-        shards: usize,
-        workers: usize,
-        chans: &EffectChannels,
-    ) -> (bool, f64) {
-        let mut fx = EffectPipeline::new(workers);
-        let mut steps: u64 = 0;
-        let mut last_eval: Option<usize> = None;
-        let mut outcome = (false, 0.0);
-        self.planning = true;
-        'outer: loop {
-            // Opportunistically fold in results that have already arrived
-            // and retire the resolved prefix in decision order.
-            fx.apply(chans.results.drain_nonblocking());
-            while fx.front_resolved() {
-                let rec = fx.pop_front();
-                self.commit_effect(&rec, meter);
-            }
-            // (A) Establish the true head under the lookahead window.
-            let t_next = loop {
-                match self.queue.peek_time() {
-                    Some(h) if h <= fx.min_reserve() => break h,
-                    Some(_) => self.commit_front_blocking(&mut fx, meter, chans),
-                    None if fx.is_empty() => break 'outer,
-                    None => self.commit_front_blocking(&mut fx, meter, chans),
-                }
-            };
-            // (B) Interval-boundary checks, evaluated once per interval
-            // with the pipeline fully drained so the meter state matches
-            // the serial loop's at this head.
-            let iv = meter.complete_intervals(t_next);
-            if last_eval != Some(iv) {
-                while !fx.is_empty() {
-                    self.commit_front_blocking(&mut fx, meter, chans);
-                }
-                if let Some(verdict) = self.stop_verdict(meter, t_next, iv) {
-                    outcome = verdict;
-                    break 'outer;
-                }
-                last_eval = Some(iv);
-            }
-            // (C) Decide and dispatch.
-            let d = self.decide(mode);
-            let bytes = std::mem::take(&mut self.plan_bytes);
-            let mut pieces = std::mem::take(&mut self.plan_pieces);
-            let rec = EventRec {
-                user: d.user,
-                t: d.t,
-                think_ms: d.think_ms,
-                op_ran: d.op_ran,
-                bytes,
-                begin: SimTime::MAX,
-                // Seeded with the decision clock: the serial transfer folds
-                // `completion = max(clock, span ends…)`.
-                end: d.completion,
-                pending: 0,
-            };
-            fx.admit(rec, d.t + SimDuration::from_ms(d.think_ms), &mut pieces, shards, chans);
-            self.plan_pieces = pieces;
-            steps += 1;
-            // (D) Same refill rule as the serial loop (policy-side only —
-            // safe while the disks are out on the workers).
-            if steps.is_multiple_of(256) && self.utilization() < self.util_lower - 0.02 {
-                self.counters.refill_passes += 1;
-                self.fill_to_lower_bound();
-            }
-        }
-        self.planning = false;
-        debug_assert!(fx.is_empty(), "every exit path drains the pipeline");
-        outcome
-    }
-
-    /// Blocks until the oldest in-flight event is fully reported, then
-    /// commits it. Flushes staged pieces first — the wait would deadlock on
-    /// work the workers never received.
-    fn commit_front_blocking(
-        &mut self,
-        fx: &mut EffectPipeline,
-        meter: &mut ThroughputMeter,
-        chans: &EffectChannels,
-    ) {
-        debug_assert!(!fx.is_empty(), "blocking commit with nothing in flight");
-        fx.flush(chans);
-        while !fx.front_resolved() {
-            fx.apply(chans.results.drain_blocking());
-        }
-        let rec = fx.pop_front();
-        self.commit_effect(&rec, meter);
-    }
-
-    /// Commits one resolved event exactly as the serial loop would: latency
-    /// sample, metered span, and the user's reschedule (which assigns the
-    /// next global sequence number — commits run in decision order, so the
-    /// numbering matches the serial loop's).
-    fn commit_effect(&mut self, rec: &EventRec, meter: &mut ThroughputMeter) {
-        let completion = rec.end;
-        if rec.op_ran {
-            self.record_latency(completion.since(rec.t).as_ms());
-        }
-        if rec.bytes > 0 {
-            meter.add_span(rec.begin.min(completion), completion, rec.bytes);
-        }
-        self.queue.schedule(completion + SimDuration::from_ms(rec.think_ms), rec.user);
-        // clock stays the *decision* clock: the serial loop's clock is the
-        // last popped event's time, never a completion time.
     }
 
     /// Runs the paper's full §3 evaluation for this configuration on three

@@ -1,17 +1,15 @@
 //! Mid-run checkpointing for the application performance test.
 //!
 //! A million-user rung can run for hours, and a killed run should not
-//! lose the whole rung. This module lets the *serial* measurement loop
-//! persist its complete dynamic state every N steps and resume from the
-//! latest snapshot producing **bit-identical** results — the same
-//! `PerfReport`, the same latency histogram, the same store bytes — as an
-//! uninterrupted run.
+//! lose the whole rung. This module lets the measurement loop persist its
+//! complete dynamic state every N steps and resume from the latest
+//! snapshot producing **bit-identical** results — the same `PerfReport`,
+//! the same latency histogram, the same store bytes — as an uninterrupted
+//! run.
 //!
-//! Only the serial loop checkpoints: the pipelined loop is already proven
-//! bit-identical to it by construction (see the `shard` module docs), so a
-//! resumed serial run stands in for any worker count. The checkpointed run
-//! is the plain run's serial loop with a hook at the top of every step
-//! that writes the snapshot (and, for tests, pauses or kills the process).
+//! The checkpointed run is the plain run's measurement loop with a hook at
+//! the top of every step that writes the snapshot (and, for tests, pauses
+//! or kills the process).
 //!
 //! The snapshot is a single JSON object (the vendored writer prints floats
 //! via Rust's shortest round-trip `Display`, so every `f64` survives the
@@ -70,7 +68,7 @@ pub struct CheckpointSpec {
 
 impl Simulation {
     /// §3's application performance test with mid-run checkpointing: runs
-    /// the serial measurement loop, persisting a full-state snapshot to
+    /// the measurement loop, persisting a full-state snapshot to
     /// `spec.path` every `spec.every_steps` steps. If a snapshot is
     /// already present (a previous process was killed mid-run), the run
     /// resumes from it and produces bit-identical results to an
@@ -152,7 +150,7 @@ impl Simulation {
             ControlFlow::Continue(())
         };
         let (stabilized, throughput_pct) =
-            match self.run_perf_serial(Mode::Application, &mut frame, hook) {
+            match self.run_perf_loop(Mode::Application, &mut frame, hook) {
                 ControlFlow::Continue(outcome) => outcome,
                 ControlFlow::Break(paused) => return paused.map(|()| None),
             };
@@ -308,7 +306,6 @@ impl Simulation {
         self.latencies = latencies;
         self.dropped_latencies = dropped_latencies;
         self.hist = hist;
-        self.planning = false;
         self.pending_span = None;
         Ok(PerfFrame { steps, ops_before, disk_full_before, meter })
     }

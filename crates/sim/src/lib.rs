@@ -22,6 +22,10 @@
 //!   10-second intervals within 0.1 %);
 //! * **sequential performance test** — only whole-file reads and writes.
 //!
+//! Like the paper's simulator, each simulation is one serial loop that
+//! takes the earliest event from one event queue ([`event::EventQueue`]);
+//! the engine starts no threads of its own.
+//!
 //! Everything is deterministic given a seed:
 //!
 //! ```
@@ -51,7 +55,6 @@ pub mod measure;
 pub mod metrics;
 pub mod results;
 pub mod rng;
-mod shard;
 pub mod state;
 
 pub use calendar::{CalendarQueue, EventArena, EventHandle, EventRecord};

@@ -14,21 +14,9 @@ use rand::{RngExt, SeedableRng};
 #[derive(Debug, Clone)]
 pub struct SimRng {
     inner: SmallRng,
-    /// The construction seed, kept so [`SimRng::fork_stream`] can derive
-    /// child streams that depend only on `(seed, shard_id)` — never on how
-    /// many draws the parent has made.
+    /// The construction seed, carried through checkpoints (the snapshot's
+    /// `rng_seed`).
     seed: u64,
-}
-
-/// One round of the splitmix64 output function — the standard seeding
-/// finalizer (Steele et al., "Fast splittable pseudorandom number
-/// generators"). Full-avalanche, so adjacent inputs give uncorrelated
-/// outputs.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 impl SimRng {
@@ -37,30 +25,8 @@ impl SimRng {
         SimRng { inner: SmallRng::seed_from_u64(seed), seed }
     }
 
-    /// Derives an independent generator (for handing a sub-component its
-    /// own stream without correlating draws). Consumes one draw from this
-    /// stream; for a derivation that does not, see [`SimRng::fork_stream`].
-    pub fn fork(&mut self) -> SimRng {
-        SimRng::new(self.inner.random::<u64>())
-    }
-
-    /// Derives the shard-`shard_id` child stream without consuming any
-    /// draws from this generator.
-    ///
-    /// The child seed is a splitmix64-style mix of the *construction* seed
-    /// and the shard id, so the stream for a given `(seed, shard_id)` pair
-    /// is stable regardless of the total shard count and of how many draws
-    /// the parent has already made. `shard_id + 1` keeps shard 0 from
-    /// collapsing onto the root seed's own mixing orbit: no fork stream
-    /// shares a seed (and hence a prefix) with the root stream.
-    pub fn fork_stream(&self, shard_id: u64) -> SimRng {
-        let child = splitmix64(self.seed ^ splitmix64(shard_id.wrapping_add(1)));
-        SimRng::new(child)
-    }
-
     /// Checkpoint snapshot: the construction seed plus the generator's raw
-    /// 256-bit state. Together they reproduce both future draws *and*
-    /// future [`SimRng::fork_stream`] derivations exactly.
+    /// 256-bit state, which reproduces every future draw exactly.
     pub fn checkpoint_state(&self) -> (u64, [u64; 4]) {
         (self.seed, self.inner.state())
     }
@@ -156,67 +122,6 @@ mod tests {
     }
 
     #[test]
-    fn forks_are_decorrelated_but_deterministic() {
-        let mut a = SimRng::new(7);
-        let mut b = SimRng::new(7);
-        let mut fa = a.fork();
-        let mut fb = b.fork();
-        assert_eq!(fa.uniform_u64(0, u64::MAX - 1), fb.uniform_u64(0, u64::MAX - 1));
-        assert_ne!(
-            (0..8).map(|_| fa.uniform_u64(0, 100)).collect::<Vec<_>>(),
-            (0..8).map(|_| a.uniform_u64(0, 100)).collect::<Vec<_>>(),
-        );
-    }
-
-    #[test]
-    fn fork_stream_is_stable_across_shard_counts_and_parent_draws() {
-        // The stream for (seed, shard_id) must not depend on how many
-        // shards exist in total, nor on draws made from the parent.
-        let sample = |rng: &SimRng, id: u64| {
-            let mut f = rng.fork_stream(id);
-            (0..16).map(|_| f.uniform_u64(0, u64::MAX - 1)).collect::<Vec<_>>()
-        };
-        let mut a = SimRng::new(1991);
-        let before = sample(&a, 3);
-        for _ in 0..57 {
-            a.uniform_u64(0, 100);
-        }
-        assert_eq!(before, sample(&a, 3), "parent draws must not perturb fork streams");
-        // "Run with 4 shards" and "run with 8 shards" derive shard 3
-        // identically: nothing but (seed, id) goes into the derivation.
-        let b = SimRng::new(1991);
-        assert_eq!(before, sample(&b, 3));
-        // Distinct shards get distinct streams.
-        assert_ne!(sample(&b, 0), sample(&b, 1));
-    }
-
-    #[test]
-    fn fork_streams_never_rejoin_the_root_stream() {
-        // No fork stream may share a prefix with the root stream: the
-        // derived seeds must all differ from the root seed and from each
-        // other (equal SmallRng seeds are the only way to share a prefix).
-        let root = SimRng::new(0x5EED);
-        let mut r = SimRng::new(0x5EED);
-        let root_prefix: Vec<u64> =
-            (0..64).map(|_| r.uniform_u64(0, u64::MAX - 1)).collect();
-        for id in 0..64u64 {
-            let mut f = root.fork_stream(id);
-            let fork_prefix: Vec<u64> =
-                (0..64).map(|_| f.uniform_u64(0, u64::MAX - 1)).collect();
-            assert_ne!(root_prefix, fork_prefix, "fork {id} collided with the root stream");
-        }
-        // Degenerate seeds (0, MAX) still separate cleanly.
-        for seed in [0u64, u64::MAX] {
-            let parent = SimRng::new(seed);
-            let mut p = SimRng::new(seed);
-            let proot: Vec<u64> = (0..32).map(|_| p.uniform_u64(0, u64::MAX - 1)).collect();
-            let mut f = parent.fork_stream(0);
-            let pfork: Vec<u64> = (0..32).map(|_| f.uniform_u64(0, u64::MAX - 1)).collect();
-            assert_ne!(proot, pfork);
-        }
-    }
-
-    #[test]
     fn checkpoint_state_resumes_the_exact_stream() {
         let mut r = SimRng::new(0xC0FFEE);
         for _ in 0..37 {
@@ -227,11 +132,6 @@ mod tests {
         for _ in 0..64 {
             assert_eq!(r.uniform_u64(0, u64::MAX - 1), restored.uniform_u64(0, u64::MAX - 1));
         }
-        // fork_stream depends only on the construction seed, which the
-        // snapshot carries.
-        let mut fa = r.fork_stream(5);
-        let mut fb = restored.fork_stream(5);
-        assert_eq!(fa.uniform_u64(0, u64::MAX - 1), fb.uniform_u64(0, u64::MAX - 1));
         assert!(SimRng::from_checkpoint_state(1, [0; 4]).is_err(), "all-zero state rejected");
     }
 

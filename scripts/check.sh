@@ -10,12 +10,9 @@
 #   5. a 1-job rerun of fig1, fig2, fig6 and table4 that also writes a
 #      binary results store, byte-compared against the 2-job run: results
 #      must not depend on the thread count;
-#   6. a --shards 2 rerun, byte-compared: the effect pipeline (and the
-#      per-disk piece plans it services) must be results-invariant in
-#      the shard count;
-#   7. an --event-queue calendar rerun, byte-compared: the calendar
+#   6. an --event-queue calendar rerun, byte-compared: the calendar
 #      backend must be results-invariant in the queue structure;
-#   8. `repro export` from the store of leg 5, byte-compared against that
+#   7. `repro export` from the store of leg 5, byte-compared against that
 #      leg's sidecars.
 # Every file the script writes is under target/ (the lint report is
 # target/check/simlint.json); it changes no tracked file. It checks
@@ -65,23 +62,6 @@ for exp in fig1 fig2 fig6 table4; do
         || { echo "ERROR: $exp latency histograms differ between --jobs 2 and --jobs 1"; exit 1; }
 done
 echo "   sidecars byte-identical across job counts"
-
-echo "== shard determinism (re-run at --shards 2, byte-compare) =="
-# At --jobs 1 on two or more cores this runs fig2's and fig6's
-# performance tests on the pipelined loop with two effect workers.
-mkdir -p target/check-s2
-cargo run --release -q -p readopt-core --bin repro -- \
-    fig1 fig2 fig6 table4 --scale 64 --intervals 4 --jobs 1 --shards 2 \
-    --json target/check-s2 > /dev/null
-for exp in fig1 fig2 fig6 table4; do
-    cmp "target/check-j1/$exp.metrics.json" "target/check-s2/$exp.metrics.json" \
-        || { echo "ERROR: $exp metrics sidecar differs between --shards 1 and --shards 2"; exit 1; }
-    cmp "target/check-j1/$exp.json" "target/check-s2/$exp.json" \
-        || { echo "ERROR: $exp results differ between --shards 1 and --shards 2"; exit 1; }
-    cmp "target/check-j1/$exp.hist.json" "target/check-s2/$exp.hist.json" \
-        || { echo "ERROR: $exp latency histograms differ between --shards 1 and --shards 2"; exit 1; }
-done
-echo "   results byte-identical across shard counts"
 
 echo "== event-queue determinism (re-run on calendar backend, byte-compare) =="
 # users_1e6 asserts heap/calendar equality inside its driver on every run

@@ -12,8 +12,8 @@ use readopt::alloc::{ExtentConfig, FitStrategy, PolicyConfig};
 use readopt::disk::ArrayConfig;
 use readopt::sim::{EventQueueKind, FileTypeConfig, SimConfig, Simulation};
 
-/// The one true extent digest: every (backend, shards, workers) cell of
-/// the matrix below must produce exactly this string.
+/// The one true extent digest: both event-queue backends must produce
+/// exactly this string.
 const EXTENT_DIGEST: &str = "extent: ops=2460 bytes=140884992 thr=30.918025107602 \
     p50=67.095000000000 p99=276.038000000000 frag_ops=60000 ext=80.599537037037 \
     int=1.133516286839";
@@ -37,24 +37,12 @@ fn extent_policy() -> PolicyConfig {
 /// Runs the delete-heavy mixed workload for one policy and formats the
 /// digest line.
 fn digest(name: &str, policy: PolicyConfig) -> String {
-    digest_matrix(name, policy, 1, 0, EventQueueKind::Heap)
+    digest_on(name, policy, EventQueueKind::Heap)
 }
 
-/// Same digest under an explicit shard/worker configuration.
-fn digest_sharded(name: &str, policy: PolicyConfig, shards: usize, shard_workers: usize) -> String {
-    digest_matrix(name, policy, shards, shard_workers, EventQueueKind::Heap)
-}
-
-/// Same digest under an explicit (shards, workers, queue backend) cell —
-/// the engine's absolute invariant is that this string never depends on
-/// any of the three.
-fn digest_matrix(
-    name: &str,
-    policy: PolicyConfig,
-    shards: usize,
-    shard_workers: usize,
-    event_queue: EventQueueKind,
-) -> String {
+/// Same digest on an explicit queue backend — the engine's absolute
+/// invariant is that this string never depends on it.
+fn digest_on(name: &str, policy: PolicyConfig, event_queue: EventQueueKind) -> String {
     let array = ArrayConfig::scaled(64);
     let t = FileTypeConfig {
         num_files: 32,
@@ -73,8 +61,6 @@ fn digest_matrix(
     let mut c = SimConfig::new(array, policy, vec![t]);
     c.max_intervals = 4;
     c.max_allocation_ops = 60_000;
-    c.shards = shards;
-    c.shard_workers = shard_workers;
     c.event_queue = event_queue;
     let mut sim = Simulation::new(&c, 99);
     let app = sim.run_application_test();
@@ -112,69 +98,24 @@ fn buddy_digest_is_pinned() {
     assert_eq!(digest("buddy", PolicyConfig::paper_buddy()), oneline(BUDDY_DIGEST));
 }
 
-/// The sharded engine's absolute invariant: the exact pinned digest at any
-/// shard count, with effects executed on real worker threads. The sweep
-/// covers a prime shard count, shards > disks, and shards > users (8 users
-/// here), plus several worker counts below and at the shard count.
-#[test]
-fn ffs_digest_is_shard_invariant() {
-    for (shards, workers) in [(2, 2), (4, 2), (4, 4), (7, 3), (16, 4)] {
-        assert_eq!(
-            digest_sharded("ffs", PolicyConfig::ffs_classic(), shards, workers),
-            oneline(FFS_DIGEST),
-            "digest diverged at shards={shards} workers={workers}"
-        );
-    }
-}
-
-/// Same invariant for the extent policy (different allocator hot paths),
-/// and for the degenerate worker settings that must fall back to the
-/// in-line loop (workers 0/1, or more workers than shards — capped).
-#[test]
-fn extent_digest_is_shard_invariant() {
-    for (shards, workers) in [(4, 0), (4, 1), (2, 8), (4, 4), (7, 7)] {
-        assert_eq!(
-            digest_sharded("extent", extent_policy(), shards, workers),
-            oneline(EXTENT_DIGEST),
-            "digest diverged at shards={shards} workers={workers}"
-        );
-    }
-}
-
-/// Buddy at 4 shards × 4 workers — the third policy family through the
-/// pipelined path.
-#[test]
-fn buddy_digest_is_shard_invariant() {
-    assert_eq!(
-        digest_sharded("buddy", PolicyConfig::paper_buddy(), 4, 4),
-        oneline(BUDDY_DIGEST)
-    );
-}
-
-/// The calendar-queue backend's absolute invariant, crossed with the
-/// sharded engine's: the exact pinned digest at every (backend, shards)
-/// cell — serial, even, prime, shards > disks, and shards > users — with
-/// workers capped at 4 so the threaded path runs where it can.
+/// The calendar-queue backend's absolute invariant: the exact pinned
+/// digest on either backend.
 #[test]
 fn ffs_digest_is_event_queue_invariant_across_shard_matrix() {
     for kind in [EventQueueKind::Heap, EventQueueKind::Calendar] {
-        for shards in [1usize, 2, 4, 7, 16] {
-            assert_eq!(
-                digest_matrix("ffs", PolicyConfig::ffs_classic(), shards, shards.min(4), kind),
-                oneline(FFS_DIGEST),
-                "digest diverged at {kind:?} × shards={shards}"
-            );
-        }
+        assert_eq!(
+            digest_on("ffs", PolicyConfig::ffs_classic(), kind),
+            oneline(FFS_DIGEST),
+            "digest diverged on {kind:?}"
+        );
     }
 }
 
-/// Calendar legs for the other two policy families: serial and a threaded
-/// shard configuration each.
+/// Calendar legs for the other two policy families (their heap legs are
+/// the pinned tests above).
 #[test]
 fn extent_and_buddy_digests_are_calendar_invariant() {
     let cal = EventQueueKind::Calendar;
-    assert_eq!(digest_matrix("extent", extent_policy(), 1, 0, cal), oneline(EXTENT_DIGEST));
-    assert_eq!(digest_matrix("extent", extent_policy(), 7, 3, cal), oneline(EXTENT_DIGEST));
-    assert_eq!(digest_matrix("buddy", PolicyConfig::paper_buddy(), 1, 0, cal), oneline(BUDDY_DIGEST));
-    assert_eq!(digest_matrix("buddy", PolicyConfig::paper_buddy(), 4, 4, cal), oneline(BUDDY_DIGEST));
+    assert_eq!(digest_on("extent", extent_policy(), cal), oneline(EXTENT_DIGEST));
+    assert_eq!(digest_on("buddy", PolicyConfig::paper_buddy(), cal), oneline(BUDDY_DIGEST));
 }

@@ -116,72 +116,10 @@ fn fig3_and_table4_agree_across_job_counts() {
 }
 
 #[test]
-fn fig2_results_are_bit_identical_at_any_shard_count() {
-    // The sharded engine's contract, exercised through the full experiment
-    // stack: serialized results AND metrics sidecars are byte-identical at
-    // shard counts 1/2/4/7 (7 is prime, so no shard boundary aligns with
-    // users or disks), with two effect-worker threads forced on so the
-    // pipelined path really runs. Composes with --jobs: the sharded runs
-    // also fan sweep points across 2 runner threads.
-    let workloads = [WorkloadKind::Timesharing];
-    let configs = [(2usize, 1u64, true), (5, 1, true)];
-    let (seq, _, seq_metrics, seq_hists) = fig2::run_sweep(&ctx_with_jobs(1), &workloads, &configs);
-    let seq_bytes = serde_json::to_string(&seq).unwrap();
-    let seq_metrics_bytes = serde_json::to_string(&seq_metrics).unwrap();
-    let seq_hists_bytes = serde_json::to_string(&seq_hists).unwrap();
-    for shards in [2usize, 4, 7] {
-        let ctx = ctx_with_jobs(2).with_shards(shards).with_shard_workers(2);
-        let (sharded, _, sharded_metrics, sharded_hists) =
-            fig2::run_sweep(&ctx, &workloads, &configs);
-        assert_eq!(
-            seq_bytes,
-            serde_json::to_string(&sharded).unwrap(),
-            "fig2 serialized bytes must not depend on the shard count ({shards} shards)"
-        );
-        assert_eq!(
-            seq_metrics_bytes,
-            serde_json::to_string(&sharded_metrics).unwrap(),
-            "fig2 metrics sidecar bytes must not depend on the shard count ({shards} shards)"
-        );
-        assert_eq!(
-            seq_hists_bytes,
-            serde_json::to_string(&sharded_hists).unwrap(),
-            "fig2 latency-histogram bytes must not depend on the shard count ({shards} shards)"
-        );
-    }
-}
-
-#[test]
-fn fig1_results_are_bit_identical_under_sharding() {
-    // Allocation-test sweeps never enter the pipelined loop (no performance
-    // phase) and the event queue is the same single queue at any shard
-    // count, so the shard setting reaches no code fig1 runs — this pins
-    // that the allocation path stays invariant to it.
-    let workloads = [WorkloadKind::Timesharing];
-    let configs = [(3usize, 2u64, false)];
-    let (seq, _, seq_metrics, seq_hists) = fig1::run_sweep(&ctx_with_jobs(1), &workloads, &configs);
-    let ctx = ctx_with_jobs(1).with_shards(4).with_shard_workers(2);
-    let (sharded, _, sharded_metrics, sharded_hists) = fig1::run_sweep(&ctx, &workloads, &configs);
-    assert_eq!(
-        serde_json::to_string(&seq).unwrap(),
-        serde_json::to_string(&sharded).unwrap()
-    );
-    assert_eq!(
-        serde_json::to_string(&seq_metrics).unwrap(),
-        serde_json::to_string(&sharded_metrics).unwrap()
-    );
-    assert_eq!(
-        serde_json::to_string(&seq_hists).unwrap(),
-        serde_json::to_string(&sharded_hists).unwrap()
-    );
-}
-
-#[test]
 fn fig2_results_are_bit_identical_on_the_calendar_backend() {
     // The calendar queue's contract through the full experiment stack:
     // serialized results AND metrics sidecars are byte-identical to the
-    // heap-backed reference, alone and composed with sharding + runner
-    // fan-out (the backend must commute with both parallelism axes).
+    // heap-backed reference, alone and composed with runner fan-out.
     use readopt::sim::EventQueueKind;
     let workloads = [WorkloadKind::Timesharing];
     let configs = [(2usize, 1u64, true), (5, 1, true)];
@@ -189,29 +127,26 @@ fn fig2_results_are_bit_identical_on_the_calendar_backend() {
     let seq_bytes = serde_json::to_string(&seq).unwrap();
     let seq_metrics_bytes = serde_json::to_string(&seq_metrics).unwrap();
     let seq_hists_bytes = serde_json::to_string(&seq_hists).unwrap();
-    for (jobs, shards, workers) in [(1usize, 1usize, 0usize), (2, 4, 2)] {
-        let ctx = ctx_with_jobs(jobs)
-            .with_shards(shards)
-            .with_shard_workers(workers)
-            .with_event_queue(EventQueueKind::Calendar);
+    for jobs in [1usize, 2] {
+        let ctx = ctx_with_jobs(jobs).with_event_queue(EventQueueKind::Calendar);
         let (cal, _, cal_metrics, cal_hists) = fig2::run_sweep(&ctx, &workloads, &configs);
         assert_eq!(
             seq_bytes,
             serde_json::to_string(&cal).unwrap(),
             "fig2 serialized bytes must not depend on the event-queue backend \
-             (jobs={jobs}, shards={shards})"
+             (jobs={jobs})"
         );
         assert_eq!(
             seq_metrics_bytes,
             serde_json::to_string(&cal_metrics).unwrap(),
             "fig2 metrics sidecar bytes must not depend on the event-queue backend \
-             (jobs={jobs}, shards={shards})"
+             (jobs={jobs})"
         );
         assert_eq!(
             seq_hists_bytes,
             serde_json::to_string(&cal_hists).unwrap(),
             "fig2 latency-histogram bytes must not depend on the event-queue backend \
-             (jobs={jobs}, shards={shards})"
+             (jobs={jobs})"
         );
     }
 }
@@ -219,7 +154,7 @@ fn fig2_results_are_bit_identical_on_the_calendar_backend() {
 #[test]
 fn fig1_results_are_bit_identical_on_the_calendar_backend() {
     // The allocation-test path (no performance phase) through the calendar
-    // backend — the counterpart of the sharding leg above.
+    // backend.
     use readopt::sim::EventQueueKind;
     let workloads = [WorkloadKind::Timesharing];
     let configs = [(3usize, 2u64, false)];
