@@ -3,8 +3,8 @@
 //!
 //! ```text
 //! usage: repro [EXPERIMENT ...] [--scale N] [--seed S] [--intervals K]
-//!              [--jobs J] [--event-queue heap|calendar]
-//!              [--users-full] [--store FILE] [--json DIR] [--explain]
+//!              [--jobs J] [--users-full] [--store FILE] [--json DIR]
+//!              [--explain]
 //!        repro export --store FILE --json DIR
 //!
 //! EXPERIMENT: table1 table2 table3 fig1 fig2 fig3 fig4 fig5 table4 fig6 ablations diag
@@ -17,9 +17,6 @@
 //! --jobs J:      worker threads for the sweep-point runner (default: the
 //!                machine's available parallelism; results are bit-identical
 //!                at any J)
-//! --event-queue: structure backing every simulation's event queue
-//!                (default heap; results are bit-identical either way —
-//!                calendar is the O(1) choice for million-user points)
 //! --users-full:  run the users_1e6 experiment on its full ladder (up to a
 //!                million users) instead of the CI smoke rungs
 //! --store FILE:  also mirror every sweep point and JSON artifact into the
@@ -44,7 +41,6 @@ use readopt_core::{
     ablations, diag, fig1, fig2, fig3, fig4, fig5, fig6, storex, table1, table2, table3, table4,
     users_scale, ExperimentContext, ExperimentMetrics,
 };
-use readopt_sim::EventQueueKind;
 use readopt_workloads::WorkloadKind;
 use serde::Serialize;
 use std::io::Write;
@@ -54,8 +50,8 @@ use std::time::Instant;
 /// module documentation above (a unit test keeps the two in step).
 const USAGE: &str = "\
 usage: repro [EXPERIMENT ...] [--scale N] [--seed S] [--intervals K]
-             [--jobs J] [--event-queue heap|calendar]
-             [--users-full] [--store FILE] [--json DIR] [--explain]
+             [--jobs J] [--users-full] [--store FILE] [--json DIR]
+             [--explain]
        repro export --store FILE --json DIR
 
 EXPERIMENT: table1 table2 table3 fig1 fig2 fig3 fig4 fig5 table4 fig6 ablations diag
@@ -74,7 +70,6 @@ struct Options {
     seed: u64,
     intervals: Option<usize>,
     jobs: Option<usize>,
-    event_queue: EventQueueKind,
     users_full: bool,
     json_dir: Option<String>,
     store: Option<String>,
@@ -132,7 +127,6 @@ fn parse_args() -> Result<Options, String> {
         seed: 1991,
         intervals: None,
         jobs: None,
-        event_queue: EventQueueKind::Heap,
         users_full: false,
         json_dir: None,
         store: None,
@@ -178,14 +172,6 @@ fn parse_args() -> Result<Options, String> {
                     return Err("--jobs must be at least 1".into());
                 }
                 opts.jobs = Some(j);
-            }
-            "--event-queue" => {
-                opts.event_queue = match args.next().ok_or("--event-queue needs a value")?.as_str()
-                {
-                    "heap" => EventQueueKind::Heap,
-                    "calendar" => EventQueueKind::Calendar,
-                    other => return Err(format!("--event-queue: unknown backend {other}")),
-                };
             }
             "--users-full" => {
                 opts.users_full = true;
@@ -243,12 +229,11 @@ fn write_json<T: Serialize>(dir: &Option<String>, name: &str, value: &T) {
 }
 
 /// The canonical run-configuration fingerprint stored as the `.rrs` meta
-/// record. Results-invariant knobs (`jobs`, `event_queue`) are
-/// normalized out — the whole point of the store is that a sweep killed
-/// under `--jobs 8` can resume under `--jobs 1` and still produce the
-/// same bytes — while everything results-affecting (array scale, seed,
-/// intervals, latency cap, the users ladder) stays in and is enforced on
-/// resume.
+/// record. The results-invariant knob (`jobs`) is normalized out — the
+/// whole point of the store is that a sweep killed under `--jobs 8` can
+/// resume under `--jobs 1` and still produce the same bytes — while
+/// everything results-affecting (array scale, seed, intervals, latency
+/// cap, the users ladder) stays in and is enforced on resume.
 fn store_meta_json(ctx: &ExperimentContext, opts: &Options) -> String {
     #[derive(Serialize)]
     struct StoreMeta {
@@ -258,7 +243,6 @@ fn store_meta_json(ctx: &ExperimentContext, opts: &Options) -> String {
     }
     let mut c = *ctx;
     c.jobs = 1;
-    c.event_queue = EventQueueKind::Heap;
     let meta = StoreMeta {
         context: c,
         users_full: opts.users_full,
@@ -367,7 +351,6 @@ fn main() {
         }
         ctx.max_intervals = k;
     }
-    ctx = ctx.with_event_queue(opts.event_queue);
 
     if let Some(store) = &opts.store {
         match storex::open(std::path::Path::new(store), &store_meta_json(&ctx, &opts)) {
@@ -381,16 +364,12 @@ fn main() {
     }
 
     println!(
-        "readopt repro — array: {} disks, {:.2} GB usable (scale 1/{}), seed {}, {} jobs, {} queue\n",
+        "readopt repro — array: {} disks, {:.2} GB usable (scale 1/{}), seed {}, {} jobs\n",
         ctx.array.ndisks,
         ctx.array.capacity_bytes() as f64 / 1e9,
         opts.scale,
         ctx.seed,
         jobs,
-        match ctx.event_queue {
-            EventQueueKind::Heap => "heap",
-            EventQueueKind::Calendar => "calendar",
-        },
     );
 
     let run_all = opts.experiments.iter().any(|e| e == "all");

@@ -2,9 +2,7 @@
 
 use readopt_alloc::PolicyConfig;
 use readopt_disk::ArrayConfig;
-use readopt_sim::{
-    EventQueueKind, FragReport, PerfReport, SimConfig, Simulation, TestHist, TestMetrics,
-};
+use readopt_sim::{FragReport, PerfReport, SimConfig, Simulation, TestHist, TestMetrics};
 use readopt_workloads::WorkloadKind;
 use serde::{Deserialize, Serialize};
 
@@ -21,10 +19,6 @@ pub struct ExperimentContext {
     /// Worker threads sweep points run across (see `runner`). Results are
     /// bit-identical at any value; 1 means fully sequential.
     pub jobs: usize,
-    /// Which structure backs every simulation's event queue. Results are
-    /// bit-identical on either backend; `Calendar` is the O(1) choice for
-    /// million-user points.
-    pub event_queue: EventQueueKind,
     /// Override for the per-test exact-latency reservoir cap (0 keeps the
     /// simulator's 200 k default). Shrinking it forces sample drops — the
     /// reservoir then degrades to histogram-derived percentiles and the
@@ -42,7 +36,6 @@ impl ExperimentContext {
             seed: 1991,
             max_intervals: 30,
             jobs: 1,
-            event_queue: EventQueueKind::Heap,
             latency_sample_cap: 0,
         }
     }
@@ -55,7 +48,6 @@ impl ExperimentContext {
             seed: 1991,
             max_intervals: 12,
             jobs: 1,
-            event_queue: EventQueueKind::Heap,
             latency_sample_cap: 0,
         }
     }
@@ -72,12 +64,6 @@ impl ExperimentContext {
         self
     }
 
-    /// With a different event-queue backend.
-    pub fn with_event_queue(mut self, kind: EventQueueKind) -> Self {
-        self.event_queue = kind;
-        self
-    }
-
     /// With a smaller exact-latency reservoir (0 restores the default).
     pub fn with_latency_cap(mut self, cap: usize) -> Self {
         self.latency_sample_cap = cap;
@@ -89,7 +75,6 @@ impl ExperimentContext {
         let types = workload.build(self.array.capacity_bytes());
         let mut cfg = SimConfig::new(self.array, policy, types);
         cfg.max_intervals = self.max_intervals;
-        cfg.event_queue = self.event_queue;
         if self.latency_sample_cap > 0 {
             cfg.latency_sample_cap = self.latency_sample_cap;
         }
@@ -233,18 +218,6 @@ mod tests {
         for wl in WorkloadKind::all() {
             ctx.sim_config(wl, PolicyConfig::paper_extent_based()).validate().unwrap();
         }
-    }
-
-    #[test]
-    fn event_queue_backend_flows_into_sim_config() {
-        let ctx = ExperimentContext::fast(64);
-        let cfg = ctx.sim_config(WorkloadKind::Timesharing, PolicyConfig::paper_extent_based());
-        assert_eq!(cfg.event_queue, EventQueueKind::Heap, "heap by default");
-        let cfg = ctx
-            .with_event_queue(EventQueueKind::Calendar)
-            .sim_config(WorkloadKind::Timesharing, PolicyConfig::paper_extent_based());
-        assert_eq!(cfg.event_queue, EventQueueKind::Calendar);
-        cfg.validate().unwrap();
     }
 
     #[test]

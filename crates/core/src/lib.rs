@@ -17,7 +17,7 @@
 //! | [`fig6`]   | Figure 6 — comparative performance of all policies |
 //! | [`ablations`] | §6 extensions: RAID-5 (incl. degraded mode), stripe unit, file-mix, Koch reallocation, FFS |
 //! | [`diag`]   | disk-time decomposition diagnostics |
-//! | [`users_scale`] | `users_1e6` — heap vs calendar queue at rising user counts (results-invariant) |
+//! | [`users_scale`] | `users_1e6` — one application test at rising user counts, up to a million |
 //!
 //! Every driver takes an [`ExperimentContext`] choosing full (paper-scale)
 //! or scaled-down arrays; results are serde-serializable and printable as

@@ -1,20 +1,15 @@
 //! `users_1e6` scaling family: one small-file point, repeated at
-//! exponentially increasing user counts on both event-queue backends.
+//! exponentially increasing user counts.
 //!
-//! The calendar queue's contract is *bit-identical pops at O(1) cost* — so
-//! this driver is both a benchmark and an acceptance check: each rung runs
-//! the identical configuration once per backend ([`EventQueueKind::Heap`],
-//! [`EventQueueKind::Calendar`]), hard-asserts the application reports and
-//! event counts match, and records the wall-clock ratio. The workload
-//! ([`FileTypeConfig::many_users`]) holds ~`users` events pending and pops
-//! ~2×`users` of them per run, so the rungs sweep the regime where the
-//! heap's `O(log n)` per-pop cost becomes visible and the calendar's does
-//! not.
+//! The workload ([`FileTypeConfig::many_users`]) holds ~`users` events
+//! pending and pops ~2×`users` of them per run, so the rungs sweep the
+//! regime where the event heap's `O(log n)` per-pop cost grows with the
+//! pending count. Each rung runs once and records its wall clock.
 //!
 //! CI runs the smoke ladder (≤ 16 k users); the full ladder tops out at a
 //! million users behind `repro --users-full`. Points run sequentially
 //! (never fanned across the runner's job pool) so the timings measure the
-//! queue, not scheduler contention.
+//! engine, not scheduler contention.
 
 use crate::context::ExperimentContext;
 use crate::metrics::{ExperimentHist, ExperimentMetrics, PointHist};
@@ -22,9 +17,7 @@ use crate::report::TextTable;
 use crate::runner::{self, Job, JobTiming};
 use readopt_alloc::{ExtentConfig, FitStrategy, PolicyConfig};
 use readopt_disk::SimDuration;
-use readopt_sim::{
-    CheckpointSpec, EventQueueKind, FileTypeConfig, PerfReport, SimConfig, Simulation, TestHist,
-};
+use readopt_sim::{CheckpointSpec, FileTypeConfig, PerfReport, SimConfig, Simulation, TestHist};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::path::PathBuf;
@@ -42,10 +35,9 @@ pub const FULL_LADDER: [u32; 5] = [1_000, 4_000, 16_000, 100_000, 1_000_000];
 /// the full checkpoint machinery on a rung that takes milliseconds.
 pub const LADDER_ENV: &str = "REPRO_USERS_LADDER";
 
-/// Directory for mid-rung engine checkpoints. When set, each
-/// (rung, backend) application test runs checkpointed: a serde snapshot
-/// of the full engine state lands in
-/// `$REPRO_CKPT_DIR/users_<users>_<backend>.ckpt` every
+/// Directory for mid-rung engine checkpoints. When set, each rung's
+/// application test runs checkpointed: a serde snapshot of the full
+/// engine state lands in `$REPRO_CKPT_DIR/users_<users>.ckpt` every
 /// [`CKPT_EVERY_ENV`] steps, a killed run resumes from it bit-identically,
 /// and the file is removed when the rung completes.
 pub const CKPT_DIR_ENV: &str = "REPRO_CKPT_DIR";
@@ -126,22 +118,18 @@ fn parse_count(name: &str, raw: &str, min: u64) -> Result<u64, String> {
     }
 }
 
-/// One rung's measurement: the same simulation on both backends.
+/// One rung's measurement.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct UsersScalePoint {
     /// User count (= pending-event count) of this rung.
     pub users: u32,
-    /// Events popped during the measured application test — identical on
-    /// both backends by assertion.
+    /// Events popped during the measured application test.
     pub events: u64,
-    /// Wall-clock of the heap-backed run, seconds.
-    pub wall_heap_s: f64,
-    /// Wall-clock of the calendar-backed run, seconds.
-    pub wall_calendar_s: f64,
-    /// Application throughput, % of max — identical on both backends.
+    /// Wall-clock of the rung's run, seconds (0 for a rung recovered from
+    /// the results store).
+    pub wall_s: f64,
+    /// Application throughput, % of max.
     pub application_pct: f64,
-    /// Heap wall / calendar wall (> 1 means the calendar won).
-    pub calendar_speedup: f64,
 }
 
 /// The full scaling sweep.
@@ -151,16 +139,12 @@ pub struct UsersScale {
     pub full_ladder: bool,
     /// One entry per rung, ascending user count.
     pub points: Vec<UsersScalePoint>,
-    /// `calendar_speedup` of the largest rung: heap wall / calendar wall
-    /// (>1: the calendar queue was faster). Wall-clock, so it varies run to
-    /// run; nothing gates on it.
-    pub speedup_at_max_users: f64,
 }
 
-/// Builds one rung's configuration. Everything except `users` and the
-/// backend is pinned so the two runs per rung — and consecutive snapshots
-/// of the same rung — are comparable.
-fn point_config(ctx: &ExperimentContext, users: u32, kind: EventQueueKind) -> SimConfig {
+/// Builds one rung's configuration. Everything except `users` is pinned
+/// so the rungs — and consecutive snapshots of the same rung — are
+/// comparable.
+fn point_config(ctx: &ExperimentContext, users: u32) -> SimConfig {
     let policy = PolicyConfig::Extent(ExtentConfig {
         // Small extents matched to the 64 KB files: allocation stays cheap
         // and successful, keeping the event queue the measured structure.
@@ -174,14 +158,12 @@ fn point_config(ctx: &ExperimentContext, users: u32, kind: EventQueueKind) -> Si
     // without making the million-user rung take minutes.
     cfg.interval = SimDuration::from_secs(1.0);
     cfg.max_intervals = 6;
-    cfg.event_queue = kind;
     cfg
 }
 
-/// Runs one rung on one backend: application test only (the sequential
-/// test exercises the disk model, not the queue). The latency histogram
-/// rides along so the backend-equality assertion covers the full latency
-/// distribution, not just the headline report.
+/// Runs one rung: application test only (the sequential test exercises
+/// the disk model, not the queue). Returns the report, the events popped
+/// and the latency histogram.
 ///
 /// With a [`CheckpointSpec`], the application test runs checkpointed:
 /// identical results (the snapshot writes are pure), but a killed run
@@ -207,10 +189,8 @@ pub fn run(ctx: &ExperimentContext, full: bool) -> UsersScale {
     run_profiled(ctx, full).0
 }
 
-/// As [`run`], also returning per-point wall-clock timings, an (empty)
-/// metrics sidecar — the per-backend equality assertions are the
-/// observability here — and per-rung latency histograms (one per rung; the
-/// heap and calendar histograms are asserted identical first).
+/// As [`run`], also returning per-rung wall-clock timings, an (empty)
+/// metrics sidecar and one latency histogram per rung.
 pub fn run_profiled(
     ctx: &ExperimentContext,
     full: bool,
@@ -222,8 +202,7 @@ pub fn run_profiled(
         None => &SMOKE_LADDER,
     };
     let (points, timings, hists) = run_ladder(ctx, ladder);
-    let speedup = points.last().map_or(1.0, |p| p.calendar_speedup);
-    let result = UsersScale { full_ladder: full, points, speedup_at_max_users: speedup };
+    let result = UsersScale { full_ladder: full, points };
     (
         result,
         timings,
@@ -232,17 +211,16 @@ pub fn run_profiled(
     )
 }
 
-/// Runs an explicit ladder (tests use a tiny one). Each rung runs heap
-/// first, then calendar, and asserts the two runs are bit-identical.
+/// Runs an explicit ladder (tests use a tiny one), one run per rung.
 ///
-/// When the global results store is open, every completed
-/// (rung, backend) appends a `users_1e6` point record holding only the
-/// deterministic outcome triple (report, event count, latency histogram)
-/// — never wall-clock — and a rung already recorded (a resumed run)
-/// is deserialized from the store instead of re-simulated. Combined
-/// with [`CKPT_DIR_ENV`] engine checkpoints this makes a killed ladder
-/// resumable at two granularities: completed rungs skip entirely, the
-/// interrupted rung restarts mid-test.
+/// When the global results store is open, every completed rung appends a
+/// `users_1e6` point record, indexed by the rung's position, holding only
+/// the deterministic outcome triple (report, event count, latency
+/// histogram) — never wall-clock — and a rung already recorded (a
+/// resumed run) is deserialized from the store instead of re-simulated.
+/// Combined with [`CKPT_DIR_ENV`] engine checkpoints this makes a killed
+/// ladder resumable at two granularities: completed rungs skip entirely,
+/// the interrupted rung restarts mid-test.
 pub fn run_ladder(
     ctx: &ExperimentContext,
     ladder: &[u32],
@@ -252,18 +230,10 @@ pub fn run_ladder(
     let mut timings: Vec<JobTiming> = Vec::new();
     let mut hists: Vec<PointHist> = Vec::new();
     for (rung, &users) in ladder.iter().enumerate() {
-        let mut walls = [0.0f64; 2];
-        let mut outcomes: Vec<(PerfReport, u64, TestHist)> = Vec::new();
-        for (i, kind) in [EventQueueKind::Heap, EventQueueKind::Calendar].into_iter().enumerate() {
-            let cfg = point_config(ctx, users, kind);
-            let seed = ctx.seed;
-            let backend = match kind {
-                EventQueueKind::Heap => "heap",
-                EventQueueKind::Calendar => "calendar",
-            };
-            let label = format!("users_1e6/u{users}/{backend}");
-            let record_index = (2 * rung + i) as u64;
-            if let Some(stored) = crate::storex::lookup("users_1e6", record_index) {
+        let label = format!("users_1e6/u{users}");
+        let record_index = rung as u64;
+        let (outcome, timing) = match crate::storex::lookup("users_1e6", record_index) {
+            Some(stored) => {
                 // Completed before the previous run was killed: trust the
                 // stored bytes (they were verified on append) and skip the
                 // simulation. The wall column reads 0 — timing is the one
@@ -271,65 +241,48 @@ pub fn run_ladder(
                 let outcome: (PerfReport, u64, TestHist) = serde_json::from_str(&stored)
                     .unwrap_or_else(|e| panic!("corrupt store record {label}: {e}"));
                 eprintln!("  [store] users_1e6: {label} recovered, skipping the rerun");
-                outcomes.push(outcome);
-                timings.push(JobTiming { label, wall_ms: 0.0 });
-                continue;
+                (outcome, JobTiming { label: label.clone(), wall_ms: 0.0 })
             }
-            let ckpt = env.ckpt_dir.as_ref().map(|dir| CheckpointSpec {
-                path: dir.join(format!("users_{users}_{backend}.ckpt")),
-                every_steps: env.ckpt_every,
-                kill_after: env.ckpt_kill,
-                config_fingerprint: serde_json::to_string(&cfg)
-                    .unwrap_or_else(|e| panic!("serialize rung config: {e}")),
-            });
-            // One job through the runner (sequentially: one job, one
-            // thread) so the wall-clock comes from the same
-            // instrumentation as every other experiment's profile.
-            let out = runner::run_jobs(
-                1,
-                vec![Job::new(label, move || run_point(cfg, seed, ckpt.as_ref()))],
-            );
-            let outcome = out.results.into_iter().next();
-            let timing = out.timings.into_iter().next();
-            let (Some(outcome), Some(timing)) = (outcome, timing) else {
-                continue;
-            };
-            if crate::storex::active() {
-                let payload = serde_json::to_string(&outcome)
-                    .unwrap_or_else(|e| panic!("serialize rung outcome: {e}"));
-                crate::storex::record("users_1e6", record_index, &payload)
-                    .unwrap_or_else(|e| panic!("results store: {e}"));
+            None => {
+                let cfg = point_config(ctx, users);
+                let seed = ctx.seed;
+                let ckpt = env.ckpt_dir.as_ref().map(|dir| CheckpointSpec {
+                    path: dir.join(format!("users_{users}.ckpt")),
+                    every_steps: env.ckpt_every,
+                    kill_after: env.ckpt_kill,
+                    config_fingerprint: serde_json::to_string(&cfg)
+                        .unwrap_or_else(|e| panic!("serialize rung config: {e}")),
+                });
+                // One job through the runner (sequentially: one job, one
+                // thread) so the wall-clock comes from the same
+                // instrumentation as every other experiment's profile.
+                let out = runner::run_jobs(
+                    1,
+                    vec![Job::new(label.clone(), move || run_point(cfg, seed, ckpt.as_ref()))],
+                );
+                let outcome = out.results.into_iter().next();
+                let timing = out.timings.into_iter().next();
+                let (Some(outcome), Some(timing)) = (outcome, timing) else {
+                    continue;
+                };
+                if crate::storex::active() {
+                    let payload = serde_json::to_string(&outcome)
+                        .unwrap_or_else(|e| panic!("serialize rung outcome: {e}"));
+                    crate::storex::record("users_1e6", record_index, &payload)
+                        .unwrap_or_else(|e| panic!("results store: {e}"));
+                }
+                (outcome, timing)
             }
-            walls[i] = timing.wall_ms / 1e3;
-            outcomes.push(outcome);
-            timings.push(timing);
-        }
-        let [Some((heap_report, heap_events, heap_hist)), Some((cal_report, cal_events, cal_hist))] =
-            [outcomes.first(), outcomes.get(1)]
-        else {
-            continue;
         };
-        assert_eq!(
-            heap_report, cal_report,
-            "calendar run diverged from the heap reference at {users} users"
-        );
-        assert_eq!(
-            heap_events, cal_events,
-            "calendar popped a different event count at {users} users"
-        );
-        assert_eq!(
-            heap_hist, cal_hist,
-            "calendar latency distribution diverged from the heap reference at {users} users"
-        );
-        hists.push(PointHist::new(format!("users_1e6/u{users}"), vec![heap_hist.clone()]));
+        let (report, events, hist) = outcome;
+        hists.push(PointHist::new(label, vec![hist]));
         points.push(UsersScalePoint {
             users,
-            events: *heap_events,
-            wall_heap_s: walls[0],
-            wall_calendar_s: walls[1],
-            application_pct: heap_report.throughput_pct,
-            calendar_speedup: walls[0] / walls[1].max(1e-9),
+            events,
+            wall_s: timing.wall_ms / 1e3,
+            application_pct: report.throughput_pct,
         });
+        timings.push(timing);
     }
     (points, timings, hists)
 }
@@ -337,18 +290,14 @@ pub fn run_ladder(
 impl fmt::Display for UsersScale {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let ladder = if self.full_ladder { "full ladder" } else { "smoke ladder" };
-        let mut t = TextTable::new(format!(
-            "users_1e6 scaling ({ladder}; heap vs calendar, identical output asserted per rung)"
-        ))
-        .headers(["users", "events", "heap wall", "calendar wall", "application", "speedup"]);
+        let mut t = TextTable::new(format!("users_1e6 scaling ({ladder})"))
+            .headers(["users", "events", "wall", "application"]);
         for p in &self.points {
             t.row([
                 p.users.to_string(),
                 p.events.to_string(),
-                format!("{:.2}s", p.wall_heap_s),
-                format!("{:.2}s", p.wall_calendar_s),
+                format!("{:.2}s", p.wall_s),
                 format!("{:.1}%", p.application_pct),
-                format!("{:.2}x", p.calendar_speedup),
             ]);
         }
         write!(f, "{t}")
@@ -359,22 +308,20 @@ impl fmt::Display for UsersScale {
 mod tests {
     use super::*;
 
-    /// The sweep asserts backend equality internally; this exercises it
-    /// end to end at a tiny rung so the calendar backend runs under the
-    /// experiment plumbing (not just the queue-level differential tests).
+    /// A tiny ladder end to end: one run, one timing and one histogram
+    /// per rung.
     #[test]
-    fn tiny_ladder_is_bit_identical_across_backends() {
+    fn tiny_ladder_runs_each_rung_once() {
         let ctx = ExperimentContext::fast(64);
         let (points, timings, hists) = run_ladder(&ctx, &[64, 256]);
         assert_eq!(points.len(), 2);
-        assert_eq!(timings.len(), 4, "one timing per (rung, backend)");
+        assert_eq!(timings.len(), 2, "one timing per rung");
         assert_eq!(hists.len(), 2, "one histogram per rung");
         assert!(hists.iter().all(|h| h.tests.len() == 1));
         assert!(points[0].users == 64 && points[1].users == 256);
-        for p in &points {
+        for (p, t) in points.iter().zip(&timings) {
             assert!(p.events > 0, "the measured window popped events");
-            assert!(p.wall_heap_s >= 0.0 && p.wall_calendar_s >= 0.0);
-            assert!(p.calendar_speedup > 0.0);
+            assert_eq!(p.wall_s, t.wall_ms / 1e3, "the point's wall is its timing");
         }
         assert!(
             points[1].events > points[0].events,
@@ -390,14 +337,14 @@ mod tests {
         let (result, timings, metrics, hists) = run_profiled(&ctx, false);
         assert!(!result.full_ladder);
         assert_eq!(result.points.len(), SMOKE_LADDER.len());
-        assert_eq!(timings.len(), 2 * SMOKE_LADDER.len());
+        assert_eq!(timings.len(), SMOKE_LADDER.len(), "one timing per rung");
         assert_eq!(metrics.experiment, "users_1e6");
         assert_eq!(hists.experiment, "users_1e6");
         assert_eq!(hists.points.len(), SMOKE_LADDER.len());
-        assert!(hists.points.iter().any(|p| p.label == "users_1e6/u1000"));
-        assert!(timings.iter().any(|t| t.label == "users_1e6/u1000/heap"));
-        assert!(timings.iter().any(|t| t.label == "users_1e6/u16000/calendar"));
-        assert_eq!(result.speedup_at_max_users, result.points.last().map_or(1.0, |p| p.calendar_speedup));
+        for (users, (hist, timing)) in SMOKE_LADDER.iter().zip(hists.points.iter().zip(&timings)) {
+            assert_eq!(hist.label, format!("users_1e6/u{users}"));
+            assert_eq!(timing.label, hist.label);
+        }
         let shown = result.to_string();
         assert!(shown.contains("users_1e6 scaling"));
     }

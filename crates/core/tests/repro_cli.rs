@@ -66,7 +66,7 @@ fn bad_flag_values_are_usage_errors() {
         (&["--jobs", "abc"], "--jobs: invalid digit"),
         (&["--jobs"], "--jobs needs a value"),
         (&["--shards", "2"], "unknown option --shards"),
-        (&["--event-queue", "bogus"], "--event-queue: unknown backend bogus"),
+        (&["--event-queue", "heap"], "unknown option --event-queue"),
         (&["--workers", "2"], "unknown option --workers"),
         (&["fgi1"], "unknown experiment fgi1"),
         (&["shard_scaling"], "unknown experiment shard_scaling"),

@@ -1,6 +1,6 @@
 //! End-to-end binary-results-store tests against the real `repro` binary:
 //! `repro export` must regenerate the JSON sidecars byte-identically,
-//! the store's point records must not depend on `--jobs`/`--event-queue`,
+//! the store's point records must not depend on `--jobs`,
 //! and a `users_1e6` ladder killed mid-rung by the checkpoint fault
 //! injection must resume to the same store bytes.
 
@@ -59,7 +59,7 @@ fn point_records(store: &Path) -> BTreeMap<(String, u64), String> {
 
 /// `repro --store` + `repro export` round-trips every sidecar
 /// byte-identically, and neither the sweep point records nor the
-/// deterministic artifacts depend on `--jobs` or `--event-queue`.
+/// deterministic artifacts depend on `--jobs`.
 #[test]
 fn store_export_roundtrips_and_is_parallelism_invariant() {
     let dir = out_dir("store_roundtrip");
@@ -91,30 +91,24 @@ fn store_export_roundtrips_and_is_parallelism_invariant() {
         );
     }
 
-    // The same sweep at another job count or on the other event-queue
-    // backend appends the same point records and deterministic artifacts.
+    // The same sweep at another job count appends the same point records
+    // and deterministic artifacts.
     let reference = point_records(&store1);
     assert!(
         reference.keys().any(|(exp, _)| exp == "table4"),
         "store holds table4 sweep points: {:?}",
         reference.keys().collect::<Vec<_>>()
     );
-    for (tag, extra) in [("j2", ["--jobs", "2"]), ("cal", ["--event-queue", "calendar"])] {
-        let store = dir.join(format!("{tag}.rrs"));
-        run_ok(&[&base[..], &extra[..], &["--store", store.to_str().unwrap()]].concat(), &[]);
-        let got = point_records(&store);
-        for (id, payload) in &reference {
-            // The profile artifact carries wall-clock; everything else
-            // must match byte-for-byte.
-            if id.0 == "artifact/profile" {
-                continue;
-            }
-            assert_eq!(
-                got.get(id),
-                Some(payload),
-                "{tag}: store record {id:?} must match the --jobs 1 bytes"
-            );
+    let store2 = dir.join("j2.rrs");
+    run_ok(&[&base[..], &["--jobs", "2", "--store", store2.to_str().unwrap()]].concat(), &[]);
+    let got = point_records(&store2);
+    for (id, payload) in &reference {
+        // The profile artifact carries wall-clock; everything else must
+        // match byte-for-byte.
+        if id.0 == "artifact/profile" {
+            continue;
         }
+        assert_eq!(got.get(id), Some(payload), "store record {id:?} must match the --jobs 1 bytes");
     }
 
     // A store written under one configuration refuses a different one.
@@ -157,12 +151,12 @@ fn killed_users_ladder_resumes_to_identical_store_bytes() {
         "fault injection exits with the kill code:\n{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    assert!(ckpt.join("users_64_heap.ckpt").exists(), "the snapshot survives the kill");
+    assert!(ckpt.join("users_64.ckpt").exists(), "the snapshot survives the kill");
 
     // Second attempt, same store, kill disarmed: resumes mid-test.
     let out = run_ok(&[&base[..], &["--store", killed.to_str().unwrap()]].concat(), &common);
     assert!(
-        !ckpt.join("users_64_heap.ckpt").exists(),
+        !ckpt.join("users_64.ckpt").exists(),
         "the snapshot is removed once the rung completes"
     );
     drop(out);
@@ -178,7 +172,11 @@ fn killed_users_ladder_resumes_to_identical_store_bytes() {
     let fresh = point_records(&reference);
     let ladder_ids: Vec<&(String, u64)> =
         fresh.keys().filter(|(exp, _)| exp == "users_1e6").collect();
-    assert_eq!(ladder_ids.len(), 2, "one record per backend: {ladder_ids:?}");
+    assert_eq!(
+        ladder_ids,
+        [&("users_1e6".to_string(), 0)],
+        "one record per rung, indexed by the rung"
+    );
     for id in ladder_ids {
         assert_eq!(
             resumed.get(id),

@@ -44,10 +44,11 @@ pub struct SimConfig {
     /// [`shards`](SimConfig::shards) and for the same reason; the next
     /// benchmark change deletes it.
     pub shard_workers: usize,
-    /// Which structure backs the event queue (heap by default, calendar
-    /// for O(1) scheduling at million-user densities). Purely a speed
-    /// knob: both backends pop in the identical `(time, seq, user)` order,
-    /// so results are bit-identical either way.
+    /// Always [`EventQueueKind::Heap`], the only value the type has; the
+    /// engine does not read it. The field outlives the calendar backend it
+    /// selected only because the benchmark still assigns it, and the next
+    /// benchmark change deletes it.
+    // simlint::allow(r7, "perfbench/src/points.rs assigns it; the next benchmark change deletes both")
     pub event_queue: EventQueueKind,
     /// How many raw per-request latencies the engine retains for exact
     /// percentile computation. Beyond the cap, samples still land in the
@@ -179,18 +180,8 @@ mod tests {
     }
 
     #[test]
-    fn event_queue_defaults_to_heap() {
-        let c = config();
-        assert_eq!(c.event_queue, EventQueueKind::Heap, "calendar is opt-in");
-        let mut c = config();
-        c.event_queue = EventQueueKind::Calendar;
-        c.validate().unwrap();
-    }
-
-    #[test]
     fn serde_round_trip() {
-        let mut c = config();
-        c.event_queue = EventQueueKind::Calendar;
+        let c = config();
         let json = serde_json::to_string(&c).unwrap();
         let back: SimConfig = serde_json::from_str(&json).unwrap();
         assert_eq!(c, back);

@@ -2,7 +2,7 @@
 //! workload together and runs the paper's three test procedures (§2.2, §3).
 
 use crate::config::SimConfig;
-use crate::event::{EventQueue, EventQueueKind, UserId};
+use crate::event::{EventQueue, UserId};
 use crate::filetype::{FileTypeConfig, OpKind};
 use crate::hist::{LatencyReservoir, TestHist};
 use crate::measure::ThroughputMeter;
@@ -112,9 +112,6 @@ pub struct Simulation {
     counters: EngineCounters,
     ops_at_counter_reset: u64,
     disk_full_at_counter_reset: u64,
-    /// Which structure backs the event queue; results-invariant (both
-    /// backends pop in identical order), re-applied on `schedule_users`.
-    event_queue: EventQueueKind,
     /// The service window + bytes of the current event's transfer, staged
     /// by `transfer` for `step` to meter.
     pending_span: Option<(SimTime, SimTime, u64)>,
@@ -140,7 +137,7 @@ impl Simulation {
             files: FileTable::new(),
             files_by_type: vec![Vec::new(); config.file_types.len()],
             users: UserTable::new(),
-            queue: EventQueue::with_kind(config.event_queue),
+            queue: EventQueue::new(),
             rng,
             unit_bytes,
             max_bw,
@@ -167,7 +164,6 @@ impl Simulation {
             counters: EngineCounters::default(),
             ops_at_counter_reset: 0,
             disk_full_at_counter_reset: 0,
-            event_queue: config.event_queue,
             pending_span: None,
         };
         sim.initialize_files();
@@ -332,7 +328,7 @@ impl Simulation {
     /// Discards pending events and schedules every user afresh: start times
     /// uniform in `[now, now + users × hit frequency)` per §2.2 phase one.
     fn schedule_users(&mut self) {
-        self.queue = EventQueue::with_kind(self.event_queue);
+        self.queue = EventQueue::new();
         self.users.clear();
         for (t_idx, t) in self.types.iter().enumerate() {
             let spread = f64::from(t.num_users) * t.hit_frequency_ms;

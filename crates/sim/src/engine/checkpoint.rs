@@ -19,11 +19,12 @@
 //! never a torn file.
 //!
 //! Restores are validation-first at every layer: the file tables, latency
-//! reservoir, policy, free map, and disk snapshots each re-check their own
-//! invariants (space conservation, selection-index consistency, monotone
-//! queues) and reject corrupt state with an error instead of quietly
-//! diverging later. A snapshot whose config fingerprint does not match the
-//! resuming run is rejected outright.
+//! reservoir, event queue, policy, free map, and disk snapshots each
+//! re-check their own invariants (space conservation, selection-index
+//! consistency, one pending event per user, monotone queues) and reject
+//! corrupt state with an error instead of quietly diverging later. A
+//! snapshot whose config fingerprint does not match the resuming run is
+//! rejected outright.
 
 use super::{Mode, PerfFrame, Simulation};
 use crate::event::EventQueue;
@@ -35,6 +36,7 @@ use crate::rng::SimRng;
 use crate::state::{FileTable, UserTable};
 use readopt_disk::SimTime;
 use serde::{de_field, Serialize, Value};
+use std::fmt;
 use std::ops::ControlFlow;
 use std::path::PathBuf;
 
@@ -123,9 +125,8 @@ impl Simulation {
         // sentinel keeps the loop from immediately rewriting it.
         let mut last_checkpoint = frame.steps;
         let mut written_this_process: u64 = 0;
-        // Writing a snapshot perturbs nothing: the only state it touches is
-        // the event queue (drained and re-queued, which preserves pop order
-        // exactly). The hook breaks with `Ok(())` to pause, `Err` on a
+        // Writing a snapshot only reads the simulation, so it perturbs
+        // nothing. The hook breaks with `Ok(())` to pause, `Err` on a
         // failed write.
         let hook = |sim: &mut Self, frame: &PerfFrame| {
             let steps = frame.steps;
@@ -161,7 +162,7 @@ impl Simulation {
 
     /// Serializes the complete dynamic state and writes it atomically
     /// (full `.tmp` write, then rename over `spec.path`).
-    fn write_checkpoint(&mut self, spec: &CheckpointSpec, frame: &PerfFrame) -> Result<(), String> {
+    fn write_checkpoint(&self, spec: &CheckpointSpec, frame: &PerfFrame) -> Result<(), String> {
         let snapshot = self.checkpoint_value(spec, frame)?;
         let text = serde_json::to_string(&snapshot).map_err(|e| e.to_string())?;
         let tmp = spec.path.with_extension("tmp");
@@ -172,7 +173,7 @@ impl Simulation {
         Ok(())
     }
 
-    fn checkpoint_value(&mut self, spec: &CheckpointSpec, frame: &PerfFrame) -> Result<Value, String> {
+    fn checkpoint_value(&self, spec: &CheckpointSpec, frame: &PerfFrame) -> Result<Value, String> {
         let policy = self.policy.checkpoint_state().ok_or_else(|| {
             format!("the {} policy does not support checkpointing", self.policy.name())
         })?;
@@ -181,13 +182,7 @@ impl Simulation {
             .checkpoint_state()
             .ok_or_else(|| "the storage layout does not support checkpointing".to_string())?;
         let (rng_seed, rng_state) = self.rng.checkpoint_state();
-        // Draining is the only way to see the queue's entries; re-queueing
-        // them with their original sequence numbers restores the exact
-        // same pop order, so the run is unperturbed.
-        let (entries, next_seq) = self.queue.drain_entries();
-        self.queue
-            .restore_entries(&entries, next_seq)
-            .map_err(|e| format!("internal: re-queue after checkpoint drain failed: {e}"))?;
+        let (entries, next_seq) = self.queue.entries();
         Ok(Value::Object(vec![
             ("version".into(), CHECKPOINT_VERSION.to_value()),
             ("fingerprint".into(), spec.config_fingerprint.to_value()),
@@ -276,10 +271,8 @@ impl Simulation {
         check_selection_index(&files, &files_by_type, self.types.len())?;
         let entries: Vec<(SimTime, u64, u32)> = de_field(v, "queue_entries").map_err(err)?;
         let next_seq: u64 = de_field(v, "queue_next_seq").map_err(err)?;
-        if entries.iter().any(|e| e.2 as usize >= users.type_idx.len()) {
-            return Err("queued event names a user outside the user table".into());
-        }
-        let mut queue = EventQueue::with_kind(self.event_queue);
+        check_queue_state(&entries, users.type_idx.len(), clock).map_err(|e| e.to_string())?;
+        let mut queue = EventQueue::new();
         queue.restore_entries(&entries, next_seq)?;
         let policy_snap =
             v.get("policy").ok_or_else(|| "missing field `policy`".to_string())?;
@@ -308,6 +301,61 @@ impl Simulation {
         self.hist = hist;
         self.pending_span = None;
         Ok(PerfFrame { steps, ops_before, disk_full_before, meter })
+    }
+}
+
+/// Why a snapshot's event queue is not one the measurement loop can leave
+/// behind. The loop holds exactly one pending event per user (every user
+/// is queued once when the test begins, and each step reschedules the
+/// user it popped), and none of them is earlier than the clock (each step
+/// pops the earliest event and schedules at or after it).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum QueueStateError {
+    /// An event names a user the user table does not have.
+    UnknownUser(u32),
+    /// A user has a second pending event.
+    DuplicateUser(u32),
+    /// A user has no pending event.
+    MissingUser(usize),
+    /// An event is scheduled before the restored clock.
+    BeforeClock { user: u32, time: SimTime, clock: SimTime },
+}
+
+impl fmt::Display for QueueStateError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            QueueStateError::UnknownUser(u) => {
+                write!(f, "queued event names user {u}, outside the user table")
+            }
+            QueueStateError::DuplicateUser(u) => write!(f, "user {u} has two pending events"),
+            QueueStateError::MissingUser(u) => write!(f, "user {u} has no pending event"),
+            QueueStateError::BeforeClock { user, time, clock } => {
+                write!(f, "user {user}'s event at {time} is before the clock {clock}")
+            }
+        }
+    }
+}
+
+/// Checks the queued `(time, seq, user)` entries against the loop's
+/// invariants for `users` users at `clock`.
+fn check_queue_state(
+    entries: &[(SimTime, u64, u32)],
+    users: usize,
+    clock: SimTime,
+) -> Result<(), QueueStateError> {
+    let mut queued = vec![false; users];
+    for &(time, _, user) in entries {
+        let seen = queued.get_mut(user as usize).ok_or(QueueStateError::UnknownUser(user))?;
+        if std::mem::replace(seen, true) {
+            return Err(QueueStateError::DuplicateUser(user));
+        }
+        if time < clock {
+            return Err(QueueStateError::BeforeClock { user, time, clock });
+        }
+    }
+    match queued.iter().position(|&q| !q) {
+        Some(user) => Err(QueueStateError::MissingUser(user)),
+        None => Ok(()),
     }
 }
 
@@ -481,6 +529,29 @@ mod tests {
         std::fs::write(&spec.path, tamper("files_by_type", empty_index.to_value())).unwrap();
         let err = Simulation::new(&c, 11).run_application_test_checkpointed(&spec).unwrap_err();
         assert!(err.contains("selection index"), "{err}");
+
+        // Queues that keep pop order and in-range users but break the
+        // loop's invariants: one event per user, none before the clock.
+        let snapshot: Value = serde_json::from_str(&pristine).unwrap();
+        let entries: Vec<(SimTime, u64, u32)> = de_field(&snapshot, "queue_entries").unwrap();
+        let clock: SimTime = de_field(&snapshot, "clock").unwrap();
+        assert!(entries.len() > 2 && entries[0].0 > SimTime::ZERO && clock > SimTime::ZERO);
+        let mut dropped = entries.clone();
+        dropped.remove(1);
+        let mut doubled = entries.clone();
+        doubled[1].2 = doubled[0].2;
+        let mut early = entries.clone();
+        early[0].0 = SimTime::ZERO;
+        for (queue, expected) in [
+            (dropped, "has no pending event"),
+            (doubled, "has two pending events"),
+            (early, "is before the clock"),
+        ] {
+            std::fs::write(&spec.path, tamper("queue_entries", queue.to_value())).unwrap();
+            let err =
+                Simulation::new(&c, 11).run_application_test_checkpointed(&spec).unwrap_err();
+            assert!(err.contains(expected), "{expected}: {err}");
+        }
 
         // The pristine bytes still resume cleanly after all that.
         std::fs::write(&spec.path, &pristine).unwrap();

@@ -45,7 +45,6 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
-pub mod calendar;
 pub mod config;
 pub mod engine;
 pub mod event;
@@ -57,7 +56,6 @@ pub mod results;
 pub mod rng;
 pub mod state;
 
-pub use calendar::{CalendarQueue, EventArena, EventHandle, EventRecord};
 pub use config::SimConfig;
 pub use engine::{CheckpointSpec, Simulation, CHECKPOINT_KILL_EXIT};
 pub use event::{Event, EventQueue, EventQueueKind, UserId};

@@ -10,9 +10,8 @@
 //!
 //! Slots are addressed by `u32` index. The public API hands out
 //! generation-checked [`FileSlot`] handles (odd generation = live, even =
-//! free, matching the event-arena convention in [`crate::calendar`]) so a
-//! stale handle held across a free can never silently alias a reused
-//! slot. The engine itself indexes raw `u32`s it owns — retirement marks
+//! free) so a stale handle held across a free can never silently alias a
+//! reused slot. The engine itself indexes raw `u32`s it owns — retirement marks
 //! files dead without freeing the slot, so indices held in
 //! `files_by_type` stay stable for a whole run and the table's insertion
 //! order (and therefore every digest) is identical to the old

@@ -1,14 +1,13 @@
-//! Property tests for the compact SoA state stores: [`FileTable`] and
-//! [`EventArena`] against a naive model under arbitrary alloc/free/reuse
-//! sequences, stale-handle safety via generation checks, and the
+//! Property tests for the compact SoA file table: [`FileTable`] against a
+//! naive model under arbitrary alloc/free/reuse sequences, stale-handle
+//! safety via generation checks, and the
 //! snapshot→load path (round-trip equality plus loud rejection of
 //! corrupted snapshots, the same contract the allocator's `FreeBitmap`
 //! established).
 
 use proptest::prelude::*;
 use readopt_alloc::FileId;
-use readopt_disk::SimTime;
-use readopt_sim::{EventArena, EventHandle, FileSlot, FileTable};
+use readopt_sim::{FileSlot, FileTable};
 use serde::{Deserialize, Serialize, Value};
 
 /// One step of the op stream; fields are raw entropy shaped inside the
@@ -128,116 +127,4 @@ proptest! {
             prop_assert!(FileTable::from_value(&bad).is_err(), "live slot on free stack accepted");
         }
     }
-
-    /// EventArena vs a naive model: the same alloc/free/reuse, stale
-    /// handle, and generation-parity contract as the FileTable, with the
-    /// free-list threaded through the records themselves.
-    #[test]
-    fn event_arena_matches_model(ops in raw_ops()) {
-        let mut arena = EventArena::new();
-        let mut live: Vec<(EventHandle, SimTime, u64, u32)> = Vec::new();
-        let mut graveyard: Vec<EventHandle> = Vec::new();
-        let mut freed = 0usize;
-        let mut seq = 0u64;
-        for &(sel, arg) in &ops {
-            match sel % 4 {
-                0 | 3 => {
-                    let time = SimTime::from_us(u64::from(arg) * 17);
-                    let user = u32::from(arg % 11);
-                    seq += 1;
-                    let h = arena.insert(time, seq, user);
-                    assert_eq!(h.generation % 2, 1, "live handles carry odd generations");
-                    if freed > 0 {
-                        freed -= 1;
-                    } else {
-                        assert_eq!(h.index as usize, arena.capacity() - 1, "fresh slots append");
-                    }
-                    live.push((h, time, seq, user));
-                }
-                1 if !live.is_empty() => {
-                    let (h, _, _, _) = live.swap_remove(arg as usize % live.len());
-                    assert!(arena.remove(h), "removing a live handle succeeds");
-                    assert_eq!(arena.get(h), None, "freed handle reads as dead");
-                    graveyard.push(h);
-                    freed += 1;
-                }
-                2 if !graveyard.is_empty() => {
-                    let stale = graveyard[arg as usize % graveyard.len()];
-                    assert_eq!(arena.get(stale), None, "stale handle must not read");
-                    let len = arena.len();
-                    assert!(!arena.remove(stale), "stale remove must be a no-op");
-                    assert_eq!(arena.len(), len, "stale remove mutated the arena");
-                }
-                _ => {}
-            }
-            assert_eq!(arena.len(), live.len(), "live count diverged");
-            assert_eq!(arena.capacity(), live.len() + freed, "slot count diverged");
-        }
-        for &(h, time, s, user) in &live {
-            let rec = arena.get(h).expect("live handle reads back");
-            assert_eq!((rec.time, rec.seq, rec.user), (time, s, user));
-        }
-    }
-
-    /// Snapshot → load rebuilds an identical EventArena, and corrupted
-    /// snapshots (dangling or cyclic free-lists, ragged columns) are
-    /// rejected.
-    #[test]
-    fn event_arena_snapshot_roundtrip_and_rejection(ops in raw_ops()) {
-        let mut arena = EventArena::new();
-        let mut handles: Vec<EventHandle> = Vec::new();
-        for (i, &(sel, arg)) in ops.iter().enumerate() {
-            if sel % 3 != 2 || handles.is_empty() {
-                handles.push(arena.insert(
-                    SimTime::from_us(u64::from(arg)),
-                    i as u64,
-                    u32::from(arg % 13),
-                ));
-            } else {
-                let h = handles[arg as usize % handles.len()];
-                arena.remove(h);
-            }
-        }
-        let json = serde_json::to_string(&arena).expect("serialize");
-        let back: EventArena = serde_json::from_str(&json).expect("load a clean snapshot");
-        assert_eq!(arena, back, "round trip is identity");
-        for &h in &handles {
-            assert_eq!(arena.get(h), back.get(h), "handle behaviour diverged after reload");
-        }
-
-        let v = arena.to_value();
-        let cap = u32::try_from(arena.capacity()).unwrap();
-        // Free head pointing past the slab.
-        let dangling = with_field(&v, "free_head", cap.to_value());
-        prop_assert!(EventArena::from_value(&dangling).is_err(), "dangling free head accepted");
-        // A self-cycle in the free-list (needs at least one freed slot;
-        // `next` of a freed slot pointing at itself never terminates).
-        if arena.capacity() > arena.len() {
-            let gens: Vec<u32> = de_gen(&v);
-            if let Some(free_idx) = gens.iter().position(|g| g % 2 == 0) {
-                let mut next: Vec<u32> = de_next(&v);
-                next[free_idx] = u32::try_from(free_idx).unwrap();
-                let cyclic = with_field(
-                    &with_field(&v, "next", next.to_value()),
-                    "free_head",
-                    u32::try_from(free_idx).unwrap().to_value(),
-                );
-                prop_assert!(
-                    EventArena::from_value(&cyclic).is_err(),
-                    "cyclic free-list accepted"
-                );
-            }
-        }
-        // Ragged columns.
-        let ragged = with_field(&v, "users", vec![0u32; arena.capacity() + 2].to_value());
-        prop_assert!(EventArena::from_value(&ragged).is_err(), "ragged columns accepted");
-    }
-}
-
-fn de_gen(v: &Value) -> Vec<u32> {
-    serde::de_field(v, "gen").expect("gen column")
-}
-
-fn de_next(v: &Value) -> Vec<u32> {
-    serde::de_field(v, "next").expect("next column")
 }

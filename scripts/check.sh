@@ -10,9 +10,7 @@
 #   5. a 1-job rerun of fig1, fig2, fig6 and table4 that also writes a
 #      binary results store, byte-compared against the 2-job run: results
 #      must not depend on the thread count;
-#   6. an --event-queue calendar rerun, byte-compared: the calendar
-#      backend must be results-invariant in the queue structure;
-#   7. `repro export` from the store of leg 5, byte-compared against that
+#   6. `repro export` from the store of leg 5, byte-compared against that
 #      leg's sidecars.
 # Every file the script writes is under target/ (the lint report is
 # target/check/simlint.json); it changes no tracked file. It checks
@@ -62,25 +60,6 @@ for exp in fig1 fig2 fig6 table4; do
         || { echo "ERROR: $exp latency histograms differ between --jobs 2 and --jobs 1"; exit 1; }
 done
 echo "   sidecars byte-identical across job counts"
-
-echo "== event-queue determinism (re-run on calendar backend, byte-compare) =="
-# users_1e6 asserts heap/calendar equality inside its driver on every run
-# above; this leg pins the production experiments to the same contract end
-# to end: the calendar-backed engine must reproduce the heap-backed results
-# and sidecars byte for byte.
-mkdir -p target/check-cal
-cargo run --release -q -p readopt-core --bin repro -- \
-    fig1 fig2 fig6 table4 --scale 64 --intervals 4 --jobs 1 --event-queue calendar \
-    --json target/check-cal > /dev/null
-for exp in fig1 fig2 fig6 table4; do
-    cmp "target/check-j1/$exp.metrics.json" "target/check-cal/$exp.metrics.json" \
-        || { echo "ERROR: $exp metrics sidecar differs between heap and calendar event queues"; exit 1; }
-    cmp "target/check-j1/$exp.json" "target/check-cal/$exp.json" \
-        || { echo "ERROR: $exp results differ between heap and calendar event queues"; exit 1; }
-    cmp "target/check-j1/$exp.hist.json" "target/check-cal/$exp.hist.json" \
-        || { echo "ERROR: $exp latency histograms differ between heap and calendar event queues"; exit 1; }
-done
-echo "   results byte-identical across event-queue backends"
 
 echo "== results store (repro export, byte-compare against the sidecars) =="
 # `repro export` regenerates every JSON sidecar from the sealed .rrs

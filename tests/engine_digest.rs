@@ -5,15 +5,12 @@
 //! compared as a string. Any change to RNG draw order, event scheduling,
 //! allocator decisions, or percentile arithmetic shows up here as a diff —
 //! the guard that hot-path refactors (swap-remove file retirement,
-//! single-sort percentiles, bitmap free-space backends, the calendar event
-//! queue) stay bit-identical.
+//! single-sort percentiles, bitmap free-space backends) stay bit-identical.
 
 use readopt::alloc::{ExtentConfig, FitStrategy, PolicyConfig};
 use readopt::disk::ArrayConfig;
-use readopt::sim::{EventQueueKind, FileTypeConfig, SimConfig, Simulation};
+use readopt::sim::{FileTypeConfig, SimConfig, Simulation};
 
-/// The one true extent digest: both event-queue backends must produce
-/// exactly this string.
 const EXTENT_DIGEST: &str = "extent: ops=2460 bytes=140884992 thr=30.918025107602 \
     p50=67.095000000000 p99=276.038000000000 frag_ops=60000 ext=80.599537037037 \
     int=1.133516286839";
@@ -37,12 +34,6 @@ fn extent_policy() -> PolicyConfig {
 /// Runs the delete-heavy mixed workload for one policy and formats the
 /// digest line.
 fn digest(name: &str, policy: PolicyConfig) -> String {
-    digest_on(name, policy, EventQueueKind::Heap)
-}
-
-/// Same digest on an explicit queue backend — the engine's absolute
-/// invariant is that this string never depends on it.
-fn digest_on(name: &str, policy: PolicyConfig, event_queue: EventQueueKind) -> String {
     let array = ArrayConfig::scaled(64);
     let t = FileTypeConfig {
         num_files: 32,
@@ -61,7 +52,6 @@ fn digest_on(name: &str, policy: PolicyConfig, event_queue: EventQueueKind) -> S
     let mut c = SimConfig::new(array, policy, vec![t]);
     c.max_intervals = 4;
     c.max_allocation_ops = 60_000;
-    c.event_queue = event_queue;
     let mut sim = Simulation::new(&c, 99);
     let app = sim.run_application_test();
     let frag = sim.run_allocation_test();
@@ -96,26 +86,4 @@ fn ffs_digest_is_pinned() {
 #[test]
 fn buddy_digest_is_pinned() {
     assert_eq!(digest("buddy", PolicyConfig::paper_buddy()), oneline(BUDDY_DIGEST));
-}
-
-/// The calendar-queue backend's absolute invariant: the exact pinned
-/// digest on either backend.
-#[test]
-fn ffs_digest_is_event_queue_invariant_across_shard_matrix() {
-    for kind in [EventQueueKind::Heap, EventQueueKind::Calendar] {
-        assert_eq!(
-            digest_on("ffs", PolicyConfig::ffs_classic(), kind),
-            oneline(FFS_DIGEST),
-            "digest diverged on {kind:?}"
-        );
-    }
-}
-
-/// Calendar legs for the other two policy families (their heap legs are
-/// the pinned tests above).
-#[test]
-fn extent_and_buddy_digests_are_calendar_invariant() {
-    let cal = EventQueueKind::Calendar;
-    assert_eq!(digest_on("extent", extent_policy(), cal), oneline(EXTENT_DIGEST));
-    assert_eq!(digest_on("buddy", PolicyConfig::paper_buddy(), cal), oneline(BUDDY_DIGEST));
 }

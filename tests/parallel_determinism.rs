@@ -116,66 +116,6 @@ fn fig3_and_table4_agree_across_job_counts() {
 }
 
 #[test]
-fn fig2_results_are_bit_identical_on_the_calendar_backend() {
-    // The calendar queue's contract through the full experiment stack:
-    // serialized results AND metrics sidecars are byte-identical to the
-    // heap-backed reference, alone and composed with runner fan-out.
-    use readopt::sim::EventQueueKind;
-    let workloads = [WorkloadKind::Timesharing];
-    let configs = [(2usize, 1u64, true), (5, 1, true)];
-    let (seq, _, seq_metrics, seq_hists) = fig2::run_sweep(&ctx_with_jobs(1), &workloads, &configs);
-    let seq_bytes = serde_json::to_string(&seq).unwrap();
-    let seq_metrics_bytes = serde_json::to_string(&seq_metrics).unwrap();
-    let seq_hists_bytes = serde_json::to_string(&seq_hists).unwrap();
-    for jobs in [1usize, 2] {
-        let ctx = ctx_with_jobs(jobs).with_event_queue(EventQueueKind::Calendar);
-        let (cal, _, cal_metrics, cal_hists) = fig2::run_sweep(&ctx, &workloads, &configs);
-        assert_eq!(
-            seq_bytes,
-            serde_json::to_string(&cal).unwrap(),
-            "fig2 serialized bytes must not depend on the event-queue backend \
-             (jobs={jobs})"
-        );
-        assert_eq!(
-            seq_metrics_bytes,
-            serde_json::to_string(&cal_metrics).unwrap(),
-            "fig2 metrics sidecar bytes must not depend on the event-queue backend \
-             (jobs={jobs})"
-        );
-        assert_eq!(
-            seq_hists_bytes,
-            serde_json::to_string(&cal_hists).unwrap(),
-            "fig2 latency-histogram bytes must not depend on the event-queue backend \
-             (jobs={jobs})"
-        );
-    }
-}
-
-#[test]
-fn fig1_results_are_bit_identical_on_the_calendar_backend() {
-    // The allocation-test path (no performance phase) through the calendar
-    // backend.
-    use readopt::sim::EventQueueKind;
-    let workloads = [WorkloadKind::Timesharing];
-    let configs = [(3usize, 2u64, false)];
-    let (seq, _, seq_metrics, seq_hists) = fig1::run_sweep(&ctx_with_jobs(1), &workloads, &configs);
-    let ctx = ctx_with_jobs(1).with_event_queue(EventQueueKind::Calendar);
-    let (cal, _, cal_metrics, cal_hists) = fig1::run_sweep(&ctx, &workloads, &configs);
-    assert_eq!(
-        serde_json::to_string(&seq).unwrap(),
-        serde_json::to_string(&cal).unwrap()
-    );
-    assert_eq!(
-        serde_json::to_string(&seq_metrics).unwrap(),
-        serde_json::to_string(&cal_metrics).unwrap()
-    );
-    assert_eq!(
-        serde_json::to_string(&seq_hists).unwrap(),
-        serde_json::to_string(&cal_hists).unwrap()
-    );
-}
-
-#[test]
 fn runner_reassembles_in_submission_order_under_contention() {
     // More workers than jobs, jobs finishing out of order: results must
     // still come back in submission order.
