@@ -9,8 +9,9 @@
 //!
 //! EXPERIMENT: table1 table2 table3 fig1 fig2 fig3 fig4 fig5 table4 fig6 ablations diag
 //!             users_1e6 all (default: all; any other name is a usage error)
-//! --scale N:     divide the paper's 2.8 GB array capacity by N (at least 1;
-//!                default 1, i.e. full paper scale)
+//! --scale N:     divide the paper's 2.8 GB array capacity by N, 1 to 400
+//!                (at 400 each drive is down to its 4-cylinder floor);
+//!                default 1, i.e. full paper scale
 //! --seed S:      base RNG seed (default 1991)
 //! --intervals K: cap on measured 10 s intervals per performance test (at
 //!                least the stabilization window; fewer is a usage error)
@@ -41,6 +42,7 @@ use readopt_core::{
     ablations, diag, fig1, fig2, fig3, fig4, fig5, fig6, storex, table1, table2, table3, table4,
     users_scale, ExperimentContext, ExperimentMetrics,
 };
+use readopt_disk::DiskGeometry;
 use readopt_workloads::WorkloadKind;
 use serde::Serialize;
 use std::io::Write;
@@ -56,7 +58,8 @@ usage: repro [EXPERIMENT ...] [--scale N] [--seed S] [--intervals K]
 
 EXPERIMENT: table1 table2 table3 fig1 fig2 fig3 fig4 fig5 table4 fig6 ablations diag
             users_1e6 all (default: all; any other name is a usage error)
-export:     regenerate the JSON artifacts of a finished store (no simulation runs)";
+export:     regenerate the JSON artifacts of a finished store (no simulation runs)
+--scale N:  divide the array capacity by N, 1 to 400 (default 1: the paper's scale)";
 
 /// Every experiment name `repro` accepts (`all` runs every one).
 const EXPERIMENTS: [&str; 14] = [
@@ -144,6 +147,13 @@ fn parse_args() -> Result<Options, String> {
                     .map_err(|e| format!("--scale: {e}"))?;
                 if n == 0 {
                     return Err("--scale must be at least 1".into());
+                }
+                let max = DiskGeometry::wren_iv_max_scale();
+                if n > max {
+                    return Err(format!(
+                        "--scale must be at most {max}: every drive is already down to its \
+                         4-cylinder floor there"
+                    ));
                 }
                 opts.scale = n;
             }
@@ -554,5 +564,13 @@ mod tests {
             .flat_map(str::split_whitespace)
             .collect();
         assert_eq!(listed, EXPERIMENTS.into_iter().collect());
+    }
+
+    /// Both texts state the `--scale` range the geometry sets.
+    #[test]
+    fn usage_text_states_the_scale_range() {
+        let range = format!("1 to {}", readopt_disk::DiskGeometry::wren_iv_max_scale());
+        assert!(USAGE.contains(&format!("by N, {range} (")), "USAGE states {range}");
+        assert!(include_str!("repro.rs").contains(&format!("capacity by N, {range}\n")));
     }
 }

@@ -2,9 +2,15 @@
 //! exponentially increasing user counts.
 //!
 //! The workload ([`FileTypeConfig::many_users`]) holds ~`users` events
-//! pending and pops ~2×`users` of them per run, so the rungs sweep the
-//! regime where the event heap's `O(log n)` per-pop cost grows with the
-//! pending count. Each rung runs once and records its wall clock.
+//! pending and pops about `users` of them per run: 1.96 / 1.28 / 1.11 /
+//! 1.08 / 1.07 events per user from 1 k to 10⁶ users at `--scale 64`, and
+//! 1.37 / 1.11 / 1.04 / 1.02 from 1 k to 100 k at full scale. At
+//! `--scale 64` the rungs time the engine, whose event heap costs more
+//! per pop as the pending count grows; at 10⁶ users the heap is the
+//! largest single cost. At full scale the allocator's first-fit scans
+//! during the mid-test refills dominate every rung instead: the 100 k
+//! rung took 227 s for 102 311 events. Each rung runs once and records
+//! its wall clock.
 //!
 //! CI runs the smoke ladder (≤ 16 k users); the full ladder tops out at a
 //! million users behind `repro --users-full`. Points run sequentially
@@ -146,16 +152,18 @@ pub struct UsersScale {
 /// comparable.
 fn point_config(ctx: &ExperimentContext, users: u32) -> SimConfig {
     let policy = PolicyConfig::Extent(ExtentConfig {
-        // Small extents matched to the 64 KB files: allocation stays cheap
-        // and successful, keeping the event queue the measured structure.
+        // Small extents matched to the 64 KB files, so allocation always
+        // succeeds. It is not cheap at full scale: the refills' first-fit
+        // scans outweigh the event queue there.
         range_means_bytes: vec![8 * 1024, 64 * 1024],
         fit: FitStrategy::FirstFit,
         sigma_frac: 0.1,
     });
     let mut cfg = SimConfig::new(ctx.array, policy, vec![FileTypeConfig::many_users(users)]);
     // One-second intervals over a short window: with a 3 s think time the
-    // six measured seconds pop ~2×`users` events, which is enough signal
-    // without making the million-user rung take minutes.
+    // six measured seconds pop about `users` events (1.07–1.96 per user),
+    // which is enough signal without making the million-user rung take
+    // minutes.
     cfg.interval = SimDuration::from_secs(1.0);
     cfg.max_intervals = 6;
     cfg

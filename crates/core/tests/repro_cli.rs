@@ -60,8 +60,9 @@ fn intervals_at_the_stabilization_window_run() {
 fn bad_flag_values_are_usage_errors() {
     // Each case names a cheap experiment first, so a flag that is wrongly
     // accepted fails the test at once instead of running a full sweep.
-    let cases: [(&[&str], &str); 9] = [
+    let cases: [(&[&str], &str); 10] = [
         (&["--scale", "0"], "--scale must be at least 1"),
+        (&["--scale", "401"], "--scale must be at most 400"),
         (&["--jobs", "0"], "--jobs must be at least 1"),
         (&["--jobs", "abc"], "--jobs: invalid digit"),
         (&["--jobs"], "--jobs needs a value"),

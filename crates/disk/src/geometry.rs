@@ -20,6 +20,9 @@ pub const MB: u64 = 1024 * KB;
 /// Number of bytes in one gibibyte.
 pub const GB: u64 = 1024 * MB;
 
+/// The fewest cylinders a scaled-down drive keeps, whatever the factor.
+const MIN_SCALED_CYLINDERS: u32 = 4;
+
 /// Physical layout and performance characteristics of one disk.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DiskGeometry {
@@ -72,11 +75,19 @@ impl DiskGeometry {
 
     /// The same drive with `factor`× fewer cylinders, for fast tests and
     /// benches. Mechanics are unchanged, so throughput *percentages* are
-    /// comparable with the full-size drive.
+    /// comparable with the full-size drive. The cylinder count stops at a
+    /// floor of 4, so factors above [`Self::wren_iv_max_scale`] all build
+    /// the same drive.
     pub fn wren_iv_scaled(factor: u32) -> Self {
         let mut g = Self::wren_iv();
-        g.cylinders = (g.cylinders / factor.max(1)).max(4);
+        g.cylinders = (g.cylinders / factor.max(1)).max(MIN_SCALED_CYLINDERS);
         g
+    }
+
+    /// The largest factor [`Self::wren_iv_scaled`] divides the drive by
+    /// (400: 1 600 cylinders down to the floor of 4).
+    pub fn wren_iv_max_scale() -> u32 {
+        Self::wren_iv().cylinders / MIN_SCALED_CYLINDERS
     }
 
     /// A circa-2001 7200 RPM drive (Deskstar-class): ten years of areal
@@ -99,7 +110,7 @@ impl DiskGeometry {
     /// The 2001 drive with `factor`× fewer cylinders.
     pub fn desktop_2001_scaled(factor: u32) -> Self {
         let mut g = Self::desktop_2001();
-        g.cylinders = (g.cylinders / factor.max(1)).max(4);
+        g.cylinders = (g.cylinders / factor.max(1)).max(MIN_SCALED_CYLINDERS);
         g
     }
 

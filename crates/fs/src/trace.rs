@@ -33,6 +33,7 @@
 use crate::error::FsError;
 use crate::filesystem::FileSystem;
 use crate::handle::Fd;
+use readopt_disk::SimTime;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -128,9 +129,30 @@ pub struct TraceReport {
 }
 
 impl Trace {
-    /// Parses a trace from JSON.
+    /// Parses a trace from JSON. A `ThinkMs` that is negative or not
+    /// finite, or that takes the trace's total think time past the range
+    /// of the simulation clock, is an error naming the op's index.
     pub fn from_json(json: &str) -> Result<Trace, String> {
-        serde_json::from_str(json).map_err(|e| e.to_string())
+        let trace: Trace = serde_json::from_str(json).map_err(|e| e.to_string())?;
+        let clock_ms = SimTime::MAX.as_ms();
+        let mut think_ms = 0.0;
+        for (i, op) in trace.ops.iter().enumerate() {
+            if let TraceOp::ThinkMs { ms } = *op {
+                if !ms.is_finite() || ms < 0.0 {
+                    return Err(format!(
+                        "op {i}: ThinkMs of {ms} ms is not a finite, non-negative time"
+                    ));
+                }
+                think_ms += ms;
+                if think_ms >= clock_ms {
+                    return Err(format!(
+                        "op {i}: ThinkMs of {ms} ms takes the trace's think time to {think_ms} ms, \
+                         past the simulation clock's {clock_ms} ms"
+                    ));
+                }
+            }
+        }
+        Ok(trace)
     }
 
     /// Serializes the trace to JSON.
@@ -243,6 +265,42 @@ mod tests {
         let back = Trace::from_json(&json).unwrap();
         assert_eq!(t, back);
         assert!(Trace::from_json("not json").is_err());
+    }
+
+    /// A trace whose ops are a `Mkdir` and then one `ThinkMs` per entry
+    /// of `thinks`, each a JSON number.
+    fn think_trace(thinks: &[&str]) -> String {
+        let mut ops = vec![r#"{ "Mkdir": { "path": "/d" } }"#.to_string()];
+        ops.extend(thinks.iter().map(|ms| format!(r#"{{ "ThinkMs": {{ "ms": {ms} }} }}"#)));
+        format!(r#"{{ "ops": [{}] }}"#, ops.join(", "))
+    }
+
+    /// Think times the clock cannot hold are refused at parse time, naming
+    /// the op: a negative one (which a debug replay panicked on and a
+    /// release replay read as 0), an infinite one, and ones that push the
+    /// clock past its range (it saturated, and the replay reported
+    /// `elapsed_ms` = 1.8e16).
+    #[test]
+    fn from_json_rejects_think_times_the_clock_cannot_hold() {
+        let rows: [(&[&str], usize); 7] = [
+            (&["-5"], 1),
+            (&["1", "-0.001"], 2),
+            (&["-1e999"], 1),
+            (&["1e999"], 1),
+            (&["1e300"], 1),
+            (&["1e300", "1e300"], 1),
+            (&["1e16", "1e16"], 2),
+        ];
+        for (thinks, bad_op) in rows {
+            let err = Trace::from_json(&think_trace(thinks))
+                .expect_err(&format!("think times {thinks:?} must be refused"));
+            assert!(err.starts_with(&format!("op {bad_op}: ThinkMs")), "{thinks:?}: {err}");
+        }
+        for thinks in [&["0", "-0.0", "12.5"][..], &["1e16"]] {
+            let trace = Trace::from_json(&think_trace(thinks)).expect("a time the clock holds");
+            let report = trace.replay(&mut fs());
+            assert_eq!(report.failures, 0);
+        }
     }
 
     #[test]

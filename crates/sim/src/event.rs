@@ -6,14 +6,16 @@
 //! exponentially distributed value with mean equal to process time and an
 //! event is scheduled at that newly calculated time."
 //!
-//! [`EventQueue`] is that heap: a binary min-heap keyed
-//! `(time, seq, user)`, where ties on time are broken by a monotone
-//! sequence number so runs are deterministic.
+//! [`EventQueue`] is that heap: a 4-ary min-heap keyed `(time, seq)`,
+//! where ties on time are broken by a monotone sequence number so runs
+//! are deterministic. No two keys tie, so any correct heap pops the same
+//! order; `tests/queue_model.rs` holds this one to the std binary heap it
+//! replaced. Four children per node halve the levels a pop descends, and
+//! a node's children share one or two cache lines: at a million pending
+//! events a pop waits on a cache miss per level.
 
 use readopt_disk::SimTime;
 use serde::{Deserialize, Serialize};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Identifies one user (one parallel event stream).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -28,22 +30,44 @@ pub struct Event {
     pub user: UserId,
 }
 
-/// The structure behind the event queue: only the paper's binary heap.
+/// The structure behind the event queue: only the paper's heap.
 ///
 /// Kept only because the benchmark still assigns
 /// `SimConfig::event_queue = EventQueueKind::Heap`. Nothing reads it, and
 /// the next benchmark change deletes it together with that field.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum EventQueueKind {
-    /// Binary min-heap keyed `(time, seq, user)`.
+    /// The 4-ary min-heap keyed `(time, seq)`.
     #[default]
     Heap,
 }
 
-/// Min-queue of events ordered by `(time, insertion sequence, user)`.
+/// One pending event: `(time, seq, user)`.
+type Entry = (SimTime, u64, u32);
+
+/// Children per heap node (`sift_down`'s tournament is written for four).
+const ARITY: usize = 4;
+
+/// The heap order, `(time, seq)`. `seq` is unique within a queue, so two
+/// entries never tie and the pop order is total.
+#[inline]
+fn earlier(a: &Entry, b: &Entry) -> bool {
+    key(a) < key(b)
+}
+
+/// `(time, seq)` as one number, time in the high half: it orders exactly
+/// as the pair does, in one wide compare instead of two.
+#[inline]
+fn key(e: &Entry) -> u128 {
+    (u128::from(e.0.as_us()) << 64) | u128::from(e.1)
+}
+
+/// Min-queue of events ordered by `(time, insertion sequence)`.
 #[derive(Debug, Default)]
 pub struct EventQueue {
-    heap: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
+    /// The heap: the children of slot `i` are `4i+1 ..= 4i+4` and its
+    /// parent is `(i-1)/4`; no entry is earlier than its parent.
+    heap: Vec<Entry>,
     seq: u64,
 }
 
@@ -65,25 +89,81 @@ impl EventQueue {
 
     /// Schedules `user` to act at `time`.
     pub fn schedule(&mut self, time: SimTime, user: UserId) {
-        self.heap.push(Reverse((time, self.seq, user.0)));
+        let entry = (time, self.seq, user.0);
         self.seq += 1;
+        let mut hole = self.heap.len();
+        self.heap.push(entry);
+        while hole > 0 {
+            let parent = (hole - 1) / ARITY;
+            if !earlier(&entry, &self.heap[parent]) {
+                break;
+            }
+            self.heap[hole] = self.heap[parent];
+            hole = parent;
+        }
+        self.heap[hole] = entry;
     }
 
     /// The earliest pending event time, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse((t, _, _))| *t)
+        self.heap.first().map(|e| e.0)
     }
 
     /// Removes and returns the earliest event.
     pub fn pop(&mut self) -> Option<Event> {
-        self.heap.pop().map(|Reverse((time, _, user))| Event { time, user: UserId(user) })
+        let last = self.heap.pop()?;
+        let top = match self.heap.first() {
+            Some(&root) => {
+                self.sift_down(last);
+                root
+            }
+            None => last,
+        };
+        Some(Event { time: top.0, user: UserId(top.2) })
+    }
+
+    /// Moves `entry` from the root down into the hole the popped root
+    /// left, shifting the earliest child up at each level.
+    fn sift_down(&mut self, entry: Entry) {
+        let heap = &mut self.heap[..];
+        let len = heap.len();
+        let mut hole = 0;
+        loop {
+            let first = ARITY * hole + 1;
+            let (child, min) = if first + ARITY <= len {
+                // A full group: a pairwise tournament, whose compares do
+                // not wait on each other the way a scan's do.
+                let c = &heap[first..first + ARITY];
+                let a = if earlier(&c[1], &c[0]) { 1 } else { 0 };
+                let b = if earlier(&c[3], &c[2]) { 3 } else { 2 };
+                let m = if earlier(&c[b], &c[a]) { b } else { a };
+                (first + m, c[m])
+            } else if first < len {
+                // The last, partial group: its children have none.
+                let mut m = first;
+                for i in first + 1..len {
+                    if earlier(&heap[i], &heap[m]) {
+                        m = i;
+                    }
+                }
+                (m, heap[m])
+            } else {
+                break;
+            };
+            if earlier(&entry, &min) {
+                break;
+            }
+            heap[hole] = min;
+            hole = child;
+        }
+        heap[hole] = entry;
     }
 
     /// Every pending `(time, seq, user)` entry in pop order, plus the
     /// sequence counter: the checkpoint form of the queue. The queue
     /// itself is left as it was.
     pub fn entries(&self) -> (Vec<(SimTime, u64, u32)>, u64) {
-        let mut out: Vec<(SimTime, u64, u32)> = self.heap.iter().map(|Reverse(e)| *e).collect();
+        let mut out = self.heap.clone();
         out.sort_unstable();
         (out, self.seq)
     }
@@ -113,7 +193,8 @@ impl EventQueue {
             }
             prev = Some((time, seq));
         }
-        self.heap = entries.iter().map(|&e| Reverse(e)).collect();
+        // Ascending order is a valid heap: every slot follows its parent.
+        self.heap = entries.to_vec();
         self.seq = next_seq;
         Ok(())
     }

@@ -1,11 +1,12 @@
 //! Golden-value regression suite: `--scale 64` snapshots of fig1, fig2,
-//! fig6 and table4 pinned as JSON under `tests/golden/`. The fig6 snapshot
-//! also pins each test's array-combined disk-time decomposition (seek,
-//! rotational, transfer, head-switch, busy and queue-wait ms, requests,
-//! seeks), so a change to the disk service model shows even where the
-//! throughput percentages round it away. The simulator is deterministic,
-//! so any byte of drift in these results is a behavior change — intended
-//! changes are re-snapshotted with
+//! fig6, table4 and a `users_1e6` ladder pinned as JSON under
+//! `tests/golden/`. The fig6 snapshot also pins each test's array-combined
+//! disk-time decomposition (seek, rotational, transfer, head-switch, busy
+//! and queue-wait ms, requests, seeks), so a change to the disk service
+//! model shows even where the throughput percentages round it away. The
+//! `users_1e6` snapshot is the deepest event queue any of them drives.
+//! The simulator is deterministic, so any byte of drift in these results
+//! is a behavior change — intended changes are re-snapshotted with
 //! `REPRO_UPDATE_GOLDEN=1 cargo test --test golden_results`.
 //!
 //! Failures print every differing JSON path with the golden and current
@@ -13,7 +14,8 @@
 //! than an opaque string mismatch.
 
 use readopt::experiments::fig6::Fig6;
-use readopt::experiments::{fig1, fig2, fig6, table4, ExperimentContext};
+use readopt::experiments::metrics::PointHist;
+use readopt::experiments::{fig1, fig2, fig6, table4, users_scale, ExperimentContext};
 use readopt::sim::DiskPhaseMetrics;
 use serde::Serialize;
 use serde_json::Value;
@@ -174,6 +176,36 @@ fn fig6_matches_golden_snapshot() {
 fn table4_matches_golden_snapshot() {
     let (result, _, _, _) = table4::run_profiled(&ctx());
     check_golden("table4", &result);
+}
+
+/// One `users_1e6` rung without its wall clock.
+#[derive(Serialize)]
+struct RungGolden {
+    users: u32,
+    events: u64,
+    application_pct: f64,
+    hist: PointHist,
+}
+
+/// The 100 k rung holds ~10⁵ pending events against at most 71 in the
+/// paper sweeps above, so a queue defect that shows only far below the
+/// heap's root changes the pop order and with it these values.
+#[test]
+fn users_1e6_matches_golden_snapshot() {
+    let ladder = [1_000, 4_000, 16_000, 100_000];
+    let (points, _, hists) = users_scale::run_ladder(&ExperimentContext::fast(64), &ladder);
+    assert_eq!(points.len(), ladder.len(), "every rung ran");
+    let rungs: Vec<RungGolden> = points
+        .into_iter()
+        .zip(hists)
+        .map(|(p, hist)| RungGolden {
+            users: p.users,
+            events: p.events,
+            application_pct: p.application_pct,
+            hist,
+        })
+        .collect();
+    check_golden("users_1e6", &rungs);
 }
 
 #[test]
