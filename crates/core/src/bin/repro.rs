@@ -10,8 +10,9 @@
 //! EXPERIMENT: table1 table2 table3 fig1 fig2 fig3 fig4 fig5 table4 fig6 ablations diag
 //!             users_1e6 all (default: all; any other name is a usage error)
 //! --scale N:     divide the paper's 2.8 GB array capacity by N, 1 to 400
-//!                (at 400 each drive is down to its 4-cylinder floor);
-//!                default 1, i.e. full paper scale
+//!                (each drive keeps 1 600 / N cylinders, rounded down, which
+//!                the banner prints; at 400 it is down to its 4-cylinder
+//!                floor); default 1, i.e. full paper scale
 //! --seed S:      base RNG seed (default 1991)
 //! --intervals K: cap on measured 10 s intervals per performance test (at
 //!                least the stabilization window; fewer is a usage error)
@@ -373,11 +374,13 @@ fn main() {
         }
     }
 
+    // The banner names the cylinders each drive really has: `--scale N`
+    // floors 1 600 / N, so neighbouring factors can build the same array.
     println!(
-        "readopt repro — array: {} disks, {:.2} GB usable (scale 1/{}), seed {}, {} jobs\n",
+        "readopt repro — array: {} disks × {} cylinders, {:.2} GB usable, seed {}, {} jobs\n",
         ctx.array.ndisks,
+        ctx.array.geometry.cylinders,
         ctx.array.capacity_bytes() as f64 / 1e9,
-        opts.scale,
         ctx.seed,
         jobs,
     );
@@ -389,10 +392,12 @@ fn main() {
 
     // Each arm runs one experiment's profiled driver, prints its table (and
     // chart where the figure has one), records the timing profile, and
-    // writes the JSON artifact plus its metrics and histogram sidecars.
+    // writes the JSON artifact plus its metrics and histogram sidecars. It
+    // evaluates to the result and sidecars, or `None` when the experiment
+    // is not in the run.
     macro_rules! experiment {
         ($name:literal, $body:expr) => {
-            experiment!($name, $body, |_result| {});
+            experiment!($name, $body, |_result| {})
         };
         ($name:literal, $body:expr, $chart:expr) => {
             if wants($name) {
@@ -419,15 +424,18 @@ fn main() {
                     points: timings,
                 });
                 let _ = std::io::stdout().flush();
+                Some((result, metrics, hists))
+            } else {
+                None
             }
         };
     }
 
     // table1/table2 are parameter dumps with no sweep to fan out; they run
     // inline and appear in the profile with no per-point breakdown and
-    // empty metrics/histogram sidecars (nothing to decompose). fig3
-    // derives from other sweeps' simulations and keeps no latency
-    // reservoir of its own.
+    // empty metrics/histogram sidecars (nothing to decompose). fig3 traces
+    // its grow-factor ladder on a fresh policy over a bare array, outside
+    // any simulation, so it records no latencies.
     experiment!(
         "table1",
         (
@@ -446,18 +454,50 @@ fn main() {
             ExperimentHist::empty("table2")
         )
     );
-    experiment!("diag", diag::run_profiled(&ctx));
-    experiment!("table3", table3::run_profiled(&ctx));
     experiment!("fig1", fig1::run_profiled(&ctx), |r: &fig1::Fig1| println!("{}", r.chart()));
     experiment!("fig2", fig2::run_profiled(&ctx), |r: &fig2::Fig2| println!("{}", r.chart()));
     experiment!("fig3", {
         let (r, t, m) = fig3::run_profiled(ctx.jobs);
         (r, t, m, ExperimentHist::empty("fig3"))
     });
-    experiment!("fig4", fig4::run_profiled(&ctx), |r: &fig4::Fig4| println!("{}", r.chart()));
+    let fig4_out =
+        experiment!("fig4", fig4::run_profiled(&ctx), |r: &fig4::Fig4| println!("{}", r.chart()));
     experiment!("fig5", fig5::run_profiled(&ctx), |r: &fig5::Fig5| println!("{}", r.chart()));
-    experiment!("table4", table4::run_profiled(&ctx));
-    experiment!("fig6", fig6::run_profiled(&ctx), |r: &fig6::Fig6| println!("{}", r.chart()));
+    // table4, diag and table3's throughput columns are projections of the
+    // fig4 and fig6 outputs, so each point is simulated once per run. A
+    // projection whose figure is not in the run simulates the source
+    // points it reads (and writes no artifact for them): table4 fig4's 15
+    // first-fit points, diag all 12 fig6 cells (kept for table3), table3
+    // alone fig6's 3 buddy cells.
+    experiment!(
+        "table4",
+        match &fig4_out {
+            Some((f, m, h)) => {
+                let (t, m, h) = table4::from_fig4(f, m, h);
+                (t, Vec::new(), m, h)
+            }
+            None => table4::run_profiled(&ctx),
+        }
+    );
+    let mut fig6_out =
+        experiment!("fig6", fig6::run_profiled(&ctx), |r: &fig6::Fig6| println!("{}", r.chart()));
+    experiment!("diag", {
+        let mut timings = Vec::new();
+        let (f, m, h) = &*fig6_out.get_or_insert_with(|| {
+            let (f, t, m, h) = fig6::run_cells(&ctx, None);
+            timings = t;
+            (f, m, h)
+        });
+        let (d, m, h) = diag::from_fig6(f, m, h);
+        (d, timings, m, h)
+    });
+    experiment!(
+        "table3",
+        match &fig6_out {
+            Some((f, m, h)) => table3::from_fig6(&ctx, f, m, h),
+            None => table3::run_profiled(&ctx),
+        }
+    );
     experiment!("users_1e6", users_scale::run_profiled(&ctx, opts.users_full));
     if wants("ablations") {
         let t0 = Instant::now();

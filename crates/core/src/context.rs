@@ -83,24 +83,12 @@ impl ExperimentContext {
 
     /// Runs the §3 allocation test for one pair.
     pub fn run_allocation(&self, workload: WorkloadKind, policy: PolicyConfig) -> FragReport {
-        self.run_allocation_metered(workload, policy).0
+        self.run_allocation_observed(workload, policy).0
     }
 
     /// Like [`Self::run_allocation`] but also snapshots the observability
-    /// view. The simulation call sequence is identical (snapshots are pure
-    /// reads), so the report is bit-identical to the unmetered run.
-    pub fn run_allocation_metered(
-        &self,
-        workload: WorkloadKind,
-        policy: PolicyConfig,
-    ) -> (FragReport, TestMetrics) {
-        let (frag, metrics, _) = self.run_allocation_observed(workload, policy);
-        (frag, metrics)
-    }
-
-    /// Like [`Self::run_allocation_metered`] but also snapshots the
-    /// log-bucketed latency histogram (another pure read — the report and
-    /// metrics stay bit-identical).
+    /// view and the log-bucketed latency histogram. Snapshots are pure
+    /// reads, so the report is bit-identical to the unobserved run.
     pub fn run_allocation_observed(
         &self,
         workload: WorkloadKind,
@@ -121,25 +109,15 @@ impl ExperimentContext {
         workload: WorkloadKind,
         policy: PolicyConfig,
     ) -> (PerfReport, PerfReport) {
-        self.run_performance_metered(workload, policy).0
+        self.run_performance_observed(workload, policy).0
     }
 
     /// Like [`Self::run_performance`] but also snapshots the observability
-    /// view after each test. Counter/stat resets between tests touch no
-    /// simulation state (clock, queue, RNG, head positions all persist), so
-    /// the reports are bit-identical to the unmetered run.
-    pub fn run_performance_metered(
-        &self,
-        workload: WorkloadKind,
-        policy: PolicyConfig,
-    ) -> ((PerfReport, PerfReport), Vec<TestMetrics>) {
-        let (reports, metrics, _) = self.run_performance_observed(workload, policy);
-        (reports, metrics)
-    }
-
-    /// Like [`Self::run_performance_metered`] but also snapshots each
-    /// test's log-bucketed latency histogram (pure reads taken before the
-    /// inter-test reset, so reports and metrics stay bit-identical).
+    /// view and the log-bucketed latency histogram after each test. The
+    /// snapshots are pure reads, and the counter/stat resets before each
+    /// test touch no simulation state (clock, queue, RNG, head positions
+    /// all persist), so the reports are bit-identical to the unobserved
+    /// run.
     pub fn run_performance_observed(
         &self,
         workload: WorkloadKind,

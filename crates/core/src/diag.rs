@@ -6,14 +6,16 @@
 //! throughput discussion in EXPERIMENTS.md: read-optimized layouts win by
 //! converting seek time into transfer time, and this table shows exactly
 //! how much of each the policies buy.
+//!
+//! The application tests it decomposes are Figure 6's, so the table is a
+//! projection of Figure 6's outputs ([`from_fig6`]) and simulates nothing
+//! of its own.
 
 use crate::context::ExperimentContext;
-use crate::fig6::policies_for;
+use crate::fig6::{self, Fig6};
 use crate::metrics::{split3, ExperimentHist, ExperimentMetrics, PointHist, PointMetrics};
 use crate::report::{pct, TextTable};
-use crate::runner::{self, Job, JobTiming};
-use readopt_sim::Simulation;
-use readopt_workloads::WorkloadKind;
+use crate::runner::{self, JobTiming};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -45,69 +47,70 @@ pub struct Diag {
     pub rows: Vec<DiagRow>,
 }
 
-/// Runs the application test for every Figure 6 cell and decomposes the
-/// disk time.
+/// Decomposes the disk time of every Figure 6 cell's application test.
 pub fn run(ctx: &ExperimentContext) -> Diag {
     run_profiled(ctx).0
 }
 
 /// As [`run`], also returning per-cell wall-clock timings and the
-/// observability sidecars (the same snapshots the rows are derived from,
-/// plus per-cell latency histograms).
+/// observability sidecars (the application-test snapshots the rows are
+/// derived from, and their latency histograms). Runs Figure 6's 12 cells
+/// (through Figure 6's own job builder) and projects them with
+/// [`from_fig6`].
 pub fn run_profiled(
     ctx: &ExperimentContext,
 ) -> (Diag, Vec<JobTiming>, ExperimentMetrics, ExperimentHist) {
-    let out = runner::run_recorded(ctx, "diag", sweep_jobs(ctx));
-    let (rows, metrics, hists) = split3(out.results);
+    let (fig6, timings, metrics, hists) = fig6::run_cells(ctx, None);
+    let (diag, metrics, hists) = from_fig6(&fig6, &metrics, &hists);
+    (diag, timings, metrics, hists)
+}
+
+/// The diagnostics read off Figure 6's outputs, simulating nothing: one
+/// row per cell, from the snapshot and histogram of its application test
+/// (the first of the cell's two tests), relabeled
+/// `diag/<workload>/<policy>`. The derived points are mirrored into the
+/// open results store under `diag`.
+pub fn from_fig6(
+    fig6: &Fig6,
+    metrics: &ExperimentMetrics,
+    hists: &ExperimentHist,
+) -> (Diag, ExperimentMetrics, ExperimentHist) {
+    let points: Vec<(DiagRow, PointMetrics, PointHist)> = fig6
+        .cells
+        .iter()
+        .zip(&metrics.points)
+        .zip(&hists.points)
+        .map(|((cell, m), h)| {
+            let tm = &m.tests[0];
+            let c = &tm.storage.combined;
+            let (seek, rotation, transfer) = c.phase_shares_pct();
+            let row = DiagRow {
+                workload: cell.workload.clone(),
+                policy: cell.policy.clone(),
+                application_pct: cell.application_pct,
+                seek_share_pct: seek,
+                rotation_share_pct: rotation,
+                transfer_share_pct: transfer,
+                avg_request_kb: (c.bytes_read + c.bytes_written) as f64
+                    / c.requests.max(1) as f64
+                    / 1024.0,
+                disk_utilization: c.utilization,
+            };
+            let label = format!("diag/{}/{}", cell.workload, cell.policy);
+            (
+                row,
+                PointMetrics::new(label.clone(), vec![tm.clone()]),
+                PointHist::new(label, vec![h.tests[0].clone()]),
+            )
+        })
+        .collect();
+    runner::record("diag", &points);
+    let (rows, metrics, hists) = split3(points);
     (
         Diag { rows },
-        out.timings,
         ExperimentMetrics::new("diag", metrics),
         ExperimentHist::new("diag", hists),
     )
-}
-
-/// The 12 cells as runner jobs, in sweep order.
-fn sweep_jobs(ctx: &ExperimentContext) -> Vec<Job<'static, (DiagRow, PointMetrics, PointHist)>> {
-    let ctx = *ctx;
-    let mut jobs = Vec::new();
-    for wl in [
-        WorkloadKind::Supercomputer,
-        WorkloadKind::TransactionProcessing,
-        WorkloadKind::Timesharing,
-    ] {
-        for (name, policy) in policies_for(&ctx, wl) {
-            let label = format!("diag/{}/{name}", wl.short_name());
-            let point_label = label.clone();
-            jobs.push(Job::new(label, move || {
-                let cfg = ctx.sim_config(wl, policy);
-                let mut sim = Simulation::new(&cfg, ctx.seed.wrapping_add(1));
-                let app = sim.run_application_test();
-                let tm = sim.metrics_snapshot("application", app.measured_ms);
-                let th = sim.latency_hist("application");
-                let c = &tm.storage.combined;
-                let (seek, rotation, transfer) = c.phase_shares_pct();
-                let row = DiagRow {
-                    workload: wl.short_name().to_string(),
-                    policy: name,
-                    application_pct: app.throughput_pct,
-                    seek_share_pct: seek,
-                    rotation_share_pct: rotation,
-                    transfer_share_pct: transfer,
-                    avg_request_kb: (c.bytes_read + c.bytes_written) as f64
-                        / c.requests.max(1) as f64
-                        / 1024.0,
-                    disk_utilization: tm.storage.combined.utilization,
-                };
-                (
-                    row,
-                    PointMetrics::new(point_label.clone(), vec![tm]),
-                    PointHist::new(point_label, vec![th]),
-                )
-            }));
-        }
-    }
-    jobs
 }
 
 impl fmt::Display for Diag {

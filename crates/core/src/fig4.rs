@@ -5,11 +5,13 @@
 //! best-fit × three workloads. Paper shape targets: "even with a wide range
 //! of extent sizes, neither internal nor external fragmentation surpasses
 //! 5 %"; best-fit consistently fragments (slightly) less.
+//!
+//! Table 4 is read off the first-fit points (`table4::from_fig4`).
 
 use crate::context::ExperimentContext;
 use crate::metrics::{split3, ExperimentHist, ExperimentMetrics, PointHist, PointMetrics};
 use crate::report::{pct, BarChart, TextTable};
-use crate::runner::{self, Job, JobTiming};
+use crate::runner::{self, Job, JobTiming, RunOutcome};
 use readopt_alloc::FitStrategy;
 use readopt_workloads::WorkloadKind;
 use serde::{Deserialize, Serialize};
@@ -28,7 +30,8 @@ pub struct Fig4Point {
     pub internal_pct: f64,
     /// External fragmentation, % of total space.
     pub external_pct: f64,
-    /// Average extents per live file (feeds Table 4).
+    /// Average extents per live file (Table 4 is this column of the
+    /// first-fit points).
     pub avg_extents_per_file: f64,
 }
 
@@ -38,6 +41,9 @@ pub struct Fig4 {
     /// All 30 sweep points (3 workloads × 5 range counts × 2 fits).
     pub points: Vec<Fig4Point>,
 }
+
+/// One sweep point's full output: result + metrics + latency histograms.
+type Fig4Out = (Fig4Point, PointMetrics, PointHist);
 
 /// Runs the allocation test across the sweep.
 pub fn run(ctx: &ExperimentContext) -> Fig4 {
@@ -49,7 +55,23 @@ pub fn run(ctx: &ExperimentContext) -> Fig4 {
 pub fn run_profiled(
     ctx: &ExperimentContext,
 ) -> (Fig4, Vec<JobTiming>, ExperimentMetrics, ExperimentHist) {
-    let out = runner::run_recorded(ctx, "fig4", sweep_jobs(ctx));
+    let fits = [FitStrategy::FirstFit, FitStrategy::BestFit];
+    assemble(runner::run_recorded(ctx, "fig4", sweep_jobs(ctx, &fits)))
+}
+
+/// As [`run_profiled`], restricted to the points whose fit is in `fits`
+/// (still in sweep order) and not mirrored into the results store. Table 4
+/// runs its first-fit points this way when Figure 4 is not in the run.
+pub fn run_fits(
+    ctx: &ExperimentContext,
+    fits: &[FitStrategy],
+) -> (Fig4, Vec<JobTiming>, ExperimentMetrics, ExperimentHist) {
+    assemble(runner::run_jobs(ctx.jobs, sweep_jobs(ctx, fits)))
+}
+
+fn assemble(
+    out: RunOutcome<Fig4Out>,
+) -> (Fig4, Vec<JobTiming>, ExperimentMetrics, ExperimentHist) {
     let (points, metrics, hists) = split3(out.results);
     (
         Fig4 { points },
@@ -59,13 +81,13 @@ pub fn run_profiled(
     )
 }
 
-/// The full sweep as runner jobs, in sweep order.
-fn sweep_jobs(ctx: &ExperimentContext) -> Vec<Job<'static, (Fig4Point, PointMetrics, PointHist)>> {
+/// The sweep's points with a fit in `fits` as runner jobs, in sweep order.
+fn sweep_jobs(ctx: &ExperimentContext, fits: &[FitStrategy]) -> Vec<Job<'static, Fig4Out>> {
     let ctx = *ctx;
     let mut jobs = Vec::new();
     for wl in WorkloadKind::all() {
         for n_ranges in 1..=5usize {
-            for fit in [FitStrategy::FirstFit, FitStrategy::BestFit] {
+            for &fit in fits {
                 let label = format!("fig4/{}/r{n_ranges}-{fit:?}", wl.short_name());
                 let point_label = label.clone();
                 jobs.push(Job::new(label, move || {

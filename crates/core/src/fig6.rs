@@ -11,11 +11,14 @@
 //! sequentially; SC/TP sequential near the full bandwidth for the
 //! multiblock policies; nobody pushes TS past ~20 %; buddy wins SC
 //! application via its enormous blocks.
+//!
+//! Table 3's throughput columns and the diag table are read off these
+//! cells (`table3::from_fig6`, `diag::from_fig6`).
 
 use crate::context::ExperimentContext;
 use crate::metrics::{split3, ExperimentHist, ExperimentMetrics, PointHist, PointMetrics};
 use crate::report::{pct, BarChart, TextTable};
-use crate::runner::{self, Job, JobTiming};
+use crate::runner::{self, Job, JobTiming, RunOutcome};
 use readopt_alloc::{FitStrategy, PolicyConfig};
 use readopt_workloads::WorkloadKind;
 use serde::{Deserialize, Serialize};
@@ -41,6 +44,10 @@ pub struct Fig6 {
     pub cells: Vec<Fig6Cell>,
 }
 
+/// One cell's full output: result + metrics + latency histograms (one
+/// snapshot each for the application and the sequential test).
+type Fig6Out = (Fig6Cell, PointMetrics, PointHist);
+
 /// The §5 policy line-up for one workload.
 pub fn policies_for(ctx: &ExperimentContext, wl: WorkloadKind) -> Vec<(String, PolicyConfig)> {
     vec![
@@ -65,7 +72,23 @@ pub fn run(ctx: &ExperimentContext) -> Fig6 {
 pub fn run_profiled(
     ctx: &ExperimentContext,
 ) -> (Fig6, Vec<JobTiming>, ExperimentMetrics, ExperimentHist) {
-    let out = runner::run_recorded(ctx, "fig6", sweep_jobs(ctx));
+    assemble(runner::run_recorded(ctx, "fig6", sweep_jobs(ctx, None)))
+}
+
+/// As [`run_profiled`], restricted to the cells of the policy named `only`
+/// (`None` runs all 12 cells; still in sweep order) and not mirrored into
+/// the results store. When Figure 6 is not in the run, Table 3 runs the
+/// buddy cells this way and diag all of them.
+pub fn run_cells(
+    ctx: &ExperimentContext,
+    only: Option<&str>,
+) -> (Fig6, Vec<JobTiming>, ExperimentMetrics, ExperimentHist) {
+    assemble(runner::run_jobs(ctx.jobs, sweep_jobs(ctx, only)))
+}
+
+fn assemble(
+    out: RunOutcome<Fig6Out>,
+) -> (Fig6, Vec<JobTiming>, ExperimentMetrics, ExperimentHist) {
     let (cells, metrics, hists) = split3(out.results);
     (
         Fig6 { cells },
@@ -75,8 +98,9 @@ pub fn run_profiled(
     )
 }
 
-/// The 12 cells as runner jobs, in sweep order.
-fn sweep_jobs(ctx: &ExperimentContext) -> Vec<Job<'static, (Fig6Cell, PointMetrics, PointHist)>> {
+/// The cells of the policy named `only` (all 12 for `None`) as runner
+/// jobs, in sweep order.
+fn sweep_jobs(ctx: &ExperimentContext, only: Option<&str>) -> Vec<Job<'static, Fig6Out>> {
     let ctx = *ctx;
     let mut jobs = Vec::new();
     for wl in [
@@ -84,7 +108,10 @@ fn sweep_jobs(ctx: &ExperimentContext) -> Vec<Job<'static, (Fig6Cell, PointMetri
         WorkloadKind::TransactionProcessing,
         WorkloadKind::Timesharing,
     ] {
-        for (name, policy) in policies_for(&ctx, wl) {
+        for (name, policy) in policies_for(&ctx, wl)
+            .into_iter()
+            .filter(|(name, _)| only.is_none_or(|p| p == name))
+        {
             let label = format!("fig6/{}/{name}", wl.short_name());
             let point_label = label.clone();
             jobs.push(Job::new(label, move || {

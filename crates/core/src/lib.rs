@@ -7,16 +7,16 @@
 //! |--------|------------|
 //! | [`table1`] | Table 1 — disk parameters & calibrated max throughput |
 //! | [`table2`] | Table 2 — concrete file-type parameters per workload |
-//! | [`table3`] | Table 3 — buddy allocation results |
+//! | [`table3`] | Table 3 — buddy allocation results (throughput columns projected from [`fig6`]) |
 //! | [`fig1`]   | Figure 1 — restricted buddy fragmentation sweep |
 //! | [`fig2`]   | Figure 2 — restricted buddy performance sweep |
 //! | [`fig3`]   | Figure 3 — grow factor × contiguity interaction |
 //! | [`fig4`]   | Figure 4 — extent-based fragmentation sweep |
 //! | [`fig5`]   | Figure 5 — extent-based performance sweep |
-//! | [`table4`] | Table 4 — average extents per file |
+//! | [`table4`] | Table 4 — average extents per file (a projection of [`fig4`]) |
 //! | [`fig6`]   | Figure 6 — comparative performance of all policies |
 //! | [`ablations`] | §6 extensions: RAID-5 (incl. degraded mode), stripe unit, file-mix, Koch reallocation, FFS |
-//! | [`diag`]   | disk-time decomposition diagnostics |
+//! | [`diag`]   | disk-time decomposition diagnostics (a projection of [`fig6`]) |
 //! | [`users_scale`] | `users_1e6` — one application test at rising user counts, up to a million |
 //!
 //! Every driver takes an [`ExperimentContext`] choosing full (paper-scale)

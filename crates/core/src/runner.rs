@@ -17,7 +17,8 @@
 //!
 //! The experiment drivers go through `run_recorded`, which runs on the
 //! context's `jobs` threads and mirrors every point into the open results
-//! store (`repro --store`).
+//! store (`repro --store`). The projections (table4, diag, table3's
+//! throughput columns) mirror the points they derive with `record`.
 
 use crate::context::ExperimentContext;
 use serde::{Deserialize, Serialize};
@@ -125,26 +126,31 @@ pub fn run_jobs<'scope, T: Send>(jobs: usize, list: Vec<Job<'scope, T>>) -> RunO
     RunOutcome { results, timings }
 }
 
-/// Runs one experiment's sweep on `ctx.jobs` threads and mirrors each
-/// point into the open results store as `(experiment, index)`, in
-/// submission order. The payload is the point's `serde_json::to_string`
-/// bytes, so a resumed store verifies re-recorded points byte for byte.
-/// Without an open store this is [`run_jobs`].
+/// Runs one experiment's sweep on `ctx.jobs` threads and [`record`]s its
+/// points. Without an open store this is [`run_jobs`].
 pub(crate) fn run_recorded<T: Send + Serialize>(
     ctx: &ExperimentContext,
     experiment: &str,
     list: Vec<Job<'_, T>>,
 ) -> RunOutcome<T> {
     let out = run_jobs(ctx.jobs, list);
+    record(experiment, &out.results);
+    out
+}
+
+/// Mirrors one experiment's points into the open results store as
+/// `(experiment, index)`, in sweep order. The payload is the point's
+/// `serde_json::to_string` bytes, so a resumed store verifies re-recorded
+/// points byte for byte. A no-op without an open store.
+pub(crate) fn record<T: Serialize>(experiment: &str, points: &[T]) {
     if crate::storex::active() {
-        for (i, result) in out.results.iter().enumerate() {
-            let payload = serde_json::to_string(result)
+        for (i, point) in points.iter().enumerate() {
+            let payload = serde_json::to_string(point)
                 .unwrap_or_else(|e| panic!("serialize {experiment} point {i}: {e}"));
             crate::storex::record(experiment, i as u64, &payload)
                 .unwrap_or_else(|e| panic!("results store: {e}"));
         }
     }
-    out
 }
 
 #[cfg(test)]

@@ -7,8 +7,13 @@
 //! | SC       | 43.1 %   | 13.4 %   | 88.0 %      | 94.4 %     |
 //! | TP       | 15.2 %   |  9.0 %   | 27.7 %      | 93.9 %     |
 //! | TS       | 18.4 %   |  2.3 %   |  8.4 %      | 12.0 %     |
+//!
+//! The throughput columns are Figure 6's buddy cells, so they are projected
+//! from Figure 6's outputs ([`from_fig6`]); only the three allocation tests
+//! are simulated here.
 
 use crate::context::ExperimentContext;
+use crate::fig6::{self, Fig6};
 use crate::metrics::{split3, ExperimentHist, ExperimentMetrics, PointHist, PointMetrics};
 use crate::report::{pct, TextTable};
 use crate::runner::{self, Job, JobTiming};
@@ -45,19 +50,54 @@ pub fn run(ctx: &ExperimentContext) -> Table3 {
 }
 
 /// As [`run`], also returning per-point wall-clock timings and the
-/// observability sidecars. The allocation and performance tests of each
-/// workload are independent simulations, so they fan out as separate jobs
-/// (6 total).
+/// observability sidecars. Runs Figure 6's 3 buddy cells (through Figure
+/// 6's own job builder), then [`from_fig6`].
 pub fn run_profiled(
     ctx: &ExperimentContext,
 ) -> (Table3, Vec<JobTiming>, ExperimentMetrics, ExperimentHist) {
-    let out = runner::run_recorded(ctx, "table3", sweep_jobs(ctx));
-    let (values, metrics, hists): (Vec<(f64, f64)>, _, _) = split3(out.results);
+    let (fig6, mut timings, metrics, hists) = fig6::run_cells(ctx, Some("buddy"));
+    let (table, own, metrics, hists) = from_fig6(ctx, &fig6, &metrics, &hists);
+    timings.extend(own);
+    (table, timings, metrics, hists)
+}
+
+/// Table 3 with its application and sequential columns read off Figure
+/// 6's buddy cells: runs the three buddy allocation tests (one job each),
+/// and takes each `table3/<workload>/perf` point's metrics and histograms
+/// from the buddy cell of the same workload. The six points are mirrored
+/// into the open results store under `table3`; the timings are the
+/// allocation tests'.
+///
+/// Panics if `fig6` lacks a buddy cell.
+pub fn from_fig6(
+    ctx: &ExperimentContext,
+    fig6: &Fig6,
+    metrics: &ExperimentMetrics,
+    hists: &ExperimentHist,
+) -> (Table3, Vec<JobTiming>, ExperimentMetrics, ExperimentHist) {
     let workloads = [
         WorkloadKind::Supercomputer,
         WorkloadKind::TransactionProcessing,
         WorkloadKind::Timesharing,
     ];
+    let out = runner::run_jobs(ctx.jobs, allocation_jobs(ctx, workloads));
+    let mut points = Vec::new();
+    for (wl, alloc) in workloads.into_iter().zip(out.results) {
+        let i = fig6
+            .cells
+            .iter()
+            .position(|c| c.workload == wl.short_name() && c.policy == "buddy")
+            .unwrap_or_else(|| panic!("fig6 has no buddy cell for {}", wl.short_name()));
+        let label = format!("table3/{}/perf", wl.short_name());
+        points.push(alloc);
+        points.push((
+            (fig6.cells[i].application_pct, fig6.cells[i].sequential_pct),
+            PointMetrics::new(label.clone(), metrics.points[i].tests.clone()),
+            PointHist::new(label, hists.points[i].tests.clone()),
+        ));
+    }
+    runner::record("table3", &points);
+    let (values, metrics, hists): (Vec<(f64, f64)>, _, _) = split3(points);
     let rows = workloads
         .iter()
         .zip(values.chunks_exact(2))
@@ -77,16 +117,18 @@ pub fn run_profiled(
     )
 }
 
-/// The 6 independent simulations as runner jobs: alloc then perf per
-/// workload, SC/TP/TS order.
-fn sweep_jobs(ctx: &ExperimentContext) -> Vec<Job<'static, ((f64, f64), PointMetrics, PointHist)>> {
+/// One point's full output: (internal, external) fragmentation for an
+/// allocation test or (application, sequential) throughput for the
+/// performance tests, plus metrics and latency histograms.
+type Table3Out = ((f64, f64), PointMetrics, PointHist);
+
+/// The buddy allocation test of each workload as a runner job.
+fn allocation_jobs(
+    ctx: &ExperimentContext,
+    workloads: [WorkloadKind; 3],
+) -> Vec<Job<'static, Table3Out>> {
     let ctx = *ctx;
-    let workloads = [
-        WorkloadKind::Supercomputer,
-        WorkloadKind::TransactionProcessing,
-        WorkloadKind::Timesharing,
-    ];
-    let mut jobs: Vec<Job<((f64, f64), PointMetrics, PointHist)>> = Vec::new();
+    let mut jobs = Vec::new();
     for wl in workloads {
         let alloc_label = format!("table3/{}/alloc", wl.short_name());
         let alloc_point = alloc_label.clone();
@@ -96,17 +138,6 @@ fn sweep_jobs(ctx: &ExperimentContext) -> Vec<Job<'static, ((f64, f64), PointMet
                 (frag.internal_pct, frag.external_pct),
                 PointMetrics::new(alloc_point.clone(), vec![tm]),
                 PointHist::new(alloc_point, vec![th]),
-            )
-        }));
-        let perf_label = format!("table3/{}/perf", wl.short_name());
-        let perf_point = perf_label.clone();
-        jobs.push(Job::new(perf_label, move || {
-            let ((app, seq), tms, ths) =
-                ctx.run_performance_observed(wl, PolicyConfig::paper_buddy());
-            (
-                (app.throughput_pct, seq.throughput_pct),
-                PointMetrics::new(perf_point.clone(), tms),
-                PointHist::new(perf_point, ths),
             )
         }));
     }

@@ -11,11 +11,15 @@
 //! | 3      | 97  | 12  | 9  |
 //! | 4      | 151 | 14  | 7  |
 //! | 5      | 162 | 108 | 6  |
+//!
+//! Its cells are Figure 4's first-fit points, so the table is a projection
+//! of Figure 4's outputs ([`from_fig4`]) and simulates nothing of its own.
 
 use crate::context::ExperimentContext;
+use crate::fig4::{self, Fig4};
 use crate::metrics::{split3, ExperimentHist, ExperimentMetrics, PointHist, PointMetrics};
 use crate::report::TextTable;
-use crate::runner::{self, Job, JobTiming};
+use crate::runner::{self, JobTiming};
 use readopt_alloc::FitStrategy;
 use readopt_workloads::WorkloadKind;
 use serde::{Deserialize, Serialize};
@@ -49,49 +53,65 @@ pub fn run(ctx: &ExperimentContext) -> Table4 {
 }
 
 /// As [`run`], also returning per-point wall-clock timings and the
-/// observability sidecars. Each of the 15 (range count, workload) cells is
-/// an independent simulation job.
+/// observability sidecars. Runs Figure 4's 15 first-fit points (through
+/// Figure 4's own job builder) and projects them with [`from_fig4`].
 pub fn run_profiled(
     ctx: &ExperimentContext,
 ) -> (Table4, Vec<JobTiming>, ExperimentMetrics, ExperimentHist) {
-    let out = runner::run_recorded(ctx, "table4", sweep_jobs(ctx));
-    let (values, metrics, hists): (Vec<f64>, _, _) = split3(out.results);
-    let rows = (1..=5usize)
-        .zip(values.chunks_exact(3))
-        .map(|(n_ranges, v)| Table4Row { n_ranges, sc: v[0], tp: v[1], ts: v[2] })
-        .collect();
-    (
-        Table4 { rows },
-        out.timings,
-        ExperimentMetrics::new("table4", metrics),
-        ExperimentHist::new("table4", hists),
-    )
+    let (fig4, timings, metrics, hists) = fig4::run_fits(ctx, &[FitStrategy::FirstFit]);
+    let (table, metrics, hists) = from_fig4(&fig4, &metrics, &hists);
+    (table, timings, metrics, hists)
 }
 
-/// The 15 cells as runner jobs, in sweep order.
-fn sweep_jobs(ctx: &ExperimentContext) -> Vec<Job<'static, (f64, PointMetrics, PointHist)>> {
-    let ctx = *ctx;
-    let mut jobs = Vec::new();
+/// Table 4 read off Figure 4's outputs, simulating nothing: each cell is
+/// the `avg_extents_per_file` of the first-fit point with the same
+/// workload and range count, and its metrics and histograms are that
+/// point's, relabeled `table4/<workload>/r<n>`. The derived points are
+/// mirrored into the open results store under `table4`.
+///
+/// Panics if `fig4` lacks one of the 15 first-fit points.
+pub fn from_fig4(
+    fig4: &Fig4,
+    metrics: &ExperimentMetrics,
+    hists: &ExperimentHist,
+) -> (Table4, ExperimentMetrics, ExperimentHist) {
+    let mut points = Vec::new();
     for n_ranges in 1..=5usize {
         for wl in [
             WorkloadKind::Supercomputer,
             WorkloadKind::TransactionProcessing,
             WorkloadKind::Timesharing,
         ] {
+            let i = fig4
+                .points
+                .iter()
+                .position(|p| {
+                    p.workload == wl.short_name()
+                        && p.n_ranges == n_ranges
+                        && p.fit == FitStrategy::FirstFit
+                })
+                .unwrap_or_else(|| {
+                    panic!("fig4 has no first-fit point for {} r{n_ranges}", wl.short_name())
+                });
             let label = format!("table4/{}/r{n_ranges}", wl.short_name());
-            let point_label = label.clone();
-            jobs.push(Job::new(label, move || {
-                let policy = ctx.extent_policy(wl, n_ranges, FitStrategy::FirstFit);
-                let (frag, tm, th) = ctx.run_allocation_observed(wl, policy);
-                (
-                    frag.avg_extents_per_file,
-                    PointMetrics::new(point_label.clone(), vec![tm]),
-                    PointHist::new(point_label, vec![th]),
-                )
-            }));
+            points.push((
+                fig4.points[i].avg_extents_per_file,
+                PointMetrics::new(label.clone(), metrics.points[i].tests.clone()),
+                PointHist::new(label, hists.points[i].tests.clone()),
+            ));
         }
     }
-    jobs
+    runner::record("table4", &points);
+    let (values, metrics, hists): (Vec<f64>, _, _) = split3(points);
+    let rows = (1..=5usize)
+        .zip(values.chunks_exact(3))
+        .map(|(n_ranges, v)| Table4Row { n_ranges, sc: v[0], tp: v[1], ts: v[2] })
+        .collect();
+    (
+        Table4 { rows },
+        ExperimentMetrics::new("table4", metrics),
+        ExperimentHist::new("table4", hists),
+    )
 }
 
 impl fmt::Display for Table4 {

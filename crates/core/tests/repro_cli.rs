@@ -119,3 +119,21 @@ fn malformed_repro_env_values_are_rejected() {
         assert!(out.stdout.is_empty(), "{var}={value:?}: no experiment started before the rejection");
     }
 }
+
+/// `--scale N` keeps 1 600 / N cylinders per drive, rounded down, so 321
+/// and 400 build the same 4-cylinder array; the banner names the cylinder
+/// count instead of claiming a `1/N` array.
+#[test]
+fn the_banner_names_the_cylinders_each_drive_has() {
+    let banner = |scale: &str| {
+        let out = repro(&["table2", "--scale", scale, "--jobs", "1"]);
+        assert!(out.status.success(), "--scale {scale}:\n{}", String::from_utf8_lossy(&out.stderr));
+        let stdout = String::from_utf8(out.stdout).expect("utf-8 stdout");
+        stdout.lines().next().expect("a banner line").to_string()
+    };
+    let (at_321, at_400) = (banner("321"), banner("400"));
+    assert!(at_321.contains("8 disks × 4 cylinders"), "{at_321}");
+    assert_eq!(at_321, at_400, "the same array, the same banner");
+    assert!(!at_321.contains("321"), "{at_321}");
+    assert!(banner("64").contains("8 disks × 25 cylinders"));
+}

@@ -5,11 +5,14 @@
 #      --crates simlint self-lint pass;
 #   3. every workspace crate's test suite (cargo test --workspace);
 #   4. a 2-job smoke run of the reproduction at fast scale with the
-#      metrics sidecars enabled (fig1, fig2, fig6, table4, users_1e6;
-#      fig6 puts all four policy families' I/O through the disk model);
-#   5. a 1-job rerun of fig1, fig2, fig6 and table4 that also writes a
-#      binary results store, byte-compared against the 2-job run: results
-#      must not depend on the thread count;
+#      metrics sidecars enabled (fig1, fig2, fig4, fig6, table4, table3,
+#      diag, users_1e6; fig6 puts all four policy families' I/O through the
+#      disk model, and table4, table3 and diag are projections of the fig4
+#      and fig6 outputs);
+#   5. a 1-job rerun of fig1, fig2, fig4, fig6, table4, table3 and diag
+#      that also writes a binary results store, byte-compared against the
+#      2-job run: results, projections included, must not depend on the
+#      thread count;
 #   6. `repro export` from the store of leg 5, byte-compared against that
 #      leg's sidecars.
 # Every file the script writes is under target/ (the lint report is
@@ -41,7 +44,8 @@ cargo test -q --workspace
 
 echo "== repro smoke (scale 1/64, 2 jobs, metrics on) =="
 cargo run --release -p readopt-core --bin repro -- \
-    fig1 fig2 fig6 table4 users_1e6 --scale 64 --intervals 4 --jobs 2 --json target/check
+    fig1 fig2 fig4 fig6 table4 table3 diag users_1e6 --scale 64 --intervals 4 --jobs 2 \
+    --json target/check
 
 echo "== sidecar determinism (re-run at 1 job, byte-compare) =="
 # This run also writes the binary results store so the export leg below
@@ -49,9 +53,9 @@ echo "== sidecar determinism (re-run at 1 job, byte-compare) =="
 mkdir -p target/check-j1
 rm -f target/check/run.rrs
 cargo run --release -q -p readopt-core --bin repro -- \
-    fig1 fig2 fig6 table4 --scale 64 --intervals 4 --jobs 1 --json target/check-j1 \
+    fig1 fig2 fig4 fig6 table4 table3 diag --scale 64 --intervals 4 --jobs 1 --json target/check-j1 \
     --store target/check/run.rrs > /dev/null
-for exp in fig1 fig2 fig6 table4; do
+for exp in fig1 fig2 fig4 fig6 table4 table3 diag; do
     cmp "target/check/$exp.metrics.json" "target/check-j1/$exp.metrics.json" \
         || { echo "ERROR: $exp metrics sidecar differs between --jobs 2 and --jobs 1"; exit 1; }
     cmp "target/check/$exp.json" "target/check-j1/$exp.json" \

@@ -1,6 +1,6 @@
 //! Golden-value regression suite: `--scale 64` snapshots of fig1, fig2,
-//! fig6, table4 and a `users_1e6` ladder pinned as JSON under
-//! `tests/golden/`. The fig6 snapshot also pins each test's array-combined
+//! fig6, table3, table4, diag and a `users_1e6` ladder pinned as JSON
+//! under `tests/golden/`. The fig6 snapshot also pins each test's array-combined
 //! disk-time decomposition (seek, rotational, transfer, head-switch, busy
 //! and queue-wait ms, requests, seeks), so a change to the disk service
 //! model shows even where the throughput percentages round it away. The
@@ -15,7 +15,9 @@
 
 use readopt::experiments::fig6::Fig6;
 use readopt::experiments::metrics::PointHist;
-use readopt::experiments::{fig1, fig2, fig6, table4, users_scale, ExperimentContext};
+use readopt::experiments::{
+    diag, fig1, fig2, fig6, table3, table4, users_scale, ExperimentContext,
+};
 use readopt::sim::DiskPhaseMetrics;
 use serde::Serialize;
 use serde_json::Value;
@@ -176,6 +178,16 @@ fn fig6_matches_golden_snapshot() {
 fn table4_matches_golden_snapshot() {
     let (result, _, _, _) = table4::run_profiled(&ctx());
     check_golden("table4", &result);
+}
+
+/// table3 and diag read their throughput and disk-time columns off fig6's
+/// cells; these pin what they read.
+#[test]
+fn table3_and_diag_match_golden_snapshots() {
+    let (table, _, _, _) = table3::run_profiled(&ctx());
+    check_golden("table3", &table);
+    let (diag, _, _, _) = diag::run_profiled(&ctx());
+    check_golden("diag", &diag);
 }
 
 /// One `users_1e6` rung without its wall clock.

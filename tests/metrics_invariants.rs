@@ -12,13 +12,17 @@
 //!    return byte-identical results to their unmetered counterparts, and
 //!    sidecars are byte-identical at any worker count.
 
-use readopt::experiments::{diag, fig4, fig5, table3, ExperimentContext, ExperimentMetrics};
+use readopt::experiments::{diag, fig4, fig5, fig6, table3, ExperimentContext, ExperimentMetrics};
 use readopt_sim::DiskPhaseMetrics;
 
 fn ctx_with_jobs(jobs: usize) -> ExperimentContext {
     let mut ctx = ExperimentContext::fast(64).with_jobs(jobs);
     ctx.max_intervals = 4;
     ctx
+}
+
+fn json<T: serde::Serialize>(value: &T) -> String {
+    serde_json::to_string(value).expect("serializes")
 }
 
 fn assert_disk_invariants(where_: &str, d: &DiskPhaseMetrics) {
@@ -141,28 +145,59 @@ fn sidecars_are_byte_identical_across_worker_counts() {
     );
 }
 
+/// diag decomposes each Figure 6 cell's application test, so its per-cell
+/// metrics and histogram are fig6's application snapshots, counters
+/// included: no disk-full event from set-up may leak into them.
+#[test]
+fn diag_application_metrics_equal_fig6s() {
+    let ctx = ctx_with_jobs(2);
+    let (_, _, diag_m, diag_h) = diag::run_profiled(&ctx);
+    let (_, _, fig6_m, fig6_h) = fig6::run_profiled(&ctx);
+    assert_eq!(diag_m.points.len(), 12);
+    assert_eq!(diag_m.points.len(), fig6_m.points.len());
+    for ((d, f), (dh, fh)) in
+        diag_m.points.iter().zip(&fig6_m.points).zip(diag_h.points.iter().zip(&fig6_h.points))
+    {
+        assert_eq!(d.label, f.label.replacen("fig6/", "diag/", 1));
+        assert_eq!(d.tests.len(), 1, "{}: the application test only", d.label);
+        assert_eq!(f.tests[0].test, "application");
+        assert_eq!(
+            json(&d.tests[0]),
+            json(&f.tests[0]),
+            "{}: application metrics differ from {}'s",
+            d.label,
+            f.label
+        );
+        assert_eq!(json(&dh.tests[0]), json(&fh.tests[0]), "{}: histogram differs", dh.label);
+    }
+}
+
+/// The observed entry points (`run_*_observed`, and the plain
+/// `run_allocation`/`run_performance` built on them) take snapshots and
+/// reset counters between tests; a bare simulation of the same
+/// configuration and seed, running the §3 tests with neither, must report
+/// the same bytes.
 #[test]
 fn metered_runs_return_unmetered_results() {
+    use readopt::sim::Simulation;
     use readopt_alloc::PolicyConfig;
     use readopt_workloads::WorkloadKind;
     let ctx = ctx_with_jobs(1);
     let wl = WorkloadKind::Timesharing;
+    let policy = PolicyConfig::paper_restricted();
+    let cfg = ctx.sim_config(wl, policy.clone());
 
-    let plain = ctx.run_allocation(wl, PolicyConfig::paper_restricted());
-    let (metered, tm) = ctx.run_allocation_metered(wl, PolicyConfig::paper_restricted());
-    assert_eq!(
-        serde_json::to_string(&plain).unwrap(),
-        serde_json::to_string(&metered).unwrap(),
-        "metering must not perturb the allocation result"
-    );
+    let bare = Simulation::new(&cfg, ctx.seed).run_allocation_test();
+    let (metered, tm, _) = ctx.run_allocation_observed(wl, policy.clone());
+    assert_eq!(json(&bare), json(&metered), "metering must not perturb the allocation result");
+    assert_eq!(json(&bare), json(&ctx.run_allocation(wl, policy.clone())));
     assert_eq!(tm.test, "allocation");
 
-    let plain = ctx.run_performance(wl, PolicyConfig::paper_restricted());
-    let (metered, tms) = ctx.run_performance_metered(wl, PolicyConfig::paper_restricted());
-    assert_eq!(
-        serde_json::to_string(&plain).unwrap(),
-        serde_json::to_string(&metered).unwrap(),
-        "metering must not perturb the performance results"
-    );
+    // The performance tests run on seed + 1, application first.
+    let mut sim = Simulation::new(&cfg, ctx.seed.wrapping_add(1));
+    let bare = (sim.run_application_test(), sim.run_sequential_test());
+    let (metered, tms, _) = ctx.run_performance_observed(wl, policy.clone());
+    assert_eq!(json(&bare), json(&metered), "metering must not perturb the performance results");
+    assert_eq!(json(&bare), json(&ctx.run_performance(wl, policy)));
     assert_eq!(tms.len(), 2);
 }
