@@ -10,7 +10,6 @@
 //! `BTreeSet` on random lattices.
 
 use crate::bitmap::FreeBitmap;
-use serde::{de_field, Deserialize, Error, Serialize, Value};
 
 /// An ordered set of free block addresses with a fixed stride, one bitmap
 /// slot per block: slot `k` covers address `base + k * stride`.
@@ -121,30 +120,6 @@ impl BitmapBlockSet {
     }
 }
 
-impl Serialize for BitmapBlockSet {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("base".to_string(), self.base.to_value()),
-            ("stride".to_string(), self.stride.to_value()),
-            ("bits".to_string(), self.bits.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for BitmapBlockSet {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let stride: u64 = de_field(v, "stride")?;
-        if stride == 0 {
-            return Err(Error::msg("corrupt BitmapBlockSet snapshot: zero stride"));
-        }
-        Ok(BitmapBlockSet {
-            base: de_field(v, "base")?,
-            stride,
-            bits: de_field(v, "bits")?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -203,15 +178,5 @@ mod tests {
         assert!(bm.insert(34));
         assert!(!bm.insert(42));
         assert_eq!(bm.addrs(), vec![34]);
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let mut bm = BitmapBlockSet::new(64, 512, 16);
-        bm.insert(64);
-        bm.insert(240);
-        let back = BitmapBlockSet::from_value(&bm.to_value()).expect("round trip");
-        assert_eq!(back, bm);
-        assert_eq!(back.addrs(), vec![64, 240]);
     }
 }

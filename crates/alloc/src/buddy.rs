@@ -17,7 +17,7 @@
 use crate::buddy_core::{order_for_units, BuddyCore};
 use crate::filemap::FileMap;
 use crate::policy::Policy;
-use crate::types::{AllocError, Extent, FileHints, FileId};
+use crate::types::{AllocError, Extent, FileHints, FileId, FileSlots};
 
 /// One file's state under the buddy policy.
 #[derive(Debug, Clone, Default)]
@@ -33,8 +33,7 @@ struct BuddyFile {
 #[derive(Debug, Clone)]
 pub struct BuddyPolicy {
     core: BuddyCore,
-    files: Vec<Option<BuddyFile>>,
-    free_slots: Vec<u32>,
+    files: FileSlots<BuddyFile>,
     max_extent_units: u64,
 }
 
@@ -45,30 +44,15 @@ impl BuddyPolicy {
         assert!(max_extent_units > 0);
         BuddyPolicy {
             core: BuddyCore::new(capacity_units),
-            files: Vec::new(),
-            free_slots: Vec::new(),
+            files: FileSlots::default(),
             max_extent_units: max_extent_units.next_power_of_two(),
         }
-    }
-
-    fn file(&self, id: FileId) -> Result<&BuddyFile, AllocError> {
-        self.files
-            .get(id.0 as usize)
-            .and_then(|slot| slot.as_ref())
-            .ok_or(AllocError::DeadFile(id))
-    }
-
-    fn file_mut(&mut self, id: FileId) -> Result<&mut BuddyFile, AllocError> {
-        self.files
-            .get_mut(id.0 as usize)
-            .and_then(|slot| slot.as_mut())
-            .ok_or(AllocError::DeadFile(id))
     }
 
     /// Frees the file's last buddy block and returns its size; 0 when the
     /// file has no blocks.
     fn pop_block(&mut self, file: FileId) -> Result<u64, AllocError> {
-        let f = self.file_mut(file)?;
+        let f = self.files.get_mut(file)?;
         let Some((addr, order)) = f.blocks.pop() else { return Ok(0) };
         let size = 1u64 << order;
         let popped = f.map.pop_back(size, |_| {});
@@ -120,38 +104,26 @@ impl Policy for BuddyPolicy {
     }
 
     fn create(&mut self, _hints: &FileHints) -> Result<FileId, AllocError> {
-        let file = BuddyFile::default();
-        let id = match self.free_slots.pop() {
-            Some(slot) => {
-                self.files[slot as usize] = Some(file);
-                FileId(slot)
-            }
-            None => {
-                let id = FileId::from_index(self.files.len())?;
-                self.files.push(Some(file));
-                id
-            }
-        };
-        Ok(id)
+        self.files.insert(BuddyFile::default())
     }
 
     fn extend(&mut self, file: FileId, units: u64) -> Result<u64, AllocError> {
         debug_assert!(units > 0);
-        let first_new = self.file(file)?.blocks.len();
+        let first_new = self.files.get(file)?.blocks.len();
         let mut granted = 0;
         while granted < units {
-            let current = self.file(file)?.map.total_units();
+            let current = self.files.get(file)?.map.total_units();
             let size = self.next_extent_units(current, units - granted);
             let order = order_for_units(size);
             let Some(addr) = self.core.allocate(order) else {
                 // Roll back this call's blocks, the file's last ones, so a
                 // failed extend is atomic.
-                while self.file(file)?.blocks.len() > first_new {
+                while self.files.get(file)?.blocks.len() > first_new {
                     self.pop_block(file)?;
                 }
                 return Err(AllocError::DiskFull(size));
             };
-            let f = self.file_mut(file)?;
+            let f = self.files.get_mut(file)?;
             f.blocks.push((addr, order));
             f.map.push(Extent::new(addr, 1 << order));
             granted += 1 << order;
@@ -163,7 +135,7 @@ impl Policy for BuddyPolicy {
         // Buddy blocks cannot be split, so free whole tail blocks that fit
         // entirely within the truncated range.
         let mut freed = 0;
-        while let Some(&(_, order)) = self.file(file)?.blocks.last() {
+        while let Some(&(_, order)) = self.files.get(file)?.blocks.last() {
             if freed + (1u64 << order) > units {
                 break;
             }
@@ -173,35 +145,25 @@ impl Policy for BuddyPolicy {
     }
 
     fn delete(&mut self, file: FileId) -> Result<u64, AllocError> {
-        let f = self
-            .files
-            .get_mut(file.0 as usize)
-            .and_then(|slot| slot.take())
-            .ok_or(AllocError::DeadFile(file))?;
+        let f = self.files.remove(file)?;
         let mut freed = 0;
         for (addr, order) in f.blocks {
             self.core.free(addr, order);
             freed += 1u64 << order;
         }
-        self.free_slots.push(file.0);
         Ok(freed)
     }
 
     fn file_map(&self, file: FileId) -> Result<&FileMap, AllocError> {
-        Ok(&self.file(file)?.map)
+        Ok(&self.files.get(file)?.map)
     }
 
     fn live_files(&self) -> Vec<FileId> {
-        self.files
-            .iter()
-            .enumerate()
-            .filter(|(_, f)| f.is_some())
-            .filter_map(|(i, _)| FileId::from_index(i).ok())
-            .collect()
+        self.files.ids()
     }
 
     fn allocation_count(&self, file: FileId) -> Result<usize, AllocError> {
-        Ok(self.file(file)?.blocks.len())
+        Ok(self.files.get(file)?.blocks.len())
     }
 
     /// Koch's nightly reallocator \[KOCH87\]: "this reallocator shuffles
@@ -220,12 +182,12 @@ impl Policy for BuddyPolicy {
         // Validate every id up front so a dead entry cannot leave phase 1
         // half-done (freeing some files' blocks but not others).
         for &(id, _) in logical_sizes {
-            self.file(id)?;
+            self.files.get(id)?;
         }
         // Phase 1: free every listed file's blocks (the caller lists live
         // files only).
         for &(id, _) in logical_sizes {
-            let f = self.file_mut(id)?;
+            let f = self.files.get_mut(id)?;
             let blocks = std::mem::take(&mut f.blocks);
             f.map.take_all();
             for (addr, order) in blocks {
@@ -252,7 +214,7 @@ impl Policy for BuddyPolicy {
             while let Some(order) = work.pop_front() {
                 match self.core.allocate(order) {
                     Some(addr) => {
-                        let f = self.file_mut(id)?;
+                        let f = self.files.get_mut(id)?;
                         f.blocks.push((addr, order));
                         f.map.push(Extent::new(addr, 1 << order));
                     }
@@ -263,7 +225,7 @@ impl Policy for BuddyPolicy {
                     None => break, // not a single unit free: stop gracefully
                 }
             }
-            moved += self.file(id)?.map.total_units();
+            moved += self.files.get(id)?.map.total_units();
         }
         Ok(Some(moved))
     }
@@ -364,7 +326,7 @@ mod tests {
         let mut p: BuddyPolicy = BuddyPolicy::new(1 << 20, 1 << 4);
         let f = p.create(&FileHints::default()).unwrap();
         p.extend(f, 1 << 8).unwrap();
-        for &(_, order) in &p.file(f).unwrap().blocks {
+        for &(_, order) in &p.files.get(f).unwrap().blocks {
             assert!(order <= 4, "extent above cap");
         }
         assert_eq!(p.allocated_units(f).unwrap(), 1 << 8, "cap removes over-allocation");

@@ -20,7 +20,7 @@
 use crate::filemap::FileMap;
 use crate::freespace::FreeSpaceMap;
 use crate::policy::Policy;
-use crate::types::{AllocError, Extent, FileHints, FileId};
+use crate::types::{AllocError, Extent, FileHints, FileId, FileSlots};
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 use serde::{de_field, Deserialize, Serialize, Value};
@@ -54,8 +54,7 @@ pub struct ExtentPolicy {
     sigma_frac: f64,
     unit_bytes: u64,
     rng: SmallRng,
-    files: Vec<Option<EFile>>,
-    free_slots: Vec<u32>,
+    files: FileSlots<EFile>,
 }
 
 impl ExtentPolicy {
@@ -87,8 +86,7 @@ impl ExtentPolicy {
             sigma_frac,
             unit_bytes,
             rng: SmallRng::seed_from_u64(seed),
-            files: Vec::new(),
-            free_slots: Vec::new(),
+            files: FileSlots::default(),
         }
     }
 
@@ -125,25 +123,9 @@ impl ExtentPolicy {
         }
     }
 
-    fn file(&self, id: FileId) -> Result<&EFile, AllocError> {
-        self.files
-            .get(id.0 as usize)
-            .and_then(|slot| slot.as_ref())
-            .ok_or(AllocError::DeadFile(id))
-    }
-
-    /// The live file `id` in `files`. Takes the table rather than `self`
-    /// so callers can hold the free map mutably at the same time.
-    fn file_mut(files: &mut [Option<EFile>], id: FileId) -> Result<&mut EFile, AllocError> {
-        files
-            .get_mut(id.0 as usize)
-            .and_then(|slot| slot.as_mut())
-            .ok_or(AllocError::DeadFile(id))
-    }
-
     /// The extent size assigned to `file`, in units.
     pub fn file_extent_units(&self, file: FileId) -> Result<u64, AllocError> {
-        Ok(self.file(file)?.extent_units)
+        Ok(self.files.get(file)?.extent_units)
     }
 
     /// The configured range means, in units.
@@ -177,24 +159,12 @@ impl Policy for ExtentPolicy {
         let target_units = (hints.mean_extent_bytes / self.unit_bytes).max(1);
         let mean = self.nearest_range(target_units);
         let extent_units = self.sample_extent_units(mean);
-        let file = EFile { map: FileMap::new(), extent_units };
-        let id = match self.free_slots.pop() {
-            Some(slot) => {
-                self.files[slot as usize] = Some(file);
-                FileId(slot)
-            }
-            None => {
-                let id = FileId::from_index(self.files.len())?;
-                self.files.push(Some(file));
-                id
-            }
-        };
-        Ok(id)
+        self.files.insert(EFile { map: FileMap::new(), extent_units })
     }
 
     fn extend(&mut self, file: FileId, units: u64) -> Result<u64, AllocError> {
         debug_assert!(units > 0);
-        let chunk = self.file(file)?.extent_units;
+        let chunk = self.files.get(file)?.extent_units;
         let mut granted = 0;
         while granted < units {
             let Some(e) = self.allocate(chunk) else {
@@ -203,60 +173,49 @@ impl Policy for ExtentPolicy {
                 self.truncate(file, granted)?;
                 return Err(AllocError::DiskFull(chunk));
             };
-            Self::file_mut(&mut self.files, file)?.map.push(e);
+            self.files.get_mut(file)?.map.push(e);
             granted += chunk;
         }
         Ok(granted)
     }
 
     fn truncate(&mut self, file: FileId, units: u64) -> Result<u64, AllocError> {
-        let f = Self::file_mut(&mut self.files, file)?;
         let free = &mut self.free;
-        Ok(f.map.pop_back(units, |e| free.release(e)))
+        Ok(self.files.get_mut(file)?.map.pop_back(units, |e| free.release(e)))
     }
 
     fn delete(&mut self, file: FileId) -> Result<u64, AllocError> {
-        let mut f = self
-            .files
-            .get_mut(file.0 as usize)
-            .and_then(|slot| slot.take())
-            .ok_or(AllocError::DeadFile(file))?;
-        let extents = f.map.take_all();
+        let mut f = self.files.remove(file)?;
         let mut total = 0;
-        for e in extents {
+        for e in f.map.take_all() {
             total += e.len;
             self.free.release(e);
         }
-        self.free_slots.push(file.0);
         Ok(total)
     }
 
     fn file_map(&self, file: FileId) -> Result<&FileMap, AllocError> {
-        Ok(&self.file(file)?.map)
+        Ok(&self.files.get(file)?.map)
     }
 
     fn live_files(&self) -> Vec<FileId> {
-        self.files
-            .iter()
-            .enumerate()
-            .filter(|(_, f)| f.is_some())
-            .filter_map(|(i, _)| FileId::from_index(i).ok())
-            .collect()
+        self.files.ids()
     }
 
     fn allocation_count(&self, file: FileId) -> Result<usize, AllocError> {
-        let f = self.file(file)?;
+        let f = self.files.get(file)?;
         Ok(f.map.total_units().div_ceil(f.extent_units) as usize)
     }
 
     fn checkpoint_state(&self) -> Option<Value> {
         // Only the dynamic state: config fields are reconstructed by the
         // resuming caller.
+        let (files, free_slots) = self.files.parts();
         Some(Value::Object(vec![
             ("free".to_string(), self.free.to_value()),
             ("rng".to_string(), self.rng.state().to_value()),
-            ("files".to_string(), self.files.to_value()),
-            ("free_slots".to_string(), self.free_slots.to_value()),
+            ("files".to_string(), files.to_value()),
+            ("free_slots".to_string(), free_slots.to_value()),
         ]))
     }
 
@@ -270,33 +229,14 @@ impl Policy for ExtentPolicy {
         }
         let files: Vec<Option<EFile>> = de_field(snapshot, "files").map_err(|e| e.to_string())?;
         let free_slots: Vec<u32> = de_field(snapshot, "free_slots").map_err(|e| e.to_string())?;
+        let files = FileSlots::from_parts(files, free_slots)?;
         let free: FreeSpaceMap = de_field(snapshot, "free").map_err(|e| e.to_string())?;
-
-        // Slot bookkeeping: free_slots must name exactly the dead slots.
-        let dead = files.iter().filter(|f| f.is_none()).count();
-        if free_slots.len() != dead {
-            return Err(format!(
-                "free_slots lists {} slots but {dead} file slots are dead",
-                free_slots.len()
-            ));
-        }
-        let mut seen = vec![false; files.len()];
-        for &s in &free_slots {
-            match files.get(s as usize) {
-                None => return Err(format!("free slot {s} out of range")),
-                Some(Some(_)) => return Err(format!("free slot {s} names a live file")),
-                Some(None) => {}
-            }
-            if std::mem::replace(&mut seen[s as usize], true) {
-                return Err(format!("free slot {s} listed twice"));
-            }
-        }
 
         // Per-file sanity, then space conservation: the free runs and the
         // data extents together must perfectly tile [0, capacity) — any
         // overlap, gap, or out-of-bounds extent breaks the tiling.
         let mut marks: Vec<(u64, u64)> = free.runs().map(|e| (e.start, e.end())).collect();
-        for f in files.iter().flatten() {
+        for f in files.iter() {
             if f.extent_units == 0 {
                 return Err("file with a zero extent size".into());
             }
@@ -326,7 +266,6 @@ impl Policy for ExtentPolicy {
         self.free = free;
         self.rng = SmallRng::from_state(rng_state);
         self.files = files;
-        self.free_slots = free_slots;
         Ok(())
     }
 

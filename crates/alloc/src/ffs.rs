@@ -21,7 +21,7 @@
 use crate::blockset::BitmapBlockSet;
 use crate::filemap::FileMap;
 use crate::policy::Policy;
-use crate::types::{AllocError, Extent, FileHints, FileId};
+use crate::types::{AllocError, Extent, FileHints, FileId, FileSlots};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -127,8 +127,7 @@ pub struct FfsPolicy {
     group_units: u64,
     groups: Vec<CylGroup>,
     capacity: u64,
-    files: Vec<Option<FfsFile>>,
-    free_slots: Vec<u32>,
+    files: FileSlots<FfsFile>,
     /// Round-robin rotor for placing new files (FFS spreads inodes across
     /// cylinder groups).
     rotor: usize,
@@ -168,8 +167,7 @@ impl FfsPolicy {
             group_units,
             groups,
             capacity,
-            files: Vec::new(),
-            free_slots: Vec::new(),
+            files: FileSlots::default(),
             rotor: 0,
         }
     }
@@ -180,7 +178,7 @@ impl FfsPolicy {
     /// scan over `frag_blocks` picks; and every file's extent map is its
     /// blocks followed by its fragment tail.
     fn check_frag_index(&self) {
-        for f in self.files.iter().flatten() {
+        for f in self.files.iter() {
             let mut want = FileMap::new();
             for &b in &f.blocks {
                 want.push(Extent::new(b, self.block_units));
@@ -232,20 +230,6 @@ impl FfsPolicy {
 
     fn group_of(&self, addr: u64) -> usize {
         ((addr / self.group_units) as usize).min(self.groups.len() - 1)
-    }
-
-    fn file(&self, id: FileId) -> Result<&FfsFile, AllocError> {
-        self.files
-            .get(id.0 as usize)
-            .and_then(|slot| slot.as_ref())
-            .ok_or(AllocError::DeadFile(id))
-    }
-
-    fn file_mut(&mut self, id: FileId) -> Result<&mut FfsFile, AllocError> {
-        self.files
-            .get_mut(id.0 as usize)
-            .and_then(|slot| slot.as_mut())
-            .ok_or(AllocError::DeadFile(id))
     }
 
     /// Takes a fully free block, preferring `prefer`'s exact address, then
@@ -361,8 +345,8 @@ impl FfsPolicy {
     /// Frees the blocks an unfinished extend pushed past the file's first
     /// `keep` blocks (its map does not list them yet).
     fn drop_new_blocks(&mut self, id: FileId, keep: usize) -> Result<(), AllocError> {
-        while self.file(id)?.blocks.len() > keep {
-            let Some(a) = self.file_mut(id)?.blocks.pop() else { break };
+        while self.files.get(id)?.blocks.len() > keep {
+            let Some(a) = self.files.get_mut(id)?.blocks.pop() else { break };
             self.free_block(a);
         }
         Ok(())
@@ -455,26 +439,14 @@ impl Policy for FfsPolicy {
     fn create(&mut self, _hints: &FileHints) -> Result<FileId, AllocError> {
         let group = self.rotor;
         self.rotor = (self.rotor + 1) % self.groups.len();
-        let file = FfsFile { group, ..FfsFile::default() };
-        let id = match self.free_slots.pop() {
-            Some(slot) => {
-                self.files[slot as usize] = Some(file);
-                FileId(slot)
-            }
-            None => {
-                let id = FileId::from_index(self.files.len())?;
-                self.files.push(Some(file));
-                id
-            }
-        };
-        Ok(id)
+        self.files.insert(FfsFile { group, ..FfsFile::default() })
     }
 
     fn extend(&mut self, file: FileId, units: u64) -> Result<u64, AllocError> {
         debug_assert!(units > 0);
         let bu = self.block_units;
         let (old_blocks, old_tail, group) = {
-            let f = self.file(file)?;
+            let f = self.files.get(file)?;
             (f.blocks.len(), f.tail, f.group)
         };
         let old_tail_units = old_tail.map_or(0, |(_, n)| n);
@@ -487,14 +459,14 @@ impl Policy for FfsPolicy {
         // old tail — so a failure mid-way can roll back without having
         // destroyed anything. The new blocks go straight onto the file's
         // block list; a rollback pops them off again.
-        let mut prefer = self.file(file)?.blocks.last().map(|&b| b + bu);
+        let mut prefer = self.files.get(file)?.blocks.last().map(|&b| b + bu);
         for _ in old_blocks as u64..want_blocks {
             let Some(a) = self.alloc_block(group, prefer) else {
                 self.drop_new_blocks(file, old_blocks)?;
                 return Err(AllocError::DiskFull(bu));
             };
             prefer = Some(a + bu);
-            self.file_mut(file)?.blocks.push(a);
+            self.files.get_mut(file)?.blocks.push(a);
         }
         let new_tail = if want_tail > 0 {
             match self.alloc_frags(group, want_tail) {
@@ -518,7 +490,7 @@ impl Policy for FfsPolicy {
         }
         // The map is the file's blocks followed by its tail: swap the old
         // tail for the new blocks and the new tail.
-        let f = self.file_mut(file)?;
+        let f = self.files.get_mut(file)?;
         f.map.pop_back(old_tail_units, |_| {});
         for &b in &f.blocks[old_blocks..] {
             f.map.push(Extent::new(b, bu));
@@ -535,35 +507,31 @@ impl Policy for FfsPolicy {
         let bu = self.block_units;
         let mut freed = 0;
         // Free the tail fragments first (they are the logical end).
-        if let Some((addr, n)) = self.file(file)?.tail {
+        if let Some((addr, n)) = self.files.get(file)?.tail {
             if n <= units {
                 self.free_frags(addr, n)?;
-                self.file_mut(file)?.tail = None;
+                self.files.get_mut(file)?.tail = None;
                 freed = n;
             } else {
                 // Shrink the tail in place: free its uppermost fragments.
                 let keep = n - units;
                 self.free_frags(addr + keep, units)?;
-                self.file_mut(file)?.tail = Some((addr, keep));
+                self.files.get_mut(file)?.tail = Some((addr, keep));
                 freed = units;
             }
         }
         while units - freed >= bu {
-            let Some(addr) = self.file_mut(file)?.blocks.pop() else { break };
+            let Some(addr) = self.files.get_mut(file)?.blocks.pop() else { break };
             self.free_block(addr);
             freed += bu;
         }
         // The freed units are the end of the file's map.
-        self.file_mut(file)?.map.pop_back(freed, |_| {});
+        self.files.get_mut(file)?.map.pop_back(freed, |_| {});
         Ok(freed)
     }
 
     fn delete(&mut self, file: FileId) -> Result<u64, AllocError> {
-        let f = self
-            .files
-            .get_mut(file.0 as usize)
-            .and_then(|slot| slot.take())
-            .ok_or(AllocError::DeadFile(file))?;
+        let f = self.files.remove(file)?;
         let mut total = 0;
         for addr in f.blocks {
             self.free_block(addr);
@@ -573,25 +541,19 @@ impl Policy for FfsPolicy {
             self.free_frags(addr, n)?;
             total += n;
         }
-        self.free_slots.push(file.0);
         Ok(total)
     }
 
     fn file_map(&self, file: FileId) -> Result<&FileMap, AllocError> {
-        Ok(&self.file(file)?.map)
+        Ok(&self.files.get(file)?.map)
     }
 
     fn live_files(&self) -> Vec<FileId> {
-        self.files
-            .iter()
-            .enumerate()
-            .filter(|(_, f)| f.is_some())
-            .filter_map(|(i, _)| FileId::from_index(i).ok())
-            .collect()
+        self.files.ids()
     }
 
     fn allocation_count(&self, file: FileId) -> Result<usize, AllocError> {
-        let f = self.file(file)?;
+        let f = self.files.get(file)?;
         Ok(f.blocks.len() + usize::from(f.tail.is_some()))
     }
 
@@ -634,7 +596,7 @@ mod tests {
         p.extend(f, 3).unwrap();
         p.extend(f, 10).unwrap(); // total 13 = 1 block + 5 frags
         assert_eq!(p.allocated_units(f).unwrap(), 13);
-        let fl = p.file(f).unwrap();
+        let fl = p.files.get(f).unwrap();
         assert_eq!(fl.blocks.len(), 1);
         assert_eq!(fl.tail.map(|(_, n)| n), Some(5));
         p.check_invariants();
@@ -645,7 +607,7 @@ mod tests {
         let mut p = policy();
         let f = p.create(&FileHints::default()).unwrap();
         p.extend(f, 16).unwrap();
-        assert!(p.file(f).unwrap().tail.is_none());
+        assert!(p.files.get(f).unwrap().tail.is_none());
         assert_eq!(p.allocation_count(f).unwrap(), 2);
         p.check_invariants();
     }
@@ -688,7 +650,7 @@ mod tests {
         for n in 1..8u64 {
             let f = p.create(&FileHints::default()).unwrap();
             p.extend(f, n).unwrap();
-            let tail = p.file(f).unwrap().tail.expect("tail exists");
+            let tail = p.files.get(f).unwrap().tail.expect("tail exists");
             assert_eq!(tail.1, n);
             assert_eq!(p.file_map(f).unwrap().extents().len(), 1, "one contiguous run");
         }
@@ -701,10 +663,10 @@ mod tests {
         let f = p.create(&FileHints::default()).unwrap();
         p.extend(f, 21).unwrap(); // 2 blocks + 5 frags
         assert_eq!(p.truncate(f, 3).unwrap(), 3); // tail 5 -> 2
-        assert_eq!(p.file(f).unwrap().tail.map(|(_, n)| n), Some(2));
+        assert_eq!(p.files.get(f).unwrap().tail.map(|(_, n)| n), Some(2));
         assert_eq!(p.truncate(f, 2 + 8).unwrap(), 10); // rest of tail + one block
-        assert_eq!(p.file(f).unwrap().blocks.len(), 1);
-        assert!(p.file(f).unwrap().tail.is_none());
+        assert_eq!(p.files.get(f).unwrap().blocks.len(), 1);
+        assert!(p.files.get(f).unwrap().tail.is_none());
         p.check_invariants();
     }
 

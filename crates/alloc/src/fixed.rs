@@ -13,7 +13,7 @@
 
 use crate::filemap::FileMap;
 use crate::policy::Policy;
-use crate::types::{AllocError, Extent, FileHints, FileId};
+use crate::types::{AllocError, Extent, FileHints, FileId, FileSlots};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -31,8 +31,7 @@ pub struct FixedPolicy {
     block_units: u64,
     free_list: VecDeque<u64>,
     capacity: u64,
-    files: Vec<Option<FFile>>,
-    free_slots: Vec<u32>,
+    files: FileSlots<FFile>,
 }
 
 impl FixedPolicy {
@@ -53,23 +52,13 @@ impl FixedPolicy {
             // Capacity rounded down to whole blocks; any remainder is
             // permanently unusable slack and excluded from accounting.
             capacity: nblocks * block_units,
-            files: Vec::new(),
-            free_slots: Vec::new(),
+            files: FileSlots::default(),
         }
     }
 
     /// Block size in units.
     pub fn block_units(&self) -> u64 {
         self.block_units
-    }
-
-    /// The live file `id` in `files`. Takes the table rather than `self`
-    /// so callers can hold the free list mutably at the same time.
-    fn file_mut(files: &mut [Option<FFile>], id: FileId) -> Result<&mut FFile, AllocError> {
-        files
-            .get_mut(id.0 as usize)
-            .and_then(|slot| slot.as_mut())
-            .ok_or(AllocError::DeadFile(id))
     }
 }
 
@@ -114,27 +103,16 @@ impl Policy for FixedPolicy {
     }
 
     fn create(&mut self, _hints: &FileHints) -> Result<FileId, AllocError> {
-        let id = match self.free_slots.pop() {
-            Some(slot) => {
-                self.files[slot as usize] = Some(FFile::default());
-                FileId(slot)
-            }
-            None => {
-                let id = FileId::from_index(self.files.len())?;
-                self.files.push(Some(FFile::default()));
-                id
-            }
-        };
-        Ok(id)
+        self.files.insert(FFile::default())
     }
 
     fn extend(&mut self, file: FileId, units: u64) -> Result<u64, AllocError> {
         debug_assert!(units > 0);
+        let f = self.files.get_mut(file)?;
         let nblocks = units.div_ceil(self.block_units);
         if (self.free_list.len() as u64) < nblocks {
             return Err(AllocError::DiskFull(self.block_units));
         }
-        let f = Self::file_mut(&mut self.files, file)?;
         let mut granted = 0;
         for _ in 0..nblocks {
             // Length was checked above, so the list cannot run dry
@@ -147,11 +125,11 @@ impl Policy for FixedPolicy {
     }
 
     fn truncate(&mut self, file: FileId, units: u64) -> Result<u64, AllocError> {
+        let f = self.files.get_mut(file)?;
         let whole_blocks = units / self.block_units * self.block_units;
         if whole_blocks == 0 {
             return Ok(0);
         }
-        let f = Self::file_mut(&mut self.files, file)?;
         let (bu, free_list) = (self.block_units, &mut self.free_list);
         Ok(f.map.pop_back(whole_blocks, |e| {
             // The map may have merged adjacent blocks; return them to the
@@ -166,11 +144,7 @@ impl Policy for FixedPolicy {
     }
 
     fn delete(&mut self, file: FileId) -> Result<u64, AllocError> {
-        let mut f = self
-            .files
-            .get_mut(file.0 as usize)
-            .and_then(|slot| slot.take())
-            .ok_or(AllocError::DeadFile(file))?;
+        let mut f = self.files.remove(file)?;
         let mut total = 0;
         for e in f.map.take_all() {
             total += e.len;
@@ -180,25 +154,15 @@ impl Policy for FixedPolicy {
                 a += self.block_units;
             }
         }
-        self.free_slots.push(file.0);
         Ok(total)
     }
 
     fn file_map(&self, file: FileId) -> Result<&FileMap, AllocError> {
-        self.files
-            .get(file.0 as usize)
-            .and_then(|slot| slot.as_ref())
-            .map(|f| &f.map)
-            .ok_or(AllocError::DeadFile(file))
+        Ok(&self.files.get(file)?.map)
     }
 
     fn live_files(&self) -> Vec<FileId> {
-        self.files
-            .iter()
-            .enumerate()
-            .filter(|(_, f)| f.is_some())
-            .filter_map(|(i, _)| FileId::from_index(i).ok())
-            .collect()
+        self.files.ids()
     }
 
     fn allocation_count(&self, file: FileId) -> Result<usize, AllocError> {

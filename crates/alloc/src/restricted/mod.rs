@@ -30,7 +30,7 @@ pub mod region;
 use crate::bitmap::FreeBitmap;
 use crate::filemap::FileMap;
 use crate::policy::Policy;
-use crate::types::{AllocError, Extent, FileHints, FileId};
+use crate::types::{AllocError, Extent, FileHints, FileId, FileSlots};
 use region::Region;
 
 /// One file's state under the restricted buddy policy.
@@ -56,8 +56,7 @@ pub struct RestrictedPolicy {
     /// capacity when unclustered).
     region_units: u64,
     capacity: u64,
-    files: Vec<Option<RFile>>,
-    free_slots: Vec<u32>,
+    files: FileSlots<RFile>,
     /// Region in which the last file descriptor was allocated.
     fd_cursor: usize,
     metadata_units: u64,
@@ -109,8 +108,7 @@ impl RestrictedPolicy {
             regions,
             region_units,
             capacity: capacity_units,
-            files: Vec::new(),
-            free_slots: Vec::new(),
+            files: FileSlots::default(),
             fd_cursor: 0,
             metadata_units: 0,
             avail: sizes_units.iter().map(|_| FreeBitmap::new(nregions)).collect(),
@@ -192,25 +190,6 @@ impl RestrictedPolicy {
     /// Number of bookkeeping regions.
     pub fn region_count(&self) -> usize {
         self.regions.len()
-    }
-
-    /// The configured block classes, in units.
-    pub fn class_sizes(&self) -> &[u64] {
-        &self.sizes
-    }
-
-    fn file(&self, id: FileId) -> Result<&RFile, AllocError> {
-        self.files
-            .get(id.0 as usize)
-            .and_then(|slot| slot.as_ref())
-            .ok_or(AllocError::DeadFile(id))
-    }
-
-    fn file_mut(&mut self, id: FileId) -> Result<&mut RFile, AllocError> {
-        self.files
-            .get_mut(id.0 as usize)
-            .and_then(|slot| slot.as_mut())
-            .ok_or(AllocError::DeadFile(id))
     }
 
     fn region_of(&self, addr: u64) -> usize {
@@ -303,10 +282,9 @@ impl RestrictedPolicy {
     /// Frees the file's last block and returns its size; 0 when the file
     /// has no blocks.
     fn pop_block(&mut self, file: FileId) -> Result<u64, AllocError> {
-        let Some(&(addr, class)) = self.file(file)?.blocks.last() else { return Ok(0) };
+        let f = self.files.get_mut(file)?;
+        let Some((addr, class)) = f.blocks.pop() else { return Ok(0) };
         let size = self.sizes[class];
-        let f = self.file_mut(file)?;
-        f.blocks.pop();
         f.units_per_class[class] -= size;
         f.map.pop_back(size, |_| {});
         self.free_block(class, addr);
@@ -378,27 +356,16 @@ impl Policy for RestrictedPolicy {
             units_per_class: vec![0; self.sizes.len()],
             fd_addr,
         };
-        let id = match self.free_slots.pop() {
-            Some(slot) => {
-                self.files[slot as usize] = Some(file);
-                FileId(slot)
-            }
-            None => {
-                let id = FileId::from_index(self.files.len())?;
-                self.files.push(Some(file));
-                id
-            }
-        };
-        Ok(id)
+        self.files.insert(file)
     }
 
     fn extend(&mut self, file: FileId, units: u64) -> Result<u64, AllocError> {
         debug_assert!(units > 0);
-        let first_new = self.file(file)?.blocks.len();
+        let first_new = self.files.get(file)?.blocks.len();
         let mut granted = 0;
         while granted < units {
             let (class, prefer, optimal) = {
-                let f = self.file(file)?;
+                let f = self.files.get(file)?;
                 let class = self.next_class(f);
                 let prefer = self.preferred_addr(f, class);
                 // "If the request is for a block of a file, the optimal
@@ -415,13 +382,13 @@ impl Policy for RestrictedPolicy {
             let Some(addr) = self.allocate_block(class, optimal, prefer) else {
                 // Unwind this call's blocks, the file's last ones, newest
                 // first: a failed extend is atomic.
-                while self.file(file)?.blocks.len() > first_new {
+                while self.files.get(file)?.blocks.len() > first_new {
                     self.pop_block(file)?;
                 }
                 return Err(AllocError::DiskFull(self.sizes[class]));
             };
             let size = self.sizes[class];
-            let f = self.file_mut(file)?;
+            let f = self.files.get_mut(file)?;
             f.blocks.push((addr, class));
             f.units_per_class[class] += size;
             f.map.push(Extent::new(addr, size));
@@ -432,7 +399,7 @@ impl Policy for RestrictedPolicy {
 
     fn truncate(&mut self, file: FileId, units: u64) -> Result<u64, AllocError> {
         let mut freed = 0;
-        while let Some(&(_, class)) = self.file(file)?.blocks.last() {
+        while let Some(&(_, class)) = self.files.get(file)?.blocks.last() {
             if freed + self.sizes[class] > units {
                 break;
             }
@@ -442,11 +409,7 @@ impl Policy for RestrictedPolicy {
     }
 
     fn delete(&mut self, file: FileId) -> Result<u64, AllocError> {
-        let f = self
-            .files
-            .get_mut(file.0 as usize)
-            .and_then(|slot| slot.take())
-            .ok_or(AllocError::DeadFile(file))?;
+        let f = self.files.remove(file)?;
         let mut data = 0;
         for &(addr, class) in f.blocks.iter().rev() {
             self.free_block(class, addr);
@@ -454,25 +417,19 @@ impl Policy for RestrictedPolicy {
         }
         self.free_block(0, f.fd_addr);
         self.metadata_units -= self.sizes[0];
-        self.free_slots.push(file.0);
         Ok(data)
     }
 
     fn file_map(&self, file: FileId) -> Result<&FileMap, AllocError> {
-        Ok(&self.file(file)?.map)
+        Ok(&self.files.get(file)?.map)
     }
 
     fn live_files(&self) -> Vec<FileId> {
-        self.files
-            .iter()
-            .enumerate()
-            .filter(|(_, f)| f.is_some())
-            .filter_map(|(i, _)| FileId::from_index(i).ok())
-            .collect()
+        self.files.ids()
     }
 
     fn allocation_count(&self, file: FileId) -> Result<usize, AllocError> {
-        Ok(self.file(file)?.blocks.len())
+        Ok(self.files.get(file)?.blocks.len())
     }
 
     fn check_structure(&self) {
@@ -508,14 +465,14 @@ mod tests {
         let f = p.create(&FileHints::default()).unwrap();
         // g=1: eight 1-unit blocks, then 8-unit blocks.
         p.extend(f, 8).unwrap();
-        assert_eq!(p.file(f).unwrap().blocks.len(), 8);
-        assert!(p.file(f).unwrap().blocks.iter().all(|&(_, c)| c == 0));
+        assert_eq!(p.files.get(f).unwrap().blocks.len(), 8);
+        assert!(p.files.get(f).unwrap().blocks.iter().all(|&(_, c)| c == 0));
         // Next allocation must be class 1.
         p.extend(f, 1).unwrap();
-        assert_eq!(p.file(f).unwrap().blocks.last().unwrap().1, 1);
+        assert_eq!(p.files.get(f).unwrap().blocks.last().unwrap().1, 1);
         // After eight 8-unit blocks (64 units at class 1), class 2 follows.
         p.extend(f, 7 * 8 + 1).unwrap();
-        assert_eq!(p.file(f).unwrap().blocks.last().unwrap().1, 2);
+        assert_eq!(p.files.get(f).unwrap().blocks.last().unwrap().1, 2);
         p.check_invariants();
     }
 
@@ -524,10 +481,10 @@ mod tests {
         let mut p: RestrictedPolicy = RestrictedPolicy::new(1 << 14, &[1, 8, 64], 2, None);
         let f = p.create(&FileHints::default()).unwrap();
         p.extend(f, 16).unwrap(); // g=2 → sixteen class-0 blocks
-        assert!(p.file(f).unwrap().blocks.iter().all(|&(_, c)| c == 0));
-        assert_eq!(p.file(f).unwrap().blocks.len(), 16);
+        assert!(p.files.get(f).unwrap().blocks.iter().all(|&(_, c)| c == 0));
+        assert_eq!(p.files.get(f).unwrap().blocks.len(), 16);
         p.extend(f, 1).unwrap();
-        assert_eq!(p.file(f).unwrap().blocks.last().unwrap().1, 1);
+        assert_eq!(p.files.get(f).unwrap().blocks.last().unwrap().1, 1);
         p.check_invariants();
     }
 
@@ -564,9 +521,9 @@ mod tests {
         let a = p.create(&FileHints::default()).unwrap();
         let b = p.create(&FileHints::default()).unwrap();
         let c = p.create(&FileHints::default()).unwrap();
-        let ra = p.region_of(p.file(a).unwrap().fd_addr);
-        let rb = p.region_of(p.file(b).unwrap().fd_addr);
-        let rc = p.region_of(p.file(c).unwrap().fd_addr);
+        let ra = p.region_of(p.files.get(a).unwrap().fd_addr);
+        let rb = p.region_of(p.files.get(b).unwrap().fd_addr);
+        let rc = p.region_of(p.files.get(c).unwrap().fd_addr);
         assert_ne!(ra, rb, "descriptors spread across regions");
         assert_ne!(rb, rc);
         assert_eq!(p.metadata_units(), 3);
@@ -579,8 +536,8 @@ mod tests {
         let a = p.create(&FileHints::default()).unwrap();
         let _b = p.create(&FileHints::default()).unwrap();
         p.extend(a, 4).unwrap();
-        let fd_region = p.region_of(p.file(a).unwrap().fd_addr);
-        for &(addr, _) in &p.file(a).unwrap().blocks {
+        let fd_region = p.region_of(p.files.get(a).unwrap().fd_addr);
+        for &(addr, _) in &p.files.get(a).unwrap().blocks {
             assert_eq!(p.region_of(addr), fd_region, "first block lands by the fd");
         }
         p.check_invariants();
@@ -617,12 +574,12 @@ mod tests {
         let mut p = unclustered();
         let f = p.create(&FileHints::default()).unwrap();
         p.extend(f, 9).unwrap(); // 8 class-0 + 1 class-1
-        assert_eq!(p.file(f).unwrap().blocks.last().unwrap().1, 1);
+        assert_eq!(p.files.get(f).unwrap().blocks.last().unwrap().1, 1);
         assert_eq!(p.truncate(f, 8).unwrap(), 8);
         // With the class-1 block gone, the grow policy is back at class 0...
         p.extend(f, 1).unwrap();
         // ...but the quota is still met (eight class-0 blocks) → class 1.
-        assert_eq!(p.file(f).unwrap().blocks.last().unwrap().1, 1);
+        assert_eq!(p.files.get(f).unwrap().blocks.last().unwrap().1, 1);
         p.check_invariants();
     }
 

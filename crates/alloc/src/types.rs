@@ -48,8 +48,8 @@ pub struct FileId(pub u32);
 impl FileId {
     /// Converts a storage-slot index to an id without a narrowing cast,
     /// failing with [`AllocError::TooManyFiles`] once the 32-bit id space
-    /// is exhausted. Policies route every slot→id conversion through here
-    /// so the bound is enforced in exactly one place.
+    /// is exhausted. `FileSlots::insert` issues every id through here, so
+    /// the bound is enforced in exactly one place.
     pub fn from_index(index: usize) -> Result<FileId, AllocError> {
         u32::try_from(index).map(FileId).map_err(|_| AllocError::TooManyFiles)
     }
@@ -58,6 +58,94 @@ impl FileId {
 impl fmt::Display for FileId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "f{}", self.0)
+    }
+}
+
+/// A policy's per-file records, addressed by [`FileId`]: one slot per id
+/// ever issued, empty once its file is deleted. A create reuses the most
+/// recently freed id first, so ids stay dense under churn.
+#[derive(Debug, Clone)]
+pub(crate) struct FileSlots<T> {
+    slots: Vec<Option<T>>,
+    /// Freed ids; the last one pushed is the next one reused.
+    free: Vec<u32>,
+}
+
+impl<T> Default for FileSlots<T> {
+    fn default() -> Self {
+        FileSlots { slots: Vec::new(), free: Vec::new() }
+    }
+}
+
+impl<T> FileSlots<T> {
+    /// Rebuilds a table from [`FileSlots::parts`], rejecting a free list
+    /// that does not name every empty slot exactly once.
+    pub(crate) fn from_parts(slots: Vec<Option<T>>, free: Vec<u32>) -> Result<Self, String> {
+        let dead = slots.iter().filter(|s| s.is_none()).count();
+        if free.len() != dead {
+            let listed = free.len();
+            return Err(format!("free_slots lists {listed} slots but {dead} file slots are dead"));
+        }
+        let mut seen = vec![false; slots.len()];
+        for &s in &free {
+            match slots.get(s as usize) {
+                None => return Err(format!("free slot {s} out of range")),
+                Some(Some(_)) => return Err(format!("free slot {s} names a live file")),
+                Some(None) => {}
+            }
+            if std::mem::replace(&mut seen[s as usize], true) {
+                return Err(format!("free slot {s} listed twice"));
+            }
+        }
+        Ok(FileSlots { slots, free })
+    }
+
+    /// The slots and the free list, as [`FileSlots::from_parts`] takes them.
+    pub(crate) fn parts(&self) -> (&[Option<T>], &[u32]) {
+        (&self.slots, &self.free)
+    }
+
+    /// Stores `value` under the most recently freed id, or else under the
+    /// next fresh one.
+    pub(crate) fn insert(&mut self, value: T) -> Result<FileId, AllocError> {
+        if let Some(slot) = self.free.pop() {
+            self.slots[slot as usize] = Some(value);
+            return Ok(FileId(slot));
+        }
+        let id = FileId::from_index(self.slots.len())?;
+        self.slots.push(Some(value));
+        Ok(id)
+    }
+
+    /// The live record of `id`.
+    pub(crate) fn get(&self, id: FileId) -> Result<&T, AllocError> {
+        self.slots.get(id.0 as usize).and_then(Option::as_ref).ok_or(AllocError::DeadFile(id))
+    }
+
+    /// The live record of `id`, mutably.
+    pub(crate) fn get_mut(&mut self, id: FileId) -> Result<&mut T, AllocError> {
+        self.slots.get_mut(id.0 as usize).and_then(Option::as_mut).ok_or(AllocError::DeadFile(id))
+    }
+
+    /// Takes the record of `id` out and frees the id for reuse.
+    pub(crate) fn remove(&mut self, id: FileId) -> Result<T, AllocError> {
+        let value = self
+            .slots
+            .get_mut(id.0 as usize)
+            .and_then(Option::take)
+            .ok_or(AllocError::DeadFile(id))?;
+        self.free.push(id.0);
+        Ok(value)
+    }
+
+    /// The live ids, ascending.
+    pub(crate) fn ids(&self) -> Vec<FileId> {
+        self.slots.iter().zip(0u32..).filter(|(s, _)| s.is_some()).map(|(_, i)| FileId(i)).collect()
+    }
+
+    /// The live records, in id order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &T> {
+        self.slots.iter().flatten()
     }
 }
 
@@ -132,6 +220,65 @@ mod tests {
         assert!(a.overlaps(&Extent::new(5, 6)));
         assert!(!a.overlaps(&Extent::new(20, 5)));
         assert!(!a.overlaps(&Extent::new(0, 10)));
+    }
+
+    #[test]
+    fn file_slots_reuse_the_last_freed_id_first() {
+        let mut t = FileSlots::default();
+        let ids: Vec<FileId> = (0..4).map(|v| t.insert(v).unwrap()).collect();
+        assert_eq!(ids, [FileId(0), FileId(1), FileId(2), FileId(3)], "fresh ids count up");
+        assert_eq!(t.remove(FileId(1)), Ok(1));
+        assert_eq!(t.remove(FileId(3)), Ok(3));
+        assert_eq!(t.insert(30), Ok(FileId(3)), "last freed first");
+        assert_eq!(t.remove(FileId(0)), Ok(0));
+        assert_eq!(t.insert(10), Ok(FileId(0)));
+        assert_eq!(t.insert(11), Ok(FileId(1)));
+        assert_eq!(t.insert(4), Ok(FileId(4)), "fresh once nothing is free");
+        assert_eq!(t.iter().copied().collect::<Vec<_>>(), [10, 11, 2, 30, 4]);
+    }
+
+    #[test]
+    fn file_slots_list_live_ids_ascending() {
+        let mut t = FileSlots::default();
+        for v in 0..6 {
+            t.insert(v).unwrap();
+        }
+        for id in [4, 0, 2] {
+            t.remove(FileId(id)).unwrap();
+        }
+        assert_eq!(t.ids(), [FileId(1), FileId(3), FileId(5)]);
+        assert_eq!(t.iter().copied().collect::<Vec<_>>(), [1, 3, 5]);
+    }
+
+    #[test]
+    fn file_slots_answer_dead_ids_with_dead_file() {
+        let mut t = FileSlots::default();
+        let a = t.insert('a').unwrap();
+        t.remove(a).unwrap();
+        for id in [a, FileId(7)] {
+            assert_eq!(t.get(id), Err(AllocError::DeadFile(id)));
+            assert_eq!(t.get_mut(id), Err(AllocError::DeadFile(id)));
+            assert_eq!(t.remove(id), Err(AllocError::DeadFile(id)));
+        }
+        assert_eq!(t.insert('b'), Ok(a), "failed removes freed nothing twice");
+        assert_eq!(t.insert('c'), Ok(FileId(1)));
+    }
+
+    #[test]
+    fn file_slots_from_parts_checks_the_free_list() {
+        let mut ok = FileSlots::from_parts(vec![None, Some(1), None], vec![2, 0]).unwrap();
+        assert_eq!(ok.parts(), (&[None, Some(1), None][..], &[2, 0][..]));
+        assert_eq!(ok.insert(9), Ok(FileId(0)), "the restored free list keeps its order");
+        let bad = [
+            (vec![None, Some(1)], vec![1], "names a live file"),
+            (vec![None, None, Some(1)], vec![0, 0], "listed twice"),
+            (vec![None], vec![5], "out of range"),
+            (vec![None, None], vec![0], "2 file slots are dead"),
+        ];
+        for (slots, free, why) in bad {
+            let err = FileSlots::from_parts(slots, free).unwrap_err();
+            assert!(err.contains(why), "{why}: {err}");
+        }
     }
 
     #[test]

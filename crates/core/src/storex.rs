@@ -14,9 +14,9 @@
 //!   `serde_json::to_string` bytes of the point result (identical at any
 //!   thread count by the determinism contract, so the store bytes are
 //!   too);
-//! * **ladder points** — `users_1e6` appends one record per
-//!   (rung, backend) with only deterministic content, which is what lets
-//!   a killed run skip completed rungs on resume;
+//! * **ladder points** — `users_1e6` appends one record per rung with
+//!   only deterministic content, which is what lets a killed run skip
+//!   completed rungs on resume;
 //! * **artifacts** — `experiment` is `artifact/<name>` with index 0 and
 //!   the payload the exact pretty-JSON bytes `--json` writes to
 //!   `<name>.json`, which makes [`export`] a pure byte copy: the

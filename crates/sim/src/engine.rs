@@ -64,8 +64,8 @@ pub struct Simulation {
     policy: Box<dyn Policy>,
     types: Vec<FileTypeConfig>,
     /// Per-file hot state, packed struct-of-arrays (see [`crate::state`]).
-    /// Slots are never freed — retirement marks a file dead in place — so
-    /// raw indices stay stable for the whole run.
+    /// Records are only appended — retirement marks a file dead in place —
+    /// so raw indices stay stable for the whole run.
     files: FileTable,
     files_by_type: Vec<Vec<u32>>,
     /// user → file-type index, packed struct-of-arrays.
@@ -170,11 +170,6 @@ impl Simulation {
         sim
     }
 
-    /// Calibrated maximum sequential bandwidth, in bytes per millisecond.
-    pub fn max_bandwidth_bytes_per_ms(&self) -> f64 {
-        self.max_bw
-    }
-
     /// Fraction of capacity in use.
     pub fn utilization(&self) -> f64 {
         1.0 - self.policy.free_units() as f64 / self.policy.capacity_units() as f64
@@ -262,7 +257,7 @@ impl Simulation {
                     }
                 };
                 let pos = small_u32(self.files_by_type[t_idx].len());
-                let file_idx = self.files.push(policy_id, small_u32(t_idx), 0, pos);
+                let file_idx = self.files.push(policy_id, small_u32(t_idx), pos);
                 self.files_by_type[t_idx].push(file_idx);
                 let target_units = self.to_units(target_bytes);
                 self.grow_file(file_idx as usize, target_units);
@@ -302,7 +297,7 @@ impl Simulation {
     /// system should be before measurements begin". Files are grown
     /// round-robin in rw-sized chunks; no I/O is charged.
     fn fill_to_lower_bound(&mut self) {
-        let nfiles = self.files.capacity();
+        let nfiles = self.files.len();
         if nfiles == 0 {
             return;
         }
@@ -593,7 +588,7 @@ impl Simulation {
         let mut logical = std::mem::take(&mut self.realloc_scratch);
         logical.clear();
         logical.extend(
-            (0..self.files.capacity())
+            (0..self.files.len())
                 .filter(|&i| self.files.live[i])
                 .map(|i| (self.files.policy_id[i], self.files.logical_units[i])),
         );
@@ -630,7 +625,7 @@ impl Simulation {
         let mut used = 0u64;
         let mut extents = 0usize;
         let mut live = 0u64;
-        for i in 0..self.files.capacity() {
+        for i in 0..self.files.len() {
             if !self.files.live[i] {
                 continue;
             }
@@ -884,7 +879,7 @@ mod tests {
         let c = small_config(small_extent_policy());
         let sim = Simulation::new(&c, 1);
         assert_eq!(sim.files.len(), 64);
-        for i in 0..sim.files.capacity() {
+        for i in 0..sim.files.len() {
             assert!(sim.files.logical_units[i] >= (256 - 64) * 1024 / 1024, "file too small");
             assert!(
                 sim.policy.allocated_units(sim.files.policy_id[i]).unwrap()
@@ -1140,7 +1135,7 @@ mod tests {
             }
         }
         let listed: usize = sim.files_by_type.iter().map(Vec::len).sum();
-        let live = (0..sim.files.capacity()).filter(|&i| sim.files.live[i]).count();
+        let live = (0..sim.files.len()).filter(|&i| sim.files.live[i]).count();
         assert_eq!(listed, live, "index and live population disagree");
     }
 
@@ -1151,7 +1146,7 @@ mod tests {
         assert_selection_index_consistent(&sim);
         // Retire from the middle, the front, and the back: each swap-remove
         // moves a different entry (or none) into the vacated slot.
-        for file_idx in [20, 0, sim.files.capacity() - 1, 21] {
+        for file_idx in [20, 0, sim.files.len() - 1, 21] {
             sim.policy.delete(sim.files.policy_id[file_idx]).unwrap();
             sim.retire_file(file_idx);
             assert!(!sim.files.live[file_idx]);

@@ -42,7 +42,7 @@ use std::path::PathBuf;
 
 /// Snapshot format version; bumped on any layout change so an old binary
 /// never misreads a new snapshot (or vice versa).
-const CHECKPOINT_VERSION: u64 = 1;
+const CHECKPOINT_VERSION: u64 = 2;
 
 /// Exit status the [`CheckpointSpec::kill_after`] hook terminates with,
 /// so harness tests can distinguish the deliberate mid-run kill from a
@@ -378,7 +378,7 @@ fn check_selection_index(
     for (t_idx, idxs) in files_by_type.iter().enumerate() {
         for (pos, &file_idx) in idxs.iter().enumerate() {
             let i = file_idx as usize;
-            if i >= files.capacity() {
+            if i >= files.len() {
                 return Err(format!("selection index names file slot {i} out of bounds"));
             }
             if !files.live[i] {
@@ -393,7 +393,7 @@ fn check_selection_index(
             listed += 1;
         }
     }
-    let live = (0..files.capacity()).filter(|&i| files.live[i]).count();
+    let live = (0..files.len()).filter(|&i| files.live[i]).count();
     if listed != live {
         return Err(format!(
             "selection index lists {listed} files, live population is {live}"

@@ -65,4 +65,3 @@ pub use measure::{percentile_ms, percentile_of_sorted_ms, ThroughputMeter};
 pub use metrics::{AllocGauges, DiskPhaseMetrics, EngineCounters, StorageMetrics, TestMetrics};
 pub use results::{FragReport, PerfReport, SuiteReport};
 pub use rng::SimRng;
-pub use state::{FileSlot, FileTable, FileView, UserTable};

@@ -5,14 +5,15 @@
 #      --crates simlint self-lint pass;
 #   3. every workspace crate's test suite (cargo test --workspace);
 #   4. a 2-job smoke run of the reproduction at fast scale with the
-#      metrics sidecars enabled (fig1, fig2, fig4, fig6, table4, table3,
-#      diag, users_1e6; fig6 puts all four policy families' I/O through the
-#      disk model, and table4, table3 and diag are projections of the fig4
-#      and fig6 outputs);
-#   5. a 1-job rerun of fig1, fig2, fig4, fig6, table4, table3 and diag
-#      that also writes a binary results store, byte-compared against the
-#      2-job run: results, projections included, must not depend on the
-#      thread count;
+#      metrics sidecars enabled (fig1, fig2, fig4, fig5, fig6, table4,
+#      table3, diag, ablations, users_1e6; fig6 puts all four policy
+#      families' I/O through the disk model, table4, table3 and diag are
+#      projections of the fig4 and fig6 outputs, and the ablations are the
+#      only runs of FFS, buddy's reallocator and the mirrored, RAID-5 and
+#      parity-striped arrays);
+#   5. a 1-job rerun of everything but users_1e6 that also writes a binary
+#      results store, byte-compared against the 2-job run: results,
+#      projections included, must not depend on the thread count;
 #   6. `repro export` from the store of leg 5, byte-compared against that
 #      leg's sidecars.
 # Every file the script writes is under target/ (the lint report is
@@ -44,8 +45,8 @@ cargo test -q --workspace
 
 echo "== repro smoke (scale 1/64, 2 jobs, metrics on) =="
 cargo run --release -p readopt-core --bin repro -- \
-    fig1 fig2 fig4 fig6 table4 table3 diag users_1e6 --scale 64 --intervals 4 --jobs 2 \
-    --json target/check
+    fig1 fig2 fig4 fig5 fig6 table4 table3 diag ablations users_1e6 --scale 64 --intervals 4 \
+    --jobs 2 --json target/check
 
 echo "== sidecar determinism (re-run at 1 job, byte-compare) =="
 # This run also writes the binary results store so the export leg below
@@ -53,9 +54,11 @@ echo "== sidecar determinism (re-run at 1 job, byte-compare) =="
 mkdir -p target/check-j1
 rm -f target/check/run.rrs
 cargo run --release -q -p readopt-core --bin repro -- \
-    fig1 fig2 fig4 fig6 table4 table3 diag --scale 64 --intervals 4 --jobs 1 --json target/check-j1 \
-    --store target/check/run.rrs > /dev/null
-for exp in fig1 fig2 fig4 fig6 table4 table3 diag; do
+    fig1 fig2 fig4 fig5 fig6 table4 table3 diag ablations --scale 64 --intervals 4 --jobs 1 \
+    --json target/check-j1 --store target/check/run.rrs > /dev/null
+ablations="ablation_raid ablation_stripe ablation_file_mix ablation_realloc ablation_ffs
+    ablation_degraded_raid ablation_disk_generations"
+for exp in fig1 fig2 fig4 fig5 fig6 table4 table3 diag $ablations; do
     cmp "target/check/$exp.metrics.json" "target/check-j1/$exp.metrics.json" \
         || { echo "ERROR: $exp metrics sidecar differs between --jobs 2 and --jobs 1"; exit 1; }
     cmp "target/check/$exp.json" "target/check-j1/$exp.json" \

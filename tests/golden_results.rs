@@ -1,10 +1,11 @@
 //! Golden-value regression suite: `--scale 64` snapshots of fig1, fig2,
-//! fig6, table3, table4, diag and a `users_1e6` ladder pinned as JSON
-//! under `tests/golden/`. The fig6 snapshot also pins each test's array-combined
-//! disk-time decomposition (seek, rotational, transfer, head-switch, busy
-//! and queue-wait ms, requests, seeks), so a change to the disk service
-//! model shows even where the throughput percentages round it away. The
-//! `users_1e6` snapshot is the deepest event queue any of them drives.
+//! fig5, fig6, table3, table4, diag, the seven ablations and a `users_1e6`
+//! ladder pinned as JSON under `tests/golden/`. The fig6 snapshot also
+//! pins each test's array-combined disk-time decomposition (seek,
+//! rotational, transfer, head-switch, busy and queue-wait ms, requests,
+//! seeks), so a change to the disk service model shows even where the
+//! throughput percentages round it away. The `users_1e6` snapshot is the
+//! deepest event queue any of them drives.
 //! The simulator is deterministic, so any byte of drift in these results
 //! is a behavior change — intended changes are re-snapshotted with
 //! `REPRO_UPDATE_GOLDEN=1 cargo test --test golden_results`.
@@ -16,7 +17,7 @@
 use readopt::experiments::fig6::Fig6;
 use readopt::experiments::metrics::PointHist;
 use readopt::experiments::{
-    diag, fig1, fig2, fig6, table3, table4, users_scale, ExperimentContext,
+    ablations, diag, fig1, fig2, fig5, fig6, table3, table4, users_scale, ExperimentContext,
 };
 use readopt::sim::DiskPhaseMetrics;
 use serde::Serialize;
@@ -112,6 +113,25 @@ fn fig1_matches_golden_snapshot() {
 fn fig2_matches_golden_snapshot() {
     let (result, _, _, _) = fig2::run_profiled(&ctx());
     check_golden("fig2", &result);
+}
+
+#[test]
+fn fig5_matches_golden_snapshot() {
+    check_golden("fig5", &fig5::run(&ctx()));
+}
+
+/// The ablations are the only runs of the FFS policy, buddy's reallocator
+/// and the mirrored, RAID-5 and parity-striped arrays.
+#[test]
+fn ablations_match_golden_snapshots() {
+    let ctx = ctx();
+    check_golden("ablation_raid", &ablations::run_raid(&ctx));
+    check_golden("ablation_stripe", &ablations::run_stripe_unit(&ctx));
+    check_golden("ablation_file_mix", &ablations::run_file_mix(&ctx));
+    check_golden("ablation_realloc", &ablations::run_reallocation(&ctx));
+    check_golden("ablation_ffs", &ablations::run_ffs_comparison(&ctx));
+    check_golden("ablation_degraded_raid", &ablations::run_degraded_raid(&ctx));
+    check_golden("ablation_disk_generations", &ablations::run_disk_generations(&ctx));
 }
 
 /// The disk-time decomposition of one test, array-combined.

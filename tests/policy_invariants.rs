@@ -9,12 +9,15 @@
 //!   index, the extent map's by-length index, the FFS fragment index);
 //! * `extend` grows the file by exactly the units it reports (at least
 //!   the request) or, failing, changes nothing; `truncate` shrinks it by
-//!   exactly the units it reports (at most the request).
+//!   exactly the units it reports (at most the request);
+//! * every operation that names a deleted id answers `DeadFile`;
+//! * `create` reuses the most recently freed id, or else issues the next
+//!   fresh one.
 
 use proptest::prelude::*;
 use readopt::alloc::{
-    BuddyPolicy, ExtentPolicy, FfsPolicy, FileHints, FileId, FitStrategy, FixedPolicy, Policy,
-    RestrictedPolicy,
+    AllocError, BuddyPolicy, ExtentPolicy, FfsPolicy, FileHints, FileId, FitStrategy, FixedPolicy,
+    Policy, RestrictedPolicy,
 };
 
 /// A randomly generated operation against a policy.
@@ -35,26 +38,61 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
+/// The test's model of a policy's file ids: the live ones, and the
+/// deleted ones in the order `create` must hand them out again.
+#[derive(Default)]
+struct Ids {
+    live: Vec<FileId>,
+    freed: Vec<FileId>,
+    issued: u32,
+}
+
+impl Ids {
+    /// Creates a file, checking that a successful create reuses the most
+    /// recently freed id, or else issues the next fresh one.
+    fn create(&mut self, policy: &mut dyn Policy, hints: &FileHints) {
+        let Ok(id) = policy.create(hints) else { return };
+        let want = self.freed.pop().unwrap_or_else(|| {
+            self.issued += 1;
+            FileId(self.issued - 1)
+        });
+        assert_eq!(id, want, "create must reuse the most recently freed id first");
+        self.live.push(id);
+    }
+
+    /// Deletes the live file at `idx`, then checks that every operation
+    /// naming its id answers `DeadFile`.
+    fn delete(&mut self, policy: &mut dyn Policy, idx: usize) {
+        let id = self.live.swap_remove(idx);
+        policy.delete(id).expect("deleting a live file");
+        self.freed.push(id);
+        let dead = AllocError::DeadFile(id);
+        let too_big = policy.capacity_units() + 1;
+        assert_eq!(policy.extend(id, 1), Err(dead), "extend(1) of a dead id");
+        assert_eq!(policy.extend(id, too_big), Err(dead), "oversized extend of a dead id");
+        assert_eq!(policy.truncate(id, 1), Err(dead), "truncate of a dead id");
+        assert_eq!(policy.delete(id), Err(dead), "delete of a dead id");
+        assert_eq!(policy.allocated_units(id), Err(dead));
+        assert_eq!(policy.allocation_count(id), Err(dead));
+        assert_eq!(policy.extent_count(id), Err(dead));
+        assert_eq!(policy.file_map(id).err(), Some(dead));
+    }
+}
+
 /// Applies a sequence of operations, checking invariants after each.
 fn exercise(policy: &mut dyn Policy, ops: &[Op]) {
-    let mut live: Vec<FileId> = Vec::new();
+    let mut ids = Ids::default();
     let hints = FileHints { mean_extent_bytes: 8 * 1024 };
     // Start with a couple of files so early ops have targets.
     for _ in 0..2 {
-        if let Ok(id) = policy.create(&hints) {
-            live.push(id);
-        }
+        ids.create(policy, &hints);
     }
     for op in ops {
         match op {
-            Op::Create => {
-                if let Ok(id) = policy.create(&hints) {
-                    live.push(id);
-                }
-            }
+            Op::Create => ids.create(policy, &hints),
             Op::Extend { file_sel, units } => {
-                if !live.is_empty() {
-                    let id = live[file_sel % live.len()];
+                if !ids.live.is_empty() {
+                    let id = ids.live[file_sel % ids.live.len()];
                     let before = policy.allocated_units(id).unwrap();
                     let free_before = policy.free_units();
                     match policy.extend(id, *units) {
@@ -71,8 +109,8 @@ fn exercise(policy: &mut dyn Policy, ops: &[Op]) {
                 }
             }
             Op::Truncate { file_sel, units } => {
-                if !live.is_empty() {
-                    let id = live[file_sel % live.len()];
+                if !ids.live.is_empty() {
+                    let id = ids.live[file_sel % ids.live.len()];
                     let before = policy.allocated_units(id).unwrap();
                     let freed = policy.truncate(id, *units).expect("truncating a live file");
                     assert!(freed <= *units, "freed {freed} > asked {units}");
@@ -80,18 +118,16 @@ fn exercise(policy: &mut dyn Policy, ops: &[Op]) {
                 }
             }
             Op::Delete { file_sel } => {
-                if !live.is_empty() {
-                    let idx = file_sel % live.len();
-                    let id = live.swap_remove(idx);
-                    policy.delete(id).expect("deleting a live file");
+                if !ids.live.is_empty() {
+                    ids.delete(policy, file_sel % ids.live.len());
                 }
             }
         }
         policy.check_invariants();
     }
     // Tear-down: deleting everything restores all data space.
-    for id in live.drain(..) {
-        policy.delete(id).expect("deleting a live file");
+    while !ids.live.is_empty() {
+        ids.delete(policy, 0);
     }
     policy.check_invariants();
     assert_eq!(
