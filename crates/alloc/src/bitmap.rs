@@ -29,7 +29,6 @@
 //! it, a search that starts at or below it raises it to what the search
 //! found, and every forward search starts at it instead of at slot 0.
 
-use serde::{de_field, Deserialize, Error, Serialize, Value};
 use std::cell::Cell;
 
 /// `max_run` sentinel: the word changed since the entry was computed.
@@ -56,24 +55,22 @@ fn longest_one_run(x: u64) -> u8 {
 #[derive(Debug, Clone, Default, Eq)]
 pub struct FreeBitmap {
     words: Vec<u64>,
-    /// Summary index: bit `j` set iff `words[j] != 0`. Derived data,
-    /// rebuilt on deserialization.
+    /// Summary index: bit `j` set iff `words[j] != 0`. Derived data.
     summary: Vec<u64>,
     /// Second summary level: bit `j` set iff `words[j] == u64::MAX`
-    /// (every slot in the word free). Derived data, rebuilt on
-    /// deserialization.
+    /// (every slot in the word free). Derived data.
     full: Vec<u64>,
     /// Longest free run wholly inside each word, or [`STALE_RUN`] when the
     /// word changed since the entry was computed. Derived data: invalidated
     /// word-granularly on every set/clear, recomputed lazily by the run
-    /// scans, rebuilt exactly on deserialization.
+    /// scans.
     max_run: Vec<u8>,
     len: usize,
     free_count: usize,
     /// Lowest-free hint: every slot below `lo` is used. Frees lower it;
     /// searches that start at or below it raise it to the slot they found
     /// (or `len`). A `Cell` so the `&self` searches can move it. Derived
-    /// data: not compared, not serialized, restarts at 0 on load.
+    /// data, not compared.
     lo: Cell<usize>,
 }
 
@@ -517,84 +514,6 @@ impl FreeBitmap {
         self.max_run.resize(nwords, 0);
         self.len = new_len;
     }
-
-    /// Rebuilds the summary indexes and the longest-run cache from the
-    /// words (deserialization).
-    fn rebuild_summary(&mut self) {
-        self.summary = vec![0; self.words.len().div_ceil(64)];
-        self.full = vec![0; self.words.len().div_ceil(64)];
-        self.max_run = self.words.iter().map(|&w| longest_one_run(w)).collect();
-        for w in 0..self.words.len() {
-            if self.words[w] != 0 {
-                self.summary[w / 64] |= 1 << (w % 64);
-            }
-            if self.words[w] == u64::MAX {
-                self.full[w / 64] |= 1 << (w % 64);
-            }
-        }
-    }
-
-    /// Validates the structural invariants: word count matches `len`, no
-    /// ghost bits beyond `len`, and `free_count` equals the popcount.
-    /// Returns a description of the first violation, if any.
-    fn validate(&self) -> Result<(), String> {
-        if self.words.len() != self.len.div_ceil(64) {
-            return Err(format!(
-                "word count {} does not match {} slots",
-                self.words.len(),
-                self.len
-            ));
-        }
-        if self.len % 64 != 0 {
-            if let Some(&tail) = self.words.last() {
-                if tail & !((1u64 << (self.len % 64)) - 1) != 0 {
-                    return Err(format!("ghost bits set beyond slot {}", self.len));
-                }
-            }
-        }
-        let pop: usize = self.words.iter().map(|w| w.count_ones() as usize).sum();
-        if pop != self.free_count {
-            return Err(format!(
-                "free_count {} does not match popcount {pop}",
-                self.free_count
-            ));
-        }
-        Ok(())
-    }
-}
-
-impl Serialize for FreeBitmap {
-    fn to_value(&self) -> Value {
-        // The summary is derived data: serialize only the ground truth.
-        Value::Object(vec![
-            ("words".to_string(), self.words.to_value()),
-            ("len".to_string(), self.len.to_value()),
-            ("free_count".to_string(), self.free_count.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for FreeBitmap {
-    /// Reconstructs the bitmap and **validates** it: a snapshot whose
-    /// `free_count` disagrees with the word popcount, whose word count is
-    /// wrong for `len`, or which has ghost bits past `len` is rejected
-    /// loudly instead of silently mis-allocating later.
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let mut bitmap = FreeBitmap {
-            words: de_field(v, "words")?,
-            summary: Vec::new(),
-            full: Vec::new(),
-            max_run: Vec::new(),
-            len: de_field(v, "len")?,
-            free_count: de_field(v, "free_count")?,
-            lo: Cell::new(0),
-        };
-        bitmap
-            .validate()
-            .map_err(|why| Error::msg(format!("corrupt FreeBitmap snapshot: {why}")))?;
-        bitmap.rebuild_summary();
-        Ok(bitmap)
-    }
 }
 
 #[cfg(test)]
@@ -812,76 +731,5 @@ mod tests {
         // Refresh a's cache only; the bitmaps still hold the same slots.
         assert_eq!(a.first_free_run(8), Some(10));
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn serde_round_trip_preserves_state() {
-        let mut b = FreeBitmap::new(130);
-        b.set_range_free(5, 70);
-        b.set_used(40);
-        let v = b.to_value();
-        let back = FreeBitmap::from_value(&v).expect("clean snapshot");
-        assert_eq!(back, b);
-        assert_eq!(back.first_free(), Some(5));
-        assert_eq!(back.first_free_at_or_after(41), Some(41));
-    }
-
-    #[test]
-    fn corrupted_free_count_fails_loudly() {
-        let mut b = FreeBitmap::new(64);
-        b.set_range_free(0, 8);
-        let v = match b.to_value() {
-            Value::Object(mut pairs) => {
-                for (k, val) in &mut pairs {
-                    if k == "free_count" {
-                        *val = Value::U64(9); // popcount is 8
-                    }
-                }
-                Value::Object(pairs)
-            }
-            other => other,
-        };
-        let err = FreeBitmap::from_value(&v).unwrap_err();
-        assert!(format!("{err}").contains("popcount"), "{err}");
-    }
-
-    #[test]
-    fn ghost_bits_fail_loudly() {
-        let b = FreeBitmap::new(70);
-        let v = match b.to_value() {
-            Value::Object(mut pairs) => {
-                for (k, val) in &mut pairs {
-                    if k == "words" {
-                        // Slot 71 does not exist; setting its bit corrupts
-                        // the tail word.
-                        *val = Value::Array(vec![Value::U64(0), Value::U64(1 << 7)]);
-                    }
-                    if k == "free_count" {
-                        *val = Value::U64(1); // popcount "agrees"
-                    }
-                }
-                Value::Object(pairs)
-            }
-            other => other,
-        };
-        let err = FreeBitmap::from_value(&v).unwrap_err();
-        assert!(format!("{err}").contains("ghost"), "{err}");
-    }
-
-    #[test]
-    fn wrong_word_count_fails_loudly() {
-        let b = FreeBitmap::new(128);
-        let v = match b.to_value() {
-            Value::Object(mut pairs) => {
-                for (k, val) in &mut pairs {
-                    if k == "words" {
-                        *val = Value::Array(vec![Value::U64(0)]); // needs 2
-                    }
-                }
-                Value::Object(pairs)
-            }
-            other => other,
-        };
-        assert!(FreeBitmap::from_value(&v).is_err());
     }
 }

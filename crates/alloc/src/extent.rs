@@ -23,7 +23,7 @@ use crate::policy::Policy;
 use crate::types::{AllocError, Extent, FileHints, FileId, FileSlots};
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
-use serde::{de_field, Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 /// Free-extent search strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -35,7 +35,7 @@ pub enum FitStrategy {
 }
 
 /// One file's state under the extent policy.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct EFile {
     map: FileMap,
     /// This file's extent size in units, fixed at creation.
@@ -207,68 +207,6 @@ impl Policy for ExtentPolicy {
         Ok(f.map.total_units().div_ceil(f.extent_units) as usize)
     }
 
-    fn checkpoint_state(&self) -> Option<Value> {
-        // Only the dynamic state: config fields are reconstructed by the
-        // resuming caller.
-        let (files, free_slots) = self.files.parts();
-        Some(Value::Object(vec![
-            ("free".to_string(), self.free.to_value()),
-            ("rng".to_string(), self.rng.state().to_value()),
-            ("files".to_string(), files.to_value()),
-            ("free_slots".to_string(), free_slots.to_value()),
-        ]))
-    }
-
-    fn restore_state(&mut self, snapshot: &Value) -> Result<(), String> {
-        let rng_words: Vec<u64> = de_field(snapshot, "rng").map_err(|e| e.to_string())?;
-        let rng_state: [u64; 4] = rng_words
-            .try_into()
-            .map_err(|_| "rng snapshot must hold exactly 4 words".to_string())?;
-        if rng_state == [0u64; 4] {
-            return Err("rng snapshot has the unreachable all-zero state".into());
-        }
-        let files: Vec<Option<EFile>> = de_field(snapshot, "files").map_err(|e| e.to_string())?;
-        let free_slots: Vec<u32> = de_field(snapshot, "free_slots").map_err(|e| e.to_string())?;
-        let files = FileSlots::from_parts(files, free_slots)?;
-        let free: FreeSpaceMap = de_field(snapshot, "free").map_err(|e| e.to_string())?;
-
-        // Per-file sanity, then space conservation: the free runs and the
-        // data extents together must perfectly tile [0, capacity) — any
-        // overlap, gap, or out-of-bounds extent breaks the tiling.
-        let mut marks: Vec<(u64, u64)> = free.runs().map(|e| (e.start, e.end())).collect();
-        for f in files.iter() {
-            if f.extent_units == 0 {
-                return Err("file with a zero extent size".into());
-            }
-            let units: u64 = f.map.extents().iter().map(|e| e.len).sum();
-            if units != f.map.total_units() {
-                return Err("file map total disagrees with its extents".into());
-            }
-            for w in f.map.extents().windows(2) {
-                if w[0].abuts(&w[1]) {
-                    return Err("file map holds unmerged adjacent extents".into());
-                }
-            }
-            marks.extend(f.map.extents().iter().map(|e| (e.start, e.end())));
-        }
-        marks.sort_unstable();
-        let mut cursor = 0u64;
-        for &(start, end) in &marks {
-            if start != cursor || end <= start {
-                return Err(format!("allocation state does not tile the disk at unit {cursor}"));
-            }
-            cursor = end;
-        }
-        if cursor != self.capacity {
-            return Err(format!("allocation state covers {cursor} of {} units", self.capacity));
-        }
-
-        self.free = free;
-        self.rng = SmallRng::from_state(rng_state);
-        self.files = files;
-        Ok(())
-    }
-
     fn check_structure(&self) {
         self.free.check_invariants();
     }
@@ -393,60 +331,6 @@ mod tests {
         assert_eq!(p.free_units(), free_before);
         assert_eq!(p.allocated_units(f).unwrap(), 80);
         p.check_invariants();
-    }
-
-    #[test]
-    fn checkpoint_resumes_identical_decisions() {
-        let mut p = policy(FitStrategy::FirstFit);
-        let a = p.create(&hints(8 * 1024)).unwrap();
-        let b = p.create(&hints(64 * 1024)).unwrap();
-        p.extend(a, 40).unwrap();
-        p.extend(b, 200).unwrap();
-        p.truncate(b, 30).unwrap();
-        p.delete(a).unwrap();
-        let snapshot = p.checkpoint_state().unwrap();
-        let mut q = policy(FitStrategy::FirstFit);
-        q.restore_state(&snapshot).unwrap();
-        q.check_invariants();
-        assert_eq!(q.free_units(), p.free_units());
-        assert_eq!(q.live_files(), p.live_files());
-        // Every subsequent decision — slot reuse, extent-size draw, and
-        // placement — matches the original policy exactly.
-        for _ in 0..20 {
-            let fp = p.create(&hints(8 * 1024)).unwrap();
-            let fq = q.create(&hints(8 * 1024)).unwrap();
-            assert_eq!(fp, fq);
-            assert_eq!(p.file_extent_units(fp), q.file_extent_units(fq));
-            assert_eq!(p.extend(fp, 12), q.extend(fq, 12));
-        }
-        assert_eq!(p.frag_gauges(), q.frag_gauges());
-    }
-
-    #[test]
-    fn restore_rejects_corrupt_snapshots() {
-        let mut p = policy(FitStrategy::FirstFit);
-        let f = p.create(&hints(8 * 1024)).unwrap();
-        p.extend(f, 20).unwrap();
-        let snapshot = p.checkpoint_state().unwrap();
-        let tamper = |key: &str, v: Value| {
-            let Value::Object(mut fields) = snapshot.clone() else { unreachable!() };
-            fields.iter_mut().find(|(k, _)| k == key).unwrap().1 = v;
-            Value::Object(fields)
-        };
-        let mut q = policy(FitStrategy::FirstFit);
-        // A live slot listed as free.
-        let err = q.restore_state(&tamper("free_slots", vec![f.0].to_value())).unwrap_err();
-        assert!(err.contains("free_slots") || err.contains("live"), "{err}");
-        // Dropping the files breaks space conservation (tiling).
-        let empty: Vec<Option<super::EFile>> = Vec::new();
-        let err = q.restore_state(&tamper("files", empty.to_value())).unwrap_err();
-        assert!(err.contains("tile") || err.contains("covers"), "{err}");
-        // The unreachable all-zero rng state.
-        let err = q.restore_state(&tamper("rng", vec![0u64; 4].to_value())).unwrap_err();
-        assert!(err.contains("all-zero"), "{err}");
-        // A failed restore leaves the target untouched.
-        assert_eq!(q.free_units(), q.capacity_units());
-        assert!(q.live_files().is_empty());
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Per-file extent maps: the logical-to-physical translation layer.
 
 use crate::types::Extent;
-use serde::{Deserialize, Serialize};
 
 /// The ordered list of extents backing one file.
 ///
@@ -9,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// lengths of extents `0..i`. Appends that are physically adjacent to the
 /// tail extent are merged, so a perfectly sequential allocation shows up as
 /// a single extent regardless of how many allocation calls produced it.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FileMap {
     extents: Vec<Extent>,
     total: u64,

@@ -11,7 +11,6 @@
 
 use crate::bitmap::FreeBitmap;
 use crate::types::Extent;
-use serde::{Deserialize, Error, Serialize, Value};
 use std::collections::BTreeSet;
 
 /// Bitmap-backed coalesced free-extent map over a linear unit space.
@@ -219,23 +218,6 @@ impl FreeSpaceMap {
     }
 }
 
-/// A snapshot is the bitmap alone: the by-length index is derived data.
-impl Serialize for FreeSpaceMap {
-    fn to_value(&self) -> Value {
-        self.bits.to_value()
-    }
-}
-
-impl Deserialize for FreeSpaceMap {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        // FreeBitmap's deserializer validates word count, ghost bits, and
-        // the popcount before handing anything back.
-        let mut m = FreeSpaceMap { bits: FreeBitmap::from_value(v)?, by_len: BTreeSet::new() };
-        m.by_len = m.runs().map(|e| (e.len, e.start)).collect();
-        Ok(m)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -370,27 +352,6 @@ mod tests {
         m.allocate_at(90, 10).unwrap();
         let runs: Vec<Extent> = m.runs().collect();
         assert_eq!(runs, vec![Extent::new(0, 20), Extent::new(50, 40)]);
-    }
-
-    #[test]
-    fn snapshot_roundtrip_restores_runs_and_rejects_corruption() {
-        let mut m = FreeSpaceMap::with_capacity(300);
-        m.allocate_at(20, 30).unwrap();
-        m.allocate_at(90, 10).unwrap();
-        m.allocate_first_fit(5).unwrap();
-        let snapshot = m.to_value();
-        let mut restored = FreeSpaceMap::from_value(&snapshot).unwrap();
-        assert_eq!(restored.runs().collect::<Vec<_>>(), m.runs().collect::<Vec<_>>());
-        assert_eq!(restored.free_units(), m.free_units());
-        restored.check_invariants();
-        // Restored maps make identical allocation decisions.
-        assert_eq!(restored.allocate_best_fit(7), m.allocate_best_fit(7));
-        // A tampered snapshot (free_count off by one) is rejected.
-        let Value::Object(mut fields) = snapshot else { panic!("bitmap serializes as an object") };
-        let count = fields.iter_mut().find(|(k, _)| k == "free_count").unwrap();
-        count.1 = Value::U64(1);
-        let err = FreeSpaceMap::from_value(&Value::Object(fields)).unwrap_err();
-        assert!(err.to_string().contains("free_count"), "{err}");
     }
 
     #[test]

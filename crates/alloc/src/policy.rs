@@ -2,7 +2,7 @@
 
 use crate::filemap::FileMap;
 use crate::types::{AllocError, Extent, FileHints, FileId};
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 /// Space accounting snapshot of a policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -148,23 +148,6 @@ pub trait Policy: Send {
     /// overrides it with its real free-structure view.
     fn frag_gauges(&self) -> FragGauges {
         FragGauges { free_units: self.free_units(), free_extents: 0, largest_free_units: 0 }
-    }
-
-    /// Checkpoint snapshot of the policy's dynamic state, when the policy
-    /// supports mid-run checkpointing. Configuration (capacity, strategy,
-    /// size ranges) is *not* included: a resuming caller reconstructs the
-    /// policy from its config and then applies the snapshot. The default
-    /// reports `None` (unsupported).
-    fn checkpoint_state(&self) -> Option<Value> {
-        None
-    }
-
-    /// Applies a [`Policy::checkpoint_state`] snapshot to a freshly
-    /// constructed policy. Implementations validate the snapshot (space
-    /// conservation, slot consistency) and reject corrupt state with an
-    /// error instead of mis-allocating later.
-    fn restore_state(&mut self, _snapshot: &Value) -> Result<(), String> {
-        Err(format!("the {} policy does not support checkpointing", self.name()))
     }
 
     /// Space accounting snapshot.

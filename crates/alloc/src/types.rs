@@ -4,7 +4,7 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A contiguous run of disk units in the array's logical address space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Extent {
     /// First disk unit of the run.
     pub start: u64,
@@ -78,33 +78,6 @@ impl<T> Default for FileSlots<T> {
 }
 
 impl<T> FileSlots<T> {
-    /// Rebuilds a table from [`FileSlots::parts`], rejecting a free list
-    /// that does not name every empty slot exactly once.
-    pub(crate) fn from_parts(slots: Vec<Option<T>>, free: Vec<u32>) -> Result<Self, String> {
-        let dead = slots.iter().filter(|s| s.is_none()).count();
-        if free.len() != dead {
-            let listed = free.len();
-            return Err(format!("free_slots lists {listed} slots but {dead} file slots are dead"));
-        }
-        let mut seen = vec![false; slots.len()];
-        for &s in &free {
-            match slots.get(s as usize) {
-                None => return Err(format!("free slot {s} out of range")),
-                Some(Some(_)) => return Err(format!("free slot {s} names a live file")),
-                Some(None) => {}
-            }
-            if std::mem::replace(&mut seen[s as usize], true) {
-                return Err(format!("free slot {s} listed twice"));
-            }
-        }
-        Ok(FileSlots { slots, free })
-    }
-
-    /// The slots and the free list, as [`FileSlots::from_parts`] takes them.
-    pub(crate) fn parts(&self) -> (&[Option<T>], &[u32]) {
-        (&self.slots, &self.free)
-    }
-
     /// Stores `value` under the most recently freed id, or else under the
     /// next fresh one.
     pub(crate) fn insert(&mut self, value: T) -> Result<FileId, AllocError> {
@@ -262,23 +235,6 @@ mod tests {
         }
         assert_eq!(t.insert('b'), Ok(a), "failed removes freed nothing twice");
         assert_eq!(t.insert('c'), Ok(FileId(1)));
-    }
-
-    #[test]
-    fn file_slots_from_parts_checks_the_free_list() {
-        let mut ok = FileSlots::from_parts(vec![None, Some(1), None], vec![2, 0]).unwrap();
-        assert_eq!(ok.parts(), (&[None, Some(1), None][..], &[2, 0][..]));
-        assert_eq!(ok.insert(9), Ok(FileId(0)), "the restored free list keeps its order");
-        let bad = [
-            (vec![None, Some(1)], vec![1], "names a live file"),
-            (vec![None, None, Some(1)], vec![0, 0], "listed twice"),
-            (vec![None], vec![5], "out of range"),
-            (vec![None, None], vec![0], "2 file slots are dead"),
-        ];
-        for (slots, free, why) in bad {
-            let err = FileSlots::from_parts(slots, free).unwrap_err();
-            assert!(err.contains(why), "{why}: {err}");
-        }
     }
 
     #[test]

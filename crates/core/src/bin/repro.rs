@@ -245,7 +245,9 @@ fn write_json<T: Serialize>(dir: &Option<String>, name: &str, value: &T) {
 /// resume under `--jobs 1` and still produce the same bytes — while
 /// everything results-affecting (array scale, seed, intervals, latency
 /// cap, the users ladder) stays in and is enforced on resume.
-fn store_meta_json(ctx: &ExperimentContext, opts: &Options) -> String {
+/// `users_ladder` is the raw [`users_scale::LADDER_ENV`] value, empty when
+/// unset.
+fn store_meta_json(ctx: &ExperimentContext, opts: &Options, users_ladder: &str) -> String {
     #[derive(Serialize)]
     struct StoreMeta {
         context: ExperimentContext,
@@ -254,12 +256,32 @@ fn store_meta_json(ctx: &ExperimentContext, opts: &Options) -> String {
     }
     let mut c = *ctx;
     c.jobs = 1;
-    let meta = StoreMeta {
-        context: c,
-        users_full: opts.users_full,
-        users_ladder: std::env::var(users_scale::LADDER_ENV).unwrap_or_default(),
-    };
+    let meta =
+        StoreMeta { context: c, users_full: opts.users_full, users_ladder: users_ladder.to_string() };
     serde_json::to_string(&meta).expect("serialize store meta")
+}
+
+/// Reads the users_1e6 ladder override ([`users_scale::LADDER_ENV`]), the
+/// one place the program reads it: its raw value (empty when unset) for
+/// the store's meta record, and its rungs. A malformed value exits 2
+/// naming the variable, before anything runs, instead of falling back to
+/// a default.
+fn users_ladder_env() -> (String, Option<Vec<u32>>) {
+    let raw = match std::env::var(users_scale::LADDER_ENV) {
+        Ok(raw) => raw,
+        Err(std::env::VarError::NotPresent) => return (String::new(), None),
+        Err(std::env::VarError::NotUnicode(_)) => {
+            eprintln!("error: {} is not valid UTF-8", users_scale::LADDER_ENV);
+            std::process::exit(2);
+        }
+    };
+    match users_scale::parse_ladder(&raw) {
+        Ok(ladder) => (raw, Some(ladder)),
+        Err(e) => {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        }
+    }
 }
 
 /// The end-of-run runner report: where the wall-clock went, slowest sweep
@@ -313,13 +335,7 @@ fn main() {
         Err(e) if e == "help" => exit_usage(None),
         Err(e) => exit_usage(Some(&e)),
     };
-    // The users_1e6 ladder's environment settings: a malformed value is
-    // rejected here, before anything runs, instead of falling back to a
-    // default.
-    if let Err(e) = users_scale::LadderEnv::from_env() {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    }
+    let (ladder_env, users_ladder) = users_ladder_env();
 
     if opts.export {
         let (Some(store), Some(dir)) = (&opts.store, &opts.json_dir) else {
@@ -364,7 +380,7 @@ fn main() {
     }
 
     if let Some(store) = &opts.store {
-        match storex::open(std::path::Path::new(store), &store_meta_json(&ctx, &opts)) {
+        match storex::open(std::path::Path::new(store), &store_meta_json(&ctx, &opts, &ladder_env)) {
             Ok(0) => eprintln!("  [store] writing {store}"),
             Ok(n) => eprintln!("  [store] resumed {store} with {n} recovered point records"),
             Err(e) => {
@@ -498,7 +514,10 @@ fn main() {
             None => table3::run_profiled(&ctx),
         }
     );
-    experiment!("users_1e6", users_scale::run_profiled(&ctx, opts.users_full));
+    experiment!(
+        "users_1e6",
+        users_scale::run_profiled(&ctx, opts.users_full, users_ladder.as_deref())
+    );
     if wants("ablations") {
         let t0 = Instant::now();
         let mut timings = Vec::new();

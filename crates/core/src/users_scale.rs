@@ -23,10 +23,9 @@ use crate::report::TextTable;
 use crate::runner::{self, Job, JobTiming};
 use readopt_alloc::{ExtentConfig, FitStrategy, PolicyConfig};
 use readopt_disk::SimDuration;
-use readopt_sim::{CheckpointSpec, FileTypeConfig, PerfReport, SimConfig, Simulation, TestHist};
+use readopt_sim::{FileTypeConfig, PerfReport, SimConfig, Simulation, TestHist};
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::path::PathBuf;
 
 /// The user counts CI visits (in order, ascending).
 pub const SMOKE_LADDER: [u32; 3] = [1_000, 4_000, 16_000];
@@ -37,69 +36,15 @@ pub const FULL_LADDER: [u32; 5] = [1_000, 4_000, 16_000, 100_000, 1_000_000];
 
 /// Environment override for the ladder: comma-separated user counts
 /// (e.g. `REPRO_USERS_LADDER=64,256`). Results-affecting, so it is part
-/// of the store's meta fingerprint. Used by the kill/resume tests to run
-/// the full checkpoint machinery on a rung that takes milliseconds.
+/// of the store's meta fingerprint. Only `repro` reads it, once at
+/// start-up, and passes the rungs to [`run_profiled`]; the store tests use
+/// it to run ladders that take milliseconds.
 pub const LADDER_ENV: &str = "REPRO_USERS_LADDER";
 
-/// Directory for mid-rung engine checkpoints. When set, each rung's
-/// application test runs checkpointed: a serde snapshot of the full
-/// engine state lands in `$REPRO_CKPT_DIR/users_<users>.ckpt` every
-/// [`CKPT_EVERY_ENV`] steps, a killed run resumes from it bit-identically,
-/// and the file is removed when the rung completes.
-pub const CKPT_DIR_ENV: &str = "REPRO_CKPT_DIR";
-
-/// Steps between checkpoint snapshots (default 5000; 0 writes none).
-pub const CKPT_EVERY_ENV: &str = "REPRO_CKPT_EVERY";
-
-/// Fault injection for the kill/resume tests: exit with
-/// [`readopt_sim::CHECKPOINT_KILL_EXIT`] after the N-th snapshot write
-/// (N ≥ 1). Unset it on the resuming run, or the resume kills itself
-/// again.
-pub const CKPT_KILL_ENV: &str = "REPRO_CKPT_KILL";
-
-/// The ladder's `REPRO_*` environment settings, parsed. A set variable
-/// whose value does not parse is an error naming it, never a silent
-/// default: `repro` checks them at start-up and exits 2, and the ladder
-/// parses them the same way.
-#[derive(Debug)]
-pub struct LadderEnv {
-    /// [`LADDER_ENV`]: the rungs to run instead of the built-in ladder.
-    pub ladder: Option<Vec<u32>>,
-    /// [`CKPT_DIR_ENV`]: where rung checkpoints go (unset: none).
-    pub ckpt_dir: Option<PathBuf>,
-    /// [`CKPT_EVERY_ENV`]: steps between checkpoint writes.
-    pub ckpt_every: u64,
-    /// [`CKPT_KILL_ENV`]: exit after this many checkpoint writes.
-    pub ckpt_kill: Option<u64>,
-}
-
-impl LadderEnv {
-    /// Reads and checks every variable.
-    pub fn from_env() -> Result<Self, String> {
-        Ok(LadderEnv {
-            ladder: env_parsed(LADDER_ENV, parse_ladder)?,
-            ckpt_dir: env_parsed(CKPT_DIR_ENV, parse_dir)?,
-            ckpt_every: env_parsed(CKPT_EVERY_ENV, |raw| parse_count(CKPT_EVERY_ENV, raw, 0))?
-                .unwrap_or(5_000),
-            ckpt_kill: env_parsed(CKPT_KILL_ENV, |raw| parse_count(CKPT_KILL_ENV, raw, 1))?,
-        })
-    }
-}
-
-/// `name`'s value through `parse`; `None` when unset.
-fn env_parsed<T>(
-    name: &str,
-    parse: impl Fn(&str) -> Result<T, String>,
-) -> Result<Option<T>, String> {
-    match std::env::var(name) {
-        Ok(raw) => parse(&raw).map(Some),
-        Err(std::env::VarError::NotPresent) => Ok(None),
-        Err(std::env::VarError::NotUnicode(_)) => Err(format!("{name} is not valid UTF-8")),
-    }
-}
-
-/// A comma-separated list of user counts, each at least 1.
-fn parse_ladder(raw: &str) -> Result<Vec<u32>, String> {
+/// Parses a [`LADDER_ENV`] value: a comma-separated list of user counts,
+/// each at least 1. A value that does not parse is an error naming the
+/// variable, never a silent default.
+pub fn parse_ladder(raw: &str) -> Result<Vec<u32>, String> {
     raw.split(',')
         .map(|rung| match rung.trim().parse::<u32>() {
             Ok(users) if users > 0 => Ok(users),
@@ -108,20 +53,6 @@ fn parse_ladder(raw: &str) -> Result<Vec<u32>, String> {
             )),
         })
         .collect()
-}
-
-fn parse_dir(raw: &str) -> Result<PathBuf, String> {
-    if raw.is_empty() {
-        return Err(format!("{CKPT_DIR_ENV} is set but empty"));
-    }
-    Ok(PathBuf::from(raw))
-}
-
-fn parse_count(name: &str, raw: &str, min: u64) -> Result<u64, String> {
-    match raw.trim().parse::<u64>() {
-        Ok(n) if n >= min => Ok(n),
-        _ => Err(format!("{name}={raw:?}: expected a whole number of at least {min}")),
-    }
 }
 
 /// One rung's measurement.
@@ -172,21 +103,11 @@ fn point_config(ctx: &ExperimentContext, users: u32) -> SimConfig {
 /// Runs one rung: application test only (the sequential test exercises
 /// the disk model, not the queue). Returns the report, the events popped
 /// and the latency histogram.
-///
-/// With a [`CheckpointSpec`], the application test runs checkpointed:
-/// identical results (the snapshot writes are pure), but a killed run
-/// resumes mid-test from the last snapshot instead of starting over —
-/// the property that makes a preempted million-user rung cheap to retry.
-fn run_point(cfg: SimConfig, seed: u64, ckpt: Option<&CheckpointSpec>) -> (PerfReport, u64, TestHist) {
+fn run_point(cfg: SimConfig, seed: u64) -> (PerfReport, u64, TestHist) {
     let mut sim = Simulation::new(&cfg, seed.wrapping_add(1));
     sim.reset_counters();
     sim.storage_reset_for_probe();
-    let report = match ckpt {
-        Some(spec) => sim
-            .run_application_test_checkpointed(spec)
-            .unwrap_or_else(|e| panic!("checkpointed rung {}: {e}", spec.path.display())),
-        None => sim.run_application_test(),
-    };
+    let report = sim.run_application_test();
     let events = sim.engine_counters().events;
     let hist = sim.latency_hist("application");
     (report, events, hist)
@@ -194,17 +115,19 @@ fn run_point(cfg: SimConfig, seed: u64, ckpt: Option<&CheckpointSpec>) -> (PerfR
 
 /// Runs the sweep on the smoke or full ladder.
 pub fn run(ctx: &ExperimentContext, full: bool) -> UsersScale {
-    run_profiled(ctx, full).0
+    run_profiled(ctx, full, None).0
 }
 
 /// As [`run`], also returning per-rung wall-clock timings, an (empty)
-/// metrics sidecar and one latency histogram per rung.
+/// metrics sidecar and one latency histogram per rung. `ladder`, when
+/// given, replaces the smoke or full ladder's rungs (`repro` passes the
+/// [`LADDER_ENV`] override here).
 pub fn run_profiled(
     ctx: &ExperimentContext,
     full: bool,
+    ladder: Option<&[u32]>,
 ) -> (UsersScale, Vec<JobTiming>, ExperimentMetrics, ExperimentHist) {
-    let env = LadderEnv::from_env().unwrap_or_else(|e| panic!("{e}"));
-    let ladder: &[u32] = match &env.ladder {
+    let ladder = match ladder {
         Some(l) => l,
         None if full => &FULL_LADDER,
         None => &SMOKE_LADDER,
@@ -226,14 +149,12 @@ pub fn run_profiled(
 /// the deterministic outcome triple (report, event count, latency
 /// histogram) — never wall-clock — and a rung already recorded (a
 /// resumed run) is deserialized from the store instead of re-simulated.
-/// Combined with [`CKPT_DIR_ENV`] engine checkpoints this makes a killed
-/// ladder resumable at two granularities: completed rungs skip entirely,
-/// the interrupted rung restarts mid-test.
+/// So a killed ladder resumes per rung: completed rungs are read back,
+/// and the rung that was running starts over.
 pub fn run_ladder(
     ctx: &ExperimentContext,
     ladder: &[u32],
 ) -> (Vec<UsersScalePoint>, Vec<JobTiming>, Vec<PointHist>) {
-    let env = LadderEnv::from_env().unwrap_or_else(|e| panic!("{e}"));
     let mut points: Vec<UsersScalePoint> = Vec::new();
     let mut timings: Vec<JobTiming> = Vec::new();
     let mut hists: Vec<PointHist> = Vec::new();
@@ -254,19 +175,12 @@ pub fn run_ladder(
             None => {
                 let cfg = point_config(ctx, users);
                 let seed = ctx.seed;
-                let ckpt = env.ckpt_dir.as_ref().map(|dir| CheckpointSpec {
-                    path: dir.join(format!("users_{users}.ckpt")),
-                    every_steps: env.ckpt_every,
-                    kill_after: env.ckpt_kill,
-                    config_fingerprint: serde_json::to_string(&cfg)
-                        .unwrap_or_else(|e| panic!("serialize rung config: {e}")),
-                });
                 // One job through the runner (sequentially: one job, one
                 // thread) so the wall-clock comes from the same
                 // instrumentation as every other experiment's profile.
                 let out = runner::run_jobs(
                     1,
-                    vec![Job::new(label.clone(), move || run_point(cfg, seed, ckpt.as_ref()))],
+                    vec![Job::new(label.clone(), move || run_point(cfg, seed))],
                 );
                 let outcome = out.results.into_iter().next();
                 let timing = out.timings.into_iter().next();
@@ -342,7 +256,7 @@ mod tests {
     #[test]
     fn smoke_result_shape_and_labels() {
         let ctx = ExperimentContext::fast(64);
-        let (result, timings, metrics, hists) = run_profiled(&ctx, false);
+        let (result, timings, metrics, hists) = run_profiled(&ctx, false, None);
         assert!(!result.full_ladder);
         assert_eq!(result.points.len(), SMOKE_LADDER.len());
         assert_eq!(timings.len(), SMOKE_LADDER.len(), "one timing per rung");

@@ -89,25 +89,9 @@ fn bad_flag_values_are_usage_errors() {
 
 #[test]
 fn malformed_repro_env_values_are_rejected() {
-    const VARS: [&str; 4] =
-        ["REPRO_USERS_LADDER", "REPRO_CKPT_DIR", "REPRO_CKPT_EVERY", "REPRO_CKPT_KILL"];
-    let cases: [(&str, &str); 9] = [
-        ("REPRO_USERS_LADDER", "64,abc"),
-        ("REPRO_USERS_LADDER", "0"),
-        ("REPRO_USERS_LADDER", "64,"),
-        ("REPRO_USERS_LADDER", ""),
-        ("REPRO_CKPT_DIR", ""),
-        ("REPRO_CKPT_EVERY", "abc"),
-        ("REPRO_CKPT_EVERY", "-1"),
-        ("REPRO_CKPT_KILL", "abc"),
-        ("REPRO_CKPT_KILL", "0"),
-    ];
-    for (var, value) in cases {
-        let mut cmd = Command::new(env!("CARGO_BIN_EXE_repro"));
-        for v in VARS {
-            cmd.env_remove(v);
-        }
-        let out = cmd
+    let var = "REPRO_USERS_LADDER";
+    for value in ["64,abc", "0", "64,", ""] {
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
             .args(["users_1e6", "--scale", "64", "--intervals", "4"])
             .env(var, value)
             .output()

@@ -1,8 +1,8 @@
 //! End-to-end binary-results-store tests against the real `repro` binary:
 //! `repro export` must regenerate the JSON sidecars byte-identically,
 //! the store's point records must not depend on `--jobs`,
-//! and a `users_1e6` ladder killed mid-rung by the checkpoint fault
-//! injection must resume to the same store bytes.
+//! and a `users_1e6` ladder cut short after its first rung must resume
+//! from the store to the same records and latency sidecar.
 
 use readopt_store::StoreReader;
 use std::collections::BTreeMap;
@@ -124,64 +124,57 @@ fn store_export_roundtrips_and_is_parallelism_invariant() {
     );
 }
 
-/// A `users_1e6` rung killed mid-test by the checkpoint fault injection
-/// resumes from the engine snapshot and seals a store whose ladder point
-/// records are byte-identical to an uninterrupted run's.
+/// A `users_1e6` ladder whose store ends after its first rung's record
+/// (a run killed during the second rung) resumes per rung: the recorded
+/// rung is read back instead of re-simulated, the missing one runs, and
+/// the store's ladder records and the latency sidecar equal an
+/// uninterrupted run's.
 #[test]
-fn killed_users_ladder_resumes_to_identical_store_bytes() {
-    let dir = out_dir("store_resume");
-    let ckpt = dir.join("ckpt");
-    std::fs::create_dir_all(&ckpt).expect("create ckpt dir");
+fn users_ladder_resumes_completed_rungs_from_the_store() {
+    let dir = out_dir("store_rung_resume");
     let base = ["users_1e6", "--scale", "64", "--intervals", "4"];
-    let common = [
-        ("REPRO_USERS_LADDER", "64"),
-        ("REPRO_CKPT_DIR", ckpt.to_str().unwrap()),
-        ("REPRO_CKPT_EVERY", "50"),
-    ];
+    let ladder = [("REPRO_USERS_LADDER", "64,256")];
 
-    // First attempt: die after the first snapshot write.
-    let killed = dir.join("killed.rrs");
-    let out = run_repro(
-        &[&base[..], &["--store", killed.to_str().unwrap()]].concat(),
-        &[&common[..], &[("REPRO_CKPT_KILL", "1")]].concat(),
-    );
-    assert_eq!(
-        out.status.code(),
-        Some(readopt_sim::CHECKPOINT_KILL_EXIT),
-        "fault injection exits with the kill code:\n{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    assert!(ckpt.join("users_64.ckpt").exists(), "the snapshot survives the kill");
-
-    // Second attempt, same store, kill disarmed: resumes mid-test.
-    let out = run_ok(&[&base[..], &["--store", killed.to_str().unwrap()]].concat(), &common);
-    assert!(
-        !ckpt.join("users_64.ckpt").exists(),
-        "the snapshot is removed once the rung completes"
-    );
-    drop(out);
-
-    // Uninterrupted reference run (no checkpointing at all).
-    let reference = dir.join("ref.rrs");
+    let full = dir.join("full.rrs");
+    let full_json = dir.join("full");
     run_ok(
-        &[&base[..], &["--store", reference.to_str().unwrap()]].concat(),
-        &[("REPRO_USERS_LADDER", "64")],
+        &[&base[..], &["--store", full.to_str().unwrap(), "--json", full_json.to_str().unwrap()]]
+            .concat(),
+        &ladder,
     );
 
-    let resumed = point_records(&killed);
-    let fresh = point_records(&reference);
-    let ladder_ids: Vec<&(String, u64)> =
-        fresh.keys().filter(|(exp, _)| exp == "users_1e6").collect();
-    assert_eq!(
-        ladder_ids,
-        [&("users_1e6".to_string(), 0)],
-        "one record per rung, indexed by the rung"
+    // Keep the store only up to the end of rung 0's record.
+    let recovered = StoreReader::recover(&full).expect("recover the finished store");
+    let rung0 = recovered
+        .points
+        .iter()
+        .find(|p| p.experiment == "users_1e6" && p.index == 0)
+        .expect("rung 0 is recorded");
+    let cut_at = usize::try_from(rung0.offset + rung0.total_len).expect("small store");
+    let bytes = std::fs::read(&full).expect("read the store");
+    let cut = dir.join("cut.rrs");
+    std::fs::write(&cut, &bytes[..cut_at]).expect("write the cut store");
+
+    let cut_json = dir.join("cut");
+    let out = run_ok(
+        &[&base[..], &["--store", cut.to_str().unwrap(), "--json", cut_json.to_str().unwrap()]]
+            .concat(),
+        &ladder,
     );
-    for id in ladder_ids {
-        assert_eq!(
-            resumed.get(id),
-            fresh.get(id),
-            "{id:?}: resumed ladder record must match the uninterrupted bytes"
-        );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("users_1e6/u64 recovered"), "rung 0 is read back:\n{stderr}");
+    assert!(!stderr.contains("u256 recovered"), "rung 1 was never recorded:\n{stderr}");
+
+    let fresh = point_records(&full);
+    let resumed = point_records(&cut);
+    for rung in 0..2 {
+        let id = ("users_1e6".to_string(), rung);
+        assert!(fresh.contains_key(&id), "{id:?} recorded by the uninterrupted run");
+        assert_eq!(resumed.get(&id), fresh.get(&id), "{id:?}: resumed record bytes");
     }
+    assert_eq!(
+        read(&cut_json, "users_1e6.hist.json"),
+        read(&full_json, "users_1e6.hist.json"),
+        "the latency sidecar of the resumed ladder is byte-identical"
+    );
 }

@@ -25,7 +25,6 @@ use crate::geometry::DiskGeometry;
 use crate::request::{IoKind, IoRequest, IoSpan, Storage};
 use crate::stats::StorageStats;
 use crate::time::SimTime;
-use serde::{de_field, Serialize, Value};
 
 /// A contiguous physical run on one disk, in bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -246,45 +245,6 @@ impl Storage for StripedArray {
         }
         self.stats.reset();
     }
-
-    fn checkpoint_state(&self) -> Option<Value> {
-        Some(Value::Object(vec![
-            (
-                "disks".to_string(),
-                Value::Array(self.disks.iter().map(Disk::checkpoint_state).collect()),
-            ),
-            ("logical".to_string(), self.stats.to_value()),
-        ]))
-    }
-
-    fn restore_state(&mut self, snapshot: &Value) -> Result<(), String> {
-        let Some(Value::Array(disk_snaps)) = snapshot.get("disks") else {
-            return Err("array snapshot missing the per-disk states".into());
-        };
-        if disk_snaps.len() != self.disks.len() {
-            return Err(format!(
-                "snapshot holds {} disks, array has {}",
-                disk_snaps.len(),
-                self.disks.len()
-            ));
-        }
-        let logical: StorageStats = de_field(snapshot, "logical").map_err(|e| e.to_string())?;
-        if logical.per_disk.len() != self.disks.len() {
-            return Err(format!(
-                "logical stats cover {} disks, array has {}",
-                logical.per_disk.len(),
-                self.disks.len()
-            ));
-        }
-        // Validate every member against its geometry before committing any.
-        let mut disks = self.disks.clone();
-        for (disk, snap) in disks.iter_mut().zip(disk_snaps) {
-            disk.restore_checkpoint_state(snap)?;
-        }
-        self.disks = disks;
-        self.stats = logical;
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -395,27 +355,6 @@ mod tests {
         a.reset_stats();
         assert_eq!(a.stats().combined().requests, 0);
         assert_eq!(a.stats().logical_reads, 0);
-    }
-
-    #[test]
-    fn checkpoint_roundtrips_and_validates_shape() {
-        let mut a = array();
-        a.submit(SimTime::ZERO, &IoRequest::read(0, 8 * 24));
-        a.submit(SimTime::ZERO, &IoRequest::write(8 * 24, 4));
-        let snap = a.checkpoint_state().unwrap();
-        let mut r = array();
-        r.restore_state(&snap).unwrap();
-        assert_eq!(r.stats(), a.stats());
-        assert_eq!(r.next_idle(), a.next_idle());
-        // Identical future behavior after restore.
-        let s1 = a.submit(SimTime::ZERO, &IoRequest::read(17, 40));
-        let s2 = r.submit(SimTime::ZERO, &IoRequest::read(17, 40));
-        assert_eq!(s1, s2);
-        assert_eq!(r.stats(), a.stats());
-        // A snapshot from a differently-sized array is rejected.
-        let mut small = StripedArray::new(DiskGeometry::wren_iv(), 4, 24 * KB, KB);
-        let err = small.restore_state(&snap).unwrap_err();
-        assert!(err.contains("8 disks"), "{err}");
     }
 
     #[test]

@@ -3,9 +3,8 @@
 use crate::geometry::DiskGeometry;
 use crate::mechanics::{service_breakdown, ServiceBreakdown};
 use crate::request::IoKind;
-use crate::stats::{DiskStats, QUEUE_DEPTH_BUCKETS};
+use crate::stats::DiskStats;
 use crate::time::{SimDuration, SimTime};
-use serde::{de_field, Serialize, Value};
 use std::collections::VecDeque;
 
 /// One physical disk.
@@ -62,67 +61,6 @@ impl Disk {
     /// Clears counters; head position and queue state persist.
     pub fn reset_stats(&mut self) {
         self.stats.reset();
-    }
-
-    /// Checkpoint snapshot of the disk's dynamic state: head position,
-    /// backlog drain time, accumulated counters, and in-flight completion
-    /// times. Geometry is construction-time configuration and is excluded.
-    pub fn checkpoint_state(&self) -> Value {
-        Value::Object(vec![
-            ("head_cylinder".to_string(), self.head_cylinder.to_value()),
-            ("free_at".to_string(), self.free_at.to_value()),
-            ("stats".to_string(), self.stats.to_value()),
-            (
-                "inflight".to_string(),
-                self.inflight.iter().copied().collect::<Vec<SimTime>>().to_value(),
-            ),
-        ])
-    }
-
-    /// Applies a [`Disk::checkpoint_state`] snapshot, validating it against
-    /// this disk's geometry; on error the disk is left unchanged.
-    pub fn restore_checkpoint_state(&mut self, snapshot: &Value) -> Result<(), String> {
-        let head_cylinder: u32 = de_field(snapshot, "head_cylinder").map_err(|e| e.to_string())?;
-        let free_at: SimTime = de_field(snapshot, "free_at").map_err(|e| e.to_string())?;
-        let stats: DiskStats = de_field(snapshot, "stats").map_err(|e| e.to_string())?;
-        let inflight: Vec<SimTime> = de_field(snapshot, "inflight").map_err(|e| e.to_string())?;
-        if head_cylinder >= self.geom.cylinders {
-            return Err(format!(
-                "head on cylinder {head_cylinder} of a {}-cylinder disk",
-                self.geom.cylinders
-            ));
-        }
-        if inflight.windows(2).any(|w| w[0] > w[1]) {
-            return Err("in-flight completions out of order".into());
-        }
-        if inflight.last().is_some_and(|&last| last > free_at) {
-            return Err("in-flight completion past the disk's drain time".into());
-        }
-        if !stats.queue_depth_hist.is_empty()
-            && stats.queue_depth_hist.len() != QUEUE_DEPTH_BUCKETS
-        {
-            return Err(format!(
-                "queue-depth histogram has {} buckets, expected {QUEUE_DEPTH_BUCKETS}",
-                stats.queue_depth_hist.len()
-            ));
-        }
-        for (name, ms) in [
-            ("seek_ms", stats.seek_ms),
-            ("rotational_ms", stats.rotational_ms),
-            ("transfer_ms", stats.transfer_ms),
-            ("busy_ms", stats.busy_ms),
-            ("head_switch_ms", stats.head_switch_ms),
-            ("queue_wait_ms", stats.queue_wait_ms),
-        ] {
-            if !ms.is_finite() || ms < 0.0 {
-                return Err(format!("disk stats field {name} is {ms}"));
-            }
-        }
-        self.head_cylinder = head_cylinder;
-        self.free_at = free_at;
-        self.stats = stats;
-        self.inflight = inflight.into();
-        Ok(())
     }
 
     /// Estimates the service time of a request *without* executing it, for
@@ -304,32 +242,6 @@ mod tests {
         let s = d.stats();
         assert!((s.head_switch_ms - d.geometry().head_switch_ms).abs() < 1e-9);
         assert!(s.head_switch_ms <= s.transfer_ms);
-    }
-
-    #[test]
-    fn checkpoint_roundtrips_and_rejects_corruption() {
-        let mut d = disk();
-        d.service(SimTime::ZERO, 0, 48, IoKind::Read);
-        d.service(SimTime::ZERO, 4800, 8, IoKind::Write);
-        let snap = d.checkpoint_state();
-        let mut r = Disk::new(DiskGeometry::wren_iv());
-        r.restore_checkpoint_state(&snap).unwrap();
-        assert_eq!(r.head_cylinder(), d.head_cylinder());
-        assert_eq!(r.free_at(), d.free_at());
-        assert_eq!(r.stats(), d.stats());
-        // Identical future behavior: the next request completes at the same
-        // time and leaves identical counters (including queue-depth state).
-        let e1 = d.service(SimTime::ZERO, 960, 8, IoKind::Read);
-        let e2 = r.service(SimTime::ZERO, 960, 8, IoKind::Read);
-        assert_eq!(e1, e2);
-        assert_eq!(r.stats(), d.stats());
-        // A head position beyond the geometry is rejected; the target disk
-        // keeps its previous state.
-        let Value::Object(mut fields) = snap else { unreachable!("snapshot is an object") };
-        fields.iter_mut().find(|(k, _)| k == "head_cylinder").unwrap().1 = Value::U64(1 << 30);
-        let before = r.stats().clone();
-        assert!(r.restore_checkpoint_state(&Value::Object(fields)).is_err());
-        assert_eq!(*r.stats(), before);
     }
 
     #[test]

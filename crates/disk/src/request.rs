@@ -2,7 +2,7 @@
 
 use crate::stats::StorageStats;
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 /// Direction of a transfer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -98,22 +98,6 @@ pub trait Storage: Send {
     /// Usable capacity in bytes.
     fn capacity_bytes(&self) -> u64 {
         self.capacity_units() * self.disk_unit_bytes()
-    }
-
-    /// Checkpoint snapshot of the layout's dynamic state (per-disk head and
-    /// queue state, accumulated stats), when the layout supports mid-run
-    /// checkpointing. Configuration (geometry, striping) is *not* included:
-    /// a resuming caller reconstructs the layout and applies the snapshot.
-    /// The default reports `None` (unsupported).
-    fn checkpoint_state(&self) -> Option<Value> {
-        None
-    }
-
-    /// Applies a [`Storage::checkpoint_state`] snapshot to a freshly
-    /// constructed layout, validating it first; on error the layout is left
-    /// unchanged.
-    fn restore_state(&mut self, _snapshot: &Value) -> Result<(), String> {
-        Err("this storage layout does not support checkpointing".into())
     }
 }
 

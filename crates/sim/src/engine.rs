@@ -12,8 +12,6 @@ use crate::rng::SimRng;
 use crate::state::{FileTable, UserTable};
 use readopt_alloc::{AllocError, Extent, FileHints, FileId, Policy};
 use readopt_disk::{calibrate_max_bandwidth, IoKind, IoRequest, SimDuration, SimTime, Storage};
-use std::convert::Infallible;
-use std::ops::ControlFlow;
 
 /// Which test procedure the event loop is running.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,28 +32,11 @@ fn small_u32(n: usize) -> u32 {
         .unwrap_or_else(|_| unreachable!("population count exceeds u32"))
 }
 
-mod checkpoint;
-
-pub use checkpoint::{CheckpointSpec, CHECKPOINT_KILL_EXIT};
-
 /// What a single event step produced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum StepOutcome {
     Ran,
     AllocationFailed,
-}
-
-/// The frame of a performance test's measurement loop: the values that
-/// live outside `Simulation` while the loop runs. A checkpoint saves it
-/// and a resume hands it back to the loop.
-struct PerfFrame {
-    /// Events stepped so far in this measurement.
-    steps: u64,
-    /// `ops` when the measurement began (the report counts from here).
-    ops_before: u64,
-    /// `disk_full_events` when the measurement began.
-    disk_full_before: u64,
-    meter: ThroughputMeter,
 }
 
 /// The simulator (§2's three-component model, assembled).
@@ -672,29 +653,65 @@ impl Simulation {
         self.run_perf(Mode::Sequential)
     }
 
+    /// The measurement shared by both performance tests: top the disk up
+    /// to the lower bound, let a previous test's backlog drain, schedule
+    /// every user afresh, then step each event in queue order until the
+    /// stop rule fires, and report.
+    ///
+    /// The stop checks run once per measurement interval, at its first
+    /// event: their verdicts depend only on the complete intervals, which
+    /// no later event of the same interval changes (spans begin at or after
+    /// the event's time, and `total_bytes` only grows).
     fn run_perf(&mut self, mode: Mode) -> PerfReport {
-        let mut frame = self.begin_perf();
-        let no_hook = |_: &mut Self, _: &PerfFrame| ControlFlow::<Infallible>::Continue(());
-        let ControlFlow::Continue((stabilized, throughput_pct)) =
-            self.run_perf_loop(mode, &mut frame, no_hook);
-        self.finish_perf(&frame, stabilized, throughput_pct)
-    }
-
-    /// The preamble of every performance test, plain or checkpointed:
-    /// top the disk up to the lower bound, let a previous test's backlog
-    /// drain, schedule every user afresh and start the meter.
-    fn begin_perf(&mut self) -> PerfFrame {
         self.fill_to_lower_bound();
         // Let any backlog from a previous test drain before measuring, so
         // this test's intervals reflect only its own traffic.
         self.clock = self.clock.max(self.storage.next_idle());
         self.schedule_users();
         self.reset_latencies();
-        PerfFrame {
-            steps: 0,
-            ops_before: self.ops,
-            disk_full_before: self.disk_full_events,
-            meter: ThroughputMeter::new(self.clock, self.interval),
+        let ops_before = self.ops;
+        let disk_full_before = self.disk_full_events;
+        let mut meter = ThroughputMeter::new(self.clock, self.interval);
+        let mut steps: u64 = 0;
+        let mut last_eval: Option<usize> = None;
+        let (stabilized, throughput_pct) = loop {
+            let Some(t_next) = self.queue.peek_time() else {
+                break (false, 0.0);
+            };
+            let iv = meter.complete_intervals(t_next);
+            if last_eval != Some(iv) {
+                if let Some(verdict) = self.stop_verdict(&meter, t_next, iv) {
+                    break verdict;
+                }
+                last_eval = Some(iv);
+            }
+            self.step(mode, Some(&mut meter));
+            steps += 1;
+            // "The disk utilization is kept between N and M while
+            // measurements are being taken": the upper bound is enforced by
+            // extend→truncate conversion; the lower bound by topping the
+            // disk back up when deletions drain it (no I/O charged, like
+            // the initial fill).
+            if steps.is_multiple_of(256) && self.utilization() < self.util_lower - 0.02 {
+                self.counters.refill_passes += 1;
+                self.fill_to_lower_bound();
+            }
+        };
+        let end = self.clock.max(meter.last_span_end());
+        let frag = self.fragmentation_report(0);
+        let (p50, p99) = self.final_percentiles();
+        PerfReport {
+            throughput_pct,
+            max_bandwidth_mb_s: self.max_bw * 1000.0 / (1024.0 * 1024.0),
+            throughput_mb_s: throughput_pct / 100.0 * self.max_bw * 1000.0 / (1024.0 * 1024.0),
+            stabilized,
+            measured_ms: end.since(meter.start_time()).as_ms(),
+            bytes_moved: meter.total_bytes() as u64,
+            operations: self.ops - ops_before,
+            disk_full_events: self.disk_full_events - disk_full_before,
+            op_latency_p50_ms: p50,
+            op_latency_p99_ms: p99,
+            avg_extents_per_file: frag.avg_extents_per_file,
         }
     }
 
@@ -716,29 +733,6 @@ impl Simulation {
             let p50 = crate::measure::percentile_of_sorted_ms(&self.latencies, 0.50);
             let p99 = crate::measure::percentile_of_sorted_ms(&self.latencies, 0.99);
             (p50, p99)
-        }
-    }
-
-    /// The shared epilogue of every performance run (plain and
-    /// checkpointed): fragmentation probe, final percentiles, and the
-    /// assembled report.
-    fn finish_perf(&mut self, frame: &PerfFrame, stabilized: bool, throughput_pct: f64) -> PerfReport {
-        let meter = &frame.meter;
-        let end = self.clock.max(meter.last_span_end());
-        let frag = self.fragmentation_report(0);
-        let (p50, p99) = self.final_percentiles();
-        PerfReport {
-            throughput_pct,
-            max_bandwidth_mb_s: self.max_bw * 1000.0 / (1024.0 * 1024.0),
-            throughput_mb_s: throughput_pct / 100.0 * self.max_bw * 1000.0 / (1024.0 * 1024.0),
-            stabilized,
-            measured_ms: end.since(meter.start_time()).as_ms(),
-            bytes_moved: meter.total_bytes() as u64,
-            operations: self.ops - frame.ops_before,
-            disk_full_events: self.disk_full_events - frame.disk_full_before,
-            op_latency_p50_ms: p50,
-            op_latency_p99_ms: p99,
-            avg_extents_per_file: frag.avg_extents_per_file,
         }
     }
 
@@ -765,49 +759,6 @@ impl Simulation {
             return Some((false, pct));
         }
         None
-    }
-
-    /// The measurement loop, shared by plain and checkpointed runs: step
-    /// each event in queue order. `at_step` runs before every step, after
-    /// the stop checks — where `self` and `frame` fully determine the rest
-    /// of the run, so a checkpoint written there resumes bit-identically —
-    /// and may break out of the loop. Returns `(stabilized,
-    /// throughput_pct)` once the test ends.
-    ///
-    /// The stop checks run once per measurement interval, at its first
-    /// event: their verdicts depend only on the complete intervals, which
-    /// no later event of the same interval changes (spans begin at or after
-    /// the event's time, and `total_bytes` only grows). A resumed run
-    /// checks again at its first event and gets the same verdict.
-    fn run_perf_loop<B>(
-        &mut self,
-        mode: Mode,
-        frame: &mut PerfFrame,
-        mut at_step: impl FnMut(&mut Self, &PerfFrame) -> ControlFlow<B>,
-    ) -> ControlFlow<B, (bool, f64)> {
-        let mut last_eval: Option<usize> = None;
-        while let Some(t_next) = self.queue.peek_time() {
-            let iv = frame.meter.complete_intervals(t_next);
-            if last_eval != Some(iv) {
-                if let Some(verdict) = self.stop_verdict(&frame.meter, t_next, iv) {
-                    return ControlFlow::Continue(verdict);
-                }
-                last_eval = Some(iv);
-            }
-            at_step(self, frame)?;
-            self.step(mode, Some(&mut frame.meter));
-            frame.steps += 1;
-            // "The disk utilization is kept between N and M while
-            // measurements are being taken": the upper bound is enforced by
-            // extend→truncate conversion; the lower bound by topping the
-            // disk back up when deletions drain it (no I/O charged, like
-            // the initial fill).
-            if frame.steps.is_multiple_of(256) && self.utilization() < self.util_lower - 0.02 {
-                self.counters.refill_passes += 1;
-                self.fill_to_lower_bound();
-            }
-        }
-        ControlFlow::Continue((false, 0.0))
     }
 
     /// Runs the paper's full §3 evaluation for this configuration on three

@@ -158,46 +158,6 @@ impl EventQueue {
         }
         heap[hole] = entry;
     }
-
-    /// Every pending `(time, seq, user)` entry in pop order, plus the
-    /// sequence counter: the checkpoint form of the queue. The queue
-    /// itself is left as it was.
-    pub fn entries(&self) -> (Vec<(SimTime, u64, u32)>, u64) {
-        let mut out = self.heap.clone();
-        out.sort_unstable();
-        (out, self.seq)
-    }
-
-    /// Refills an empty queue from an [`Self::entries`] snapshot. Each
-    /// entry keeps its sequence stamp, so the pop order (ties included) is
-    /// exactly what it was when the snapshot was taken, and later
-    /// schedules continue from `next_seq`. Entries must arrive in strictly
-    /// ascending `(time, seq)` order (the pop order) with every stamp
-    /// below `next_seq`; anything else means the snapshot is corrupt, and
-    /// the queue is left as it was.
-    pub fn restore_entries(
-        &mut self,
-        entries: &[(SimTime, u64, u32)],
-        next_seq: u64,
-    ) -> Result<(), String> {
-        if !self.is_empty() {
-            return Err("restoring into a non-empty event queue".into());
-        }
-        let mut prev: Option<(SimTime, u64)> = None;
-        for &(time, seq, _) in entries {
-            if seq >= next_seq {
-                return Err(format!("event seq {seq} at or past the counter {next_seq}"));
-            }
-            if prev.is_some_and(|p| p >= (time, seq)) {
-                return Err(format!("event entries out of pop order at seq {seq}"));
-            }
-            prev = Some((time, seq));
-        }
-        // Ascending order is a valid heap: every slot follows its parent.
-        self.heap = entries.to_vec();
-        self.seq = next_seq;
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -238,81 +198,5 @@ mod tests {
         assert_eq!(q.pop().unwrap().user, UserId(1));
         assert_eq!(q.len(), 1);
         assert!(!q.is_empty());
-    }
-
-    /// 100 events over six distinct times, so most of them tie with
-    /// others, then 17 pops: a snapshot of it is taken mid-run, not on a
-    /// pristine queue.
-    fn mid_run_queue() -> EventQueue {
-        let mut q = EventQueue::new();
-        for i in 0u64..100 {
-            q.schedule(SimTime::from_us((i * 2654435761) % 6 * 50), UserId((i % 13) as u32));
-        }
-        for _ in 0..17 {
-            q.pop();
-        }
-        q
-    }
-
-    fn pop_all(q: &mut EventQueue) -> Vec<(SimTime, u32)> {
-        std::iter::from_fn(|| q.pop()).map(|e| (e.time, e.user.0)).collect()
-    }
-
-    /// Taking the checkpoint form leaves the queue untouched, and
-    /// restoring it into a fresh queue reproduces the exact pop order,
-    /// ties included; schedules after a restore continue the restored
-    /// counter.
-    #[test]
-    fn entries_restore_roundtrip_preserves_pop_order() {
-        let reference = pop_all(&mut mid_run_queue());
-        let mut q = mid_run_queue();
-        let (entries, next_seq) = q.entries();
-        assert_eq!(entries.len(), 83);
-        assert_eq!(next_seq, 100, "the counter is part of the snapshot");
-        let listed: Vec<(SimTime, u32)> = entries.iter().map(|&(t, _, u)| (t, u)).collect();
-        assert_eq!(listed, reference, "entries come in pop order");
-        assert_eq!(pop_all(&mut q), reference, "taking the entries is a pure read");
-        let mut restored = EventQueue::new();
-        restored.restore_entries(&entries, next_seq).expect("restore");
-        assert_eq!(restored.len(), 83);
-        assert_eq!(restored.entries(), (entries.clone(), next_seq));
-        assert_eq!(pop_all(&mut restored), reference);
-        // A new event at the last restored time ties with several
-        // restored ones and must pop after all of them: a counter
-        // restarted at 0 would pop it first among them.
-        let mut restored = EventQueue::new();
-        restored.restore_entries(&entries, next_seq).expect("restore");
-        let last = entries[entries.len() - 1].0;
-        assert!(entries.iter().filter(|e| e.0 == last).count() > 1, "the snapshot has ties");
-        restored.schedule(last, UserId(0));
-        assert_eq!(pop_all(&mut restored).last(), Some(&(last, 0)));
-        assert_eq!(restored.entries(), (Vec::new(), next_seq + 1));
-    }
-
-    #[test]
-    fn restore_rejects_corrupt_snapshots() {
-        let mut q = EventQueue::new();
-        q.schedule(t(10.0), UserId(0));
-        q.schedule(t(5.0), UserId(1));
-        let (entries, seq) = q.entries();
-        assert_eq!(entries[0].0, t(5.0), "entries come in pop order");
-        // A non-empty target is refused and keeps what it held.
-        let mut busy = EventQueue::new();
-        busy.schedule(t(1.0), UserId(0));
-        assert!(busy.restore_entries(&entries, seq).is_err());
-        assert_eq!(busy.len(), 1);
-        let mut fresh = EventQueue::new();
-        // A stamp at or past the counter.
-        assert!(fresh.restore_entries(&entries, 1).is_err());
-        // Entries out of pop order, or one key twice.
-        let mut swapped = entries.clone();
-        swapped.swap(0, 1);
-        assert!(fresh.restore_entries(&swapped, seq).is_err());
-        assert!(fresh.restore_entries(&[entries[0], entries[0]], seq).is_err());
-        // Every failed restore left the queue empty, counter included.
-        assert!(fresh.is_empty(), "failed restore leaves nothing behind");
-        assert_eq!(fresh.entries(), (Vec::new(), 0));
-        fresh.restore_entries(&entries, seq).expect("the intact snapshot still restores");
-        assert_eq!(fresh.len(), 2);
     }
 }

@@ -143,72 +143,6 @@ impl LatencyReservoir {
     }
 }
 
-impl serde::Serialize for LatencyReservoir {
-    /// Checkpoint form: `{count, max_us, buckets}` with the same sparse
-    /// bucket encoding as [`TestHist`] — empty buckets are omitted, so a
-    /// snapshot's size scales with the spread of observed latencies, not
-    /// with `N_BUCKETS`.
-    fn to_value(&self) -> serde::Value {
-        let buckets: Vec<HistBucket> = self
-            .counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| HistBucket { index: i as u64, count: c })
-            .collect();
-        serde::Value::Object(vec![
-            ("count".to_string(), self.count.to_value()),
-            ("max_us".to_string(), self.max_us.to_value()),
-            ("buckets".to_string(), buckets.to_value()),
-        ])
-    }
-}
-
-impl serde::Deserialize for LatencyReservoir {
-    /// Rebuilds the dense reservoir and **validates** the snapshot: bucket
-    /// indexes must be in range and strictly ascending, their counts must
-    /// sum to `count`, and an empty reservoir must claim no maximum —
-    /// anything else means the checkpoint bytes are corrupt and resuming
-    /// from them would silently skew every later percentile.
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let count: u64 = serde::de_field(v, "count")?;
-        let max_us: u64 = serde::de_field(v, "max_us")?;
-        let sparse: Vec<HistBucket> = serde::de_field(v, "buckets")?;
-        let corrupt = |why: String| serde::Error::msg(format!("corrupt reservoir snapshot: {why}"));
-        let mut r = LatencyReservoir::new();
-        let mut sum = 0u64;
-        let mut last: Option<u64> = None;
-        for b in &sparse {
-            if b.index >= N_BUCKETS as u64 {
-                return Err(corrupt(format!("bucket index {} out of range", b.index)));
-            }
-            if last.is_some_and(|p| p >= b.index) {
-                return Err(corrupt(format!("bucket indexes not ascending at {}", b.index)));
-            }
-            if b.count == 0 {
-                return Err(corrupt(format!("empty bucket {} stored explicitly", b.index)));
-            }
-            last = Some(b.index);
-            sum = sum
-                .checked_add(b.count)
-                .ok_or_else(|| corrupt("bucket counts overflow u64".to_string()))?;
-            r.counts[b.index as usize] = b.count;
-        }
-        if sum != count {
-            return Err(corrupt(format!("bucket counts sum to {sum}, header says {count}")));
-        }
-        if count == 0 && max_us != 0 {
-            return Err(corrupt(format!("empty reservoir claims max_us {max_us}")));
-        }
-        if count > 0 && last.map_or(true, |l| l != bucket_index(max_us) as u64) {
-            return Err(corrupt(format!("max_us {max_us} not in the last non-empty bucket")));
-        }
-        r.count = count;
-        r.max_us = max_us;
-        Ok(r)
-    }
-}
-
 /// One non-empty bucket of a [`TestHist`] (sparse encoding).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct HistBucket {
@@ -318,47 +252,6 @@ mod tests {
         let json = json.as_deref().filter(|s| !s.is_empty());
         let back: Option<TestHist> = json.and_then(|j| serde_json::from_str(j).ok());
         assert_eq!(back.as_ref(), Some(&h), "snapshot must JSON-roundtrip exactly");
-    }
-
-    #[test]
-    fn checkpoint_roundtrips_and_rejects_corruption() {
-        let mut r = LatencyReservoir::new();
-        let mut rng = crate::SimRng::new(11);
-        for _ in 0..5_000 {
-            r.record_us(rng.uniform_u64(1, 5_000_000));
-        }
-        let v = r.to_value();
-        let back = LatencyReservoir::from_value(&v).expect("clean snapshot");
-        assert_eq!(back.count(), r.count());
-        for q in [0.5, 0.9, 0.99, 0.999] {
-            assert_eq!(back.percentile_us(q), r.percentile_us(q));
-        }
-        // Empty reservoirs roundtrip too.
-        let empty = LatencyReservoir::from_value(&LatencyReservoir::new().to_value()).unwrap();
-        assert_eq!(empty.count(), 0);
-
-        // Tamper: bucket counts no longer sum to the header count.
-        let mut bad = v.clone();
-        if let serde::Value::Object(pairs) = &mut bad {
-            pairs[0].1 = (r.count() + 1).to_value();
-        }
-        assert!(LatencyReservoir::from_value(&bad).is_err(), "count mismatch");
-        // Tamper: out-of-range bucket index.
-        let mut bad = v.clone();
-        if let serde::Value::Object(pairs) = &mut bad {
-            if let serde::Value::Array(buckets) = &mut pairs[2].1 {
-                if let serde::Value::Object(b) = &mut buckets[0] {
-                    b[0].1 = (N_BUCKETS as u64).to_value();
-                }
-            }
-        }
-        assert!(LatencyReservoir::from_value(&bad).is_err(), "index out of range");
-        // Tamper: max_us outside the last non-empty bucket.
-        let mut bad = v;
-        if let serde::Value::Object(pairs) = &mut bad {
-            pairs[1].1 = u64::MAX.to_value();
-        }
-        assert!(LatencyReservoir::from_value(&bad).is_err(), "max_us inconsistent");
     }
 
     #[test]

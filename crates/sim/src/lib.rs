@@ -57,7 +57,7 @@ pub mod rng;
 pub mod state;
 
 pub use config::SimConfig;
-pub use engine::{CheckpointSpec, Simulation, CHECKPOINT_KILL_EXIT};
+pub use engine::Simulation;
 pub use event::{Event, EventQueue, EventQueueKind, UserId};
 pub use filetype::{FileTypeConfig, OpKind};
 pub use hist::{HistBucket, LatencyReservoir, TestHist};

@@ -10,7 +10,6 @@
 //! smoothly to five intervals instead of spiking the one it completes in.
 
 use readopt_disk::{SimDuration, SimTime};
-use serde::{de_field, Deserialize, Error, Serialize, Value};
 
 /// Interval-bucketed throughput accounting.
 #[derive(Debug, Clone)]
@@ -160,48 +159,6 @@ impl ThroughputMeter {
     }
 }
 
-impl Serialize for ThroughputMeter {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("start".to_string(), self.start.to_value()),
-            ("interval".to_string(), self.interval.to_value()),
-            ("buckets".to_string(), self.buckets.to_value()),
-            ("total_bytes".to_string(), self.total_bytes.to_value()),
-            ("last_span_end".to_string(), self.last_span_end.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for ThroughputMeter {
-    /// Rebuilds the meter and **validates** the snapshot: a zero interval
-    /// would divide by zero on the next `bucket_index`, a `last_span_end`
-    /// before `start` breaks the clamp invariant `add_span` maintains, and
-    /// non-finite bucket contents would poison every later percentage.
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let m = ThroughputMeter {
-            start: de_field(v, "start")?,
-            interval: de_field(v, "interval")?,
-            buckets: de_field(v, "buckets")?,
-            total_bytes: de_field(v, "total_bytes")?,
-            last_span_end: de_field(v, "last_span_end")?,
-        };
-        let corrupt = |why: &str| Error::msg(format!("corrupt meter snapshot: {why}"));
-        if m.interval.is_zero() {
-            return Err(corrupt("zero interval"));
-        }
-        if m.last_span_end < m.start {
-            return Err(corrupt("last_span_end before start"));
-        }
-        if !m.total_bytes.is_finite() || m.total_bytes < 0.0 {
-            return Err(corrupt("total_bytes not a finite non-negative number"));
-        }
-        if m.buckets.iter().any(|b| !b.is_finite() || *b < 0.0) {
-            return Err(corrupt("bucket bytes not finite non-negative"));
-        }
-        Ok(m)
-    }
-}
-
 /// Percentile (nearest-rank) of an unsorted sample set; `q` in `[0, 1]`.
 /// Returns 0 for an empty set. Sorts a copy; for several percentiles of the
 /// same samples, sort once and use [`percentile_of_sorted_ms`] instead.
@@ -299,34 +256,6 @@ mod tests {
         // With genuinely no activity at all, 0 % is a legitimate steady state.
         let empty = meter();
         assert_eq!(empty.stabilized(SimTime::from_ms(35_000.0), 1.0, 3, 0.1), Some(0.0));
-    }
-
-    #[test]
-    fn checkpoint_roundtrips_and_rejects_corruption() {
-        let mut m = meter();
-        m.add_span(SimTime::from_ms(3_000.0), SimTime::from_ms(27_000.0), 12_345);
-        m.add_span(SimTime::from_ms(500.0), SimTime::from_ms(500.0), 77);
-        let v = m.to_value();
-        let back = ThroughputMeter::from_value(&v).expect("clean snapshot");
-        assert_eq!(back.start_time(), m.start_time());
-        assert_eq!(back.last_span_end(), m.last_span_end());
-        assert_eq!(back.total_bytes(), m.total_bytes());
-        for i in 0..4 {
-            assert_eq!(back.interval_pct(i, 1.0), m.interval_pct(i, 1.0), "bucket {i}");
-        }
-
-        // Tamper: last_span_end rewound before start.
-        let mut bad = v.clone();
-        if let Value::Object(pairs) = &mut bad {
-            pairs[0].1 = SimTime::from_ms(1e9).to_value();
-        }
-        assert!(ThroughputMeter::from_value(&bad).is_err(), "span end before start");
-        // Tamper: negative bucket contents.
-        let mut bad = v;
-        if let Value::Object(pairs) = &mut bad {
-            pairs[3].1 = (-1.0f64).to_value();
-        }
-        assert!(ThroughputMeter::from_value(&bad).is_err(), "negative total_bytes");
     }
 
     #[test]

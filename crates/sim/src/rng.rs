@@ -14,32 +14,12 @@ use rand::{RngExt, SeedableRng};
 #[derive(Debug, Clone)]
 pub struct SimRng {
     inner: SmallRng,
-    /// The construction seed, carried through checkpoints (the snapshot's
-    /// `rng_seed`).
-    seed: u64,
 }
 
 impl SimRng {
     /// Creates a generator from a seed.
     pub fn new(seed: u64) -> Self {
-        SimRng { inner: SmallRng::seed_from_u64(seed), seed }
-    }
-
-    /// Checkpoint snapshot: the construction seed plus the generator's raw
-    /// 256-bit state, which reproduces every future draw exactly.
-    pub fn checkpoint_state(&self) -> (u64, [u64; 4]) {
-        (self.seed, self.inner.state())
-    }
-
-    /// Rebuilds a generator from a [`SimRng::checkpoint_state`] snapshot.
-    /// The all-zero xoshiro state is unreachable from any seed and would
-    /// emit zeros forever, so a snapshot claiming it is rejected as
-    /// corrupt.
-    pub fn from_checkpoint_state(seed: u64, state: [u64; 4]) -> Result<SimRng, String> {
-        if state == [0u64; 4] {
-            return Err("rng snapshot has the unreachable all-zero state".into());
-        }
-        Ok(SimRng { inner: SmallRng::from_state(state), seed })
+        SimRng { inner: SmallRng::seed_from_u64(seed) }
     }
 
     /// Uniform `f64` in `[lo, hi)`.
@@ -119,20 +99,6 @@ mod tests {
         for _ in 0..100 {
             assert_eq!(a.uniform_u64(0, 1_000_000), b.uniform_u64(0, 1_000_000));
         }
-    }
-
-    #[test]
-    fn checkpoint_state_resumes_the_exact_stream() {
-        let mut r = SimRng::new(0xC0FFEE);
-        for _ in 0..37 {
-            r.uniform_u64(0, 1_000);
-        }
-        let (seed, state) = r.checkpoint_state();
-        let mut restored = SimRng::from_checkpoint_state(seed, state).unwrap();
-        for _ in 0..64 {
-            assert_eq!(r.uniform_u64(0, u64::MAX - 1), restored.uniform_u64(0, u64::MAX - 1));
-        }
-        assert!(SimRng::from_checkpoint_state(1, [0; 4]).is_err(), "all-zero state rejected");
     }
 
     #[test]

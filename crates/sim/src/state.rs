@@ -16,7 +16,6 @@
 //! records stay in creation order, which every digest depends on.
 
 use readopt_alloc::FileId;
-use serde::{de_field, Deserialize, Error, Serialize, Value};
 
 /// Per-file hot state as parallel arrays (see the module docs).
 ///
@@ -67,49 +66,6 @@ impl FileTable {
     }
 }
 
-impl Serialize for FileTable {
-    fn to_value(&self) -> Value {
-        let ids: Vec<u32> = self.policy_id.iter().map(|f| f.0).collect();
-        Value::Object(vec![
-            ("policy_id".to_string(), ids.to_value()),
-            ("type_idx".to_string(), self.type_idx.to_value()),
-            ("logical_units".to_string(), self.logical_units.to_value()),
-            ("cursor".to_string(), self.cursor.to_value()),
-            ("live".to_string(), self.live.to_value()),
-            ("pos_in_type".to_string(), self.pos_in_type.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for FileTable {
-    /// Reconstructs the table and rejects columns that disagree on length.
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let ids: Vec<u32> = de_field(v, "policy_id")?;
-        let table = FileTable {
-            policy_id: ids.into_iter().map(FileId).collect(),
-            type_idx: de_field(v, "type_idx")?,
-            logical_units: de_field(v, "logical_units")?,
-            cursor: de_field(v, "cursor")?,
-            live: de_field(v, "live")?,
-            pos_in_type: de_field(v, "pos_in_type")?,
-        };
-        let n = table.len();
-        let lens = [
-            table.type_idx.len(),
-            table.logical_units.len(),
-            table.cursor.len(),
-            table.live.len(),
-            table.pos_in_type.len(),
-        ];
-        if lens.iter().any(|&len| len != n) {
-            return Err(Error::msg(
-                "corrupt FileTable snapshot: parallel arrays disagree on length",
-            ));
-        }
-        Ok(table)
-    }
-}
-
 /// Per-user hot state: today a single parallel array (each user's
 /// file-type index), kept as a table so future per-user fields (open
 /// handles, think-state) extend columns instead of widening a struct.
@@ -155,42 +111,9 @@ impl UserTable {
     }
 }
 
-impl Serialize for UserTable {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![("type_idx".to_string(), self.type_idx.to_value())])
-    }
-}
-
-impl Deserialize for UserTable {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        Ok(UserTable { type_idx: de_field(v, "type_idx")? })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn serde_round_trips_and_rejects_ragged_columns() {
-        let mut t = FileTable::new();
-        for i in 0..4 {
-            assert_eq!(t.push(FileId(i), i % 2, i / 2), i, "records append in order");
-        }
-        t.logical_units[1] = 77;
-        t.live[2] = false;
-        let v = t.to_value();
-        let back = FileTable::from_value(&v).expect("round trip");
-        assert_eq!(t, back);
-        let Value::Object(mut pairs) = v else { panic!("object") };
-        for (k, val) in &mut pairs {
-            if k == "live" {
-                *val = vec![true; 5].to_value();
-            }
-        }
-        let err = FileTable::from_value(&Value::Object(pairs)).unwrap_err();
-        assert!(err.to_string().contains("corrupt FileTable snapshot"), "{err}");
-    }
 
     #[test]
     fn user_table_registers_densely() {

@@ -1,11 +1,10 @@
 //! [`EventQueue`] against a reference model: the std binary heap over
 //! `Reverse((time, seq, user))` plus a sequence counter, the structure the
-//! queue used before its hand-written 4-ary heap. Every pop, `peek_time`,
-//! `len` and checkpoint listing must equal the model's, ties included, so
-//! the engine's event order (and every simulated value) is the same under
-//! either. The streams mix tie storms (a handful of distinct times) with
-//! times spread over the whole `u64` range, and now and then swap the
-//! queue for one restored from its own `entries()`.
+//! queue used before its hand-written 4-ary heap. Every pop, `peek_time`
+//! and `len` must equal the model's, ties included, so the engine's event
+//! order (and every simulated value) is the same under either. The
+//! streams mix tie storms (a handful of distinct times) with times spread
+//! over the whole `u64` range.
 
 use proptest::prelude::*;
 use readopt_disk::SimTime;
@@ -33,12 +32,6 @@ impl Model {
     fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|Reverse((time, _, _))| *time)
     }
-
-    fn entries(&self) -> (Vec<(SimTime, u64, u32)>, u64) {
-        let mut out: Vec<_> = self.heap.iter().map(|Reverse(e)| *e).collect();
-        out.sort_unstable();
-        (out, self.seq)
-    }
 }
 
 /// Both sides driven in step.
@@ -60,27 +53,11 @@ impl Pair {
         assert_eq!(got, self.model.pop(), "pop at step {step}");
     }
 
-    /// Replaces the queue with a fresh one restored from its checkpoint
-    /// form; the model carries on as it was.
-    fn restore(&mut self) {
-        let (entries, next_seq) = self.queue.entries();
-        let mut fresh = EventQueue::new();
-        fresh.restore_entries(&entries, next_seq).expect("a queue's own entries restore");
-        self.queue = fresh;
-    }
-
     /// `len`, `is_empty` and `peek_time` agree with the model.
-    fn check_cheap(&self, step: usize) {
+    fn check(&self, step: usize) {
         assert_eq!(self.queue.len(), self.model.heap.len(), "len at step {step}");
         assert_eq!(self.queue.is_empty(), self.model.heap.is_empty(), "is_empty at step {step}");
         assert_eq!(self.queue.peek_time(), self.model.peek_time(), "peek_time at step {step}");
-    }
-
-    /// Everything observable agrees with the model, the full pending
-    /// list in pop order included.
-    fn check(&self, step: usize) {
-        self.check_cheap(step);
-        assert_eq!(self.queue.entries(), self.model.entries(), "entries at step {step}");
     }
 }
 
@@ -104,8 +81,7 @@ fn run_stream(ops: &[RawOp], storm: bool) {
             // Schedules outnumber pops, so the queue grows past a few
             // levels before the stream ends.
             0..=8 => pair.schedule(time, user),
-            9..=14 => pair.pop(step),
-            _ => pair.restore(),
+            _ => pair.pop(step),
         }
         pair.check(step);
     }
@@ -163,9 +139,8 @@ fn every_partial_last_group_pops_in_order() {
 
 /// The engine's own pattern at a depth of ~5 k pending: pop the earliest
 /// event and reschedule its user a random think time later, with now and
-/// then an extra user or a lost one, for ~200 k operations. The cheap
-/// observables are checked after every step, the full listing and a
-/// restore every 4 096 steps.
+/// then an extra user or a lost one, for ~200 k operations. The
+/// observables are checked after every step.
 #[test]
 fn long_run_at_five_thousand_pending_matches_the_binary_heap() {
     let mut rng = SimRng::new(1991);
@@ -190,11 +165,7 @@ fn long_run_at_five_thousand_pending_matches_the_binary_heap() {
             1 => pair.pop(step),
             _ => {}
         }
-        pair.check_cheap(step);
-        if step % 4_096 == 0 {
-            pair.check(step);
-            pair.restore();
-        }
+        pair.check(step);
     }
     let pending = pair.queue.len();
     assert!((4_000..6_000).contains(&pending), "the depth stayed near 5 k ({pending})");

@@ -19,7 +19,10 @@
 # Every file the script writes is under target/ (the lint report is
 # target/check/simlint.json); it changes no tracked file. It checks
 # correctness only: speed is measured by the benchmark in perfbench/.
+# It runs with REPRO_USERS_LADDER unset, so an exported ladder override
+# cannot swap leg 4's users_1e6 ladder.
 set -euo pipefail
+unset REPRO_USERS_LADDER
 cd "$(dirname "$0")/.."
 
 if [ "$#" -gt 0 ]; then
