@@ -87,6 +87,17 @@ impl SimConfig {
         for t in &self.file_types {
             t.validate()?;
         }
+        // The engine's user and file tables index their records by u32.
+        let users: u128 = self.file_types.iter().map(|t| u128::from(t.num_users)).sum();
+        let files: u128 = self.file_types.iter().map(|t| u128::from(t.num_files)).sum();
+        for (total, what) in [(users, "users"), (files, "files")] {
+            if total > u128::from(u32::MAX) {
+                return Err(format!(
+                    "the file types hold {total} {what} in total; at most {} fit the engine's tables",
+                    u32::MAX
+                ));
+            }
+        }
         if !(0.0 < self.util_lower && self.util_lower <= self.util_upper && self.util_upper <= 1.0) {
             return Err(format!(
                 "utilization window [{}, {}] is not sane",
@@ -151,6 +162,27 @@ mod tests {
         let mut c = config();
         c.interval = SimDuration::ZERO;
         assert!(c.validate().is_err(), "a zero interval would divide by zero in the meter");
+    }
+
+    #[test]
+    fn user_and_file_totals_must_fit_u32_indices() {
+        let mut c = config();
+        c.file_types = vec![FileTypeConfig::default(); 2];
+        for t in &mut c.file_types {
+            t.num_users = 1 << 31;
+        }
+        let err = c.validate().unwrap_err();
+        assert!(err.contains("4294967296 users in total"), "{err}");
+        c.file_types[1].num_users -= 1;
+        c.validate().unwrap();
+        let mut c = config();
+        c.file_types.push(FileTypeConfig::default());
+        c.file_types[0].num_files = u64::from(u32::MAX);
+        let err = c.validate().unwrap_err();
+        let total = u64::from(u32::MAX) + c.file_types[1].num_files;
+        assert!(err.contains(&format!("{total} files in total")), "{err}");
+        c.file_types.pop();
+        c.validate().unwrap();
     }
 
     #[test]

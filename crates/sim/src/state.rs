@@ -54,7 +54,7 @@ impl FileTable {
     /// Appends a live, empty record and returns its index.
     pub(crate) fn push(&mut self, policy_id: FileId, type_idx: u32, pos_in_type: u32) -> u32 {
         let i = u32::try_from(self.policy_id.len())
-            // simlint::allow(r3, "4 billion files exceeds any configured workload")
+            // simlint::allow(r3, "SimConfig::validate caps the file total at u32::MAX")
             .unwrap_or_else(|_| unreachable!("file table exceeds u32 records"));
         self.policy_id.push(policy_id);
         self.type_idx.push(type_idx);
@@ -96,7 +96,7 @@ impl UserTable {
     pub fn push(&mut self, type_idx: u32) -> u32 {
         self.type_idx.push(type_idx);
         u32::try_from(self.type_idx.len() - 1)
-            // simlint::allow(r3, "user population is bounded by SimConfig validation far below u32")
+            // simlint::allow(r3, "SimConfig::validate caps the user total at u32::MAX")
             .unwrap_or_else(|_| unreachable!("user table exceeds u32 users"))
     }
 
