@@ -27,7 +27,6 @@
 
 pub mod region;
 
-use crate::bitmap::FreeBitmap;
 use crate::filemap::FileMap;
 use crate::policy::Policy;
 use crate::types::{AllocError, Extent, FileHints, FileId, FileSlots};
@@ -60,11 +59,6 @@ pub struct RestrictedPolicy {
     /// Region in which the last file descriptor was allocated.
     fd_cursor: usize,
     metadata_units: u64,
-    /// By-length region availability index: bit `r` of `avail[c]` is set
-    /// iff `regions[r]` has a free block of exactly class `c`. Steps 2–3
-    /// of the paper's region-selection algorithm become word-wise bitmap
-    /// scans instead of a linear walk over every region.
-    avail: Vec<FreeBitmap>,
 }
 
 impl RestrictedPolicy {
@@ -101,8 +95,7 @@ impl RestrictedPolicy {
             regions.push(Region::new(base, end, sizes_units));
             base = end;
         }
-        let nregions = regions.len();
-        let mut policy = RestrictedPolicy {
+        RestrictedPolicy {
             sizes: sizes_units.to_vec(),
             grow_factor,
             regions,
@@ -111,79 +104,6 @@ impl RestrictedPolicy {
             files: FileSlots::default(),
             fd_cursor: 0,
             metadata_units: 0,
-            avail: sizes_units.iter().map(|_| FreeBitmap::new(nregions)).collect(),
-        };
-        for r in 0..nregions {
-            policy.sync_region(r);
-        }
-        policy
-    }
-
-    /// Re-derives region `r`'s bits in the availability index from the
-    /// region's own state. Must be called after any operation that may
-    /// change which classes have free blocks in `r`.
-    fn sync_region(&mut self, r: usize) {
-        for c in 0..self.sizes.len() {
-            let has = self.regions[r].has_free(c);
-            if has != self.avail[c].is_free(r) {
-                if has {
-                    self.avail[c].set_free(r);
-                } else {
-                    self.avail[c].set_used(r);
-                }
-            }
-        }
-    }
-
-    /// First region in the wrap order `optimal+1, …, n−1, 0, …, optimal−1`
-    /// (the optimal region itself excluded — step 1 already tried it)
-    /// whose bit is set in `bits`.
-    fn next_region_in(bits: &FreeBitmap, optimal: usize) -> Option<usize> {
-        if let Some(r) = bits.first_free_at_or_after(optimal + 1) {
-            return Some(r);
-        }
-        // Wrapped segment [0, optimal): `first_free` returns the global
-        // minimum set bit; if that is `optimal` itself, nothing below it
-        // is set either and the wrap comes up empty.
-        bits.first_free().filter(|&r| r != optimal)
-    }
-
-    /// Distance from `optimal` along the wrap order (1 ≤ distance < n for
-    /// any region other than `optimal`).
-    fn wrap_distance(&self, optimal: usize, r: usize) -> usize {
-        (r + self.regions.len() - optimal) % self.regions.len()
-    }
-
-    /// Part of `check_structure`: verifies the availability index against
-    /// the regions, and that from every optimal region steps 2–3 pick, for
-    /// every class, the region a linear walk in wrap order picks.
-    fn check_region_index(&self) {
-        let nregions = self.regions.len();
-        for (c, bits) in self.avail.iter().enumerate() {
-            assert_eq!(bits.len(), nregions);
-            for (r, region) in self.regions.iter().enumerate() {
-                assert_eq!(
-                    bits.is_free(r),
-                    region.has_free(c),
-                    "avail index out of sync for class {c}, region {r}"
-                );
-            }
-            for optimal in 0..nregions {
-                let walk = |fits: fn(&Region, usize) -> bool| {
-                    let mut wrap_order = (1..nregions).map(|k| (optimal + k) % nregions);
-                    wrap_order.find(|&r| fits(&self.regions[r], c))
-                };
-                assert_eq!(
-                    self.step2_region(c, optimal),
-                    walk(Region::has_free),
-                    "step 2 disagrees with the linear walk for class {c} from region {optimal}"
-                );
-                assert_eq!(
-                    self.step3_region(c, optimal),
-                    walk(Region::has_larger),
-                    "step 3 disagrees with the linear walk for class {c} from region {optimal}"
-                );
-            }
         }
     }
 
@@ -221,62 +141,39 @@ impl RestrictedPolicy {
             if p + self.sizes[class] <= self.capacity {
                 let r = self.region_of(p);
                 if self.regions[r].take_exact(&self.sizes, class, p) {
-                    self.sync_region(r);
                     return Some(p);
                 }
             }
         }
         // Step 1: the optimal region — right size, else split larger.
         if let Some(a) = self.regions[optimal].take_near(&self.sizes, class, prefer) {
-            self.sync_region(optimal);
             return Some(a);
         }
         if let Some(a) = self.regions[optimal].split_for(&self.sizes, class, prefer) {
-            self.sync_region(optimal);
             return Some(a);
         }
         // Step 2: any region with a block of the correct size.
-        if let Some(r) = self.step2_region(class, optimal) {
-            let a = self.regions[r].take_near(&self.sizes, class, None);
-            self.sync_region(r);
-            return a;
+        if let Some(r) = self.next_region(optimal, |region| region.has_free(class)) {
+            return self.regions[r].take_near(&self.sizes, class, None);
         }
         // Step 3: the next region with adequate contiguous space.
-        if let Some(r) = self.step3_region(class, optimal) {
-            let a = self.regions[r].split_for(&self.sizes, class, None);
-            self.sync_region(r);
-            return a;
+        if let Some(r) = self.next_region(optimal, |region| region.has_larger(class)) {
+            return self.regions[r].split_for(&self.sizes, class, None);
         }
         None
     }
 
-    /// Step 2's region choice: the first region in wrap order past
-    /// `optimal` with a free block of exactly `class`.
-    fn step2_region(&self, class: usize, optimal: usize) -> Option<usize> {
-        Self::next_region_in(&self.avail[class], optimal)
-    }
-
-    /// Step 3's region choice: the first region in wrap order past
-    /// `optimal` with a free block of any class larger than `class` —
-    /// the minimum wrap distance over the per-class indexes.
-    fn step3_region(&self, class: usize, optimal: usize) -> Option<usize> {
-        let mut best: Option<usize> = None;
-        for k in class + 1..self.sizes.len() {
-            if let Some(r) = Self::next_region_in(&self.avail[k], optimal) {
-                if best.is_none_or(|b| {
-                    self.wrap_distance(optimal, r) < self.wrap_distance(optimal, b)
-                }) {
-                    best = Some(r);
-                }
-            }
-        }
-        best
+    /// The first region in the wrap order `optimal+1, …, n−1, 0, …,
+    /// optimal−1` (the optimal region itself excluded — step 1 already
+    /// tried it) that `fits`.
+    fn next_region(&self, optimal: usize, fits: impl Fn(&Region) -> bool) -> Option<usize> {
+        let n = self.regions.len();
+        (1..n).map(|k| (optimal + k) % n).find(|&r| fits(&self.regions[r]))
     }
 
     fn free_block(&mut self, class: usize, addr: u64) {
         let r = self.region_of(addr);
         self.regions[r].free_block(&self.sizes, class, addr);
-        self.sync_region(r);
     }
 
     /// Frees the file's last block and returns its size; 0 when the file
@@ -436,7 +333,6 @@ impl Policy for RestrictedPolicy {
         for region in &self.regions {
             region.check_invariants(&self.sizes);
         }
-        self.check_region_index();
     }
 }
 

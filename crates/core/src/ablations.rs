@@ -12,9 +12,8 @@
 //!   varies.
 
 use crate::context::ExperimentContext;
-use crate::metrics::{split3, ExperimentHist, ExperimentMetrics, PointHist, PointMetrics};
 use crate::report::{bytes, pct, TextTable};
-use crate::runner::{self, Job, JobTiming};
+use crate::runner::{self, Job, PointOut, Profiled};
 use readopt_alloc::{FitStrategy, PolicyConfig};
 use readopt_disk::ArrayLayout;
 use readopt_workloads::WorkloadKind;
@@ -52,9 +51,7 @@ pub fn run_raid(ctx: &ExperimentContext) -> RaidAblation {
 /// As [`run_raid`], also returning per-layout wall-clock timings and the
 /// observability sidecars (metrics + latency histograms, whose per-test
 /// `dropped` counts feed the run profile's overflow accounting).
-pub fn run_raid_profiled(
-    ctx: &ExperimentContext,
-) -> (RaidAblation, Vec<JobTiming>, ExperimentMetrics, ExperimentHist) {
+pub fn run_raid_profiled(ctx: &ExperimentContext) -> Profiled<RaidAblation> {
     let ctx = *ctx;
     let jobs = [
         ArrayLayout::Striped,
@@ -86,23 +83,12 @@ pub fn run_raid_profiled(
                 sequential_pct: seq.throughput_pct,
                 write_amplification: amp,
             };
-            let label = format!("ablation-raid/{layout:?}");
-            (
-                row,
-                PointMetrics::new(label.clone(), vec![tm]),
-                PointHist::new(label, vec![h_app, h_seq]),
-            )
+            (row, vec![tm], vec![h_app, h_seq])
         })
     })
     .collect();
-    let out = runner::run_jobs(ctx.jobs, jobs);
-    let (rows, metrics, hists) = split3(out.results);
-    (
-        RaidAblation { rows },
-        out.timings,
-        ExperimentMetrics::new("ablation_raid", metrics),
-        ExperimentHist::new("ablation_raid", hists),
-    )
+    let (rows, timings, metrics, hists) = runner::sweep(&ctx, "ablation_raid", jobs);
+    (RaidAblation { rows }, timings, metrics, hists)
 }
 
 impl fmt::Display for RaidAblation {
@@ -147,9 +133,7 @@ pub fn run_stripe_unit(ctx: &ExperimentContext) -> StripeAblation {
 
 /// As [`run_stripe_unit`], also returning per-point wall-clock timings and
 /// the observability sidecars.
-pub fn run_stripe_unit_profiled(
-    ctx: &ExperimentContext,
-) -> (StripeAblation, Vec<JobTiming>, ExperimentMetrics, ExperimentHist) {
+pub fn run_stripe_unit_profiled(ctx: &ExperimentContext) -> Profiled<StripeAblation> {
     let ctx = *ctx;
     let jobs = [8 * 1024u64, 12 * 1024, 24 * 1024, 72 * 1024, 96 * 1024]
         .into_iter()
@@ -167,19 +151,12 @@ pub fn run_stripe_unit_profiled(
                     sequential_pct: seq.throughput_pct,
                     application_pct: app.throughput_pct,
                 };
-                let label = format!("ablation-stripe/{}K", su / 1024);
-                (row, PointMetrics::new(label.clone(), tms), PointHist::new(label, hs))
+                (row, tms, hs)
             })
         })
         .collect();
-    let out = runner::run_jobs(ctx.jobs, jobs);
-    let (rows, metrics, hists) = split3(out.results);
-    (
-        StripeAblation { rows },
-        out.timings,
-        ExperimentMetrics::new("ablation_stripe", metrics),
-        ExperimentHist::new("ablation_stripe", hists),
-    )
+    let (rows, timings, metrics, hists) = runner::sweep(&ctx, "ablation_stripe", jobs);
+    (StripeAblation { rows }, timings, metrics, hists)
 }
 
 impl fmt::Display for StripeAblation {
@@ -219,9 +196,7 @@ pub fn run_file_mix(ctx: &ExperimentContext) -> FileMixAblation {
 
 /// As [`run_file_mix`], also returning per-mix wall-clock timings and the
 /// observability sidecars.
-pub fn run_file_mix_profiled(
-    ctx: &ExperimentContext,
-) -> (FileMixAblation, Vec<JobTiming>, ExperimentMetrics, ExperimentHist) {
+pub fn run_file_mix_profiled(ctx: &ExperimentContext) -> Profiled<FileMixAblation> {
     let ctx = *ctx;
     let jobs = [0.05f64, 0.15, 0.30, 0.50]
         .into_iter()
@@ -249,23 +224,12 @@ pub fn run_file_mix_profiled(
                     internal_pct: frag.internal_pct,
                     external_pct: frag.external_pct,
                 };
-                let label = format!("ablation-file-mix/{:.0}pct", 100.0 * small_share);
-                (
-                    row,
-                    PointMetrics::new(label.clone(), vec![tm]),
-                    PointHist::new(label, vec![hist]),
-                )
+                (row, vec![tm], vec![hist])
             })
         })
         .collect();
-    let out = runner::run_jobs(ctx.jobs, jobs);
-    let (rows, metrics, hists) = split3(out.results);
-    (
-        FileMixAblation { rows },
-        out.timings,
-        ExperimentMetrics::new("ablation_file_mix", metrics),
-        ExperimentHist::new("ablation_file_mix", hists),
-    )
+    let (rows, timings, metrics, hists) = runner::sweep(&ctx, "ablation_file_mix", jobs);
+    (FileMixAblation { rows }, timings, metrics, hists)
 }
 
 impl fmt::Display for FileMixAblation {
@@ -317,9 +281,7 @@ pub fn run_reallocation(ctx: &ExperimentContext) -> ReallocAblation {
 
 /// As [`run_reallocation`], also returning per-workload wall-clock timings
 /// and the observability sidecars.
-pub fn run_reallocation_profiled(
-    ctx: &ExperimentContext,
-) -> (ReallocAblation, Vec<JobTiming>, ExperimentMetrics, ExperimentHist) {
+pub fn run_reallocation_profiled(ctx: &ExperimentContext) -> Profiled<ReallocAblation> {
     let ctx = *ctx;
     let jobs = WorkloadKind::all()
         .into_iter()
@@ -345,23 +307,12 @@ pub fn run_reallocation_profiled(
                     sequential_after_pct: seq.throughput_pct,
                     units_moved: moved,
                 };
-                let label = format!("ablation-realloc/{}", wl.short_name());
-                (
-                    row,
-                    PointMetrics::new(label.clone(), vec![tm]),
-                    PointHist::new(label, vec![h_app, h_seq]),
-                )
+                (row, vec![tm], vec![h_app, h_seq])
             })
         })
         .collect();
-    let out = runner::run_jobs(ctx.jobs, jobs);
-    let (rows, metrics, hists) = split3(out.results);
-    (
-        ReallocAblation { rows },
-        out.timings,
-        ExperimentMetrics::new("ablation_realloc", metrics),
-        ExperimentHist::new("ablation_realloc", hists),
-    )
+    let (rows, timings, metrics, hists) = runner::sweep(&ctx, "ablation_realloc", jobs);
+    (ReallocAblation { rows }, timings, metrics, hists)
 }
 
 impl fmt::Display for ReallocAblation {
@@ -415,9 +366,7 @@ pub fn run_ffs_comparison(ctx: &ExperimentContext) -> FfsAblation {
 
 /// As [`run_ffs_comparison`], also returning per-policy wall-clock timings
 /// and the observability sidecars.
-pub fn run_ffs_comparison_profiled(
-    ctx: &ExperimentContext,
-) -> (FfsAblation, Vec<JobTiming>, ExperimentMetrics, ExperimentHist) {
+pub fn run_ffs_comparison_profiled(ctx: &ExperimentContext) -> Profiled<FfsAblation> {
     let ctx = *ctx;
     let wl = WorkloadKind::Timesharing;
     let policies = [
@@ -428,7 +377,6 @@ pub fn run_ffs_comparison_profiled(
     let jobs = policies
         .into_iter()
         .map(|(name, policy)| {
-            let point_label = format!("ablation-ffs/{name}");
             Job::new(format!("ablation-ffs/{name}"), move || {
                 let (frag, tm_alloc, h_alloc) = ctx.run_allocation_observed(wl, policy.clone());
                 let ((app, seq), mut tms, mut hs) = ctx.run_performance_observed(wl, policy);
@@ -441,22 +389,12 @@ pub fn run_ffs_comparison_profiled(
                     application_pct: app.throughput_pct,
                     sequential_pct: seq.throughput_pct,
                 };
-                (
-                    row,
-                    PointMetrics::new(point_label.clone(), tms),
-                    PointHist::new(point_label, hs),
-                )
+                (row, tms, hs)
             })
         })
         .collect();
-    let out = runner::run_jobs(ctx.jobs, jobs);
-    let (rows, metrics, hists) = split3(out.results);
-    (
-        FfsAblation { rows },
-        out.timings,
-        ExperimentMetrics::new("ablation_ffs", metrics),
-        ExperimentHist::new("ablation_ffs", hists),
-    )
+    let (rows, timings, metrics, hists) = runner::sweep(&ctx, "ablation_ffs", jobs);
+    (FfsAblation { rows }, timings, metrics, hists)
 }
 
 impl fmt::Display for FfsAblation {
@@ -505,23 +443,15 @@ pub fn run_degraded_raid(ctx: &ExperimentContext) -> DegradedRaidAblation {
 /// four service-time probes share one array model and are not worth
 /// splitting). No simulation runs, so the histogram sidecar carries one
 /// empty point (nothing sampled, nothing dropped).
-pub fn run_degraded_raid_profiled(
-    ctx: &ExperimentContext,
-) -> (DegradedRaidAblation, Vec<JobTiming>, ExperimentMetrics, ExperimentHist) {
+pub fn run_degraded_raid_profiled(ctx: &ExperimentContext) -> Profiled<DegradedRaidAblation> {
     let ctx = *ctx;
     let jobs = vec![Job::new("ablation-degraded-raid/probes", move || degraded_raid_probes(&ctx))];
-    let mut out = runner::run_jobs(ctx.jobs, jobs);
-    let (row, metrics) = out.results.remove(0);
-    let hists = vec![PointHist::new("ablation-degraded-raid/probes".to_string(), Vec::new())];
-    (
-        row,
-        out.timings,
-        ExperimentMetrics::new("ablation_degraded_raid", vec![metrics]),
-        ExperimentHist::new("ablation_degraded_raid", hists),
-    )
+    let (mut rows, timings, metrics, hists) =
+        runner::sweep(&ctx, "ablation_degraded_raid", jobs);
+    (rows.remove(0), timings, metrics, hists)
 }
 
-fn degraded_raid_probes(ctx: &ExperimentContext) -> (DegradedRaidAblation, PointMetrics) {
+fn degraded_raid_probes(ctx: &ExperimentContext) -> PointOut<DegradedRaidAblation> {
     use readopt_disk::{IoRequest, Raid5Array, SimTime, Storage};
     use readopt_sim::{StorageMetrics, TestMetrics};
     let g = ctx.array.geometry;
@@ -554,7 +484,7 @@ fn degraded_raid_probes(ctx: &ExperimentContext) -> (DegradedRaidAblation, Point
         storage: StorageMetrics::from_stats(&rebuild.stats(), rebuild_secs * 1e3),
         ..Default::default()
     };
-    (row, PointMetrics::new("ablation-degraded-raid/probes".to_string(), vec![tm]))
+    (row, vec![tm], Vec::new())
 }
 
 impl fmt::Display for DegradedRaidAblation {
@@ -613,9 +543,7 @@ pub fn run_disk_generations(ctx: &ExperimentContext) -> DiskGenAblation {
 
 /// As [`run_disk_generations`], also returning per-cell wall-clock timings
 /// and the observability sidecars.
-pub fn run_disk_generations_profiled(
-    ctx: &ExperimentContext,
-) -> (DiskGenAblation, Vec<JobTiming>, ExperimentMetrics, ExperimentHist) {
+pub fn run_disk_generations_profiled(ctx: &ExperimentContext) -> Profiled<DiskGenAblation> {
     use readopt_disk::DiskGeometry;
     let ctx = *ctx;
     // Keep the 2001 system at a few GB even for full-scale contexts (its
@@ -637,7 +565,6 @@ pub fn run_disk_generations_profiled(
             ] {
                 let label =
                     format!("ablation-disk-gen/{generation}/{}/{policy_name}", wl.short_name());
-                let point_label = label.clone();
                 jobs.push(Job::new(label, move || {
                     let mut gctx = ctx;
                     gctx.array.geometry = geometry;
@@ -650,23 +577,13 @@ pub fn run_disk_generations_profiled(
                         sequential_pct: seq.throughput_pct,
                         application_pct: app.throughput_pct,
                     };
-                    (
-                        row,
-                        PointMetrics::new(point_label.clone(), tms),
-                        PointHist::new(point_label, hs),
-                    )
+                    (row, tms, hs)
                 }));
             }
         }
     }
-    let out = runner::run_jobs(ctx.jobs, jobs);
-    let (rows, metrics, hists) = split3(out.results);
-    (
-        DiskGenAblation { rows },
-        out.timings,
-        ExperimentMetrics::new("ablation_disk_gen", metrics),
-        ExperimentHist::new("ablation_disk_gen", hists),
-    )
+    let (rows, timings, metrics, hists) = runner::sweep(&ctx, "ablation_disk_gen", jobs);
+    (DiskGenAblation { rows }, timings, metrics, hists)
 }
 
 impl fmt::Display for DiskGenAblation {

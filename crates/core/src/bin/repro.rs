@@ -21,9 +21,11 @@
 //!                at any J)
 //! --users-full:  run the users_1e6 experiment on its full ladder (up to a
 //!                million users) instead of the CI smoke rungs
-//! --store FILE:  also mirror every sweep point and JSON artifact into the
-//!                CRC-framed binary results store FILE; rerunning with the
-//!                same FILE resumes a killed run
+//! --store FILE:  also record every JSON artifact and each users_1e6 rung
+//!                in the CRC-framed binary results store FILE; rerunning
+//!                with the same FILE resumes a killed run (completed rungs
+//!                are read back; every deterministic artifact must come
+//!                out as the bytes the store holds)
 //! --json DIR:    also write each result as DIR/<experiment>.json plus its
 //!                observability sidecars DIR/<experiment>.metrics.json and
 //!                DIR/<experiment>.hist.json (per-point latency percentiles),
@@ -38,7 +40,7 @@
 use readopt_alloc::PolicyConfig;
 use readopt_core::metrics::{cross_check_table, wren_iv_cross_check, ExperimentHist};
 use readopt_core::report::TextTable;
-use readopt_core::runner::{self, JobTiming};
+use readopt_core::runner::{self, JobTiming, Profiled};
 use readopt_core::{
     ablations, diag, fig1, fig2, fig3, fig4, fig5, fig6, storex, table1, table2, table3, table4,
     users_scale, ExperimentContext, ExperimentMetrics,
@@ -46,6 +48,7 @@ use readopt_core::{
 use readopt_disk::DiskGeometry;
 use readopt_workloads::WorkloadKind;
 use serde::Serialize;
+use std::fmt;
 use std::io::Write;
 use std::time::Instant;
 
@@ -213,30 +216,62 @@ fn parse_args() -> Result<Options, String> {
     Ok(opts)
 }
 
-fn write_json<T: Serialize>(dir: &Option<String>, name: &str, value: &T) {
+/// Prints `error: {message}` and exits 2.
+fn fail(message: &str) -> ! {
+    eprintln!("error: {message}");
+    std::process::exit(2);
+}
+
+/// The artifacts that carry wall-clock times. A resumed run keeps the
+/// bytes its store holds for them; every other artifact is deterministic
+/// and must come out as its stored bytes.
+const WALL_CLOCK_ARTIFACTS: [&str; 2] = ["profile", "users_1e6"];
+
+/// Writes `value` as artifact `name`: into the open results store, and to
+/// `DIR/<name>.json` under `--json DIR` (created at start-up). Exits 2 if
+/// a resumed store holds other bytes for a deterministic artifact, or if
+/// the file cannot be written.
+fn write_json<T: Serialize>(dir: Option<&str>, name: &str, value: &T) {
     if dir.is_none() && !storex::active() {
         return;
     }
-    // A resumed store's recorded artifact wins over re-serializing: the
-    // wall-clock-carrying artifacts (profile, the scaling studies) could
-    // not reproduce their recorded bytes, and the sidecar on disk must
-    // stay byte-identical to what `repro export` regenerates.
-    let json = match storex::lookup_artifact(name) {
-        Some(stored) => stored,
-        None => {
-            let fresh = serde_json::to_string_pretty(value).expect("serialize result");
-            storex::record_artifact(name, &fresh).unwrap_or_else(|e| {
-                eprintln!("error: results store: {e}");
-                std::process::exit(2);
-            });
-            fresh
-        }
-    };
+    let stored = storex::lookup_artifact(name).filter(|_| WALL_CLOCK_ARTIFACTS.contains(&name));
+    let json = stored.unwrap_or_else(|| {
+        let fresh = serde_json::to_string_pretty(value).expect("serialize result");
+        storex::record_artifact(name, &fresh).unwrap_or_else(|e| fail(&e));
+        fresh
+    });
     let Some(dir) = dir else { return };
-    std::fs::create_dir_all(dir).expect("create json dir");
     let path = format!("{dir}/{name}.json");
-    std::fs::write(&path, json).expect("write json");
+    std::fs::write(&path, json).unwrap_or_else(|e| fail(&format!("write {path}: {e}")));
     eprintln!("  wrote {path}");
+}
+
+/// Prints one experiment's result (and, under `--explain`, its phase
+/// table) and writes it with its non-empty sidecars as `<name>.json`,
+/// `<name>.metrics.json` and `<name>.hist.json`. Its timings and dropped
+/// latency samples go into `profile`.
+fn publish<R: Serialize + fmt::Display>(
+    opts: &Options,
+    profile: &mut ExperimentProfile,
+    name: &str,
+    (result, timings, metrics, hists): Profiled<R>,
+) -> (R, ExperimentMetrics, ExperimentHist) {
+    println!("{result}");
+    if opts.explain && !metrics.points.is_empty() {
+        println!("{}", metrics.phase_table());
+    }
+    let dir = opts.json_dir.as_deref();
+    write_json(dir, name, &result);
+    if !metrics.points.is_empty() {
+        write_json(dir, &format!("{name}.metrics"), &metrics);
+    }
+    if !hists.points.is_empty() {
+        write_json(dir, &format!("{name}.hist"), &hists);
+    }
+    profile.dropped_latency_samples += hists.dropped_samples();
+    profile.points.extend(timings);
+    (result, metrics, hists)
 }
 
 /// The canonical run-configuration fingerprint stored as the `.rrs` meta
@@ -271,16 +306,12 @@ fn users_ladder_env() -> (String, Option<Vec<u32>>) {
         Ok(raw) => raw,
         Err(std::env::VarError::NotPresent) => return (String::new(), None),
         Err(std::env::VarError::NotUnicode(_)) => {
-            eprintln!("error: {} is not valid UTF-8", users_scale::LADDER_ENV);
-            std::process::exit(2);
+            fail(&format!("{} is not valid UTF-8", users_scale::LADDER_ENV))
         }
     };
     match users_scale::parse_ladder(&raw) {
         Ok(ladder) => (raw, Some(ladder)),
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
+        Err(e) => fail(&e),
     }
 }
 
@@ -342,19 +373,13 @@ fn main() {
             eprintln!("error: repro export needs both --store FILE and --json DIR");
             std::process::exit(2);
         };
-        match storex::export(std::path::Path::new(store), std::path::Path::new(dir)) {
-            Ok(names) => {
-                for name in &names {
-                    eprintln!("  wrote {dir}/{name}.json");
-                }
-                println!("exported {} artifacts from {store} to {dir}", names.len());
-                std::process::exit(0);
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(2);
-            }
+        let names = storex::export(std::path::Path::new(store), std::path::Path::new(dir))
+            .unwrap_or_else(|e| fail(&e));
+        for name in &names {
+            eprintln!("  wrote {dir}/{name}.json");
         }
+        println!("exported {} artifacts from {store} to {dir}", names.len());
+        std::process::exit(0);
     }
 
     let jobs = opts.jobs.unwrap_or_else(runner::default_jobs);
@@ -379,14 +404,16 @@ fn main() {
         ctx.max_intervals = k;
     }
 
+    if let Some(dir) = &opts.json_dir {
+        if let Err(e) = std::fs::create_dir_all(dir) {
+            exit_usage(Some(&format!("--json {dir}: cannot create the directory: {e}")));
+        }
+    }
     if let Some(store) = &opts.store {
-        match storex::open(std::path::Path::new(store), &store_meta_json(&ctx, &opts, &ladder_env)) {
-            Ok(0) => eprintln!("  [store] writing {store}"),
-            Ok(n) => eprintln!("  [store] resumed {store} with {n} recovered point records"),
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(2);
-            }
+        let meta = store_meta_json(&ctx, &opts, &ladder_env);
+        match storex::open(std::path::Path::new(store), &meta).unwrap_or_else(|e| fail(&e)) {
+            0 => eprintln!("  [store] writing {store}"),
+            n => eprintln!("  [store] resumed {store}: {n} records recovered"),
         }
     }
 
@@ -406,98 +433,83 @@ fn main() {
     let t_start = Instant::now();
     let mut profiles: Vec<ExperimentProfile> = Vec::new();
 
-    // Each arm runs one experiment's profiled driver, prints its table (and
-    // chart where the figure has one), records the timing profile, and
-    // writes the JSON artifact plus its metrics and histogram sidecars. It
-    // evaluates to the result and sidecars, or `None` when the experiment
-    // is not in the run.
-    macro_rules! experiment {
-        ($name:literal, $body:expr) => {
-            experiment!($name, $body, |_result| {})
+    // Runs `body` as experiment `name` if the run wants it, timing it into
+    // one profile entry. The bodies `publish` what they compute.
+    let mut experiment = |name: &str, body: &mut dyn FnMut(&mut ExperimentProfile)| {
+        if !wants(name) {
+            return;
+        }
+        let t0 = Instant::now();
+        let mut profile = ExperimentProfile {
+            experiment: name.to_string(),
+            wall_s: 0.0,
+            dropped_latency_samples: 0,
+            points: Vec::new(),
         };
-        ($name:literal, $body:expr, $chart:expr) => {
-            if wants($name) {
-                let t0 = Instant::now();
-                let (result, timings, metrics, hists) = $body;
-                println!("{result}");
-                #[allow(clippy::redundant_closure_call)]
-                ($chart)(&result);
-                if opts.explain && !metrics.points.is_empty() {
-                    println!("{}", metrics.phase_table());
-                }
-                println!("  [{} finished in {:.1}s]\n", $name, t0.elapsed().as_secs_f64());
-                write_json(&opts.json_dir, $name, &result);
-                if !metrics.points.is_empty() {
-                    write_json(&opts.json_dir, concat!($name, ".metrics"), &metrics);
-                }
-                if !hists.points.is_empty() {
-                    write_json(&opts.json_dir, concat!($name, ".hist"), &hists);
-                }
-                profiles.push(ExperimentProfile {
-                    experiment: $name.to_string(),
-                    wall_s: t0.elapsed().as_secs_f64(),
-                    dropped_latency_samples: hists.dropped_samples(),
-                    points: timings,
-                });
-                let _ = std::io::stdout().flush();
-                Some((result, metrics, hists))
-            } else {
-                None
-            }
-        };
-    }
+        body(&mut profile);
+        profile.wall_s = t0.elapsed().as_secs_f64();
+        println!("  [{name} finished in {:.1}s]\n", profile.wall_s);
+        profiles.push(profile);
+        let _ = std::io::stdout().flush();
+    };
 
-    // table1/table2 are parameter dumps with no sweep to fan out; they run
-    // inline and appear in the profile with no per-point breakdown and
-    // empty metrics/histogram sidecars (nothing to decompose). fig3 traces
-    // its grow-factor ladder on a fresh policy over a bare array, outside
-    // any simulation, so it records no latencies.
-    experiment!(
-        "table1",
-        (
-            table1::run(&ctx),
-            Vec::new(),
-            ExperimentMetrics::empty("table1"),
-            ExperimentHist::empty("table1")
-        )
-    );
-    experiment!(
-        "table2",
-        (
-            table2::run(&ctx),
-            Vec::new(),
-            ExperimentMetrics::empty("table2"),
-            ExperimentHist::empty("table2")
-        )
-    );
-    experiment!("fig1", fig1::run_profiled(&ctx), |r: &fig1::Fig1| println!("{}", r.chart()));
-    experiment!("fig2", fig2::run_profiled(&ctx), |r: &fig2::Fig2| println!("{}", r.chart()));
-    experiment!("fig3", {
-        let (r, t, m) = fig3::run_profiled(ctx.jobs);
-        (r, t, m, ExperimentHist::empty("fig3"))
+    // table1/table2 are parameter dumps with no sweep to fan out: no
+    // per-point profile and no sidecars. fig3 traces its grow-factor
+    // ladder on a fresh policy over a bare array, outside any simulation,
+    // so it records no latencies.
+    let dir = opts.json_dir.as_deref();
+    experiment("table1", &mut |_| {
+        let table = table1::run(&ctx);
+        println!("{table}");
+        write_json(dir, "table1", &table);
     });
-    let fig4_out =
-        experiment!("fig4", fig4::run_profiled(&ctx), |r: &fig4::Fig4| println!("{}", r.chart()));
-    experiment!("fig5", fig5::run_profiled(&ctx), |r: &fig5::Fig5| println!("{}", r.chart()));
+    experiment("table2", &mut |_| {
+        let table = table2::run(&ctx);
+        println!("{table}");
+        write_json(dir, "table2", &table);
+    });
+    experiment("fig1", &mut |p| {
+        println!("{}", publish(&opts, p, "fig1", fig1::run_profiled(&ctx)).0.chart());
+    });
+    experiment("fig2", &mut |p| {
+        println!("{}", publish(&opts, p, "fig2", fig2::run_profiled(&ctx)).0.chart());
+    });
+    experiment("fig3", &mut |p| {
+        let (fig, timings, metrics) = fig3::run_profiled(ctx.jobs);
+        publish(&opts, p, "fig3", (fig, timings, metrics, ExperimentHist::empty("fig3")));
+    });
+    let mut fig4_out = None;
+    experiment("fig4", &mut |p| {
+        let out = publish(&opts, p, "fig4", fig4::run_profiled(&ctx));
+        println!("{}", out.0.chart());
+        fig4_out = Some(out);
+    });
+    experiment("fig5", &mut |p| {
+        println!("{}", publish(&opts, p, "fig5", fig5::run_profiled(&ctx)).0.chart());
+    });
     // table4, diag and table3's throughput columns are projections of the
     // fig4 and fig6 outputs, so each point is simulated once per run. A
     // projection whose figure is not in the run simulates the source
     // points it reads (and writes no artifact for them): table4 fig4's 15
     // first-fit points, diag all 12 fig6 cells (kept for table3), table3
     // alone fig6's 3 buddy cells.
-    experiment!(
-        "table4",
-        match &fig4_out {
+    experiment("table4", &mut |p| {
+        let out = match &fig4_out {
             Some((f, m, h)) => {
                 let (t, m, h) = table4::from_fig4(f, m, h);
                 (t, Vec::new(), m, h)
             }
             None => table4::run_profiled(&ctx),
-        }
-    );
-    let mut fig6_out =
-        experiment!("fig6", fig6::run_profiled(&ctx), |r: &fig6::Fig6| println!("{}", r.chart()));
-    experiment!("diag", {
+        };
+        publish(&opts, p, "table4", out);
+    });
+    let mut fig6_out = None;
+    experiment("fig6", &mut |p| {
+        let out = publish(&opts, p, "fig6", fig6::run_profiled(&ctx));
+        println!("{}", out.0.chart());
+        fig6_out = Some(out);
+    });
+    experiment("diag", &mut |p| {
         let mut timings = Vec::new();
         let (f, m, h) = &*fig6_out.get_or_insert_with(|| {
             let (f, t, m, h) = fig6::run_cells(&ctx, None);
@@ -505,58 +517,30 @@ fn main() {
             (f, m, h)
         });
         let (d, m, h) = diag::from_fig6(f, m, h);
-        (d, timings, m, h)
+        publish(&opts, p, "diag", (d, timings, m, h));
     });
-    experiment!(
-        "table3",
-        match &fig6_out {
+    experiment("table3", &mut |p| {
+        let out = match &fig6_out {
             Some((f, m, h)) => table3::from_fig6(&ctx, f, m, h),
             None => table3::run_profiled(&ctx),
-        }
-    );
-    experiment!(
-        "users_1e6",
-        users_scale::run_profiled(&ctx, opts.users_full, users_ladder.as_deref())
-    );
-    if wants("ablations") {
-        let t0 = Instant::now();
-        let mut timings = Vec::new();
-        // Summed from the real per-ablation histogram sidecars — this used
-        // to be hardcoded to 0 because the ablation drivers returned no
-        // histograms, silently reporting overflowed reservoirs as exact.
-        let mut dropped: u64 = 0;
-        macro_rules! ablation {
-            ($json_name:literal, $body:expr) => {{
-                let (result, t, metrics, hists) = $body;
-                println!("{result}");
-                if opts.explain && !metrics.points.is_empty() {
-                    println!("{}", metrics.phase_table());
-                }
-                write_json(&opts.json_dir, $json_name, &result);
-                write_json(&opts.json_dir, concat!($json_name, ".metrics"), &metrics);
-                if !hists.points.is_empty() {
-                    write_json(&opts.json_dir, concat!($json_name, ".hist"), &hists);
-                }
-                dropped += hists.dropped_samples();
-                timings.extend(t);
-            }};
-        }
-        ablation!("ablation_raid", ablations::run_raid_profiled(&ctx));
-        ablation!("ablation_stripe", ablations::run_stripe_unit_profiled(&ctx));
-        ablation!("ablation_file_mix", ablations::run_file_mix_profiled(&ctx));
-        ablation!("ablation_realloc", ablations::run_reallocation_profiled(&ctx));
-        ablation!("ablation_ffs", ablations::run_ffs_comparison_profiled(&ctx));
-        ablation!("ablation_degraded_raid", ablations::run_degraded_raid_profiled(&ctx));
-        ablation!("ablation_disk_generations", ablations::run_disk_generations_profiled(&ctx));
-        println!("  [ablations finished in {:.1}s]\n", t0.elapsed().as_secs_f64());
-        profiles.push(ExperimentProfile {
-            experiment: "ablations".to_string(),
-            wall_s: t0.elapsed().as_secs_f64(),
-            dropped_latency_samples: dropped,
-            points: timings,
-        });
-        let _ = std::io::stdout().flush();
-    }
+        };
+        publish(&opts, p, "table3", out);
+    });
+    experiment("users_1e6", &mut |p| {
+        let out = users_scale::run_profiled(&ctx, opts.users_full, users_ladder.as_deref());
+        publish(&opts, p, "users_1e6", out);
+    });
+    // The seven ablations share one profile entry.
+    experiment("ablations", &mut |p| {
+        publish(&opts, p, "ablation_raid", ablations::run_raid_profiled(&ctx));
+        publish(&opts, p, "ablation_stripe", ablations::run_stripe_unit_profiled(&ctx));
+        publish(&opts, p, "ablation_file_mix", ablations::run_file_mix_profiled(&ctx));
+        publish(&opts, p, "ablation_realloc", ablations::run_reallocation_profiled(&ctx));
+        publish(&opts, p, "ablation_ffs", ablations::run_ffs_comparison_profiled(&ctx));
+        publish(&opts, p, "ablation_degraded_raid", ablations::run_degraded_raid_profiled(&ctx));
+        let out = ablations::run_disk_generations_profiled(&ctx);
+        publish(&opts, p, "ablation_disk_generations", out);
+    });
 
     if opts.explain {
         // Ground the phase tables above: on an idle single Wren IV, the
@@ -571,18 +555,11 @@ fn main() {
         metrics_overhead_pct: measure_metrics_overhead_pct(),
         experiments: profiles,
     };
-    write_json(&opts.json_dir, "profile", &profile);
+    write_json(opts.json_dir.as_deref(), "profile", &profile);
 
-    match storex::finish() {
-        Ok(true) => {
-            if let Some(store) = &opts.store {
-                eprintln!("  [store] sealed {store}");
-            }
-        }
-        Ok(false) => {}
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
+    if storex::finish().unwrap_or_else(|e| fail(&e)) {
+        if let Some(store) = &opts.store {
+            eprintln!("  [store] sealed {store}");
         }
     }
 }

@@ -13,9 +13,9 @@
 
 use crate::context::ExperimentContext;
 use crate::fig6::{self, Fig6};
-use crate::metrics::{split3, ExperimentHist, ExperimentMetrics, PointHist, PointMetrics};
+use crate::metrics::{ExperimentHist, ExperimentMetrics};
 use crate::report::{pct, TextTable};
-use crate::runner::{self, JobTiming};
+use crate::runner::{self, Profiled};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -57,9 +57,7 @@ pub fn run(ctx: &ExperimentContext) -> Diag {
 /// derived from, and their latency histograms). Runs Figure 6's 12 cells
 /// (through Figure 6's own job builder) and projects them with
 /// [`from_fig6`].
-pub fn run_profiled(
-    ctx: &ExperimentContext,
-) -> (Diag, Vec<JobTiming>, ExperimentMetrics, ExperimentHist) {
+pub fn run_profiled(ctx: &ExperimentContext) -> Profiled<Diag> {
     let (fig6, timings, metrics, hists) = fig6::run_cells(ctx, None);
     let (diag, metrics, hists) = from_fig6(&fig6, &metrics, &hists);
     (diag, timings, metrics, hists)
@@ -68,14 +66,13 @@ pub fn run_profiled(
 /// The diagnostics read off Figure 6's outputs, simulating nothing: one
 /// row per cell, from the snapshot and histogram of its application test
 /// (the first of the cell's two tests), relabeled
-/// `diag/<workload>/<policy>`. The derived points are mirrored into the
-/// open results store under `diag`.
+/// `diag/<workload>/<policy>`.
 pub fn from_fig6(
     fig6: &Fig6,
     metrics: &ExperimentMetrics,
     hists: &ExperimentHist,
 ) -> (Diag, ExperimentMetrics, ExperimentHist) {
-    let points: Vec<(DiagRow, PointMetrics, PointHist)> = fig6
+    let points = fig6
         .cells
         .iter()
         .zip(&metrics.points)
@@ -97,20 +94,10 @@ pub fn from_fig6(
                 disk_utilization: c.utilization,
             };
             let label = format!("diag/{}/{}", cell.workload, cell.policy);
-            (
-                row,
-                PointMetrics::new(label.clone(), vec![tm.clone()]),
-                PointHist::new(label, vec![h.tests[0].clone()]),
-            )
-        })
-        .collect();
-    runner::record("diag", &points);
-    let (rows, metrics, hists) = split3(points);
-    (
-        Diag { rows },
-        ExperimentMetrics::new("diag", metrics),
-        ExperimentHist::new("diag", hists),
-    )
+            (label, (row, vec![tm.clone()], vec![h.tests[0].clone()]))
+        });
+    let (rows, metrics, hists) = runner::assemble("diag", points);
+    (Diag { rows }, metrics, hists)
 }
 
 impl fmt::Display for Diag {

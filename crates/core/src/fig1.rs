@@ -8,9 +8,8 @@
 //! unclustered slightly worse external fragmentation.
 
 use crate::context::ExperimentContext;
-use crate::metrics::{ExperimentHist, ExperimentMetrics, PointHist, PointMetrics};
 use crate::report::{pct, BarChart, TextTable};
-use crate::runner::{self, Job, JobTiming, RunOutcome};
+use crate::runner::{self, Job, Profiled};
 use readopt_alloc::{PolicyConfig, RestrictedConfig};
 use readopt_workloads::WorkloadKind;
 use serde::{Deserialize, Serialize};
@@ -53,9 +52,6 @@ pub fn sweep_configs() -> Vec<(usize, u64, bool)> {
     out
 }
 
-/// One sweep point's full output: result + metrics + latency histogram.
-type Fig1Out = (Fig1Point, PointMetrics, PointHist);
-
 /// Runs the allocation test across the whole sweep.
 pub fn run(ctx: &ExperimentContext) -> Fig1 {
     run_profiled(ctx).0
@@ -64,28 +60,17 @@ pub fn run(ctx: &ExperimentContext) -> Fig1 {
 /// As [`run`], also returning per-point wall-clock timings and the
 /// observability sidecars (per-point metrics and latency histograms, both
 /// in sweep order).
-pub fn run_profiled(
-    ctx: &ExperimentContext,
-) -> (Fig1, Vec<JobTiming>, ExperimentMetrics, ExperimentHist) {
-    let jobs = sweep_jobs(ctx, &WorkloadKind::all(), &sweep_configs());
-    assemble(runner::run_recorded(ctx, "fig1", jobs))
+pub fn run_profiled(ctx: &ExperimentContext) -> Profiled<Fig1> {
+    run_sweep(ctx, &WorkloadKind::all(), &sweep_configs())
 }
 
-/// Runs an arbitrary subset of the sweep (used by the determinism tests to
-/// keep runtimes down); `run` covers the full grid.
+/// As [`run_profiled`], restricted to a subset of the sweep (the
+/// determinism tests use one to keep runtimes down).
 pub fn run_sweep(
     ctx: &ExperimentContext,
     workloads: &[WorkloadKind],
     configs: &[(usize, u64, bool)],
-) -> (Fig1, Vec<JobTiming>, ExperimentMetrics, ExperimentHist) {
-    assemble(runner::run_jobs(ctx.jobs, sweep_jobs(ctx, workloads, configs)))
-}
-
-fn sweep_jobs(
-    ctx: &ExperimentContext,
-    workloads: &[WorkloadKind],
-    configs: &[(usize, u64, bool)],
-) -> Vec<Job<'static, Fig1Out>> {
+) -> Profiled<Fig1> {
     let ctx = *ctx;
     let mut jobs = Vec::new();
     for &wl in workloads {
@@ -95,7 +80,6 @@ fn sweep_jobs(
                 wl.short_name(),
                 if clustered { "c" } else { "u" }
             );
-            let point_label = label.clone();
             jobs.push(Job::new(label, move || {
                 let policy = PolicyConfig::Restricted(RestrictedConfig::sweep_point(
                     nsizes, grow, clustered,
@@ -109,27 +93,12 @@ fn sweep_jobs(
                     internal_pct: frag.internal_pct,
                     external_pct: frag.external_pct,
                 };
-                (
-                    point,
-                    PointMetrics::new(point_label.clone(), vec![tm]),
-                    PointHist::new(point_label, vec![th]),
-                )
+                (point, vec![tm], vec![th])
             }));
         }
     }
-    jobs
-}
-
-fn assemble(
-    out: RunOutcome<Fig1Out>,
-) -> (Fig1, Vec<JobTiming>, ExperimentMetrics, ExperimentHist) {
-    let (points, metrics, hists) = crate::metrics::split3(out.results);
-    (
-        Fig1 { points },
-        out.timings,
-        ExperimentMetrics::new("fig1", metrics),
-        ExperimentHist::new("fig1", hists),
-    )
+    let (points, timings, metrics, hists) = runner::sweep(&ctx, "fig1", jobs);
+    (Fig1 { points }, timings, metrics, hists)
 }
 
 impl Fig1 {

@@ -7,9 +7,8 @@
 
 use crate::context::ExperimentContext;
 use crate::fig1::sweep_configs;
-use crate::metrics::{split3, ExperimentHist, ExperimentMetrics, PointHist, PointMetrics};
 use crate::report::{pct, BarChart, TextTable};
-use crate::runner::{self, Job, JobTiming, RunOutcome};
+use crate::runner::{self, Job, Profiled};
 use readopt_alloc::{PolicyConfig, RestrictedConfig};
 use readopt_workloads::WorkloadKind;
 use serde::{Deserialize, Serialize};
@@ -39,9 +38,6 @@ pub struct Fig2 {
     pub points: Vec<Fig2Point>,
 }
 
-/// One sweep point's full output: result + metrics + latency histograms.
-type Fig2Out = (Fig2Point, PointMetrics, PointHist);
-
 /// Runs the performance tests across the whole sweep.
 pub fn run(ctx: &ExperimentContext) -> Fig2 {
     run_profiled(ctx).0
@@ -50,28 +46,17 @@ pub fn run(ctx: &ExperimentContext) -> Fig2 {
 /// As [`run`], also returning per-point wall-clock timings and the
 /// observability sidecars (per-point metrics and latency histograms, both
 /// in sweep order).
-pub fn run_profiled(
-    ctx: &ExperimentContext,
-) -> (Fig2, Vec<JobTiming>, ExperimentMetrics, ExperimentHist) {
-    let jobs = sweep_jobs(ctx, &WorkloadKind::all(), &sweep_configs());
-    assemble(runner::run_recorded(ctx, "fig2", jobs))
+pub fn run_profiled(ctx: &ExperimentContext) -> Profiled<Fig2> {
+    run_sweep(ctx, &WorkloadKind::all(), &sweep_configs())
 }
 
-/// Runs an arbitrary subset of the sweep (used by the determinism tests to
-/// keep runtimes down); `run` covers the full grid.
+/// As [`run_profiled`], restricted to a subset of the sweep (the
+/// determinism tests use one to keep runtimes down).
 pub fn run_sweep(
     ctx: &ExperimentContext,
     workloads: &[WorkloadKind],
     configs: &[(usize, u64, bool)],
-) -> (Fig2, Vec<JobTiming>, ExperimentMetrics, ExperimentHist) {
-    assemble(runner::run_jobs(ctx.jobs, sweep_jobs(ctx, workloads, configs)))
-}
-
-fn sweep_jobs(
-    ctx: &ExperimentContext,
-    workloads: &[WorkloadKind],
-    configs: &[(usize, u64, bool)],
-) -> Vec<Job<'static, Fig2Out>> {
+) -> Profiled<Fig2> {
     let ctx = *ctx;
     let mut jobs = Vec::new();
     for &wl in workloads {
@@ -81,7 +66,6 @@ fn sweep_jobs(
                 wl.short_name(),
                 if clustered { "c" } else { "u" }
             );
-            let point_label = label.clone();
             jobs.push(Job::new(label, move || {
                 let policy = PolicyConfig::Restricted(RestrictedConfig::sweep_point(
                     nsizes, grow, clustered,
@@ -95,27 +79,12 @@ fn sweep_jobs(
                     application_pct: app.throughput_pct,
                     sequential_pct: seq.throughput_pct,
                 };
-                (
-                    point,
-                    PointMetrics::new(point_label.clone(), tms),
-                    PointHist::new(point_label, ths),
-                )
+                (point, tms, ths)
             }));
         }
     }
-    jobs
-}
-
-fn assemble(
-    out: RunOutcome<Fig2Out>,
-) -> (Fig2, Vec<JobTiming>, ExperimentMetrics, ExperimentHist) {
-    let (points, metrics, hists) = split3(out.results);
-    (
-        Fig2 { points },
-        out.timings,
-        ExperimentMetrics::new("fig2", metrics),
-        ExperimentHist::new("fig2", hists),
-    )
+    let (points, timings, metrics, hists) = runner::sweep(&ctx, "fig2", jobs);
+    (Fig2 { points }, timings, metrics, hists)
 }
 
 impl Fig2 {

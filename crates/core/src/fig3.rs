@@ -12,9 +12,9 @@
 //! and records where the physical layout breaks, plus the measured
 //! single-stream sequential read time of the resulting file.
 
-use crate::metrics::{ExperimentMetrics, PointMetrics};
+use crate::metrics::ExperimentMetrics;
 use crate::report::TextTable;
-use crate::runner::{self, Job, JobTiming};
+use crate::runner::{self, Job, JobTiming, PointOut};
 use readopt_alloc::{FileHints, Policy, RestrictedPolicy};
 use readopt_disk::{ArrayConfig, IoRequest, SimTime};
 use readopt_sim::{AllocGauges, StorageMetrics, TestMetrics};
@@ -81,11 +81,13 @@ fn run_with_jobs(
         })
         .collect();
     let out = runner::run_jobs(jobs, job_list);
-    let (rows, metrics) = out.results.into_iter().unzip();
-    (Fig3 { rows }, out.timings, ExperimentMetrics::new("fig3", metrics))
+    let labels = out.timings.iter().map(|t| t.label.clone());
+    // The trace records no latencies, so there is no histogram sidecar.
+    let (rows, metrics, _) = runner::assemble("fig3", labels.zip(out.results));
+    (Fig3 { rows }, out.timings, metrics)
 }
 
-fn trace_grow(ladder_bytes: &[u64], target_bytes: u64, grow: u64) -> (Fig3Row, PointMetrics) {
+fn trace_grow(ladder_bytes: &[u64], target_bytes: u64, grow: u64) -> PointOut<Fig3Row> {
     let array = ArrayConfig::scaled(16);
     let unit = array.disk_unit_bytes;
     let sizes_units: Vec<u64> = ladder_bytes.iter().map(|&b| b / unit).collect();
@@ -143,7 +145,7 @@ fn trace_grow(ladder_bytes: &[u64], target_bytes: u64, grow: u64) -> (Fig3Row, P
             frag,
         },
     };
-    (row, PointMetrics::new(format!("fig3/g{grow}"), vec![tm]))
+    (row, vec![tm], Vec::new())
 }
 
 impl fmt::Display for Fig3 {

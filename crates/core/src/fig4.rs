@@ -9,9 +9,8 @@
 //! Table 4 is read off the first-fit points (`table4::from_fig4`).
 
 use crate::context::ExperimentContext;
-use crate::metrics::{split3, ExperimentHist, ExperimentMetrics, PointHist, PointMetrics};
 use crate::report::{pct, BarChart, TextTable};
-use crate::runner::{self, Job, JobTiming, RunOutcome};
+use crate::runner::{self, Job, Profiled};
 use readopt_alloc::FitStrategy;
 use readopt_workloads::WorkloadKind;
 use serde::{Deserialize, Serialize};
@@ -42,9 +41,6 @@ pub struct Fig4 {
     pub points: Vec<Fig4Point>,
 }
 
-/// One sweep point's full output: result + metrics + latency histograms.
-type Fig4Out = (Fig4Point, PointMetrics, PointHist);
-
 /// Runs the allocation test across the sweep.
 pub fn run(ctx: &ExperimentContext) -> Fig4 {
     run_profiled(ctx).0
@@ -52,44 +48,20 @@ pub fn run(ctx: &ExperimentContext) -> Fig4 {
 
 /// As [`run`], also returning per-point wall-clock timings and the
 /// observability sidecars (per-point metrics and latency histograms).
-pub fn run_profiled(
-    ctx: &ExperimentContext,
-) -> (Fig4, Vec<JobTiming>, ExperimentMetrics, ExperimentHist) {
-    let fits = [FitStrategy::FirstFit, FitStrategy::BestFit];
-    assemble(runner::run_recorded(ctx, "fig4", sweep_jobs(ctx, &fits)))
+pub fn run_profiled(ctx: &ExperimentContext) -> Profiled<Fig4> {
+    run_fits(ctx, &[FitStrategy::FirstFit, FitStrategy::BestFit])
 }
 
 /// As [`run_profiled`], restricted to the points whose fit is in `fits`
-/// (still in sweep order) and not mirrored into the results store. Table 4
-/// runs its first-fit points this way when Figure 4 is not in the run.
-pub fn run_fits(
-    ctx: &ExperimentContext,
-    fits: &[FitStrategy],
-) -> (Fig4, Vec<JobTiming>, ExperimentMetrics, ExperimentHist) {
-    assemble(runner::run_jobs(ctx.jobs, sweep_jobs(ctx, fits)))
-}
-
-fn assemble(
-    out: RunOutcome<Fig4Out>,
-) -> (Fig4, Vec<JobTiming>, ExperimentMetrics, ExperimentHist) {
-    let (points, metrics, hists) = split3(out.results);
-    (
-        Fig4 { points },
-        out.timings,
-        ExperimentMetrics::new("fig4", metrics),
-        ExperimentHist::new("fig4", hists),
-    )
-}
-
-/// The sweep's points with a fit in `fits` as runner jobs, in sweep order.
-fn sweep_jobs(ctx: &ExperimentContext, fits: &[FitStrategy]) -> Vec<Job<'static, Fig4Out>> {
+/// (still in sweep order). Table 4 runs its first-fit points this way
+/// when Figure 4 is not in the run.
+pub fn run_fits(ctx: &ExperimentContext, fits: &[FitStrategy]) -> Profiled<Fig4> {
     let ctx = *ctx;
     let mut jobs = Vec::new();
     for wl in WorkloadKind::all() {
         for n_ranges in 1..=5usize {
             for &fit in fits {
                 let label = format!("fig4/{}/r{n_ranges}-{fit:?}", wl.short_name());
-                let point_label = label.clone();
                 jobs.push(Job::new(label, move || {
                     let policy = ctx.extent_policy(wl, n_ranges, fit);
                     let (frag, tm, th) = ctx.run_allocation_observed(wl, policy);
@@ -101,16 +73,13 @@ fn sweep_jobs(ctx: &ExperimentContext, fits: &[FitStrategy]) -> Vec<Job<'static,
                         external_pct: frag.external_pct,
                         avg_extents_per_file: frag.avg_extents_per_file,
                     };
-                    (
-                        point,
-                        PointMetrics::new(point_label.clone(), vec![tm]),
-                        PointHist::new(point_label, vec![th]),
-                    )
+                    (point, vec![tm], vec![th])
                 }));
             }
         }
     }
-    jobs
+    let (points, timings, metrics, hists) = runner::sweep(&ctx, "fig4", jobs);
+    (Fig4 { points }, timings, metrics, hists)
 }
 
 impl Fig4 {

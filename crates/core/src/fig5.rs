@@ -7,9 +7,8 @@
 //! out (Table 4).
 
 use crate::context::ExperimentContext;
-use crate::metrics::{split3, ExperimentHist, ExperimentMetrics, PointHist, PointMetrics};
 use crate::report::{pct, BarChart, TextTable};
-use crate::runner::{self, Job, JobTiming};
+use crate::runner::{self, Job, Profiled};
 use readopt_alloc::FitStrategy;
 use readopt_workloads::WorkloadKind;
 use serde::{Deserialize, Serialize};
@@ -46,28 +45,13 @@ pub fn run(ctx: &ExperimentContext) -> Fig5 {
 
 /// As [`run`], also returning per-point wall-clock timings and the
 /// observability sidecars (per-point metrics and latency histograms).
-pub fn run_profiled(
-    ctx: &ExperimentContext,
-) -> (Fig5, Vec<JobTiming>, ExperimentMetrics, ExperimentHist) {
-    let out = runner::run_recorded(ctx, "fig5", sweep_jobs(ctx));
-    let (points, metrics, hists) = split3(out.results);
-    (
-        Fig5 { points },
-        out.timings,
-        ExperimentMetrics::new("fig5", metrics),
-        ExperimentHist::new("fig5", hists),
-    )
-}
-
-/// The full sweep as runner jobs, in sweep order.
-fn sweep_jobs(ctx: &ExperimentContext) -> Vec<Job<'static, (Fig5Point, PointMetrics, PointHist)>> {
+pub fn run_profiled(ctx: &ExperimentContext) -> Profiled<Fig5> {
     let ctx = *ctx;
     let mut jobs = Vec::new();
     for wl in WorkloadKind::all() {
         for n_ranges in 1..=5usize {
             for fit in [FitStrategy::FirstFit, FitStrategy::BestFit] {
                 let label = format!("fig5/{}/r{n_ranges}-{fit:?}", wl.short_name());
-                let point_label = label.clone();
                 jobs.push(Job::new(label, move || {
                     let policy = ctx.extent_policy(wl, n_ranges, fit);
                     let ((app, seq), tms, ths) = ctx.run_performance_observed(wl, policy);
@@ -79,16 +63,13 @@ fn sweep_jobs(ctx: &ExperimentContext) -> Vec<Job<'static, (Fig5Point, PointMetr
                         sequential_pct: seq.throughput_pct,
                         avg_extents_per_file: seq.avg_extents_per_file,
                     };
-                    (
-                        point,
-                        PointMetrics::new(point_label.clone(), tms),
-                        PointHist::new(point_label, ths),
-                    )
+                    (point, tms, ths)
                 }));
             }
         }
     }
-    jobs
+    let (points, timings, metrics, hists) = runner::sweep(&ctx, "fig5", jobs);
+    (Fig5 { points }, timings, metrics, hists)
 }
 
 impl Fig5 {

@@ -16,9 +16,8 @@
 //! cells (`table3::from_fig6`, `diag::from_fig6`).
 
 use crate::context::ExperimentContext;
-use crate::metrics::{split3, ExperimentHist, ExperimentMetrics, PointHist, PointMetrics};
 use crate::report::{pct, BarChart, TextTable};
-use crate::runner::{self, Job, JobTiming, RunOutcome};
+use crate::runner::{self, Job, Profiled};
 use readopt_alloc::{FitStrategy, PolicyConfig};
 use readopt_workloads::WorkloadKind;
 use serde::{Deserialize, Serialize};
@@ -44,10 +43,6 @@ pub struct Fig6 {
     pub cells: Vec<Fig6Cell>,
 }
 
-/// One cell's full output: result + metrics + latency histograms (one
-/// snapshot each for the application and the sequential test).
-type Fig6Out = (Fig6Cell, PointMetrics, PointHist);
-
 /// The §5 policy line-up for one workload.
 pub fn policies_for(ctx: &ExperimentContext, wl: WorkloadKind) -> Vec<(String, PolicyConfig)> {
     vec![
@@ -68,39 +63,16 @@ pub fn run(ctx: &ExperimentContext) -> Fig6 {
 
 /// As [`run`], also returning per-cell wall-clock timings and the
 /// observability sidecars (per-cell metrics and latency histograms, in
-/// sweep order).
-pub fn run_profiled(
-    ctx: &ExperimentContext,
-) -> (Fig6, Vec<JobTiming>, ExperimentMetrics, ExperimentHist) {
-    assemble(runner::run_recorded(ctx, "fig6", sweep_jobs(ctx, None)))
+/// sweep order; one snapshot each for the application and the
+/// sequential test).
+pub fn run_profiled(ctx: &ExperimentContext) -> Profiled<Fig6> {
+    run_cells(ctx, None)
 }
 
 /// As [`run_profiled`], restricted to the cells of the policy named `only`
-/// (`None` runs all 12 cells; still in sweep order) and not mirrored into
-/// the results store. When Figure 6 is not in the run, Table 3 runs the
-/// buddy cells this way and diag all of them.
-pub fn run_cells(
-    ctx: &ExperimentContext,
-    only: Option<&str>,
-) -> (Fig6, Vec<JobTiming>, ExperimentMetrics, ExperimentHist) {
-    assemble(runner::run_jobs(ctx.jobs, sweep_jobs(ctx, only)))
-}
-
-fn assemble(
-    out: RunOutcome<Fig6Out>,
-) -> (Fig6, Vec<JobTiming>, ExperimentMetrics, ExperimentHist) {
-    let (cells, metrics, hists) = split3(out.results);
-    (
-        Fig6 { cells },
-        out.timings,
-        ExperimentMetrics::new("fig6", metrics),
-        ExperimentHist::new("fig6", hists),
-    )
-}
-
-/// The cells of the policy named `only` (all 12 for `None`) as runner
-/// jobs, in sweep order.
-fn sweep_jobs(ctx: &ExperimentContext, only: Option<&str>) -> Vec<Job<'static, Fig6Out>> {
+/// (`None` runs all 12 cells; still in sweep order). When Figure 6 is not
+/// in the run, Table 3 runs the buddy cells this way and diag all of them.
+pub fn run_cells(ctx: &ExperimentContext, only: Option<&str>) -> Profiled<Fig6> {
     let ctx = *ctx;
     let mut jobs = Vec::new();
     for wl in [
@@ -113,7 +85,6 @@ fn sweep_jobs(ctx: &ExperimentContext, only: Option<&str>) -> Vec<Job<'static, F
             .filter(|(name, _)| only.is_none_or(|p| p == name))
         {
             let label = format!("fig6/{}/{name}", wl.short_name());
-            let point_label = label.clone();
             jobs.push(Job::new(label, move || {
                 let ((app, seq), tms, ths) = ctx.run_performance_observed(wl, policy);
                 let cell = Fig6Cell {
@@ -122,15 +93,12 @@ fn sweep_jobs(ctx: &ExperimentContext, only: Option<&str>) -> Vec<Job<'static, F
                     application_pct: app.throughput_pct,
                     sequential_pct: seq.throughput_pct,
                 };
-                (
-                    cell,
-                    PointMetrics::new(point_label.clone(), tms),
-                    PointHist::new(point_label, ths),
-                )
+                (cell, tms, ths)
             }));
         }
     }
-    jobs
+    let (cells, timings, metrics, hists) = runner::sweep(&ctx, "fig6", jobs);
+    (Fig6 { cells }, timings, metrics, hists)
 }
 
 impl Fig6 {

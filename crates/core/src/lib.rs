@@ -27,7 +27,7 @@
 //! labeled jobs, fans them across `ExperimentContext::jobs` OS threads, and
 //! reassembles results in sweep order — bit-identical at any thread count.
 //! The `run_profiled` variants additionally return per-point wall-clock
-//! timings.
+//! timings and the metrics and histogram sidecars the runner assembles.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,13 +1,14 @@
 //! Experiment-level observability: per-sweep-point metrics sidecars and the
 //! `repro --explain` phase-breakdown view.
 //!
-//! Every experiment driver's `run_profiled` now also returns an
+//! Every experiment driver's `run_profiled` also returns an
 //! [`ExperimentMetrics`]: one [`PointMetrics`] per sweep point, each holding
 //! the [`TestMetrics`] snapshots its simulations produced. The repro binary
 //! writes them as `<experiment>.metrics.json` sidecars next to the results
 //! and renders them as a human table under `--explain`. Because every sweep
-//! point's metrics are produced inside that point's job and reassembled by
-//! the runner in sweep order, the sidecar is bit-identical at any `--jobs`.
+//! point's metrics are produced inside that point's job and assembled by
+//! the runner (`runner::sweep`) in sweep order, the sidecar is
+//! bit-identical at any `--jobs`.
 //!
 //! [`wren_iv_cross_check`] closes the loop against the paper: it measures
 //! single-disk random reads and compares the per-phase averages to the
@@ -145,21 +146,6 @@ impl ExperimentHist {
         }
         dropped
     }
-}
-
-/// Unzips a sweep's `(result, metrics, hist)` triples into parallel
-/// vectors, preserving sweep order (the three-way `unzip` every driver's
-/// reassembly needs).
-pub fn split3<A, B, C>(triples: Vec<(A, B, C)>) -> (Vec<A>, Vec<B>, Vec<C>) {
-    let mut a = Vec::with_capacity(triples.len());
-    let mut b = Vec::with_capacity(triples.len());
-    let mut c = Vec::with_capacity(triples.len());
-    for (x, y, z) in triples {
-        a.push(x);
-        b.push(y);
-        c.push(z);
-    }
-    (a, b, c)
 }
 
 /// Analytic per-phase expectations for single-sector random reads on a

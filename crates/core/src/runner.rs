@@ -15,12 +15,16 @@
 //! sweeps' points vary in cost by more than an order of magnitude, which
 //! defeats static chunking).
 //!
-//! The experiment drivers go through `run_recorded`, which runs on the
-//! context's `jobs` threads and mirrors every point into the open results
-//! store (`repro --store`). The projections (table4, diag, table3's
-//! throughput columns) mirror the points they derive with `record`.
+//! Every experiment driver goes through `sweep`: its jobs return a
+//! `PointOut` (the point plus one metrics snapshot and one latency
+//! histogram per test), and the runner labels the snapshots with the
+//! job's label and assembles the experiment's two sidecars. The
+//! projections (table4, diag, table3's throughput columns) relabel the
+//! points they derive through the same `assemble`.
 
 use crate::context::ExperimentContext;
+use crate::metrics::{ExperimentHist, ExperimentMetrics, PointHist, PointMetrics};
+use readopt_sim::{TestHist, TestMetrics};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -126,31 +130,42 @@ pub fn run_jobs<'scope, T: Send>(jobs: usize, list: Vec<Job<'scope, T>>) -> RunO
     RunOutcome { results, timings }
 }
 
-/// Runs one experiment's sweep on `ctx.jobs` threads and [`record`]s its
-/// points. Without an open store this is [`run_jobs`].
-pub(crate) fn run_recorded<T: Send + Serialize>(
+/// One sweep point's output: its result, plus one metrics snapshot and
+/// one latency histogram per test it ran, in execution order.
+pub(crate) type PointOut<T> = (T, Vec<TestMetrics>, Vec<TestHist>);
+
+/// A profiled experiment: its result, per-point wall-clock timings and
+/// its metrics and histogram sidecars, both in sweep order.
+pub type Profiled<R> = (R, Vec<JobTiming>, ExperimentMetrics, ExperimentHist);
+
+/// Runs one experiment's sweep on `ctx.jobs` threads and [`assemble`]s
+/// its sidecars under the jobs' labels.
+pub(crate) fn sweep<T: Send>(
     ctx: &ExperimentContext,
     experiment: &str,
-    list: Vec<Job<'_, T>>,
-) -> RunOutcome<T> {
+    list: Vec<Job<'_, PointOut<T>>>,
+) -> Profiled<Vec<T>> {
     let out = run_jobs(ctx.jobs, list);
-    record(experiment, &out.results);
-    out
+    let labels = out.timings.iter().map(|t| t.label.clone());
+    let (points, metrics, hists) = assemble(experiment, labels.zip(out.results));
+    (points, out.timings, metrics, hists)
 }
 
-/// Mirrors one experiment's points into the open results store as
-/// `(experiment, index)`, in sweep order. The payload is the point's
-/// `serde_json::to_string` bytes, so a resumed store verifies re-recorded
-/// points byte for byte. A no-op without an open store.
-pub(crate) fn record<T: Serialize>(experiment: &str, points: &[T]) {
-    if crate::storex::active() {
-        for (i, point) in points.iter().enumerate() {
-            let payload = serde_json::to_string(point)
-                .unwrap_or_else(|e| panic!("serialize {experiment} point {i}: {e}"));
-            crate::storex::record(experiment, i as u64, &payload)
-                .unwrap_or_else(|e| panic!("results store: {e}"));
-        }
+/// Splits labeled point outputs, in sweep order, into the points and the
+/// experiment's metrics and histogram sidecars.
+pub(crate) fn assemble<T>(
+    experiment: &str,
+    labeled: impl IntoIterator<Item = (String, PointOut<T>)>,
+) -> (Vec<T>, ExperimentMetrics, ExperimentHist) {
+    let mut points = Vec::new();
+    let mut metrics = Vec::new();
+    let mut hists = Vec::new();
+    for (label, (point, tests, test_hists)) in labeled {
+        points.push(point);
+        metrics.push(PointMetrics::new(label.clone(), tests));
+        hists.push(PointHist::new(label, test_hists));
     }
+    (points, ExperimentMetrics::new(experiment, metrics), ExperimentHist::new(experiment, hists))
 }
 
 #[cfg(test)]

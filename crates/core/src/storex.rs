@@ -1,35 +1,33 @@
 //! Process-global binary results-store session (`repro --store FILE`).
 //!
-//! The experiment drivers and the `repro` binary both need to append to
-//! the same `.rrs` file from wherever a result materializes — the sweep
-//! runner, the `users_1e6` ladder, the artifact writer — so the open
-//! store lives behind one mutex-guarded global session for the life of
-//! the run.
+//! The `users_1e6` ladder and the `repro` binary's artifact writer both
+//! append to the same `.rrs` file, so the open store lives behind one
+//! mutex-guarded global session for the life of the run.
 //!
-//! Three record families share the file, all addressed by
+//! Two record families share the file, both addressed by
 //! `(experiment, index)`:
 //!
-//! * **sweep points** — `experiment` is the sweep's experiment name,
-//!   `index` its submission order, and the payload the exact
-//!   `serde_json::to_string` bytes of the point result (identical at any
-//!   thread count by the determinism contract, so the store bytes are
-//!   too);
-//! * **ladder points** — `users_1e6` appends one record per rung with
-//!   only deterministic content, which is what lets a killed run skip
-//!   completed rungs on resume;
+//! * **ladder rungs** — `users_1e6` appends one record per rung, indexed
+//!   by the rung's position, with only deterministic content (the rung's
+//!   report, event count and latency histogram), which is what lets a
+//!   killed run skip completed rungs on resume;
 //! * **artifacts** — `experiment` is `artifact/<name>` with index 0 and
 //!   the payload the exact pretty-JSON bytes `--json` writes to
 //!   `<name>.json`, which makes [`export`] a pure byte copy: the
 //!   regenerated sidecars are byte-identical to the originals by
-//!   construction.
+//!   construction. Every sweep point reaches the store inside these
+//!   records, and only there.
 //!
 //! Opening an existing store resumes it: the valid record prefix is
 //! recovered (a torn trailing frame is truncated away), the meta record
-//! is checked against the current run configuration, and re-recorded
-//! points are verified to match the recovered bytes instead of being
-//! appended twice. A record that *disagrees* with its recorded bytes is
-//! a hard error — it means the store was written under a different
-//! configuration than the meta claims.
+//! is checked against the current run configuration, and every recorded
+//! rung must parse as a rung outcome, all before anything runs. A
+//! re-recorded artifact is verified to match the recovered bytes instead
+//! of being appended twice; one that *disagrees* is a hard error, since
+//! the run is deterministic and the store was not written by this
+//! program and configuration. (`repro` keeps the stored bytes of the two
+//! artifacts that carry wall-clock times, `profile` and `users_1e6`, and
+//! re-records every other one.)
 
 use readopt_store::{StoreReader, StoreWriter};
 use std::collections::BTreeMap;
@@ -54,12 +52,13 @@ fn lock() -> std::sync::MutexGuard<'static, Option<Session>> {
 }
 
 /// Opens (or resumes) the global store session. Returns the number of
-/// point records recovered from an interrupted previous run (0 for a
-/// fresh store).
+/// records recovered from a previous run (0 for a fresh store).
 ///
 /// `meta_json` is the canonical run-configuration fingerprint; resuming
 /// a store whose meta record disagrees is an error — records produced
 /// under a different configuration must never be mixed into one store.
+/// So is a `users_1e6` record that does not parse as a rung outcome (a
+/// store written by another version of the program, say).
 pub fn open(path: &Path, meta_json: &str) -> Result<usize, String> {
     let mut guard = lock();
     if guard.is_some() {
@@ -75,6 +74,17 @@ pub fn open(path: &Path, meta_json: &str) -> Result<usize, String> {
                     .into_iter()
                     .map(|p| ((p.experiment, p.index), p.payload))
                     .collect();
+                for ((experiment, index), payload) in &seen {
+                    if experiment == "users_1e6" {
+                        crate::users_scale::parse_rung(payload).map_err(|e| {
+                            format!(
+                                "store {} record {experiment}[{index}] is not a users_1e6 \
+                                 rung outcome ({e}); pass a fresh --store path",
+                                path.display()
+                            )
+                        })?;
+                    }
+                }
                 let n = seen.len();
                 *guard = Some(Session { writer, seen });
                 return Ok(n);
@@ -119,9 +129,13 @@ pub fn record(experiment: &str, index: u64, payload: &str) -> Result<(), String>
         if stored == payload {
             return Ok(());
         }
+        let what = match experiment.strip_prefix(ARTIFACT_PREFIX) {
+            Some(name) => format!("{name}.json"),
+            None => format!("store record {experiment}[{index}]"),
+        };
         return Err(format!(
-            "store record {experiment}[{index}] diverged from the stored bytes \
-             ({} vs {} bytes) — the store was not produced by this configuration",
+            "{what} differs from the bytes the results store holds ({} vs {} bytes): \
+             the store was not written by this program and configuration",
             stored.len(),
             payload.len()
         ));
@@ -135,7 +149,8 @@ pub fn record(experiment: &str, index: u64, payload: &str) -> Result<(), String>
 }
 
 /// Records a whole JSON artifact (the exact bytes `--json` writes to
-/// `<name>.json`). A no-op when no session is open.
+/// `<name>.json`), or verifies it against the bytes a resumed store
+/// holds. A no-op when no session is open.
 pub fn record_artifact(name: &str, json: &str) -> Result<(), String> {
     record(&format!("{ARTIFACT_PREFIX}{name}"), 0, json)
 }
@@ -150,10 +165,9 @@ pub fn lookup(experiment: &str, index: u64) -> Option<String> {
 
 /// The stored bytes of artifact `name`, if the session already holds
 /// them (i.e. the artifact landed before a previous run was killed). A
-/// resumed run prefers these over re-serializing: wall-clock-carrying
-/// artifacts (`profile`, the scaling studies) could not re-produce the
-/// recorded bytes, and the sidecar on disk must match what [`export`]
-/// regenerates.
+/// resumed run keeps these for the artifacts that carry wall-clock times
+/// (`profile`, `users_1e6`), which could not reproduce the recorded
+/// bytes, so that the file on disk matches what [`export`] regenerates.
 pub fn lookup_artifact(name: &str) -> Option<String> {
     lookup(&format!("{ARTIFACT_PREFIX}{name}"), 0)
 }
@@ -192,13 +206,6 @@ pub fn export(store: &Path, dir: &Path) -> Result<Vec<String>, String> {
     Ok(written)
 }
 
-/// The meta record (canonical run configuration) of a finished store.
-pub fn read_meta(store: &Path) -> Result<String, String> {
-    let mut reader =
-        StoreReader::open(store).map_err(|e| format!("open {}: {e}", store.display()))?;
-    reader.meta_json().map_err(|e| format!("read meta: {e}"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -212,25 +219,26 @@ mod tests {
     }
 
     /// The global session forces the suite's storex tests to run as one
-    /// scenario: open → record → verify-dedupe → finish → export.
+    /// scenario: open → record → verify-dedupe → finish → export → resume.
     #[test]
     fn session_roundtrip_dedupe_and_export() {
         let dir = tmp("session");
         let store = dir.join("run.rrs");
+        let (fig1, fig2) = ("{\n  \"rows\": []\n}", "{\n  \"rows\": [1]\n}");
         assert!(!active());
-        assert_eq!(lookup("fig1", 0), None, "inactive lookup is None");
-        record("fig1", 0, "dropped").expect("inactive record is a no-op");
+        assert_eq!(lookup_artifact("fig1"), None, "inactive lookup is None");
+        record_artifact("fig1", "dropped").expect("inactive record is a no-op");
 
         assert_eq!(open(&store, "{\"seed\":1}").expect("open"), 0);
         assert!(active());
         assert!(open(&store, "{\"seed\":1}").unwrap_err().contains("already open"));
-        record("fig1", 0, "{\"x\":1}").expect("append");
-        record("fig1", 1, "{\"x\":2}").expect("append");
-        record_artifact("fig1", "{\n  \"rows\": []\n}").expect("artifact");
+        record_artifact("fig1", fig1).expect("artifact");
+        record_artifact("fig2", fig2).expect("artifact");
         // Re-recording identical bytes dedupes; diverging bytes are fatal.
-        record("fig1", 0, "{\"x\":1}").expect("same bytes verify");
-        assert!(record("fig1", 0, "{\"x\":9}").unwrap_err().contains("diverged"));
-        assert_eq!(lookup("fig1", 1).as_deref(), Some("{\"x\":2}"));
+        record_artifact("fig1", fig1).expect("same bytes verify");
+        let err = record_artifact("fig1", "{}").unwrap_err();
+        assert!(err.contains("fig1.json differs from the bytes the results store holds"), "{err}");
+        assert_eq!(lookup_artifact("fig2").as_deref(), Some(fig2));
         assert!(finish().expect("finish"));
         assert!(!finish().expect("idempotent"), "second finish is a no-op");
         assert!(!active());
@@ -238,17 +246,17 @@ mod tests {
         // Export regenerates exactly the artifact records.
         let out = dir.join("json");
         let names = export(&store, &out).expect("export");
-        assert_eq!(names, ["fig1"]);
+        assert_eq!(names, ["fig1", "fig2"]);
         let json = std::fs::read_to_string(out.join("fig1.json")).expect("read export");
-        assert_eq!(json, "{\n  \"rows\": []\n}");
-        assert_eq!(read_meta(&store).expect("meta"), "{\"seed\":1}");
+        assert_eq!(json, fig1);
 
-        // Resume with matching meta recovers the records; a different
-        // meta is rejected.
+        // Resume with matching meta recovers the records and verifies
+        // re-recorded artifacts against them; a different meta is rejected.
         assert!(open(&store, "{\"seed\":2}").unwrap_err().contains("different run"));
-        assert_eq!(open(&store, "{\"seed\":1}").expect("resume"), 3);
-        assert_eq!(lookup("fig1", 0).as_deref(), Some("{\"x\":1}"));
-        record("fig1", 0, "{\"x\":1}").expect("recovered bytes verify");
+        assert_eq!(open(&store, "{\"seed\":1}").expect("resume"), 2);
+        assert_eq!(lookup_artifact("fig1").as_deref(), Some(fig1));
+        record_artifact("fig1", fig1).expect("recovered bytes verify");
+        assert!(record_artifact("fig2", "{}").unwrap_err().contains("fig2.json differs"));
         assert!(finish().expect("finish resumed store"));
     }
 }

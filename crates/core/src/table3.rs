@@ -14,9 +14,9 @@
 
 use crate::context::ExperimentContext;
 use crate::fig6::{self, Fig6};
-use crate::metrics::{split3, ExperimentHist, ExperimentMetrics, PointHist, PointMetrics};
+use crate::metrics::{ExperimentHist, ExperimentMetrics};
 use crate::report::{pct, TextTable};
-use crate::runner::{self, Job, JobTiming};
+use crate::runner::{self, Job, Profiled};
 use readopt_alloc::PolicyConfig;
 use readopt_workloads::WorkloadKind;
 use serde::{Deserialize, Serialize};
@@ -52,9 +52,7 @@ pub fn run(ctx: &ExperimentContext) -> Table3 {
 /// As [`run`], also returning per-point wall-clock timings and the
 /// observability sidecars. Runs Figure 6's 3 buddy cells (through Figure
 /// 6's own job builder), then [`from_fig6`].
-pub fn run_profiled(
-    ctx: &ExperimentContext,
-) -> (Table3, Vec<JobTiming>, ExperimentMetrics, ExperimentHist) {
+pub fn run_profiled(ctx: &ExperimentContext) -> Profiled<Table3> {
     let (fig6, mut timings, metrics, hists) = fig6::run_cells(ctx, Some("buddy"));
     let (table, own, metrics, hists) = from_fig6(ctx, &fig6, &metrics, &hists);
     timings.extend(own);
@@ -64,8 +62,7 @@ pub fn run_profiled(
 /// Table 3 with its application and sequential columns read off Figure
 /// 6's buddy cells: runs the three buddy allocation tests (one job each),
 /// and takes each `table3/<workload>/perf` point's metrics and histograms
-/// from the buddy cell of the same workload. The six points are mirrored
-/// into the open results store under `table3`; the timings are the
+/// from the buddy cell of the same workload. The timings are the
 /// allocation tests'.
 ///
 /// Panics if `fig6` lacks a buddy cell.
@@ -74,30 +71,42 @@ pub fn from_fig6(
     fig6: &Fig6,
     metrics: &ExperimentMetrics,
     hists: &ExperimentHist,
-) -> (Table3, Vec<JobTiming>, ExperimentMetrics, ExperimentHist) {
+) -> Profiled<Table3> {
     let workloads = [
         WorkloadKind::Supercomputer,
         WorkloadKind::TransactionProcessing,
         WorkloadKind::Timesharing,
     ];
-    let out = runner::run_jobs(ctx.jobs, allocation_jobs(ctx, workloads));
+    let jobs = workloads
+        .into_iter()
+        .map(|wl| {
+            let ctx = *ctx;
+            Job::new(format!("table3/{}/alloc", wl.short_name()), move || {
+                let (frag, tm, th) = ctx.run_allocation_observed(wl, PolicyConfig::paper_buddy());
+                ((frag.internal_pct, frag.external_pct), vec![tm], vec![th])
+            })
+        })
+        .collect();
+    let out = runner::run_jobs(ctx.jobs, jobs);
     let mut points = Vec::new();
-    for (wl, alloc) in workloads.into_iter().zip(out.results) {
+    for ((wl, alloc), timing) in workloads.into_iter().zip(out.results).zip(&out.timings) {
         let i = fig6
             .cells
             .iter()
             .position(|c| c.workload == wl.short_name() && c.policy == "buddy")
             .unwrap_or_else(|| panic!("fig6 has no buddy cell for {}", wl.short_name()));
-        let label = format!("table3/{}/perf", wl.short_name());
-        points.push(alloc);
+        let cell = &fig6.cells[i];
+        points.push((timing.label.clone(), alloc));
         points.push((
-            (fig6.cells[i].application_pct, fig6.cells[i].sequential_pct),
-            PointMetrics::new(label.clone(), metrics.points[i].tests.clone()),
-            PointHist::new(label, hists.points[i].tests.clone()),
+            format!("table3/{}/perf", wl.short_name()),
+            (
+                (cell.application_pct, cell.sequential_pct),
+                metrics.points[i].tests.clone(),
+                hists.points[i].tests.clone(),
+            ),
         ));
     }
-    runner::record("table3", &points);
-    let (values, metrics, hists): (Vec<(f64, f64)>, _, _) = split3(points);
+    let (values, metrics, hists) = runner::assemble("table3", points);
     let rows = workloads
         .iter()
         .zip(values.chunks_exact(2))
@@ -109,39 +118,7 @@ pub fn from_fig6(
             sequential_pct: pair[1].1,
         })
         .collect();
-    (
-        Table3 { rows },
-        out.timings,
-        ExperimentMetrics::new("table3", metrics),
-        ExperimentHist::new("table3", hists),
-    )
-}
-
-/// One point's full output: (internal, external) fragmentation for an
-/// allocation test or (application, sequential) throughput for the
-/// performance tests, plus metrics and latency histograms.
-type Table3Out = ((f64, f64), PointMetrics, PointHist);
-
-/// The buddy allocation test of each workload as a runner job.
-fn allocation_jobs(
-    ctx: &ExperimentContext,
-    workloads: [WorkloadKind; 3],
-) -> Vec<Job<'static, Table3Out>> {
-    let ctx = *ctx;
-    let mut jobs = Vec::new();
-    for wl in workloads {
-        let alloc_label = format!("table3/{}/alloc", wl.short_name());
-        let alloc_point = alloc_label.clone();
-        jobs.push(Job::new(alloc_label, move || {
-            let (frag, tm, th) = ctx.run_allocation_observed(wl, PolicyConfig::paper_buddy());
-            (
-                (frag.internal_pct, frag.external_pct),
-                PointMetrics::new(alloc_point.clone(), vec![tm]),
-                PointHist::new(alloc_point, vec![th]),
-            )
-        }));
-    }
-    jobs
+    (Table3 { rows }, out.timings, metrics, hists)
 }
 
 impl fmt::Display for Table3 {

@@ -17,9 +17,9 @@
 
 use crate::context::ExperimentContext;
 use crate::fig4::{self, Fig4};
-use crate::metrics::{split3, ExperimentHist, ExperimentMetrics, PointHist, PointMetrics};
+use crate::metrics::{ExperimentHist, ExperimentMetrics};
 use crate::report::TextTable;
-use crate::runner::{self, JobTiming};
+use crate::runner::{self, Profiled};
 use readopt_alloc::FitStrategy;
 use readopt_workloads::WorkloadKind;
 use serde::{Deserialize, Serialize};
@@ -55,9 +55,7 @@ pub fn run(ctx: &ExperimentContext) -> Table4 {
 /// As [`run`], also returning per-point wall-clock timings and the
 /// observability sidecars. Runs Figure 4's 15 first-fit points (through
 /// Figure 4's own job builder) and projects them with [`from_fig4`].
-pub fn run_profiled(
-    ctx: &ExperimentContext,
-) -> (Table4, Vec<JobTiming>, ExperimentMetrics, ExperimentHist) {
+pub fn run_profiled(ctx: &ExperimentContext) -> Profiled<Table4> {
     let (fig4, timings, metrics, hists) = fig4::run_fits(ctx, &[FitStrategy::FirstFit]);
     let (table, metrics, hists) = from_fig4(&fig4, &metrics, &hists);
     (table, timings, metrics, hists)
@@ -66,8 +64,7 @@ pub fn run_profiled(
 /// Table 4 read off Figure 4's outputs, simulating nothing: each cell is
 /// the `avg_extents_per_file` of the first-fit point with the same
 /// workload and range count, and its metrics and histograms are that
-/// point's, relabeled `table4/<workload>/r<n>`. The derived points are
-/// mirrored into the open results store under `table4`.
+/// point's, relabeled `table4/<workload>/r<n>`.
 ///
 /// Panics if `fig4` lacks one of the 15 first-fit points.
 pub fn from_fig4(
@@ -93,25 +90,22 @@ pub fn from_fig4(
                 .unwrap_or_else(|| {
                     panic!("fig4 has no first-fit point for {} r{n_ranges}", wl.short_name())
                 });
-            let label = format!("table4/{}/r{n_ranges}", wl.short_name());
             points.push((
-                fig4.points[i].avg_extents_per_file,
-                PointMetrics::new(label.clone(), metrics.points[i].tests.clone()),
-                PointHist::new(label, hists.points[i].tests.clone()),
+                format!("table4/{}/r{n_ranges}", wl.short_name()),
+                (
+                    fig4.points[i].avg_extents_per_file,
+                    metrics.points[i].tests.clone(),
+                    hists.points[i].tests.clone(),
+                ),
             ));
         }
     }
-    runner::record("table4", &points);
-    let (values, metrics, hists): (Vec<f64>, _, _) = split3(points);
+    let (values, metrics, hists) = runner::assemble("table4", points);
     let rows = (1..=5usize)
         .zip(values.chunks_exact(3))
         .map(|(n_ranges, v)| Table4Row { n_ranges, sc: v[0], tp: v[1], ts: v[2] })
         .collect();
-    (
-        Table4 { rows },
-        ExperimentMetrics::new("table4", metrics),
-        ExperimentHist::new("table4", hists),
-    )
+    (Table4 { rows }, metrics, hists)
 }
 
 impl fmt::Display for Table4 {

@@ -18,6 +18,11 @@
 //! million users behind `repro --users-full`. Points run sequentially
 //! (never fanned across the runner's job pool) so the timings measure the
 //! engine, not scheduler contention.
+//!
+//! The ladder is the one experiment with records of its own in the results
+//! store (`repro --store`, see [`crate::storex`]): one per completed rung,
+//! holding its deterministic outcome, so that a killed run resumes per
+//! rung. Every other experiment reaches the store only as artifact bytes.
 
 use crate::context::ExperimentContext;
 use crate::metrics::{ExperimentHist, ExperimentMetrics, PointHist};
@@ -102,10 +107,18 @@ fn point_config(ctx: &ExperimentContext, users: u32) -> SimConfig {
     cfg
 }
 
+/// One rung's deterministic outcome: the report, the events popped and
+/// the latency histogram. Its store record is this triple's JSON.
+type RungOutcome = (PerfReport, u64, TestHist);
+
+/// Parses a rung's store record.
+pub(crate) fn parse_rung(payload: &str) -> Result<RungOutcome, String> {
+    serde_json::from_str(payload).map_err(|e| e.to_string())
+}
+
 /// Runs one rung: application test only (the sequential test exercises
-/// the disk model, not the queue). Returns the report, the events popped
-/// and the latency histogram.
-fn run_point(cfg: SimConfig, seed: u64) -> (PerfReport, u64, TestHist) {
+/// the disk model, not the queue).
+fn run_point(cfg: SimConfig, seed: u64) -> RungOutcome {
     let mut sim = Simulation::new(&cfg, seed.wrapping_add(1));
     sim.reset_counters();
     sim.storage_reset_for_probe();
@@ -147,10 +160,9 @@ pub fn run_profiled(
 /// Runs an explicit ladder (tests use a tiny one), one run per rung.
 ///
 /// When the global results store is open, every completed rung appends a
-/// `users_1e6` point record, indexed by the rung's position, holding only
-/// the deterministic outcome triple (report, event count, latency
-/// histogram) — never wall-clock — and a rung already recorded (a
-/// resumed run) is deserialized from the store instead of re-simulated.
+/// `users_1e6` record, indexed by the rung's position, holding only its
+/// deterministic outcome — never wall-clock — and a rung already recorded
+/// (a resumed run) is read back from the store instead of re-simulated.
 /// So a killed ladder resumes per rung: completed rungs are read back,
 /// and the rung that was running starts over.
 pub fn run_ladder(
@@ -166,11 +178,12 @@ pub fn run_ladder(
         let (outcome, timing) = match crate::storex::lookup("users_1e6", record_index) {
             Some(stored) => {
                 // Completed before the previous run was killed: trust the
-                // stored bytes (they were verified on append) and skip the
-                // simulation. The wall column reads 0 — timing is the one
-                // thing a resumed run cannot reproduce.
-                let outcome: (PerfReport, u64, TestHist) = serde_json::from_str(&stored)
-                    .unwrap_or_else(|e| panic!("corrupt store record {label}: {e}"));
+                // stored bytes and skip the simulation. The wall column
+                // reads 0 — timing is the one thing a resumed run cannot
+                // reproduce.
+                let outcome = parse_rung(&stored).unwrap_or_else(|e| {
+                    unreachable!("the store checked {label} when it was opened: {e}")
+                });
                 eprintln!("  [store] users_1e6: {label} recovered, skipping the rerun");
                 (outcome, JobTiming { label: label.clone(), wall_ms: 0.0 })
             }

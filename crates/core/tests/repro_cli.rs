@@ -1,7 +1,8 @@
 //! Argument validation of the real `repro` binary: a bad flag value, an
-//! unknown experiment name or a malformed `REPRO_*` environment value is
-//! an error (exit 2) reported before any experiment starts, never a panic
-//! inside a runner thread and never a silent default.
+//! unknown experiment name, a `--json` directory that cannot be created or
+//! a malformed `REPRO_*` environment value is an error (exit 2) reported
+//! before any experiment starts, never a panic inside a runner thread and
+//! never a silent default.
 
 use readopt_alloc::PolicyConfig;
 use readopt_core::ExperimentContext;
@@ -120,4 +121,20 @@ fn the_banner_names_the_cylinders_each_drive_has() {
     assert_eq!(at_321, at_400, "the same array, the same banner");
     assert!(!at_321.contains("321"), "{at_321}");
     assert!(banner("64").contains("8 disks × 25 cylinders"));
+}
+
+/// `--json DIR` naming something that cannot be a directory (here an
+/// existing regular file) is rejected before anything runs, not with a
+/// panic after the first experiment.
+#[test]
+fn a_json_dir_that_cannot_be_created_is_a_usage_error() {
+    let file = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("repro_cli_json_file");
+    std::fs::write(&file, "a file, not a directory").expect("write the file");
+    let path = file.to_str().expect("utf-8 path");
+    let out = repro(&["table1", "--scale", "64", "--json", path]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(stderr.contains(path), "the message names the path:\n{stderr}");
+    assert!(out.stdout.is_empty(), "no experiment started before the rejection");
 }

@@ -1,10 +1,12 @@
 //! End-to-end binary-results-store tests against the real `repro` binary:
 //! `repro export` must regenerate the JSON sidecars byte-identically,
-//! the store's point records must not depend on `--jobs`,
-//! and a `users_1e6` ladder cut short after its first rung must resume
-//! from the store to the same records and latency sidecar.
+//! the store's artifact records must not depend on `--jobs`, a
+//! `users_1e6` ladder cut short after its first rung must resume from the
+//! store to the same records and latency sidecar, and a resumed store
+//! whose deterministic artifact or rung record this program cannot
+//! reproduce is an error (exit 2), never a panic.
 
-use readopt_store::StoreReader;
+use readopt_store::{StoreReader, StoreWriter};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -44,7 +46,7 @@ fn read(dir: &Path, file: &str) -> String {
         .unwrap_or_else(|e| panic!("read {}/{file}: {e}", dir.display()))
 }
 
-/// Every point-record payload in `store`, keyed by `(experiment, index)`.
+/// Every record payload in `store`, keyed by `(experiment, index)`.
 fn point_records(store: &Path) -> BTreeMap<(String, u64), String> {
     let mut reader = StoreReader::open(store)
         .unwrap_or_else(|e| panic!("open {}: {e}", store.display()));
@@ -58,8 +60,9 @@ fn point_records(store: &Path) -> BTreeMap<(String, u64), String> {
 }
 
 /// `repro --store` + `repro export` round-trips every sidecar
-/// byte-identically, and neither the sweep point records nor the
-/// deterministic artifacts depend on `--jobs`.
+/// byte-identically, the store holds each result once (as artifact
+/// bytes, with no record per sweep point), and the deterministic
+/// artifacts do not depend on `--jobs`.
 #[test]
 fn store_export_roundtrips_and_is_parallelism_invariant() {
     let dir = out_dir("store_roundtrip");
@@ -91,14 +94,19 @@ fn store_export_roundtrips_and_is_parallelism_invariant() {
         );
     }
 
-    // The same sweep at another job count appends the same point records
-    // and deterministic artifacts.
+    // The store holds the artifacts and nothing per sweep point, and the
+    // same sweep at another job count appends the same deterministic
+    // artifacts.
     let reference = point_records(&store1);
+    let ids: Vec<_> = reference.keys().collect();
     assert!(
-        reference.keys().any(|(exp, _)| exp == "table4"),
-        "store holds table4 sweep points: {:?}",
-        reference.keys().collect::<Vec<_>>()
+        reference.keys().all(|(exp, _)| exp.starts_with("artifact/")),
+        "only artifact records: {ids:?}"
     );
+    for name in ["table4", "table4.metrics", "table4.hist", "profile"] {
+        let id = (format!("artifact/{name}"), 0);
+        assert!(reference.contains_key(&id), "store holds {id:?}: {ids:?}");
+    }
     let store2 = dir.join("j2.rrs");
     run_ok(&[&base[..], &["--jobs", "2", "--store", store2.to_str().unwrap()]].concat(), &[]);
     let got = point_records(&store2);
@@ -177,4 +185,67 @@ fn users_ladder_resumes_completed_rungs_from_the_store() {
         read(&full_json, "users_1e6.hist.json"),
         "the latency sidecar of the resumed ladder is byte-identical"
     );
+}
+
+/// A copy of `store`'s META record followed by `records`, written with the
+/// store crate's own writer (a store the program could not have written).
+fn crafted_store(store: &Path, path: &Path, records: &[(&str, u64, &str)]) {
+    let meta = StoreReader::recover(store)
+        .expect("recover the real store")
+        .meta_json
+        .expect("the real store has a META record");
+    let mut writer = StoreWriter::create(path, &meta).expect("create the crafted store");
+    for &(experiment, index, payload) in records {
+        writer.append_point(experiment, index, payload).expect("append a crafted record");
+    }
+    writer.finish().expect("seal the crafted store");
+}
+
+/// On resume, a deterministic artifact must come out as the bytes the
+/// store holds: one that does not is named, with exit 2, before its file
+/// is written.
+#[test]
+fn resumed_store_rejects_an_artifact_it_cannot_reproduce() {
+    let dir = out_dir("store_artifact_mismatch");
+    let base = ["table4", "--scale", "64", "--intervals", "4", "--jobs", "2"];
+    let real = dir.join("real.rrs");
+    run_ok(&[&base[..], &["--store", real.to_str().unwrap()]].concat(), &[]);
+    let crafted = dir.join("crafted.rrs");
+    crafted_store(&real, &crafted, &[("artifact/table4", 0, "{\"rows\": []}")]);
+
+    let json = dir.join("json");
+    let out = run_repro(
+        &[&base[..], &["--store", crafted.to_str().unwrap(), "--json", json.to_str().unwrap()]]
+            .concat(),
+        &[],
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.contains("table4.json differs from the bytes the results store holds"),
+        "the message names the artifact:\n{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(!json.join("table4.json").exists(), "the stored bytes are not written out");
+}
+
+/// A `users_1e6` record that does not parse as a rung outcome (a store from
+/// another version of the program, say) is rejected with exit 2 naming the
+/// record when the store is opened, before anything runs.
+#[test]
+fn resumed_store_rejects_a_rung_record_that_does_not_parse() {
+    let dir = out_dir("store_bad_rung");
+    let base = ["users_1e6", "--scale", "64", "--intervals", "4"];
+    let ladder = [("REPRO_USERS_LADDER", "64")];
+    let real = dir.join("real.rrs");
+    run_ok(&[&base[..], &["--store", real.to_str().unwrap()]].concat(), &ladder);
+    let crafted = dir.join("crafted.rrs");
+    crafted_store(&real, &crafted, &[("users_1e6", 0, "{\"not\":\"an outcome\"}")]);
+
+    let out = run_repro(&[&base[..], &["--store", crafted.to_str().unwrap()]].concat(), &ladder);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("record users_1e6[0]"), "the message names the record:\n{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(out.stdout.is_empty(), "nothing ran before the rejection");
 }

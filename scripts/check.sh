@@ -19,7 +19,13 @@
 #      repeat, and its store records let leg 6 check users_1e6.json,
 #      which holds each rung's wall clock and is not compared here;
 #   6. `repro export` from the store of leg 5, byte-compared against that
-#      leg's sidecars (users_1e6.json included).
+#      leg's sidecars (users_1e6.json included);
+#   7. a resumed run (`table4 users_1e6`) on a copy of leg 5's store: the
+#      users_1e6 rungs come back from the store instead of rerunning, the
+#      two artifacts that carry wall clocks (users_1e6.json, profile.json)
+#      keep their stored bytes, and every deterministic artifact must
+#      reproduce its stored bytes (repro exits 2 if one does not); all six
+#      files written must equal leg 5's.
 # Every file the script writes is under target/ (the lint report is
 # target/check/simlint.json); it changes no tracked file. It checks
 # correctness only: speed is measured by the benchmark in perfbench/.
@@ -92,3 +98,20 @@ done
 [ "$(ls target/check-j1/*.json | wc -l)" = "$(ls target/check-export/*.json | wc -l)" ] \
     || { echo "ERROR: store export wrote a different artifact set"; exit 1; }
 echo "   store export byte-identical to the original sidecars"
+
+echo "== results store resume (table4 users_1e6 on a copy of the store) =="
+rm -rf target/check-resume
+mkdir -p target/check-resume
+cp target/check/run.rrs target/check/resume.rrs
+cargo run --release -q -p readopt-core --bin repro -- \
+    table4 users_1e6 --scale 64 --intervals 4 --jobs 1 --json target/check-resume \
+    --store target/check/resume.rrs > /dev/null 2> target/check/resume.log \
+    || { cat target/check/resume.log; echo "ERROR: resuming leg 5's store failed"; exit 1; }
+grep -q "users_1e6/u16000 recovered" target/check/resume.log \
+    || { echo "ERROR: the resumed run reran the users_1e6 ladder"; exit 1; }
+for f in table4.json table4.metrics.json table4.hist.json users_1e6.hist.json \
+    users_1e6.json profile.json; do
+    cmp "target/check-j1/$f" "target/check-resume/$f" \
+        || { echo "ERROR: $f from the resumed store differs from leg 5's"; exit 1; }
+done
+echo "   resumed run reproduced the stored artifacts"

@@ -1,6 +1,10 @@
 //! Golden-value regression suite: `--scale 64` snapshots of fig1, fig2,
 //! fig5, fig6, table3, table4, diag, the seven ablations and a `users_1e6`
-//! ladder pinned as JSON under `tests/golden/`. The fig6 snapshot also
+//! ladder pinned as JSON under `tests/golden/`. Next to each, a
+//! `<experiment>.sidecars.json` golden pins the names its metrics and
+//! histogram sidecars carry, without their values: the experiment name,
+//! every point's label and the tests each point holds a snapshot of (fig3
+//! and fig4 included). The fig6 snapshot also
 //! pins each test's array-combined disk-time decomposition (seek,
 //! rotational, transfer, head-switch, busy and queue-wait ms, requests,
 //! seeks), so a change to the disk service model shows even where the
@@ -15,9 +19,11 @@
 //! than an opaque string mismatch.
 
 use readopt::experiments::fig6::Fig6;
-use readopt::experiments::metrics::PointHist;
+use readopt::experiments::metrics::{ExperimentHist, PointHist};
+use readopt::experiments::runner::Profiled;
 use readopt::experiments::{
-    ablations, diag, fig1, fig2, fig5, fig6, table3, table4, users_scale, ExperimentContext,
+    ablations, diag, fig1, fig2, fig3, fig4, fig5, fig6, table3, table4, users_scale,
+    ExperimentContext, ExperimentMetrics,
 };
 use readopt::sim::DiskPhaseMetrics;
 use serde::Serialize;
@@ -103,21 +109,63 @@ fn check_golden<T: Serialize>(name: &str, result: &T) {
     );
 }
 
+/// What one sidecar names, without its values.
+#[derive(Serialize)]
+struct SidecarShape {
+    experiment: String,
+    /// `(label, test names)` per point, in sweep order.
+    points: Vec<(String, Vec<String>)>,
+}
+
+/// The shapes of an experiment's metrics and histogram sidecars (`None`
+/// for a sidecar the driver does not produce).
+#[derive(Serialize)]
+struct Sidecars {
+    metrics: Option<SidecarShape>,
+    hist: Option<SidecarShape>,
+}
+
+fn check_sidecars(name: &str, metrics: Option<&ExperimentMetrics>, hist: Option<&ExperimentHist>) {
+    let shape = Sidecars {
+        metrics: metrics.map(|m| SidecarShape {
+            experiment: m.experiment.clone(),
+            points: m
+                .points
+                .iter()
+                .map(|p| (p.label.clone(), p.tests.iter().map(|t| t.test.clone()).collect()))
+                .collect(),
+        }),
+        hist: hist.map(|h| SidecarShape {
+            experiment: h.experiment.clone(),
+            points: h
+                .points
+                .iter()
+                .map(|p| (p.label.clone(), p.tests.iter().map(|t| t.test.clone()).collect()))
+                .collect(),
+        }),
+    };
+    check_golden(&format!("{name}.sidecars"), &shape);
+}
+
+/// Checks a profiled run's result and its sidecars' names.
+fn check_profiled<R: Serialize>(name: &str, (result, _, metrics, hists): Profiled<R>) {
+    check_golden(name, &result);
+    check_sidecars(name, Some(&metrics), Some(&hists));
+}
+
 #[test]
 fn fig1_matches_golden_snapshot() {
-    let (result, _, _, _) = fig1::run_profiled(&ctx());
-    check_golden("fig1", &result);
+    check_profiled("fig1", fig1::run_profiled(&ctx()));
 }
 
 #[test]
 fn fig2_matches_golden_snapshot() {
-    let (result, _, _, _) = fig2::run_profiled(&ctx());
-    check_golden("fig2", &result);
+    check_profiled("fig2", fig2::run_profiled(&ctx()));
 }
 
 #[test]
 fn fig5_matches_golden_snapshot() {
-    check_golden("fig5", &fig5::run(&ctx()));
+    check_profiled("fig5", fig5::run_profiled(&ctx()));
 }
 
 /// The ablations are the only runs of the FFS policy, buddy's reallocator
@@ -125,13 +173,13 @@ fn fig5_matches_golden_snapshot() {
 #[test]
 fn ablations_match_golden_snapshots() {
     let ctx = ctx();
-    check_golden("ablation_raid", &ablations::run_raid(&ctx));
-    check_golden("ablation_stripe", &ablations::run_stripe_unit(&ctx));
-    check_golden("ablation_file_mix", &ablations::run_file_mix(&ctx));
-    check_golden("ablation_realloc", &ablations::run_reallocation(&ctx));
-    check_golden("ablation_ffs", &ablations::run_ffs_comparison(&ctx));
-    check_golden("ablation_degraded_raid", &ablations::run_degraded_raid(&ctx));
-    check_golden("ablation_disk_generations", &ablations::run_disk_generations(&ctx));
+    check_profiled("ablation_raid", ablations::run_raid_profiled(&ctx));
+    check_profiled("ablation_stripe", ablations::run_stripe_unit_profiled(&ctx));
+    check_profiled("ablation_file_mix", ablations::run_file_mix_profiled(&ctx));
+    check_profiled("ablation_realloc", ablations::run_reallocation_profiled(&ctx));
+    check_profiled("ablation_ffs", ablations::run_ffs_comparison_profiled(&ctx));
+    check_profiled("ablation_degraded_raid", ablations::run_degraded_raid_profiled(&ctx));
+    check_profiled("ablation_disk_generations", ablations::run_disk_generations_profiled(&ctx));
 }
 
 /// The disk-time decomposition of one test, array-combined.
@@ -178,7 +226,8 @@ struct Fig6Golden {
 
 #[test]
 fn fig6_matches_golden_snapshot() {
-    let (results, _, metrics, _) = fig6::run_profiled(&ctx());
+    let (results, _, metrics, hists) = fig6::run_profiled(&ctx());
+    check_sidecars("fig6", Some(&metrics), Some(&hists));
     let disk = metrics
         .points
         .iter()
@@ -196,18 +245,25 @@ fn fig6_matches_golden_snapshot() {
 
 #[test]
 fn table4_matches_golden_snapshot() {
-    let (result, _, _, _) = table4::run_profiled(&ctx());
-    check_golden("table4", &result);
+    check_profiled("table4", table4::run_profiled(&ctx()));
+}
+
+/// fig3 and fig4 have no value golden; this pins their sidecars' names.
+/// fig3 traces a bare array and writes no histogram sidecar.
+#[test]
+fn fig3_and_fig4_sidecar_names_match_golden() {
+    let (_, _, metrics) = fig3::run_profiled(2);
+    check_sidecars("fig3", Some(&metrics), None);
+    let (_, _, metrics, hists) = fig4::run_profiled(&ctx());
+    check_sidecars("fig4", Some(&metrics), Some(&hists));
 }
 
 /// table3 and diag read their throughput and disk-time columns off fig6's
 /// cells; these pin what they read.
 #[test]
 fn table3_and_diag_match_golden_snapshots() {
-    let (table, _, _, _) = table3::run_profiled(&ctx());
-    check_golden("table3", &table);
-    let (diag, _, _, _) = diag::run_profiled(&ctx());
-    check_golden("diag", &diag);
+    check_profiled("table3", table3::run_profiled(&ctx()));
+    check_profiled("diag", diag::run_profiled(&ctx()));
 }
 
 /// One `users_1e6` rung without its wall clock.
@@ -228,11 +284,16 @@ struct RungGolden {
 #[test]
 fn users_1e6_matches_golden_snapshot() {
     let ladder = [1_000, 4_000, 16_000, 100_000];
-    let (points, _, hists) = users_scale::run_ladder(&ExperimentContext::fast(64), &ladder);
+    let (result, _, metrics, hists) =
+        users_scale::run_profiled(&ExperimentContext::fast(64), false, Some(&ladder));
+    // Its metrics sidecar is empty, so `repro` writes none.
+    assert!(metrics.points.is_empty());
+    check_sidecars("users_1e6", None, Some(&hists));
+    let points = result.points;
     assert_eq!(points.len(), ladder.len(), "every rung ran");
     let rungs: Vec<RungGolden> = points
         .into_iter()
-        .zip(hists)
+        .zip(hists.points)
         .map(|(p, hist)| RungGolden {
             users: p.users,
             events: p.events,
