@@ -34,7 +34,8 @@
 //!                (seek / rotation / transfer / queue wait per sweep point)
 //!                and the Wren IV analytic cross-check against Table 1
 //! export:        regenerate the JSON artifacts of a finished store into
-//!                DIR, byte for byte (no simulation runs)
+//!                DIR, byte for byte (no simulation runs; any other
+//!                experiment or option next to it is a usage error)
 //! ```
 
 use readopt_alloc::PolicyConfig;
@@ -140,8 +141,14 @@ fn parse_args() -> Result<Options, String> {
         export: false,
         explain: false,
     };
+    // The first token that `export` takes no part of: it reads only
+    // `--store` and `--json`, so anything else next to it is an error.
+    let mut not_for_export = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
+        if !matches!(a.as_str(), "export" | "--store" | "--json") {
+            not_for_export.get_or_insert_with(|| a.clone());
+        }
         match a.as_str() {
             "--scale" => {
                 let n: u32 = args
@@ -209,6 +216,9 @@ fn parse_args() -> Result<Options, String> {
             name if !name.starts_with('-') => return Err(format!("unknown experiment {name}")),
             other => return Err(format!("unknown option {other}")),
         }
+    }
+    if let Some(token) = not_for_export.filter(|_| opts.export) {
+        return Err(format!("repro export takes only --store and --json, not {token}"));
     }
     if opts.experiments.is_empty() {
         opts.experiments.push("all".into());

@@ -18,10 +18,12 @@
 //!   construction. Every sweep point reaches the store inside these
 //!   records, and only there.
 //!
-//! Opening an existing store resumes it: the valid record prefix is
-//! recovered (a torn trailing frame is truncated away), the meta record
-//! is checked against the current run configuration, and every recorded
-//! rung must parse as a rung outcome, all before anything runs. A
+//! Opening an existing store resumes it. First, on a read-only recovery
+//! of the valid record prefix, the meta record is checked against the
+//! current run configuration and every record must be a rung that parses
+//! as a rung outcome or an artifact; a store that fails is left untouched.
+//! Only then is a torn trailing frame (or a finished store's index and
+//! footer) truncated away, all before anything runs. A
 //! re-recorded artifact is verified to match the recovered bytes instead
 //! of being appended twice; one that *disagrees* is a hard error, since
 //! the run is deterministic and the store was not written by this
@@ -57,61 +59,68 @@ fn lock() -> std::sync::MutexGuard<'static, Option<Session>> {
 /// `meta_json` is the canonical run-configuration fingerprint; resuming
 /// a store whose meta record disagrees is an error — records produced
 /// under a different configuration must never be mixed into one store.
-/// So is a `users_1e6` record that does not parse as a rung outcome (a
-/// store written by another version of the program, say).
+/// So is a record this program does not write: anything but a
+/// `users_1e6` rung that parses as a rung outcome or an
+/// `artifact/<name>` (a store written by another version of the
+/// program, say). These checks read the file only, so a store that is
+/// refused stays byte for byte as it was.
 pub fn open(path: &Path, meta_json: &str) -> Result<usize, String> {
     let mut guard = lock();
     if guard.is_some() {
         return Err(String::from("results store already open in this process"));
     }
-    let (writer, recovered_count) = if path.exists() {
+    // A store whose previous run died before the meta record landed holds
+    // nothing recoverable: it is started over like a fresh one.
+    let resumable = path.exists()
+        && check_resumable(path, meta_json)
+            .map_err(|e| format!("store {} {e}; pass a fresh --store path", path.display()))?;
+    let (writer, seen) = if resumable {
         let (writer, recovered) =
             StoreWriter::resume(path).map_err(|e| format!("resume {}: {e}", path.display()))?;
-        match recovered.meta_json.as_deref() {
-            Some(existing) if existing == meta_json => {
-                let seen: BTreeMap<(String, u64), String> = recovered
-                    .points
-                    .into_iter()
-                    .map(|p| ((p.experiment, p.index), p.payload))
-                    .collect();
-                for ((experiment, index), payload) in &seen {
-                    if experiment == "users_1e6" {
-                        crate::users_scale::parse_rung(payload).map_err(|e| {
-                            format!(
-                                "store {} record {experiment}[{index}] is not a users_1e6 \
-                                 rung outcome ({e}); pass a fresh --store path",
-                                path.display()
-                            )
-                        })?;
-                    }
-                }
-                let n = seen.len();
-                *guard = Some(Session { writer, seen });
-                return Ok(n);
-            }
-            Some(_) => {
-                return Err(format!(
-                    "store {} was written under a different run configuration \
-                     (meta record mismatch); pass a fresh --store path",
-                    path.display()
-                ));
-            }
-            // The previous run died before the meta record landed:
-            // nothing recoverable, start the file over.
-            None => {
-                drop(writer);
-                let w = StoreWriter::create(path, meta_json)
-                    .map_err(|e| format!("create {}: {e}", path.display()))?;
-                (w, 0)
-            }
-        }
+        let seen: BTreeMap<(String, u64), String> = recovered
+            .points
+            .into_iter()
+            .map(|p| ((p.experiment, p.index), p.payload))
+            .collect();
+        (writer, seen)
     } else {
-        let w = StoreWriter::create(path, meta_json)
+        let writer = StoreWriter::create(path, meta_json)
             .map_err(|e| format!("create {}: {e}", path.display()))?;
-        (w, 0)
+        (writer, BTreeMap::new())
     };
-    *guard = Some(Session { writer, seen: BTreeMap::new() });
-    Ok(recovered_count)
+    let n = seen.len();
+    *guard = Some(Session { writer, seen });
+    Ok(n)
+}
+
+/// Whether the store at `path` has a meta record, after checking on a
+/// read-only recovery that it is `meta_json` and that every record is one
+/// this program writes.
+fn check_resumable(path: &Path, meta_json: &str) -> Result<bool, String> {
+    let recovered =
+        StoreReader::recover(path).map_err(|e| format!("cannot be resumed ({e})"))?;
+    match recovered.meta_json.as_deref() {
+        None => return Ok(false),
+        Some(existing) if existing != meta_json => {
+            return Err(String::from(
+                "was written under a different run configuration (meta record mismatch)",
+            ));
+        }
+        Some(_) => {}
+    }
+    for p in &recovered.points {
+        let (experiment, index) = (&p.experiment, p.index);
+        if experiment == "users_1e6" {
+            crate::users_scale::parse_rung(&p.payload).map_err(|e| {
+                format!("record {experiment}[{index}] is not a users_1e6 rung outcome ({e})")
+            })?;
+        } else if !experiment.starts_with(ARTIFACT_PREFIX) {
+            return Err(format!(
+                "record {experiment}[{index}] is neither a users_1e6 rung nor an artifact"
+            ));
+        }
+    }
+    Ok(true)
 }
 
 /// Whether a store session is open (records will be appended).

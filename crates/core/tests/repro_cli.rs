@@ -1,8 +1,8 @@
 //! Argument validation of the real `repro` binary: a bad flag value, an
-//! unknown experiment name, a `--json` directory that cannot be created or
-//! a malformed `REPRO_*` environment value is an error (exit 2) reported
-//! before any experiment starts, never a panic inside a runner thread and
-//! never a silent default.
+//! unknown experiment name, a `--json` directory that cannot be created, a
+//! token `repro export` does not read or a malformed `REPRO_*` environment
+//! value is an error (exit 2) reported before any experiment starts, never
+//! a panic inside a runner thread and never a silent default.
 
 use readopt_alloc::PolicyConfig;
 use readopt_core::ExperimentContext;
@@ -137,4 +137,40 @@ fn a_json_dir_that_cannot_be_created_is_a_usage_error() {
     assert!(!stderr.contains("panicked"), "{stderr}");
     assert!(stderr.contains(path), "the message names the path:\n{stderr}");
     assert!(out.stdout.is_empty(), "no experiment started before the rejection");
+}
+
+/// `repro export` reads only `--store` and `--json`: an experiment name or
+/// a run option next to it is a usage error that names the token, and
+/// nothing is exported (the store here is real, so a wrongly accepted
+/// token would write every artifact).
+#[test]
+fn export_rejects_experiments_and_run_options() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("repro_cli_export_extra");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create the test dir");
+    let (store, json) = (dir.join("run.rrs"), dir.join("json"));
+    let (store, json) = (store.to_str().expect("utf-8 path"), json.to_str().expect("utf-8 path"));
+    let made = repro(&["table1", "--scale", "64", "--intervals", "4", "--store", store]);
+    assert!(made.status.success(), "{}", String::from_utf8_lossy(&made.stderr));
+
+    let cases: [(&[&str], &str); 4] = [
+        (&["export", "fig1", "--users-full", "--seed", "7", "--scale", "64"], "fig1"),
+        (&["fig1", "export"], "fig1"),
+        (&["export", "--seed", "7"], "--seed"),
+        (&["export", "--explain"], "--explain"),
+    ];
+    for (tokens, named) in cases {
+        let args = [tokens, &["--store", store, "--json", json]].concat();
+        let out = repro(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}:\n{stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?} panicked:\n{stderr}");
+        assert!(
+            stderr.contains(&format!("repro export takes only --store and --json, not {named}")),
+            "{args:?} names {named}:\n{stderr}"
+        );
+        assert!(stderr.contains("usage: repro"), "{args:?}: usage follows the error:\n{stderr}");
+        assert!(out.stdout.is_empty(), "{args:?}: nothing ran");
+        assert!(!std::path::Path::new(json).exists(), "{args:?}: nothing was exported");
+    }
 }

@@ -4,7 +4,9 @@
 //! `users_1e6` ladder cut short after its first rung must resume from the
 //! store to the same records and latency sidecar, and a resumed store
 //! whose deterministic artifact or rung record this program cannot
-//! reproduce is an error (exit 2), never a panic.
+//! reproduce is an error (exit 2), never a panic. A store refused when it
+//! is opened (another configuration, a record of a family this program
+//! does not write, an unparsable rung) is left byte for byte as it was.
 
 use readopt_store::{StoreReader, StoreWriter};
 use std::collections::BTreeMap;
@@ -187,6 +189,36 @@ fn users_ladder_resumes_completed_rungs_from_the_store() {
     );
 }
 
+/// Runs `repro args` against `store` and asserts that the store is refused
+/// when it is opened: exit 2 with `message`, nothing run, and the store
+/// left byte for byte as it was, so that `repro export` still reads it.
+fn assert_refused_untouched(store: &Path, args: &[&str], env: &[(&str, &str)], message: &str) {
+    let before = std::fs::read(store).expect("read the store");
+    let store_arg = store.to_str().expect("utf-8 path");
+    let out = run_repro(&[args, &["--store", store_arg]].concat(), env);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(stderr.contains(message), "the message says {message:?}:\n{stderr}");
+    assert!(stderr.contains("pass a fresh --store path"), "{stderr}");
+    assert!(out.stdout.is_empty(), "nothing ran before the rejection");
+    assert!(std::fs::read(store).expect("reread the store") == before, "the store is untouched");
+    let json = store.with_extension("export");
+    run_ok(&["export", "--store", store_arg, "--json", json.to_str().expect("utf-8 path")], &[]);
+}
+
+/// A resume under another run configuration (here another seed) is
+/// refused before the store is touched.
+#[test]
+fn a_store_of_another_configuration_is_refused_untouched() {
+    let dir = out_dir("store_other_config");
+    let base = ["table1", "--scale", "64", "--intervals", "4"];
+    let store = dir.join("run.rrs");
+    run_ok(&[&base[..], &["--store", store.to_str().unwrap()]].concat(), &[]);
+    let reseeded = [&base[..], &["--seed", "7"]].concat();
+    assert_refused_untouched(&store, &reseeded, &[], "different run configuration");
+}
+
 /// A copy of `store`'s META record followed by `records`, written with the
 /// store crate's own writer (a store the program could not have written).
 fn crafted_store(store: &Path, path: &Path, records: &[(&str, u64, &str)]) {
@@ -231,7 +263,7 @@ fn resumed_store_rejects_an_artifact_it_cannot_reproduce() {
 
 /// A `users_1e6` record that does not parse as a rung outcome (a store from
 /// another version of the program, say) is rejected with exit 2 naming the
-/// record when the store is opened, before anything runs.
+/// record when the store is opened, before anything runs or is cut.
 #[test]
 fn resumed_store_rejects_a_rung_record_that_does_not_parse() {
     let dir = out_dir("store_bad_rung");
@@ -242,10 +274,19 @@ fn resumed_store_rejects_a_rung_record_that_does_not_parse() {
     let crafted = dir.join("crafted.rrs");
     crafted_store(&real, &crafted, &[("users_1e6", 0, "{\"not\":\"an outcome\"}")]);
 
-    let out = run_repro(&[&base[..], &["--store", crafted.to_str().unwrap()]].concat(), &ladder);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "{stderr}");
-    assert!(stderr.contains("record users_1e6[0]"), "the message names the record:\n{stderr}");
-    assert!(!stderr.contains("panicked"), "{stderr}");
-    assert!(out.stdout.is_empty(), "nothing ran before the rejection");
+    assert_refused_untouched(&crafted, &base, &ladder, "record users_1e6[0]");
+}
+
+/// A record of a family this program does not write (a sweep-point record
+/// of an older version, say) is refused, naming the record, instead of
+/// being carried into the resealed store.
+#[test]
+fn resumed_store_rejects_a_record_it_does_not_write() {
+    let dir = out_dir("store_foreign_record");
+    let base = ["table1", "--scale", "64", "--intervals", "4"];
+    let real = dir.join("real.rrs");
+    run_ok(&[&base[..], &["--store", real.to_str().unwrap()]].concat(), &[]);
+    let crafted = dir.join("crafted.rrs");
+    crafted_store(&real, &crafted, &[("fig1", 0, "{\"rows\": []}")]);
+    assert_refused_untouched(&crafted, &base, &[], "record fig1[0]");
 }

@@ -7,6 +7,7 @@
 //! boolean and string-array values.
 
 use std::collections::BTreeSet;
+use std::path::Path;
 
 /// What kind of target a source file belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -24,7 +25,7 @@ pub enum FileClass {
 }
 
 /// Per-rule scope and behavior.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RuleCfg {
     /// Crate directory names the rule applies to; `None` = every
     /// non-vendored crate.
@@ -56,7 +57,7 @@ impl RuleCfg {
 }
 
 /// The full lint configuration: an ordered list of (rule id, config).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LintConfig {
     /// Rules in evaluation order.
     pub rules: Vec<(String, RuleCfg)>,
@@ -67,21 +68,22 @@ fn set(names: &[&str]) -> Option<BTreeSet<String>> {
 }
 
 impl LintConfig {
-    /// The built-in defaults (mirrored by the shipped `simlint.toml`):
+    /// The built-in defaults (mirrored by the shipped `simlint.toml`, which
+    /// `tests/simlint_clean.rs` checks):
     ///
     /// | rule | scope | test code | classes |
     /// |------|-------|-----------|---------|
-    /// | r1 containers/rng | sim, disk, alloc, workloads, fs | linted | all |
-    /// | r2 wall clock     | sim, disk, alloc, workloads, fs | linted | all |
+    /// | r1 containers/rng | sim, disk, alloc, workloads, store | linted | all |
+    /// | r2 wall clock     | sim, disk, alloc, workloads, store | linted | all |
     /// | r3 unwrap/panic   | all but `core` (the runner/app layer) | skipped | lib |
     /// | r4 unsafe         | everywhere | linted | all |
-    /// | r5 narrowing `as` | disk, alloc, sim | skipped | lib |
-    /// | r6 f64 `sum()`    | sim, disk, alloc, workloads, fs | skipped | all |
-    /// | r7 dead config    | sim, disk, alloc, workloads, fs | skipped | lib |
+    /// | r5 narrowing `as` | disk, alloc, sim, store | skipped | lib |
+    /// | r6 f64 `sum()`    | sim, disk, alloc, workloads, store | skipped | all |
+    /// | r7 dead config    | sim, disk, alloc, workloads, store | skipped | lib |
     /// | r8 stale allow    | everywhere | linted | all |
-    /// | r9 float `==`     | sim, disk, alloc, workloads, fs | skipped | lib |
+    /// | r9 float `==`     | sim, disk, alloc, workloads, store | skipped | lib |
     pub fn default_config() -> Self {
-        let sim_crates = ["sim", "disk", "alloc", "workloads", "fs"];
+        let sim_crates = ["sim", "disk", "alloc", "workloads", "store"];
         let rule = |crates: Option<std::collections::BTreeSet<String>>,
                     skip_test_code: bool,
                     lib_only: bool| RuleCfg {
@@ -97,19 +99,32 @@ impl LintConfig {
             (
                 "r3".to_string(),
                 rule(
-                    set(&["sim", "disk", "alloc", "workloads", "fs", "simlint", "readopt"]),
+                    set(&["sim", "disk", "alloc", "workloads", "simlint", "readopt", "store"]),
                     true,
                     true,
                 ),
             ),
             ("r4".to_string(), rule(None, false, false)),
-            ("r5".to_string(), rule(set(&["disk", "alloc", "sim"]), true, true)),
+            ("r5".to_string(), rule(set(&["disk", "alloc", "sim", "store"]), true, true)),
             ("r6".to_string(), rule(set(&sim_crates), true, false)),
             ("r7".to_string(), rule(set(&sim_crates), true, true)),
             ("r8".to_string(), rule(None, false, false)),
             ("r9".to_string(), rule(set(&sim_crates), true, true)),
         ];
         LintConfig { rules }
+    }
+
+    /// The defaults with the workspace's `root/simlint.toml` applied, when
+    /// there is one: the configuration every lint run uses.
+    pub fn load(root: &Path) -> Result<Self, String> {
+        let mut config = LintConfig::default_config();
+        let toml_path = root.join("simlint.toml");
+        if toml_path.is_file() {
+            let text = std::fs::read_to_string(&toml_path)
+                .map_err(|e| format!("read {}: {e}", toml_path.display()))?;
+            config.apply_toml(&text)?;
+        }
+        Ok(config)
     }
 
     /// Applies `simlint.toml` text over the defaults. Unknown sections or

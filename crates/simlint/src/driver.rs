@@ -57,14 +57,7 @@ struct WorkItem {
 /// Runs the lint over the workspace rooted at `root`, honoring an optional
 /// `simlint.toml` at the root.
 pub fn run_workspace(root: &Path) -> Result<Report, String> {
-    let mut config = LintConfig::default_config();
-    let toml_path = root.join("simlint.toml");
-    if toml_path.is_file() {
-        let text = fs::read_to_string(&toml_path)
-            .map_err(|e| format!("read {}: {e}", toml_path.display()))?;
-        config.apply_toml(&text)?;
-    }
-    run_workspace_with(root, &config)
+    run_workspace_with(root, &LintConfig::load(root)?)
 }
 
 /// Like [`run_workspace`] but with an explicit configuration.

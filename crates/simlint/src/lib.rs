@@ -18,10 +18,10 @@
 //! The deny-by-default rules:
 //!
 //! * **r1** — no `HashMap`/`HashSet`/`thread_rng`/`rand::random` in the
-//!   simulation crates (`sim`, `disk`, `alloc`, `workloads`, `fs`):
-//!   deterministic containers (`BTreeMap`/`BTreeSet`) and the seeded
-//!   `SimRng` only. Applies to test code too — a test iterating a
-//!   `HashMap` can flake.
+//!   simulation crates (`sim`, `disk`, `alloc`, `workloads`) and the
+//!   results store (`store`): deterministic containers
+//!   (`BTreeMap`/`BTreeSet`) and the seeded `SimRng` only. Applies to
+//!   test code too — a test iterating a `HashMap` can flake.
 //! * **r2** — no `std::time::{SystemTime, Instant}` or other wall-clock
 //!   reads inside simulation logic; simulated time is explicit
 //!   (`crates/disk/src/time.rs`). The `crates/core` runner/profiling
@@ -32,7 +32,7 @@
 //!   invariants.
 //! * **r4** — no `unsafe` outside `crates/vendor`.
 //! * **r5** — no narrowing `as` casts (`u64 as u32`, `f64 as f32`, …) on
-//!   the unit/time-arithmetic crates (`disk`, `alloc`, `sim`); use
+//!   the unit/time-arithmetic crates (`disk`, `alloc`, `sim`, `store`); use
 //!   `try_from` or keep the wide type.
 //! * **r6** — no `.sum::<f64>()` in simulation crates; float addition is
 //!   not associative, so accumulation order must be pinned explicitly.

@@ -94,13 +94,7 @@ fn find_root(explicit: Option<PathBuf>) -> Result<PathBuf, String> {
 fn run() -> Result<bool, String> {
     let args = parse_args()?;
     let root = find_root(args.root)?;
-    let mut config = LintConfig::default_config();
-    let toml_path = root.join("simlint.toml");
-    if toml_path.is_file() {
-        let text = std::fs::read_to_string(&toml_path)
-            .map_err(|e| format!("read {}: {e}", toml_path.display()))?;
-        config.apply_toml(&text)?;
-    }
+    let config = LintConfig::load(&root)?;
     let report = run_workspace_filtered(&root, &config, args.crates.as_ref())?;
     if let Some(json_path) = &args.json {
         if let Some(parent) = json_path.parent() {

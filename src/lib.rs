@@ -13,7 +13,6 @@
 //! * [`sim`] — the event-driven simulation engine and test drivers
 //! * [`workloads`] — the paper's TS / TP / SC workload definitions
 //! * [`experiments`] — drivers reproducing every table and figure
-//! * [`fs`] — a POSIX-style simulated file system over the same substrate
 //!
 //! ## Quickstart
 //!
@@ -38,6 +37,5 @@
 pub use readopt_alloc as alloc;
 pub use readopt_core as experiments;
 pub use readopt_disk as disk;
-pub use readopt_fs as fs;
 pub use readopt_sim as sim;
 pub use readopt_workloads as workloads;

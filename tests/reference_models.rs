@@ -95,12 +95,15 @@ proptest! {
         }
     }
 
-    /// `FileMap::map_range` agrees with a unit-by-unit translation table.
+    /// `FileMap::map_range_into` agrees with a unit-by-unit translation
+    /// table, and clears the runs its reused buffer held before (the
+    /// engine maps every transfer into one scratch `Vec`).
     #[test]
     fn filemap_map_range_matches_unit_table(
         extents in proptest::collection::vec((0u64..10_000, 1u64..50), 1..20),
         offset in 0u64..600,
         len in 1u64..600,
+        stale in proptest::collection::vec((0u64..10_000, 1u64..50), 1..4),
     ) {
         // Make the extents disjoint by spacing them out deterministically.
         let mut m = FileMap::new();
@@ -114,7 +117,8 @@ proptest! {
             }
             base = start + elen;
         }
-        let runs = m.map_range(offset, len);
+        let mut runs: Vec<Extent> = stale.into_iter().map(|(s, l)| Extent::new(s, l)).collect();
+        m.map_range_into(offset, len, &mut runs);
         // Reassemble the runs into a flat physical-unit list.
         let mut got: Vec<u64> = Vec::new();
         for r in &runs {

@@ -3,7 +3,8 @@
 //! Runs the same pass as `cargo run -p simlint` in-process — workspace
 //! discovery, `simlint.toml` scoping, rule engine — and fails the test
 //! suite on any finding, so a determinism or robustness regression cannot
-//! merge even if `scripts/check.sh` is skipped.
+//! merge even if `scripts/check.sh` is skipped. It also keeps the shipped
+//! `simlint.toml` equal to the linter's built-in defaults.
 
 use std::path::Path;
 
@@ -42,4 +43,14 @@ fn workspace_has_zero_simlint_findings() {
         report.findings.len(),
         simlint::render_human(&report)
     );
+}
+
+/// The shipped `simlint.toml` scopes every rule exactly as the built-in
+/// defaults do, so a lint run without it checks no crate less.
+#[test]
+fn shipped_toml_mirrors_the_built_in_defaults() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    assert!(root.join("simlint.toml").is_file(), "the workspace ships a simlint.toml");
+    let shipped = simlint::LintConfig::load(root).expect("simlint.toml must parse");
+    assert_eq!(shipped, simlint::LintConfig::default_config());
 }
