@@ -10,7 +10,7 @@
 //! The paper's §5 comparison uses plain fixed-block baselines; this policy
 //! is provided as an *extension* so the intro's three-way story — V7 fixed
 //! block vs FFS vs multiblock — can be measured (see
-//! `ablations::run_ffs_comparison`).
+//! `ablations::run_ffs_comparison_profiled`).
 //!
 //! Model: the disk is divided into cylinder groups. A file holds whole
 //! blocks plus at most one *tail* of 1..blocks_per_frag−1 contiguous

@@ -44,13 +44,10 @@ pub struct RaidAblation {
 }
 
 /// Runs TP (extent policy, 3 ranges, first-fit) under all four layouts.
-pub fn run_raid(ctx: &ExperimentContext) -> RaidAblation {
-    run_raid_profiled(ctx).0
-}
-
-/// As [`run_raid`], also returning per-layout wall-clock timings and the
-/// observability sidecars (metrics + latency histograms, whose per-test
-/// `dropped` counts feed the run profile's overflow accounting).
+///
+/// Also returns per-layout wall-clock timings and the observability
+/// sidecars (metrics + latency histograms, whose per-test `dropped` counts
+/// feed the run profile's overflow accounting).
 pub fn run_raid_profiled(ctx: &ExperimentContext) -> Profiled<RaidAblation> {
     let ctx = *ctx;
     let jobs = [
@@ -127,12 +124,8 @@ pub struct StripeAblation {
 }
 
 /// Runs SC (restricted buddy, §4.2 selection) across stripe units.
-pub fn run_stripe_unit(ctx: &ExperimentContext) -> StripeAblation {
-    run_stripe_unit_profiled(ctx).0
-}
-
-/// As [`run_stripe_unit`], also returning per-point wall-clock timings and
-/// the observability sidecars.
+///
+/// Also returns per-point wall-clock timings and the observability sidecars.
 pub fn run_stripe_unit_profiled(ctx: &ExperimentContext) -> Profiled<StripeAblation> {
     let ctx = *ctx;
     let jobs = [8 * 1024u64, 12 * 1024, 24 * 1024, 72 * 1024, 96 * 1024]
@@ -190,12 +183,8 @@ pub struct FileMixAblation {
 
 /// Varies the TS small:large capacity split and measures extent-policy
 /// fragmentation.
-pub fn run_file_mix(ctx: &ExperimentContext) -> FileMixAblation {
-    run_file_mix_profiled(ctx).0
-}
-
-/// As [`run_file_mix`], also returning per-mix wall-clock timings and the
-/// observability sidecars.
+///
+/// Also returns per-mix wall-clock timings and the observability sidecars.
 pub fn run_file_mix_profiled(ctx: &ExperimentContext) -> Profiled<FileMixAblation> {
     let ctx = *ctx;
     let jobs = [0.05f64, 0.15, 0.30, 0.50]
@@ -275,12 +264,9 @@ pub struct ReallocAblation {
 /// throughput on the compacted layout. Koch's claims to check: "most files
 /// are allocated in 3 extents and average under 4 % internal
 /// fragmentation".
-pub fn run_reallocation(ctx: &ExperimentContext) -> ReallocAblation {
-    run_reallocation_profiled(ctx).0
-}
-
-/// As [`run_reallocation`], also returning per-workload wall-clock timings
-/// and the observability sidecars.
+///
+/// Also returns per-workload wall-clock timings and the observability
+/// sidecars.
 pub fn run_reallocation_profiled(ctx: &ExperimentContext) -> Profiled<ReallocAblation> {
     let ctx = *ctx;
     let jobs = WorkloadKind::all()
@@ -360,12 +346,9 @@ pub struct FfsAblation {
 /// §1's three-way story, measured: the aged V7 fixed-block system, the BSD
 /// FFS block+fragment refinement, and a read-optimized multiblock policy,
 /// all on the small-file timesharing workload FFS was designed for.
-pub fn run_ffs_comparison(ctx: &ExperimentContext) -> FfsAblation {
-    run_ffs_comparison_profiled(ctx).0
-}
-
-/// As [`run_ffs_comparison`], also returning per-policy wall-clock timings
-/// and the observability sidecars.
+///
+/// Also returns per-policy wall-clock timings and the observability
+/// sidecars.
 pub fn run_ffs_comparison_profiled(ctx: &ExperimentContext) -> Profiled<FfsAblation> {
     let ctx = *ctx;
     let wl = WorkloadKind::Timesharing;
@@ -435,14 +418,11 @@ pub struct DegradedRaidAblation {
 
 /// Measures RAID-5 degraded-mode service times and the rebuild cost on the
 /// context's geometry — the operational flip side of §6's RAID caveat.
-pub fn run_degraded_raid(ctx: &ExperimentContext) -> DegradedRaidAblation {
-    run_degraded_raid_profiled(ctx).0
-}
-
-/// As [`run_degraded_raid`], timed through the runner as a single job (the
-/// four service-time probes share one array model and are not worth
-/// splitting). No simulation runs, so the histogram sidecar carries one
-/// empty point (nothing sampled, nothing dropped).
+///
+/// Timed through the runner as a single job (the four service-time probes
+/// share one array model and are not worth splitting). No simulation runs,
+/// so the histogram sidecar carries one empty point (nothing sampled,
+/// nothing dropped).
 pub fn run_degraded_raid_profiled(ctx: &ExperimentContext) -> Profiled<DegradedRaidAblation> {
     let ctx = *ctx;
     let jobs = vec![Job::new("ablation-degraded-raid/probes", move || degraded_raid_probes(&ctx))];
@@ -537,12 +517,8 @@ pub struct DiskGenAblation {
 /// with a circa-2001 geometry (20× the transfer rate, only ~4× the seek
 /// speed). Since seeks got relatively *more* expensive per byte, contiguity
 /// matters more — the fixed-block gap should widen.
-pub fn run_disk_generations(ctx: &ExperimentContext) -> DiskGenAblation {
-    run_disk_generations_profiled(ctx).0
-}
-
-/// As [`run_disk_generations`], also returning per-cell wall-clock timings
-/// and the observability sidecars.
+///
+/// Also returns per-cell wall-clock timings and the observability sidecars.
 pub fn run_disk_generations_profiled(ctx: &ExperimentContext) -> Profiled<DiskGenAblation> {
     use readopt_disk::DiskGeometry;
     let ctx = *ctx;
@@ -611,7 +587,7 @@ mod tests {
 
     #[test]
     fn conclusions_strengthen_on_modern_disks() {
-        let ab = run_disk_generations(&ExperimentContext::fast(64));
+        let ab = run_disk_generations_profiled(&ExperimentContext::fast(64)).0;
         assert_eq!(ab.rows.len(), 8);
         let gap = |generation: &str| {
             let multi = ab
@@ -639,14 +615,14 @@ mod tests {
 
     #[test]
     fn degraded_raid_costs_are_ordered() {
-        let ab = run_degraded_raid(&ExperimentContext::fast(64));
+        let ab = run_degraded_raid_profiled(&ExperimentContext::fast(64)).0;
         assert!(ab.read_degraded_ms >= ab.read_healthy_ms);
         assert!(ab.rebuild_secs > 0.0);
     }
 
     #[test]
     fn ffs_comparison_tells_section_1_story() {
-        let ab = run_ffs_comparison(&ExperimentContext::fast(64));
+        let ab = run_ffs_comparison_profiled(&ExperimentContext::fast(64)).0;
         assert_eq!(ab.rows.len(), 3);
         let v7 = &ab.rows[0];
         let ffs = &ab.rows[1];
@@ -670,7 +646,7 @@ mod tests {
 
     #[test]
     fn nightly_reallocation_matches_kochs_claims() {
-        let ab = run_reallocation(&ExperimentContext::fast(64));
+        let ab = run_reallocation_profiled(&ExperimentContext::fast(64)).0;
         assert_eq!(ab.rows.len(), 3);
         for r in &ab.rows {
             assert!(
@@ -691,7 +667,7 @@ mod tests {
 
     #[test]
     fn raid_rows_cover_all_layouts() {
-        let ab = run_raid(&ExperimentContext::fast(64));
+        let ab = run_raid_profiled(&ExperimentContext::fast(64)).0;
         assert_eq!(ab.rows.len(), 4);
         let striped = &ab.rows[0];
         let raid5 = &ab.rows[2];
@@ -716,7 +692,7 @@ mod tests {
 
     #[test]
     fn stripe_sweep_produces_rows() {
-        let ab = run_stripe_unit(&ExperimentContext::fast(64));
+        let ab = run_stripe_unit_profiled(&ExperimentContext::fast(64)).0;
         assert!(ab.rows.len() >= 2);
         for r in &ab.rows {
             assert!(r.sequential_pct > 0.0);
@@ -725,7 +701,7 @@ mod tests {
 
     #[test]
     fn file_mix_sweep_produces_rows() {
-        let ab = run_file_mix(&ExperimentContext::fast(64));
+        let ab = run_file_mix_profiled(&ExperimentContext::fast(64)).0;
         assert_eq!(ab.rows.len(), 4);
         for r in &ab.rows {
             assert!(r.internal_pct >= 0.0 && r.external_pct >= 0.0);

@@ -3,29 +3,24 @@
 //!
 //! ```text
 //! usage: repro [EXPERIMENT ...] [--scale N] [--seed S] [--intervals K]
-//!              [--jobs J] [--users-full] [--store FILE] [--json DIR]
-//!              [--explain]
-//!        repro export --store FILE --json DIR
+//!              [--jobs J] [--users-full] [--json DIR] [--explain]
 //!
 //! EXPERIMENT: table1 table2 table3 fig1 fig2 fig3 fig4 fig5 table4 fig6 ablations diag
 //!             users_1e6 all (default: all; any other name is a usage error)
 //! --scale N:     divide the paper's 2.8 GB array capacity by N, 1 to 400
 //!                (each drive keeps 1 600 / N cylinders, rounded down, which
 //!                the banner prints; at 400 it is down to its 4-cylinder
-//!                floor); default 1, i.e. full paper scale
+//!                floor); default 1, i.e. full paper scale. Any N but 1 also
+//!                lowers the default --intervals cap
 //! --seed S:      base RNG seed (default 1991)
-//! --intervals K: cap on measured 10 s intervals per performance test (at
-//!                least the stabilization window; fewer is a usage error)
+//! --intervals K: cap on measured 10 s intervals per performance test
+//!                (default 30 at --scale 1, 12 at any other scale; at least
+//!                the stabilization window; fewer is a usage error)
 //! --jobs J:      worker threads for the sweep-point runner (default: the
 //!                machine's available parallelism; results are bit-identical
 //!                at any J)
 //! --users-full:  run the users_1e6 experiment on its full ladder (up to a
 //!                million users) instead of the CI smoke rungs
-//! --store FILE:  also record every JSON artifact and each users_1e6 rung
-//!                in the CRC-framed binary results store FILE; rerunning
-//!                with the same FILE resumes a killed run (completed rungs
-//!                are read back; every deterministic artifact must come
-//!                out as the bytes the store holds)
 //! --json DIR:    also write each result as DIR/<experiment>.json plus its
 //!                observability sidecars DIR/<experiment>.metrics.json and
 //!                DIR/<experiment>.hist.json (per-point latency percentiles),
@@ -33,9 +28,6 @@
 //! --explain:     print each experiment's per-phase disk-time breakdown
 //!                (seek / rotation / transfer / queue wait per sweep point)
 //!                and the Wren IV analytic cross-check against Table 1
-//! export:        regenerate the JSON artifacts of a finished store into
-//!                DIR, byte for byte (no simulation runs; any other
-//!                experiment or option next to it is a usage error)
 //! ```
 
 use readopt_alloc::PolicyConfig;
@@ -43,7 +35,7 @@ use readopt_core::metrics::{cross_check_table, wren_iv_cross_check, ExperimentHi
 use readopt_core::report::TextTable;
 use readopt_core::runner::{self, JobTiming, Profiled};
 use readopt_core::{
-    ablations, diag, fig1, fig2, fig3, fig4, fig5, fig6, storex, table1, table2, table3, table4,
+    ablations, diag, fig1, fig2, fig3, fig4, fig5, fig6, table1, table2, table3, table4,
     users_scale, ExperimentContext, ExperimentMetrics,
 };
 use readopt_disk::DiskGeometry;
@@ -57,14 +49,13 @@ use std::time::Instant;
 /// module documentation above (a unit test keeps the two in step).
 const USAGE: &str = "\
 usage: repro [EXPERIMENT ...] [--scale N] [--seed S] [--intervals K]
-             [--jobs J] [--users-full] [--store FILE] [--json DIR]
-             [--explain]
-       repro export --store FILE --json DIR
+             [--jobs J] [--users-full] [--json DIR] [--explain]
 
 EXPERIMENT: table1 table2 table3 fig1 fig2 fig3 fig4 fig5 table4 fig6 ablations diag
             users_1e6 all (default: all; any other name is a usage error)
-export:     regenerate the JSON artifacts of a finished store (no simulation runs)
---scale N:  divide the array capacity by N, 1 to 400 (default 1: the paper's scale)";
+--scale N:     divide the array capacity by N, 1 to 400 (default 1: the paper's scale)
+--intervals K: cap on measured intervals per performance test
+               (default 30 at --scale 1, 12 at any other scale)";
 
 /// Every experiment name `repro` accepts (`all` runs every one).
 const EXPERIMENTS: [&str; 14] = [
@@ -80,8 +71,6 @@ struct Options {
     jobs: Option<usize>,
     users_full: bool,
     json_dir: Option<String>,
-    store: Option<String>,
-    export: bool,
     explain: bool,
 }
 
@@ -137,18 +126,10 @@ fn parse_args() -> Result<Options, String> {
         jobs: None,
         users_full: false,
         json_dir: None,
-        store: None,
-        export: false,
         explain: false,
     };
-    // The first token that `export` takes no part of: it reads only
-    // `--store` and `--json`, so anything else next to it is an error.
-    let mut not_for_export = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
-        if !matches!(a.as_str(), "export" | "--store" | "--json") {
-            not_for_export.get_or_insert_with(|| a.clone());
-        }
         match a.as_str() {
             "--scale" => {
                 let n: u32 = args
@@ -200,12 +181,6 @@ fn parse_args() -> Result<Options, String> {
             "--json" => {
                 opts.json_dir = Some(args.next().ok_or("--json needs a directory")?);
             }
-            "--store" => {
-                opts.store = Some(args.next().ok_or("--store needs a file path")?);
-            }
-            "export" => {
-                opts.export = true;
-            }
             "--explain" => {
                 opts.explain = true;
             }
@@ -216,9 +191,6 @@ fn parse_args() -> Result<Options, String> {
             name if !name.starts_with('-') => return Err(format!("unknown experiment {name}")),
             other => return Err(format!("unknown option {other}")),
         }
-    }
-    if let Some(token) = not_for_export.filter(|_| opts.export) {
-        return Err(format!("repro export takes only --store and --json, not {token}"));
     }
     if opts.experiments.is_empty() {
         opts.experiments.push("all".into());
@@ -232,26 +204,11 @@ fn fail(message: &str) -> ! {
     std::process::exit(2);
 }
 
-/// The artifacts that carry wall-clock times. A resumed run keeps the
-/// bytes its store holds for them; every other artifact is deterministic
-/// and must come out as its stored bytes.
-const WALL_CLOCK_ARTIFACTS: [&str; 2] = ["profile", "users_1e6"];
-
-/// Writes `value` as artifact `name`: into the open results store, and to
-/// `DIR/<name>.json` under `--json DIR` (created at start-up). Exits 2 if
-/// a resumed store holds other bytes for a deterministic artifact, or if
-/// the file cannot be written.
+/// Writes `value` as `DIR/<name>.json` under `--json DIR` (created at
+/// start-up). Exits 2 if the file cannot be written.
 fn write_json<T: Serialize>(dir: Option<&str>, name: &str, value: &T) {
-    if dir.is_none() && !storex::active() {
-        return;
-    }
-    let stored = storex::lookup_artifact(name).filter(|_| WALL_CLOCK_ARTIFACTS.contains(&name));
-    let json = stored.unwrap_or_else(|| {
-        let fresh = serde_json::to_string_pretty(value).expect("serialize result");
-        storex::record_artifact(name, &fresh).unwrap_or_else(|e| fail(&e));
-        fresh
-    });
     let Some(dir) = dir else { return };
+    let json = serde_json::to_string_pretty(value).expect("serialize result");
     let path = format!("{dir}/{name}.json");
     std::fs::write(&path, json).unwrap_or_else(|e| fail(&format!("write {path}: {e}")));
     eprintln!("  wrote {path}");
@@ -284,45 +241,18 @@ fn publish<R: Serialize + fmt::Display>(
     (result, metrics, hists)
 }
 
-/// The canonical run-configuration fingerprint stored as the `.rrs` meta
-/// record. The results-invariant knob (`jobs`) is normalized out — the
-/// whole point of the store is that a sweep killed under `--jobs 8` can
-/// resume under `--jobs 1` and still produce the same bytes — while
-/// everything results-affecting (array scale, seed, intervals, latency
-/// cap, the users ladder) stays in and is enforced on resume.
-/// `users_ladder` is the raw [`users_scale::LADDER_ENV`] value, empty when
-/// unset.
-fn store_meta_json(ctx: &ExperimentContext, opts: &Options, users_ladder: &str) -> String {
-    #[derive(Serialize)]
-    struct StoreMeta {
-        context: ExperimentContext,
-        users_full: bool,
-        users_ladder: String,
-    }
-    let mut c = *ctx;
-    c.jobs = 1;
-    let meta =
-        StoreMeta { context: c, users_full: opts.users_full, users_ladder: users_ladder.to_string() };
-    serde_json::to_string(&meta).expect("serialize store meta")
-}
-
 /// Reads the users_1e6 ladder override ([`users_scale::LADDER_ENV`]), the
-/// one place the program reads it: its raw value (empty when unset) for
-/// the store's meta record, and its rungs. A malformed value exits 2
-/// naming the variable, before anything runs, instead of falling back to
-/// a default.
-fn users_ladder_env() -> (String, Option<Vec<u32>>) {
+/// one place the program reads it. A malformed value exits 2 naming the
+/// variable, before anything runs, instead of falling back to a default.
+fn users_ladder_env() -> Option<Vec<u32>> {
     let raw = match std::env::var(users_scale::LADDER_ENV) {
         Ok(raw) => raw,
-        Err(std::env::VarError::NotPresent) => return (String::new(), None),
+        Err(std::env::VarError::NotPresent) => return None,
         Err(std::env::VarError::NotUnicode(_)) => {
             fail(&format!("{} is not valid UTF-8", users_scale::LADDER_ENV))
         }
     };
-    match users_scale::parse_ladder(&raw) {
-        Ok(ladder) => (raw, Some(ladder)),
-        Err(e) => fail(&e),
-    }
+    Some(users_scale::parse_ladder(&raw).unwrap_or_else(|e| fail(&e)))
 }
 
 /// The end-of-run runner report: where the wall-clock went, slowest sweep
@@ -376,21 +306,7 @@ fn main() {
         Err(e) if e == "help" => exit_usage(None),
         Err(e) => exit_usage(Some(&e)),
     };
-    let (ladder_env, users_ladder) = users_ladder_env();
-
-    if opts.export {
-        let (Some(store), Some(dir)) = (&opts.store, &opts.json_dir) else {
-            eprintln!("error: repro export needs both --store FILE and --json DIR");
-            std::process::exit(2);
-        };
-        let names = storex::export(std::path::Path::new(store), std::path::Path::new(dir))
-            .unwrap_or_else(|e| fail(&e));
-        for name in &names {
-            eprintln!("  wrote {dir}/{name}.json");
-        }
-        println!("exported {} artifacts from {store} to {dir}", names.len());
-        std::process::exit(0);
-    }
+    let users_ladder = users_ladder_env();
 
     let jobs = opts.jobs.unwrap_or_else(runner::default_jobs);
     let mut ctx = if opts.scale == 1 {
@@ -417,13 +333,6 @@ fn main() {
     if let Some(dir) = &opts.json_dir {
         if let Err(e) = std::fs::create_dir_all(dir) {
             exit_usage(Some(&format!("--json {dir}: cannot create the directory: {e}")));
-        }
-    }
-    if let Some(store) = &opts.store {
-        let meta = store_meta_json(&ctx, &opts, &ladder_env);
-        match storex::open(std::path::Path::new(store), &meta).unwrap_or_else(|e| fail(&e)) {
-            0 => eprintln!("  [store] writing {store}"),
-            n => eprintln!("  [store] resumed {store}: {n} records recovered"),
         }
     }
 
@@ -566,17 +475,12 @@ fn main() {
         experiments: profiles,
     };
     write_json(opts.json_dir.as_deref(), "profile", &profile);
-
-    if storex::finish().unwrap_or_else(|e| fail(&e)) {
-        if let Some(store) = &opts.store {
-            eprintln!("  [store] sealed {store}");
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::{EXPERIMENTS, USAGE};
+    use readopt_core::ExperimentContext;
     use std::collections::BTreeSet;
 
     /// Every `--flag` token in `text`.
@@ -600,7 +504,6 @@ mod tests {
         );
         assert_eq!(flags(&doc), flags(USAGE));
         assert_eq!(flags(&synopsis), flags(USAGE), "every option is in the synopsis");
-        assert!(doc.contains("repro export --store FILE --json DIR"));
         // The EXPERIMENT list names exactly the experiments parse_args accepts.
         let listed: BTreeSet<&str> = USAGE
             .lines()
@@ -618,5 +521,18 @@ mod tests {
         let range = format!("1 to {}", readopt_disk::DiskGeometry::wren_iv_max_scale());
         assert!(USAGE.contains(&format!("by N, {range} (")), "USAGE states {range}");
         assert!(include_str!("repro.rs").contains(&format!("capacity by N, {range}\n")));
+    }
+
+    /// Both texts state the default `--intervals` cap of each scale: `main`
+    /// runs `ExperimentContext::full()` at `--scale 1` and `fast(N)` at any
+    /// other N, so `--scale` also sets the cap.
+    #[test]
+    fn usage_text_states_the_interval_cap_of_each_scale() {
+        let full = ExperimentContext::full().max_intervals;
+        let fast = ExperimentContext::fast(2).max_intervals;
+        let stated = format!("(default {full} at --scale 1, {fast} at any other scale");
+        assert!(USAGE.contains(&stated), "USAGE states {stated:?}");
+        let mut doc = include_str!("repro.rs").lines().filter(|l| l.starts_with("//!"));
+        assert!(doc.any(|l| l.contains(&stated)), "the module doc states {stated:?}");
     }
 }

@@ -4,11 +4,10 @@ use readopt_alloc::PolicyConfig;
 use readopt_disk::ArrayConfig;
 use readopt_sim::{FragReport, PerfReport, SimConfig, Simulation, TestHist, TestMetrics};
 use readopt_workloads::WorkloadKind;
-use serde::{Deserialize, Serialize};
 
 /// How an experiment run is scoped: which disk system, which seed, and how
 /// patient to be.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExperimentContext {
     /// The disk system every simulation in the experiment uses.
     pub array: ArrayConfig,

@@ -47,16 +47,11 @@ pub struct Diag {
     pub rows: Vec<DiagRow>,
 }
 
-/// Decomposes the disk time of every Figure 6 cell's application test.
-pub fn run(ctx: &ExperimentContext) -> Diag {
-    run_profiled(ctx).0
-}
-
-/// As [`run`], also returning per-cell wall-clock timings and the
-/// observability sidecars (the application-test snapshots the rows are
-/// derived from, and their latency histograms). Runs Figure 6's 12 cells
-/// (through Figure 6's own job builder) and projects them with
-/// [`from_fig6`].
+/// Decomposes the disk time of every Figure 6 cell's application test,
+/// returning with it per-cell wall-clock timings and the observability
+/// sidecars (the application-test snapshots the rows are derived from, and
+/// their latency histograms). Runs Figure 6's 12 cells (through Figure 6's
+/// own job builder) and projects them with [`from_fig6`].
 pub fn run_profiled(ctx: &ExperimentContext) -> Profiled<Diag> {
     let (fig6, timings, metrics, hists) = fig6::run_cells(ctx, None);
     let (diag, metrics, hists) = from_fig6(&fig6, &metrics, &hists);
@@ -128,7 +123,7 @@ mod tests {
 
     #[test]
     fn decomposition_sums_to_one_and_tells_the_story() {
-        let diag = run(&ExperimentContext::fast(64));
+        let diag = run_profiled(&ExperimentContext::fast(64)).0;
         assert_eq!(diag.rows.len(), 12);
         for r in &diag.rows {
             let total = r.seek_share_pct + r.rotation_share_pct + r.transfer_share_pct;

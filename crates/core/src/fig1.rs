@@ -52,14 +52,9 @@ pub fn sweep_configs() -> Vec<(usize, u64, bool)> {
     out
 }
 
-/// Runs the allocation test across the whole sweep.
-pub fn run(ctx: &ExperimentContext) -> Fig1 {
-    run_profiled(ctx).0
-}
-
-/// As [`run`], also returning per-point wall-clock timings and the
-/// observability sidecars (per-point metrics and latency histograms, both
-/// in sweep order).
+/// Runs the allocation test across the whole sweep, returning with it
+/// per-point wall-clock timings and the observability sidecars (per-point
+/// metrics and latency histograms, both in sweep order).
 pub fn run_profiled(ctx: &ExperimentContext) -> Profiled<Fig1> {
     run_sweep(ctx, &WorkloadKind::all(), &sweep_configs())
 }

@@ -38,14 +38,9 @@ pub struct Fig2 {
     pub points: Vec<Fig2Point>,
 }
 
-/// Runs the performance tests across the whole sweep.
-pub fn run(ctx: &ExperimentContext) -> Fig2 {
-    run_profiled(ctx).0
-}
-
-/// As [`run`], also returning per-point wall-clock timings and the
-/// observability sidecars (per-point metrics and latency histograms, both
-/// in sweep order).
+/// Runs the performance tests across the whole sweep, returning with them
+/// per-point wall-clock timings and the observability sidecars (per-point
+/// metrics and latency histograms, both in sweep order).
 pub fn run_profiled(ctx: &ExperimentContext) -> Profiled<Fig2> {
     run_sweep(ctx, &WorkloadKind::all(), &sweep_configs())
 }

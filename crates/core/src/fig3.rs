@@ -23,6 +23,12 @@ use std::fmt;
 
 const KB: u64 = 1024;
 
+/// The §4.2 example size ladder (8K / 64K / 1M).
+const LADDER_BYTES: [u64; 3] = [8 * KB, 64 * KB, 1024 * KB];
+
+/// The size each trace grows its file to.
+const TARGET_BYTES: u64 = 128 * KB;
+
 /// Layout trace for one grow factor.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Fig3Row {
@@ -48,37 +54,16 @@ pub struct Fig3 {
 }
 
 /// Traces the §4.2 example ladder (8K / 64K / 1M) for g ∈ {1, 2}, growing
-/// to 128 KB — past g=1's forced 64 KB-block transition (the paper's
-/// "any file over 72K requires a 64K block") but within g=2's contiguous
-/// 8 KB-block span, so the grow-factor difference shows up directly in the
-/// extent count and the sequential read time.
-pub fn run() -> Fig3 {
-    run_with(&[8 * KB, 64 * KB, 1024 * KB], 128 * KB)
-}
-
-/// As [`run`], fanning the two grow-factor traces across `jobs` threads and
-/// returning per-trace timings and the observability sidecar.
+/// a file 8 KB at a time to 128 KB — past g=1's forced 64 KB-block
+/// transition (the paper's "any file over 72K requires a 64K block") but
+/// within g=2's contiguous 8 KB-block span, so the grow-factor difference
+/// shows up directly in the extent count and the sequential read time.
+/// The two traces fan across `jobs` threads; per-trace timings and the
+/// observability sidecar come back with the figure.
 pub fn run_profiled(jobs: usize) -> (Fig3, Vec<JobTiming>, ExperimentMetrics) {
-    run_with_jobs(&[8 * KB, 64 * KB, 1024 * KB], 128 * KB, jobs)
-}
-
-/// Traces an arbitrary ladder, growing a file 8 KB at a time to
-/// `target_bytes`.
-pub fn run_with(ladder_bytes: &[u64], target_bytes: u64) -> Fig3 {
-    run_with_jobs(ladder_bytes, target_bytes, 1).0
-}
-
-fn run_with_jobs(
-    ladder_bytes: &[u64],
-    target_bytes: u64,
-    jobs: usize,
-) -> (Fig3, Vec<JobTiming>, ExperimentMetrics) {
     let job_list = [1u64, 2]
         .into_iter()
-        .map(|grow| {
-            let ladder = ladder_bytes.to_vec();
-            Job::new(format!("fig3/g{grow}"), move || trace_grow(&ladder, target_bytes, grow))
-        })
+        .map(|grow| Job::new(format!("fig3/g{grow}"), move || trace_grow(grow)))
         .collect();
     let out = runner::run_jobs(jobs, job_list);
     let labels = out.timings.iter().map(|t| t.label.clone());
@@ -87,15 +72,15 @@ fn run_with_jobs(
     (Fig3 { rows }, out.timings, metrics)
 }
 
-fn trace_grow(ladder_bytes: &[u64], target_bytes: u64, grow: u64) -> PointOut<Fig3Row> {
+fn trace_grow(grow: u64) -> PointOut<Fig3Row> {
     let array = ArrayConfig::scaled(16);
     let unit = array.disk_unit_bytes;
-    let sizes_units: Vec<u64> = ladder_bytes.iter().map(|&b| b / unit).collect();
+    let sizes_units: Vec<u64> = LADDER_BYTES.iter().map(|&b| b / unit).collect();
     let mut policy: RestrictedPolicy = RestrictedPolicy::new(array.capacity_units(), &sizes_units, grow, None);
     let file = policy.create(&FileHints::default()).expect("fresh disk");
     let step = 8 * KB / unit;
     let mut logical = 0u64;
-    let target_units = target_bytes / unit;
+    let target_units = TARGET_BYTES / unit;
     let mut break_points = Vec::new();
     let mut last_extents = policy.extent_count(file).expect("file is live");
     while logical < target_units {
@@ -174,7 +159,7 @@ mod tests {
 
     #[test]
     fn higher_grow_factor_defers_the_first_break() {
-        let fig = run();
+        let fig = run_profiled(1).0;
         let g1 = &fig.rows[0];
         let g2 = &fig.rows[1];
         assert_eq!(g1.grow_factor, 1);
@@ -196,7 +181,7 @@ mod tests {
 
     #[test]
     fn both_factors_fully_allocate_the_file() {
-        for r in run().rows {
+        for r in run_profiled(1).0.rows {
             assert!(r.allocated_bytes >= r.file_bytes);
             assert!(r.extents >= 1);
             assert!(r.sequential_read_ms > 0.0);

@@ -41,13 +41,9 @@ pub struct Fig4 {
     pub points: Vec<Fig4Point>,
 }
 
-/// Runs the allocation test across the sweep.
-pub fn run(ctx: &ExperimentContext) -> Fig4 {
-    run_profiled(ctx).0
-}
-
-/// As [`run`], also returning per-point wall-clock timings and the
-/// observability sidecars (per-point metrics and latency histograms).
+/// Runs the allocation test across the sweep, returning with it per-point
+/// wall-clock timings and the observability sidecars (per-point metrics
+/// and latency histograms).
 pub fn run_profiled(ctx: &ExperimentContext) -> Profiled<Fig4> {
     run_fits(ctx, &[FitStrategy::FirstFit, FitStrategy::BestFit])
 }

@@ -38,13 +38,9 @@ pub struct Fig5 {
     pub points: Vec<Fig5Point>,
 }
 
-/// Runs the performance tests across the sweep.
-pub fn run(ctx: &ExperimentContext) -> Fig5 {
-    run_profiled(ctx).0
-}
-
-/// As [`run`], also returning per-point wall-clock timings and the
-/// observability sidecars (per-point metrics and latency histograms).
+/// Runs the performance tests across the sweep, returning with them
+/// per-point wall-clock timings and the observability sidecars (per-point
+/// metrics and latency histograms).
 pub fn run_profiled(ctx: &ExperimentContext) -> Profiled<Fig5> {
     let ctx = *ctx;
     let mut jobs = Vec::new();

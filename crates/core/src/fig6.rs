@@ -56,13 +56,8 @@ pub fn policies_for(ctx: &ExperimentContext, wl: WorkloadKind) -> Vec<(String, P
     ]
 }
 
-/// Runs the comparison.
-pub fn run(ctx: &ExperimentContext) -> Fig6 {
-    run_profiled(ctx).0
-}
-
-/// As [`run`], also returning per-cell wall-clock timings and the
-/// observability sidecars (per-cell metrics and latency histograms, in
+/// Runs the comparison, returning with it per-cell wall-clock timings and
+/// the observability sidecars (per-cell metrics and latency histograms, in
 /// sweep order; one snapshot each for the application and the
 /// sequential test).
 pub fn run_profiled(ctx: &ExperimentContext) -> Profiled<Fig6> {

@@ -26,8 +26,11 @@
 //! Sweeps execute through [`runner`]: each driver enumerates its points as
 //! labeled jobs, fans them across `ExperimentContext::jobs` OS threads, and
 //! reassembles results in sweep order — bit-identical at any thread count.
-//! The `run_profiled` variants additionally return per-point wall-clock
-//! timings and the metrics and histogram sidecars the runner assembles.
+//! Each experiment has one entry point: `run_profiled` (`run_*_profiled`
+//! for the ablations), which returns the result together with per-point
+//! wall-clock timings and the metrics and histogram sidecars the runner
+//! assembles. The parameter dumps [`table1`] and [`table2`] have no sweep
+//! and keep a plain `run`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -45,7 +48,6 @@ pub mod fig6;
 pub mod metrics;
 pub mod report;
 pub mod runner;
-pub mod storex;
 pub mod table1;
 pub mod table2;
 pub mod table3;

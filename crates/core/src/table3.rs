@@ -44,14 +44,10 @@ pub struct Table3 {
     pub rows: Vec<Table3Row>,
 }
 
-/// Runs buddy allocation through the §3 suite on all three workloads.
-pub fn run(ctx: &ExperimentContext) -> Table3 {
-    run_profiled(ctx).0
-}
-
-/// As [`run`], also returning per-point wall-clock timings and the
-/// observability sidecars. Runs Figure 6's 3 buddy cells (through Figure
-/// 6's own job builder), then [`from_fig6`].
+/// Runs buddy allocation through the §3 suite on all three workloads,
+/// returning with it per-point wall-clock timings and the observability
+/// sidecars. Runs Figure 6's 3 buddy cells (through Figure 6's own job
+/// builder), then [`from_fig6`].
 pub fn run_profiled(ctx: &ExperimentContext) -> Profiled<Table3> {
     let (fig6, mut timings, metrics, hists) = fig6::run_cells(ctx, Some("buddy"));
     let (table, own, metrics, hists) = from_fig6(ctx, &fig6, &metrics, &hists);
@@ -149,7 +145,7 @@ mod tests {
 
     #[test]
     fn fast_scale_reproduces_table_3_shape() {
-        let table = run(&ExperimentContext::fast(64));
+        let table = run_profiled(&ExperimentContext::fast(64)).0;
         assert_eq!(table.rows.len(), 3);
         let sc = &table.rows[0];
         let tp = &table.rows[1];

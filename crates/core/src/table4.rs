@@ -47,12 +47,7 @@ pub struct Table4 {
 
 /// Measures average extents per file with first-fit allocation (the
 /// configuration the paper carries into §5) after the allocation test has
-/// filled the disk.
-pub fn run(ctx: &ExperimentContext) -> Table4 {
-    run_profiled(ctx).0
-}
-
-/// As [`run`], also returning per-point wall-clock timings and the
+/// filled the disk, returning with it per-point wall-clock timings and the
 /// observability sidecars. Runs Figure 4's 15 first-fit points (through
 /// Figure 4's own job builder) and projects them with [`from_fig4`].
 pub fn run_profiled(ctx: &ExperimentContext) -> Profiled<Table4> {

@@ -18,11 +18,6 @@
 //! million users behind `repro --users-full`. Points run sequentially
 //! (never fanned across the runner's job pool) so the timings measure the
 //! engine, not scheduler contention.
-//!
-//! The ladder is the one experiment with records of its own in the results
-//! store (`repro --store`, see [`crate::storex`]): one per completed rung,
-//! holding its deterministic outcome, so that a killed run resumes per
-//! rung. Every other experiment reaches the store only as artifact bytes.
 
 use crate::context::ExperimentContext;
 use crate::metrics::{ExperimentHist, ExperimentMetrics, PointHist};
@@ -42,10 +37,9 @@ pub const SMOKE_LADDER: [u32; 3] = [1_000, 4_000, 16_000];
 pub const FULL_LADDER: [u32; 5] = [1_000, 4_000, 16_000, 100_000, 1_000_000];
 
 /// Environment override for the ladder: comma-separated user counts
-/// (e.g. `REPRO_USERS_LADDER=64,256`). Results-affecting, so it is part
-/// of the store's meta fingerprint. Only `repro` reads it, once at
-/// start-up, and passes the rungs to [`run_profiled`]; the store tests use
-/// it to run ladders that take milliseconds.
+/// (e.g. `REPRO_USERS_LADDER=64,256`), so that one rung can run without
+/// the rest of its ladder. Only `repro` reads it, once at start-up, and
+/// passes the rungs to [`run_profiled`].
 pub const LADDER_ENV: &str = "REPRO_USERS_LADDER";
 
 /// Parses a [`LADDER_ENV`] value: a comma-separated list of user counts,
@@ -69,8 +63,7 @@ pub struct UsersScalePoint {
     pub users: u32,
     /// Events popped during the measured application test.
     pub events: u64,
-    /// Wall-clock of the rung's run, seconds (0 for a rung recovered from
-    /// the results store).
+    /// Wall-clock of the rung's run, seconds.
     pub wall_s: f64,
     /// Application throughput, % of max.
     pub application_pct: f64,
@@ -107,18 +100,10 @@ fn point_config(ctx: &ExperimentContext, users: u32) -> SimConfig {
     cfg
 }
 
-/// One rung's deterministic outcome: the report, the events popped and
-/// the latency histogram. Its store record is this triple's JSON.
-type RungOutcome = (PerfReport, u64, TestHist);
-
-/// Parses a rung's store record.
-pub(crate) fn parse_rung(payload: &str) -> Result<RungOutcome, String> {
-    serde_json::from_str(payload).map_err(|e| e.to_string())
-}
-
 /// Runs one rung: application test only (the sequential test exercises
-/// the disk model, not the queue).
-fn run_point(cfg: SimConfig, seed: u64) -> RungOutcome {
+/// the disk model, not the queue). Returns the report, the events popped
+/// and the latency histogram.
+fn run_point(cfg: SimConfig, seed: u64) -> (PerfReport, u64, TestHist) {
     let mut sim = Simulation::new(&cfg, seed.wrapping_add(1));
     sim.reset_counters();
     sim.storage_reset_for_probe();
@@ -128,15 +113,10 @@ fn run_point(cfg: SimConfig, seed: u64) -> RungOutcome {
     (report, events, hist)
 }
 
-/// Runs the sweep on the smoke or full ladder.
-pub fn run(ctx: &ExperimentContext, full: bool) -> UsersScale {
-    run_profiled(ctx, full, None).0
-}
-
-/// As [`run`], also returning per-rung wall-clock timings, an (empty)
-/// metrics sidecar and one latency histogram per rung. `ladder`, when
-/// given, replaces the smoke or full ladder's rungs (`repro` passes the
-/// [`LADDER_ENV`] override here).
+/// Runs the sweep on the smoke or full ladder, returning with it per-rung
+/// wall-clock timings, an (empty) metrics sidecar and one latency
+/// histogram per rung. `ladder`, when given, replaces the smoke or full
+/// ladder's rungs (`repro` passes the [`LADDER_ENV`] override here).
 pub fn run_profiled(
     ctx: &ExperimentContext,
     full: bool,
@@ -158,13 +138,6 @@ pub fn run_profiled(
 }
 
 /// Runs an explicit ladder (tests use a tiny one), one run per rung.
-///
-/// When the global results store is open, every completed rung appends a
-/// `users_1e6` record, indexed by the rung's position, holding only its
-/// deterministic outcome — never wall-clock — and a rung already recorded
-/// (a resumed run) is read back from the store instead of re-simulated.
-/// So a killed ladder resumes per rung: completed rungs are read back,
-/// and the rung that was running starts over.
 pub fn run_ladder(
     ctx: &ExperimentContext,
     ladder: &[u32],
@@ -172,46 +145,19 @@ pub fn run_ladder(
     let mut points: Vec<UsersScalePoint> = Vec::new();
     let mut timings: Vec<JobTiming> = Vec::new();
     let mut hists: Vec<PointHist> = Vec::new();
-    for (rung, &users) in ladder.iter().enumerate() {
+    for &users in ladder {
         let label = format!("users_1e6/u{users}");
-        let record_index = rung as u64;
-        let (outcome, timing) = match crate::storex::lookup("users_1e6", record_index) {
-            Some(stored) => {
-                // Completed before the previous run was killed: trust the
-                // stored bytes and skip the simulation. The wall column
-                // reads 0 — timing is the one thing a resumed run cannot
-                // reproduce.
-                let outcome = parse_rung(&stored).unwrap_or_else(|e| {
-                    unreachable!("the store checked {label} when it was opened: {e}")
-                });
-                eprintln!("  [store] users_1e6: {label} recovered, skipping the rerun");
-                (outcome, JobTiming { label: label.clone(), wall_ms: 0.0 })
-            }
-            None => {
-                let cfg = point_config(ctx, users);
-                let seed = ctx.seed;
-                // One job through the runner (sequentially: one job, one
-                // thread) so the wall-clock comes from the same
-                // instrumentation as every other experiment's profile.
-                let out = runner::run_jobs(
-                    1,
-                    vec![Job::new(label.clone(), move || run_point(cfg, seed))],
-                );
-                let outcome = out.results.into_iter().next();
-                let timing = out.timings.into_iter().next();
-                let (Some(outcome), Some(timing)) = (outcome, timing) else {
-                    continue;
-                };
-                if crate::storex::active() {
-                    let payload = serde_json::to_string(&outcome)
-                        .unwrap_or_else(|e| panic!("serialize rung outcome: {e}"));
-                    crate::storex::record("users_1e6", record_index, &payload)
-                        .unwrap_or_else(|e| panic!("results store: {e}"));
-                }
-                (outcome, timing)
-            }
+        let cfg = point_config(ctx, users);
+        let seed = ctx.seed;
+        // One job through the runner (sequentially: one job, one thread)
+        // so the wall-clock comes from the same instrumentation as every
+        // other experiment's profile.
+        let out = runner::run_jobs(1, vec![Job::new(label.clone(), move || run_point(cfg, seed))]);
+        let outcome = out.results.into_iter().next();
+        let timing = out.timings.into_iter().next();
+        let (Some((report, events, hist)), Some(timing)) = (outcome, timing) else {
+            continue;
         };
-        let (report, events, hist) = outcome;
         hists.push(PointHist::new(label, vec![hist]));
         points.push(UsersScalePoint {
             users,

@@ -1,8 +1,8 @@
 //! Argument validation of the real `repro` binary: a bad flag value, an
-//! unknown experiment name, a `--json` directory that cannot be created, a
-//! token `repro export` does not read or a malformed `REPRO_*` environment
-//! value is an error (exit 2) reported before any experiment starts, never
-//! a panic inside a runner thread and never a silent default.
+//! unknown option or experiment name, a `--json` directory that cannot be
+//! created or a malformed `REPRO_*` environment value is an error (exit 2)
+//! reported before any experiment starts, never a panic inside a runner
+//! thread and never a silent default.
 
 use readopt_alloc::PolicyConfig;
 use readopt_core::ExperimentContext;
@@ -61,17 +61,19 @@ fn intervals_at_the_stabilization_window_run() {
 fn bad_flag_values_are_usage_errors() {
     // Each case names a cheap experiment first, so a flag that is wrongly
     // accepted fails the test at once instead of running a full sweep.
-    let cases: [(&[&str], &str); 10] = [
+    let cases: [(&[&str], &str); 12] = [
         (&["--scale", "0"], "--scale must be at least 1"),
         (&["--scale", "401"], "--scale must be at most 400"),
         (&["--jobs", "0"], "--jobs must be at least 1"),
         (&["--jobs", "abc"], "--jobs: invalid digit"),
         (&["--jobs"], "--jobs needs a value"),
         (&["--shards", "2"], "unknown option --shards"),
+        (&["--store", "run.rrs"], "unknown option --store"),
         (&["--event-queue", "heap"], "unknown option --event-queue"),
         (&["--workers", "2"], "unknown option --workers"),
         (&["fgi1"], "unknown experiment fgi1"),
         (&["shard_scaling"], "unknown experiment shard_scaling"),
+        (&["export"], "unknown experiment export"),
     ];
     for (flags, message) in cases {
         let args: Vec<&str> = ["table2"].iter().chain(flags).copied().collect();
@@ -137,40 +139,4 @@ fn a_json_dir_that_cannot_be_created_is_a_usage_error() {
     assert!(!stderr.contains("panicked"), "{stderr}");
     assert!(stderr.contains(path), "the message names the path:\n{stderr}");
     assert!(out.stdout.is_empty(), "no experiment started before the rejection");
-}
-
-/// `repro export` reads only `--store` and `--json`: an experiment name or
-/// a run option next to it is a usage error that names the token, and
-/// nothing is exported (the store here is real, so a wrongly accepted
-/// token would write every artifact).
-#[test]
-fn export_rejects_experiments_and_run_options() {
-    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("repro_cli_export_extra");
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create the test dir");
-    let (store, json) = (dir.join("run.rrs"), dir.join("json"));
-    let (store, json) = (store.to_str().expect("utf-8 path"), json.to_str().expect("utf-8 path"));
-    let made = repro(&["table1", "--scale", "64", "--intervals", "4", "--store", store]);
-    assert!(made.status.success(), "{}", String::from_utf8_lossy(&made.stderr));
-
-    let cases: [(&[&str], &str); 4] = [
-        (&["export", "fig1", "--users-full", "--seed", "7", "--scale", "64"], "fig1"),
-        (&["fig1", "export"], "fig1"),
-        (&["export", "--seed", "7"], "--seed"),
-        (&["export", "--explain"], "--explain"),
-    ];
-    for (tokens, named) in cases {
-        let args = [tokens, &["--store", store, "--json", json]].concat();
-        let out = repro(&args);
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "{args:?}:\n{stderr}");
-        assert!(!stderr.contains("panicked"), "{args:?} panicked:\n{stderr}");
-        assert!(
-            stderr.contains(&format!("repro export takes only --store and --json, not {named}")),
-            "{args:?} names {named}:\n{stderr}"
-        );
-        assert!(stderr.contains("usage: repro"), "{args:?}: usage follows the error:\n{stderr}");
-        assert!(out.stdout.is_empty(), "{args:?}: nothing ran");
-        assert!(!std::path::Path::new(json).exists(), "{args:?}: nothing was exported");
-    }
 }

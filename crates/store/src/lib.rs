@@ -1,12 +1,11 @@
 //! Versioned binary results store — the `.rrs` format.
 //!
-//! Per-point JSON sidecars (three files per experiment) do not survive
-//! million-point sweeps; this crate gives the reproduction a single
-//! compact, append-only results file in the spirit of MF4-style
+//! A compact, append-only results file in the spirit of MF4-style
 //! measurement logs: a fixed header, length-prefixed CRC-checked record
-//! blocks (one per completed sweep point, carrying the same serialized
-//! payload the sweep runner already produces), and a trailing index block
-//! for O(1) random access.
+//! blocks (one per point, each carrying an opaque serialized payload), and
+//! a trailing index block for O(1) random access. `repro` does not write
+//! it: the benchmark's `store.*` replays, which time its writer and
+//! reader, are its only user.
 //!
 //! Layout (all integers little-endian):
 //!
@@ -27,16 +26,13 @@
 //!
 //! Durability model: the writer appends records incrementally (each
 //! `append_point` is flushed) and writes index + footer only at
-//! [`StoreWriter::finish`]. **Any valid prefix is recoverable** — a run
-//! killed mid-sweep loses at most the in-flight record, and
-//! [`StoreReader::recover`] / [`StoreWriter::resume`] walk the prefix,
-//! stop at the first torn or corrupt frame, and (for resume) truncate
-//! there so appending continues from the last intact point.
+//! [`StoreWriter::finish`]. [`StoreReader::open`] reads only a finished
+//! store: it checks the header, the footer and the index block, and
+//! [`StoreReader::point`] checks each record's frame and CRC as it reads
+//! it, so a truncated or damaged file is rejected with a typed error.
 //!
 //! The crate is deliberately payload-agnostic: points travel as opaque
-//! JSON strings, exactly the bytes `crates/core`'s runner serialized,
-//! which is what keeps a store round trip byte-identical to the direct
-//! JSON sidecars.
+//! JSON strings and are read back byte for byte.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -47,7 +43,7 @@ mod reader;
 mod writer;
 
 pub use crc::crc32;
-pub use reader::{PointRecord, RecoveredStore, StoreReader};
+pub use reader::StoreReader;
 pub use writer::StoreWriter;
 
 /// File magic: first 8 bytes of every `.rrs` file.

@@ -1,6 +1,5 @@
-//! `.rrs` readers: a strict seek-based reader for finished stores
-//! (footer → index → O(1) point lookup) and a sequential prefix scanner
-//! for truncated ones.
+//! `.rrs` reader: a strict seek-based reader for finished stores
+//! (footer → index → O(1) point lookup).
 
 use crate::{
     kind, parse_point_body, u16_le, u32_le, u64_le, StoreError, END_MAGIC, FOOTER_LEN, FORMAT_VERSION,
@@ -11,49 +10,20 @@ use std::fs::File;
 use std::io::{Read, Seek, SeekFrom};
 use std::path::Path;
 
-/// One intact point record.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PointRecord {
-    /// Experiment the point belongs to.
-    pub experiment: String,
-    /// Submission index within the experiment's sweep.
-    pub index: u64,
-    /// The serialized result payload, exactly as appended.
-    pub payload: String,
-    /// File offset of the record's length prefix.
-    pub offset: u64,
-    /// Full framed length (prefix + body + CRC).
-    pub total_len: u64,
-}
-
-/// The valid prefix of a (possibly truncated) store.
-#[derive(Debug, Clone)]
-pub struct RecoveredStore {
-    /// The run-context JSON from the meta record, if the file got that far.
-    pub meta_json: Option<String>,
-    /// Every intact point record, in append order.
-    pub points: Vec<PointRecord>,
-    /// Whether the index block was reached — i.e. the run finished cleanly.
-    pub complete: bool,
-    /// Offset just past the last intact non-index record: where a resumed
-    /// writer truncates to and appends from.
-    pub valid_len: u64,
-}
+/// Each point's `(offset, total_len)` by `(experiment, index)`.
+type Index = BTreeMap<(String, u64), (u64, u64)>;
 
 /// Seek-based reader over a finished store: opens via the footer and the
 /// trailing index block, then serves any point in O(1) seeks.
 #[derive(Debug)]
 pub struct StoreReader {
     file: File,
-    index: BTreeMap<(String, u64), (u64, u64)>,
-    order: Vec<(String, u64)>,
-    index_offset: u64,
+    index: Index,
 }
 
 impl StoreReader {
     /// Strictly opens a *finished* store: header, footer, and index block
-    /// must all validate. Truncated or damaged files are rejected — use
-    /// [`StoreReader::recover`] for those.
+    /// must all validate. Truncated or damaged files are rejected.
     pub fn open(path: &Path) -> Result<StoreReader, StoreError> {
         let mut file =
             File::open(path).map_err(|e| StoreError::Io(format!("open {}: {e}", path.display())))?;
@@ -97,123 +67,8 @@ impl StoreReader {
         if body.first() != Some(&kind::INDEX) {
             return Err(StoreError::Corrupt(String::from("index block has wrong kind tag")));
         }
-        let (index, order) = parse_index_body(&body[1..], index_offset)?;
-        Ok(StoreReader { file, index, order, index_offset })
-    }
-
-    /// Scans the valid record prefix of a possibly truncated store:
-    /// header must validate, then records are read sequentially until the
-    /// first torn or CRC-failing frame (or the index block, for a file
-    /// that finished cleanly).
-    pub fn recover(path: &Path) -> Result<RecoveredStore, StoreError> {
-        let bytes =
-            std::fs::read(path).map_err(|e| StoreError::Io(format!("read {}: {e}", path.display())))?;
-        if bytes.len() < usize::try_from(HEADER_LEN).unwrap_or(16) {
-            return Err(StoreError::Corrupt(format!("file too short ({} bytes)", bytes.len())));
-        }
-        check_header(&bytes)?;
-
-        let mut meta_json = None;
-        let mut points = Vec::new();
-        let mut complete = false;
-        let mut pos = usize::try_from(HEADER_LEN).unwrap_or(16);
-        let mut valid_len = u64::try_from(pos).unwrap_or(HEADER_LEN);
-        while pos + 8 <= bytes.len() {
-            let Some(body_len) = u32_le(&bytes[pos..]) else { break };
-            if body_len > MAX_BODY_LEN {
-                break; // corrupt length prefix: stop at the valid prefix
-            }
-            let body_len = usize::try_from(body_len)
-                .map_err(|_| StoreError::Corrupt(String::from("body length overflow")))?;
-            let Some(frame_bytes) = bytes.get(pos..pos + 4 + body_len + 4) else {
-                break; // torn in-flight record
-            };
-            let Ok(body) = check_frame(frame_bytes, "record") else {
-                break; // bit flip: the CRC catches it; prefix ends here
-            };
-            let record_end = pos + 4 + body_len + 4;
-            match body.first().copied() {
-                Some(k) if k == kind::META => {
-                    if meta_json.is_some() || !points.is_empty() {
-                        break; // meta is only legal as the first record
-                    }
-                    let Ok(json) = std::str::from_utf8(&body[1..]) else { break };
-                    meta_json = Some(json.to_string());
-                }
-                Some(k) if k == kind::POINT => {
-                    let Ok((experiment, index, payload)) = parse_point_body(body) else { break };
-                    points.push(PointRecord {
-                        experiment,
-                        index,
-                        payload,
-                        offset: u64::try_from(pos)
-                            .map_err(|_| StoreError::Corrupt(String::from("offset overflow")))?,
-                        total_len: u64::try_from(4 + body_len + 4)
-                            .map_err(|_| StoreError::Corrupt(String::from("length overflow")))?,
-                    });
-                }
-                Some(k) if k == kind::INDEX => {
-                    // A finished file: the prefix of interest ends just
-                    // before the index (a resumed writer rewrites it).
-                    complete = true;
-                    break;
-                }
-                _ => break, // unknown kind: treat as corruption
-            }
-            pos = record_end;
-            valid_len = u64::try_from(pos)
-                .map_err(|_| StoreError::Corrupt(String::from("offset overflow")))?;
-        }
-        Ok(RecoveredStore { meta_json, points, complete, valid_len })
-    }
-
-    /// The run-context JSON from the meta record.
-    pub fn meta_json(&mut self) -> Result<String, StoreError> {
-        let first_len = self.index_offset.min(
-            self.order
-                .first()
-                .and_then(|key| self.index.get(key))
-                .map(|&(off, _)| off)
-                .unwrap_or(self.index_offset),
-        );
-        if first_len <= HEADER_LEN {
-            return Err(StoreError::Corrupt(String::from("no room for a meta record")));
-        }
-        let framed = read_at(&mut self.file, HEADER_LEN, first_len - HEADER_LEN)?;
-        // The meta record is first; its length prefix bounds the read.
-        let Some(body_len) = u32_le(&framed) else {
-            return Err(StoreError::Corrupt(String::from("short meta record")));
-        };
-        if body_len > MAX_BODY_LEN {
-            return Err(StoreError::Corrupt(String::from("oversized meta record")));
-        }
-        let body_len = usize::try_from(body_len)
-            .map_err(|_| StoreError::Corrupt(String::from("meta length overflow")))?;
-        let frame_bytes = framed
-            .get(..4 + body_len + 4)
-            .ok_or_else(|| StoreError::Corrupt(String::from("truncated meta record")))?;
-        let body = check_frame(frame_bytes, "meta record")?;
-        if body.first() != Some(&kind::META) {
-            return Err(StoreError::Corrupt(String::from("first record is not meta")));
-        }
-        std::str::from_utf8(&body[1..])
-            .map(str::to_string)
-            .map_err(|_| StoreError::Corrupt(String::from("meta record is not UTF-8")))
-    }
-
-    /// Every `(experiment, index)` pair in the store, in append order.
-    pub fn point_ids(&self) -> &[(String, u64)] {
-        &self.order
-    }
-
-    /// Number of point records.
-    pub fn len(&self) -> usize {
-        self.order.len()
-    }
-
-    /// Whether the store holds no points.
-    pub fn is_empty(&self) -> bool {
-        self.order.is_empty()
+        let index = parse_index_body(&body[1..], index_offset)?;
+        Ok(StoreReader { file, index })
     }
 
     /// Reads one point's payload by `(experiment, index)` — a single seek
@@ -273,11 +128,7 @@ fn check_frame<'a>(framed: &'a [u8], what: &str) -> Result<&'a [u8], StoreError>
     Ok(body)
 }
 
-#[allow(clippy::type_complexity)]
-fn parse_index_body(
-    mut rest: &[u8],
-    index_offset: u64,
-) -> Result<(BTreeMap<(String, u64), (u64, u64)>, Vec<(String, u64)>), StoreError> {
+fn parse_index_body(mut rest: &[u8], index_offset: u64) -> Result<Index, StoreError> {
     let corrupt = |what: &str| StoreError::Corrupt(format!("index block: {what}"));
     let count = u64_le(rest).ok_or_else(|| corrupt("truncated entry count"))?;
     rest = &rest[8..];
@@ -288,7 +139,6 @@ fn parse_index_body(
         return Err(corrupt("entry count exceeds block size"));
     }
     let mut map = BTreeMap::new();
-    let mut order = Vec::with_capacity(count);
     for _ in 0..count {
         let exp_len = usize::from(u16_le(rest).ok_or_else(|| corrupt("truncated entry"))?);
         rest = &rest[2..];
@@ -313,12 +163,11 @@ fn parse_index_body(
         if map.insert((exp.clone(), index), (offset, total_len)).is_some() {
             return Err(corrupt(&format!("duplicate entry {exp}[{index}]")));
         }
-        order.push((exp, index));
     }
     if !rest.is_empty() {
         return Err(corrupt("trailing bytes after the last entry"));
     }
-    Ok((map, order))
+    Ok(map)
 }
 
 fn read_at(file: &mut File, offset: u64, len: u64) -> Result<Vec<u8>, StoreError> {

@@ -1,17 +1,12 @@
 //! Incremental append-only `.rrs` writer.
 //!
 //! Every `append_point` writes one fully framed, CRC-sealed record and
-//! flushes, so the on-disk file is a valid recoverable prefix at all
-//! times; [`StoreWriter::finish`] seals the file with the index block and
-//! footer. [`StoreWriter::resume`] reopens a store whose run was killed
-//! (or even one that finished), truncates any torn trailing frame — and
-//! the index/footer, which will be rewritten — and appends from the last
-//! intact record.
+//! flushes; [`StoreWriter::finish`] seals the file with the index block
+//! and footer.
 
-use crate::reader::{RecoveredStore, StoreReader};
 use crate::{frame, kind, point_body, StoreError, FORMAT_VERSION, MAGIC};
-use std::fs::{File, OpenOptions};
-use std::io::{Seek, SeekFrom, Write};
+use std::fs::File;
+use std::io::Write;
 use std::path::Path;
 
 #[derive(Debug, Clone)]
@@ -51,37 +46,6 @@ impl StoreWriter {
         Ok(w)
     }
 
-    /// Reopens an existing store for appending: recovers the valid record
-    /// prefix, truncates everything after it (a torn in-flight frame, or
-    /// the index + footer of a finished file), and returns the writer
-    /// positioned to append, together with the recovered records.
-    pub fn resume(path: &Path) -> Result<(StoreWriter, RecoveredStore), StoreError> {
-        let recovered = StoreReader::recover(path)?;
-        let file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .open(path)
-            .map_err(|e| StoreError::Io(format!("open {}: {e}", path.display())))?;
-        file.set_len(recovered.valid_len)?;
-        let mut w = StoreWriter {
-            file,
-            pos: recovered.valid_len,
-            entries: recovered
-                .points
-                .iter()
-                .map(|p| IndexEntry {
-                    experiment: p.experiment.clone(),
-                    index: p.index,
-                    offset: p.offset,
-                    total_len: p.total_len,
-                })
-                .collect(),
-            finished: false,
-        };
-        w.file.seek(SeekFrom::Start(w.pos))?;
-        Ok((w, recovered))
-    }
-
     /// Appends one completed sweep point and flushes it to disk.
     pub fn append_point(
         &mut self,
@@ -106,11 +70,6 @@ impl StoreWriter {
             total_len,
         });
         Ok(())
-    }
-
-    /// Number of point records written (including any recovered on resume).
-    pub fn points_written(&self) -> usize {
-        self.entries.len()
     }
 
     /// Seals the store: writes the index block and the footer.

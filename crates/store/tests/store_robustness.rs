@@ -1,10 +1,9 @@
 //! Robustness suite for the `.rrs` store: every class of damage the
-//! format claims to survive or reject is exercised against real files —
-//! truncation at arbitrary byte boundaries, bit-flipped record CRCs,
-//! corrupted and oversized index blocks, stale version headers, and the
-//! writer's resume-after-kill path.
+//! reader must reject is exercised against real files — truncation at
+//! arbitrary byte boundaries, bit-flipped record CRCs, corrupted and
+//! oversized index blocks, and stale version headers.
 
-use readopt_store::{RecoveredStore, StoreError, StoreReader, StoreWriter, FOOTER_LEN, MAGIC};
+use readopt_store::{StoreError, StoreReader, StoreWriter, FOOTER_LEN, HEADER_LEN, MAGIC};
 use std::path::{Path, PathBuf};
 
 fn tmp(name: &str) -> PathBuf {
@@ -26,6 +25,21 @@ fn build(name: &str, experiments: &[&str], n: u64) -> PathBuf {
     path
 }
 
+/// The file offset of every record's length prefix in a finished store, in
+/// file order: the meta record, each point, then the index block.
+fn record_offsets(bytes: &[u8]) -> Vec<usize> {
+    let end = bytes.len() - usize::try_from(FOOTER_LEN).unwrap();
+    let mut offsets = Vec::new();
+    let mut pos = usize::try_from(HEADER_LEN).unwrap();
+    while pos < end {
+        offsets.push(pos);
+        let body_len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap());
+        pos += 4 + usize::try_from(body_len).unwrap() + 4;
+    }
+    assert_eq!(pos, end, "the records end where the footer starts");
+    offsets
+}
+
 fn expect_corrupt(res: Result<StoreReader, StoreError>, what: &str) {
     match res {
         Err(StoreError::Corrupt(_)) => {}
@@ -37,77 +51,60 @@ fn expect_corrupt(res: Result<StoreReader, StoreError>, what: &str) {
 fn roundtrip_reads_every_point_in_o1() {
     let path = build("roundtrip.rrs", &["fig1", "table4"], 5);
     let mut r = StoreReader::open(&path).expect("open");
-    assert_eq!(r.len(), 10);
-    assert_eq!(r.meta_json().expect("meta"), r#"{"run":"test"}"#);
     // Random-access order, not append order.
     assert_eq!(r.point("table4", 3).expect("t4/3"), r#"[3,"table4",30]"#);
     assert_eq!(r.point("fig1", 0).expect("f1/0"), r#"[0,"fig1",0]"#);
     assert_eq!(r.point("fig1", 4).expect("f1/4"), r#"[4,"fig1",40]"#);
     assert!(matches!(r.point("fig9", 0), Err(StoreError::NotFound(_))));
     assert!(matches!(r.point("fig1", 5), Err(StoreError::NotFound(_))));
-    let ids = r.point_ids().to_vec();
-    assert_eq!(ids[0], (String::from("fig1"), 0));
-    assert_eq!(ids[9], (String::from("table4"), 4));
 }
 
 #[test]
-fn truncated_file_rejected_strictly_but_prefix_recovers() {
+fn truncated_files_are_rejected() {
     let path = build("truncate.rrs", &["fig1"], 8);
     let full = std::fs::read(&path).unwrap();
 
     // Chop the footer plus a few bytes of the index: strict open must
-    // refuse; recover must still return all 8 points.
+    // refuse.
     let cut = tmp("truncate-cut.rrs");
     std::fs::write(&cut, &full[..full.len() - usize::try_from(FOOTER_LEN).unwrap() - 3]).unwrap();
     expect_corrupt(StoreReader::open(&cut), "footer gone");
-    let rec = StoreReader::recover(&cut).expect("recover");
-    assert_eq!(rec.points.len(), 8);
-    assert!(!rec.complete, "index was damaged, so the file reads as unfinished");
 
-    // Truncate mid-record (simulating a kill during an append): the torn
-    // record is dropped, every earlier record survives.
-    let third_point_end = rec.points[2].offset + rec.points[2].total_len;
+    // Truncate mid-record (a kill during an append): no footer, refused.
+    let third_point_end = record_offsets(&full)[4];
     let torn = tmp("truncate-torn.rrs");
-    std::fs::write(&torn, &full[..usize::try_from(third_point_end).unwrap() + 5]).unwrap();
+    std::fs::write(&torn, &full[..third_point_end + 5]).unwrap();
     expect_corrupt(StoreReader::open(&torn), "torn record");
-    let rec = StoreReader::recover(&torn).expect("recover torn");
-    assert_eq!(rec.points.len(), 3, "valid prefix = the three intact records");
-    assert_eq!(rec.valid_len, third_point_end);
-    assert_eq!(rec.points[2].payload, r#"[2,"fig1",20]"#);
 
-    // Truncate inside the header: nothing is recoverable.
+    // Truncate inside the header.
     let stub = tmp("truncate-stub.rrs");
     std::fs::write(&stub, &full[..10]).unwrap();
-    assert!(matches!(StoreReader::recover(&stub), Err(StoreError::Corrupt(_))));
+    expect_corrupt(StoreReader::open(&stub), "header only");
 }
 
 #[test]
 fn bit_flipped_record_crc_rejected() {
     let path = build("bitflip.rrs", &["fig2"], 4);
     let mut bytes = std::fs::read(&path).unwrap();
-    let rec = StoreReader::recover(&path).expect("recover clean");
 
     // Flip one payload bit in the second point record.
-    let mid = usize::try_from(rec.points[1].offset).unwrap() + 9;
+    let mid = record_offsets(&bytes)[2] + 9;
     bytes[mid] ^= 0x01;
     let flipped = tmp("bitflip-mut.rrs");
     std::fs::write(&flipped, &bytes).unwrap();
 
     // The index still opens (it is intact), but reading the damaged point
-    // fails its frame CRC; recovery stops at the flip.
+    // fails its frame CRC.
     let mut r = StoreReader::open(&flipped).expect("index intact");
     assert_eq!(r.point("fig2", 0).expect("point 0 untouched"), r#"[0,"fig2",0]"#);
     assert!(matches!(r.point("fig2", 1), Err(StoreError::Corrupt(_))), "flipped point");
-    let rec = StoreReader::recover(&flipped).expect("recover");
-    assert_eq!(rec.points.len(), 1, "prefix ends before the flipped record");
 }
 
 #[test]
 fn corrupted_and_oversized_index_blocks_rejected() {
     let path = build("badindex.rrs", &["fig1"], 3);
     let clean = std::fs::read(&path).unwrap();
-    let rec = StoreReader::recover(&path).expect("recover");
-    let index_start = usize::try_from(rec.valid_len).unwrap();
+    let index_start = *record_offsets(&clean).last().expect("an index block");
 
     // Flip a byte inside the index body: CRC mismatch on open.
     let mut bytes = clean.clone();
@@ -160,7 +157,6 @@ fn stale_version_header_rejected() {
     let p = tmp("version-stale.rrs");
     std::fs::write(&p, &bytes).unwrap();
     assert!(matches!(StoreReader::open(&p), Err(StoreError::Version { found: 7 })));
-    assert!(matches!(StoreReader::recover(&p), Err(StoreError::Version { found: 7 })));
 
     // Not an .rrs file at all.
     bytes[..8].copy_from_slice(b"NOTMAGIC");
@@ -168,53 +164,4 @@ fn stale_version_header_rejected() {
     std::fs::write(&p, &bytes).unwrap();
     expect_corrupt(StoreReader::open(&p), "bad magic");
     assert_ne!(&MAGIC, b"NOTMAGIC");
-}
-
-#[test]
-fn resume_truncates_torn_tail_and_rebuilds_identical_bytes() {
-    // Reference: an uninterrupted run.
-    let reference = build("resume-ref.rrs", &["fig1"], 6);
-
-    // Interrupted run: same first four points, then a torn fifth record
-    // and no index/footer (the writer was killed mid-append).
-    let killed = tmp("resume-killed.rrs");
-    {
-        let mut w = StoreWriter::create(&killed, r#"{"run":"test"}"#).expect("create");
-        for i in 0..4u64 {
-            let payload = format!(r#"[{i},"fig1",{}]"#, i * 10);
-            w.append_point("fig1", i, &payload).expect("append");
-        }
-        // no finish(): simulates the kill
-    }
-    let mut bytes = std::fs::read(&killed).unwrap();
-    bytes.extend_from_slice(&[0x21, 0x00, 0x00, 0x00, 0x02, 0x05]); // torn frame
-    std::fs::write(&killed, &bytes).unwrap();
-
-    // Resume: the torn tail is truncated, the four intact points are
-    // recovered, and appending the remaining two + finish() must produce
-    // a byte-identical file to the uninterrupted reference.
-    let (mut w, rec): (StoreWriter, RecoveredStore) = StoreWriter::resume(&killed).expect("resume");
-    assert_eq!(rec.points.len(), 4);
-    assert!(!rec.complete);
-    assert_eq!(rec.meta_json.as_deref(), Some(r#"{"run":"test"}"#));
-    assert_eq!(w.points_written(), 4);
-    for i in 4..6u64 {
-        let payload = format!(r#"[{i},"fig1",{}]"#, i * 10);
-        w.append_point("fig1", i, &payload).expect("append tail");
-    }
-    w.finish().expect("finish");
-    assert_eq!(
-        std::fs::read(&killed).unwrap(),
-        std::fs::read(&reference).unwrap(),
-        "resumed store must be byte-identical to the uninterrupted one"
-    );
-
-    // Resuming a *finished* store drops only index + footer and keeps all
-    // points; finishing again restores the identical bytes.
-    let (w2, rec2) = StoreWriter::resume(&reference).expect("resume finished");
-    assert!(rec2.complete);
-    assert_eq!(rec2.points.len(), 6);
-    w2.finish().expect("refinish");
-    let again = std::fs::read(&reference).unwrap();
-    assert_eq!(again, std::fs::read(&killed).unwrap());
 }

@@ -20,7 +20,7 @@ const PAPER_ANCHORS: &[(&str, &str, f64, f64)] = &[
 fn main() {
     let scale: u32 = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(16);
     let ctx = if scale <= 1 { ExperimentContext::full() } else { ExperimentContext::fast(scale) };
-    let result = fig6::run(&ctx);
+    let result = fig6::run_profiled(&ctx).0;
     println!("{result}");
     println!("paper anchor points (Table 3 buddy rows):");
     for &(wl, policy, seq, app) in PAPER_ANCHORS {

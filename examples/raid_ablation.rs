@@ -14,7 +14,7 @@ use readopt::experiments::{ablations, ExperimentContext};
 fn main() {
     let scale: u32 = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(16);
     let ctx = if scale <= 1 { ExperimentContext::full() } else { ExperimentContext::fast(scale) };
-    let result = ablations::run_raid(&ctx);
+    let result = ablations::run_raid_profiled(&ctx).0;
     println!("{result}");
     println!(
         "Read MB/s, not %max, is the honest cross-layout comparison: each\n\

@@ -11,21 +11,13 @@
 #      projections of the fig4 and fig6 outputs, and the ablations are the
 #      only runs of FFS, buddy's reallocator and the mirrored, RAID-5 and
 #      parity-striped arrays);
-#   5. a 1-job rerun of all of them that also writes a binary results
-#      store, byte-compared against the 2-job run: results, projections
-#      included, must not depend on the thread count. users_1e6 runs
-#      each rung on one thread whatever --jobs is, so for it this leg is
-#      a plain rerun: its latency histograms (users_1e6.hist.json) must
-#      repeat, and its store records let leg 6 check users_1e6.json,
-#      which holds each rung's wall clock and is not compared here;
-#   6. `repro export` from the store of leg 5, byte-compared against that
-#      leg's sidecars (users_1e6.json included);
-#   7. a resumed run (`table4 users_1e6`) on a copy of leg 5's store: the
-#      users_1e6 rungs come back from the store instead of rerunning, the
-#      two artifacts that carry wall clocks (users_1e6.json, profile.json)
-#      keep their stored bytes, and every deterministic artifact must
-#      reproduce its stored bytes (repro exits 2 if one does not); all six
-#      files written must equal leg 5's.
+#   5. a 1-job rerun of all of them, byte-compared against the 2-job run:
+#      results, projections included, must not depend on the thread
+#      count. users_1e6 runs each rung on one thread whatever --jobs is,
+#      so for it this leg is a plain rerun: its latency histograms
+#      (users_1e6.hist.json) must repeat. users_1e6.json holds each
+#      rung's wall clock and is not compared; the users_1e6 golden
+#      (tests/golden_results.rs) pins its deterministic fields.
 # Every file the script writes is under target/ (the lint report is
 # target/check/simlint.json); it changes no tracked file. It checks
 # correctness only: speed is measured by the benchmark in perfbench/.
@@ -62,13 +54,10 @@ cargo run --release -p readopt-core --bin repro -- \
     --jobs 2 --json target/check
 
 echo "== sidecar determinism (re-run at 1 job, byte-compare) =="
-# This run also writes the binary results store so the export leg below
-# can regenerate its sidecars from the .rrs bytes alone.
 mkdir -p target/check-j1
-rm -f target/check/run.rrs
 cargo run --release -q -p readopt-core --bin repro -- \
     fig1 fig2 fig4 fig5 fig6 table4 table3 diag ablations users_1e6 --scale 64 --intervals 4 \
-    --jobs 1 --json target/check-j1 --store target/check/run.rrs > /dev/null
+    --jobs 1 --json target/check-j1 > /dev/null
 ablations="ablation_raid ablation_stripe ablation_file_mix ablation_realloc ablation_ffs
     ablation_degraded_raid ablation_disk_generations"
 for exp in fig1 fig2 fig4 fig5 fig6 table4 table3 diag $ablations; do
@@ -83,35 +72,3 @@ cmp target/check/users_1e6.hist.json target/check-j1/users_1e6.hist.json \
     || { echo "ERROR: users_1e6 latency histograms differ between two runs"; exit 1; }
 echo "   sidecars byte-identical across job counts"
 
-echo "== results store (repro export, byte-compare against the sidecars) =="
-# `repro export` regenerates every JSON sidecar from the sealed .rrs
-# written during the 1-job leg. Artifact records hold the exact bytes
-# write_json produced, so even profile.json (wall-clock) must round-trip
-# byte-identically — any drift means the store and the sidecars diverged.
-rm -rf target/check-export
-cargo run --release -q -p readopt-core --bin repro -- \
-    export --store target/check/run.rrs --json target/check-export > /dev/null
-for f in target/check-j1/*.json; do
-    cmp "$f" "target/check-export/$(basename "$f")" \
-        || { echo "ERROR: $(basename "$f") regenerated from the store differs"; exit 1; }
-done
-[ "$(ls target/check-j1/*.json | wc -l)" = "$(ls target/check-export/*.json | wc -l)" ] \
-    || { echo "ERROR: store export wrote a different artifact set"; exit 1; }
-echo "   store export byte-identical to the original sidecars"
-
-echo "== results store resume (table4 users_1e6 on a copy of the store) =="
-rm -rf target/check-resume
-mkdir -p target/check-resume
-cp target/check/run.rrs target/check/resume.rrs
-cargo run --release -q -p readopt-core --bin repro -- \
-    table4 users_1e6 --scale 64 --intervals 4 --jobs 1 --json target/check-resume \
-    --store target/check/resume.rrs > /dev/null 2> target/check/resume.log \
-    || { cat target/check/resume.log; echo "ERROR: resuming leg 5's store failed"; exit 1; }
-grep -q "users_1e6/u16000 recovered" target/check/resume.log \
-    || { echo "ERROR: the resumed run reran the users_1e6 ladder"; exit 1; }
-for f in table4.json table4.metrics.json table4.hist.json users_1e6.hist.json \
-    users_1e6.json profile.json; do
-    cmp "target/check-j1/$f" "target/check-resume/$f" \
-        || { echo "ERROR: $f from the resumed store differs from leg 5's"; exit 1; }
-done
-echo "   resumed run reproduced the stored artifacts"
