@@ -68,6 +68,6 @@ pub use ffs::{FfsConfig, FfsPolicy};
 pub use freespace::FreeSpaceMap;
 pub use filemap::FileMap;
 pub use fixed::FixedPolicy;
-pub use policy::{FragGauges, Policy, PolicyStats};
+pub use policy::{FragGauges, Policy};
 pub use restricted::RestrictedPolicy;
 pub use types::{AllocError, Extent, FileHints, FileId};

@@ -4,30 +4,6 @@ use crate::filemap::FileMap;
 use crate::types::{AllocError, Extent, FileHints, FileId};
 use serde::{Deserialize, Serialize};
 
-/// Space accounting snapshot of a policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PolicyStats {
-    /// Total managed units.
-    pub capacity_units: u64,
-    /// Currently free units.
-    pub free_units: u64,
-    /// Units allocated to file data (excludes metadata).
-    pub data_units: u64,
-    /// Units allocated to metadata (file descriptors etc.).
-    pub metadata_units: u64,
-}
-
-impl PolicyStats {
-    /// Fraction of capacity in use (data + metadata), in `[0, 1]`.
-    pub fn utilization(&self) -> f64 {
-        if self.capacity_units == 0 {
-            0.0
-        } else {
-            (self.capacity_units - self.free_units) as f64 / self.capacity_units as f64
-        }
-    }
-}
-
 /// Free-space fragmentation gauges for the observability layer.
 ///
 /// `free_extents` counts the discrete free blocks/runs the policy could
@@ -150,20 +126,6 @@ pub trait Policy: Send {
         FragGauges { free_units: self.free_units(), free_extents: 0, largest_free_units: 0 }
     }
 
-    /// Space accounting snapshot.
-    fn stats(&self) -> PolicyStats {
-        // `live_files` returns only live ids, so the per-file lookups
-        // cannot fail; a dead id would simply contribute nothing.
-        let data: u64 =
-            self.live_files().iter().map(|&f| self.allocated_units(f).unwrap_or(0)).sum();
-        PolicyStats {
-            capacity_units: self.capacity_units(),
-            free_units: self.free_units(),
-            data_units: data,
-            metadata_units: self.metadata_units(),
-        }
-    }
-
     /// Expensive global invariant check used by tests: extents of live
     /// files are in-bounds, disjoint, and `free + data + metadata` equals
     /// capacity; then the policy's own [`Policy::check_structure`].
@@ -215,17 +177,4 @@ pub trait Policy: Send {
     /// default checks nothing.
     #[doc(hidden)]
     fn check_structure(&self) {}
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn utilization_math() {
-        let s = PolicyStats { capacity_units: 100, free_units: 25, data_units: 70, metadata_units: 5 };
-        assert!((s.utilization() - 0.75).abs() < 1e-12);
-        let empty = PolicyStats { capacity_units: 0, free_units: 0, data_units: 0, metadata_units: 0 };
-        assert_eq!(empty.utilization(), 0.0);
-    }
 }

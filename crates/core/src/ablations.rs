@@ -432,21 +432,19 @@ pub fn run_degraded_raid_profiled(ctx: &ExperimentContext) -> Profiled<DegradedR
 }
 
 fn degraded_raid_probes(ctx: &ExperimentContext) -> PointOut<DegradedRaidAblation> {
-    use readopt_disk::{IoRequest, Raid5Array, SimTime, Storage};
+    use readopt_disk::{ArrayConfig, IoRequest, SimTime};
     use readopt_sim::{StorageMetrics, TestMetrics};
-    let g = ctx.array.geometry;
-    let su = ctx.array.stripe_unit_bytes;
-    let du = ctx.array.disk_unit_bytes;
-    let su_units = su / du;
+    let raid5 = ArrayConfig { layout: ArrayLayout::Raid5, ..ctx.array };
+    let su_units = ctx.array.stripe_unit_bytes / ctx.array.disk_unit_bytes;
     let one = |fail: Option<usize>, req: IoRequest| {
-        let mut r = Raid5Array::new(g, ctx.array.ndisks, su, du);
+        let mut r = raid5.build();
         if let Some(d) = fail {
             r.fail_disk(d);
         }
         let span = r.submit(SimTime::ZERO, &req);
         span.end.as_ms()
     };
-    let mut rebuild = Raid5Array::new(g, ctx.array.ndisks, su, du);
+    let mut rebuild = raid5.build();
     rebuild.fail_disk(0);
     let rebuild_secs = rebuild.rebuild(SimTime::ZERO).as_secs();
     let row = DegradedRaidAblation {

@@ -1,14 +1,21 @@
-//! The plain striped disk array — the configuration used for every result
-//! published in the paper.
+//! The disk array: one type, [`DiskArray`], for all four §2.1 layouts.
 //!
-//! Data is striped across `N` disks with a configurable *stripe unit* (§2.1:
-//! "the number of bytes allocated on a single disk before allocation is
-//! performed on the next disk"). The array exposes a linear logical address
-//! space of *disk units*; logical stripe `s` lives on disk `s mod N` at
-//! physical stripe slot `s div N`, so a logically contiguous run maps to one
-//! physically contiguous run per disk — which is exactly why the paper's
-//! allocation policies chase contiguity: it buys both fewer seeks *and* free
-//! parallelism.
+//! An [`ArrayConfig`] names the layout; [`ArrayConfig::build`] validates it
+//! and returns a `DiskArray` of identical disks. The array does the logical
+//! request accounting once and hands each request to its layout's body:
+//! plain striping (below), mirrored pairs (`array/mirror.rs`),
+//! rotated-parity RAID-5 (`array/raid.rs`) or Gray's parity striping
+//! (`array/parity_stripe.rs`).
+//!
+//! Plain striping is the configuration used for every result published in
+//! the paper. Data is striped across `N` disks with a configurable *stripe
+//! unit* (§2.1: "the number of bytes allocated on a single disk before
+//! allocation is performed on the next disk"). The array exposes a linear
+//! logical address space of *disk units*; logical stripe `s` lives on disk
+//! `s mod N` at physical stripe slot `s div N`, so a logically contiguous run
+//! maps to one physically contiguous run per disk — which is exactly why the
+//! paper's allocation policies chase contiguity: it buys both fewer seeks
+//! *and* free parallelism.
 //!
 //! [`striped_runs`] computes those runs in closed form. A range covering
 //! stripes `s0..=s1` touches `min(s1 - s0 + 1, N)` disks, first met in the
@@ -20,9 +27,13 @@
 //! the same few integer divisions whatever its length, and allocates
 //! nothing.
 
+mod mirror;
+mod parity_stripe;
+mod raid;
+
+use crate::config::{ArrayConfig, ArrayLayout};
 use crate::disk::Disk;
-use crate::geometry::DiskGeometry;
-use crate::request::{IoKind, IoRequest, IoSpan, Storage};
+use crate::request::{IoKind, IoRequest, IoSpan};
 use crate::stats::StorageStats;
 use crate::time::SimTime;
 
@@ -113,76 +124,64 @@ impl Iterator for StripedRuns {
     }
 }
 
-/// An array of identical disks with data striped across all of them and no
-/// redundancy (the paper's default: "the results described in this study
-/// assume no parity information … and merely stripe the data").
+/// An array of identical disks presenting one linear space of disk units
+/// under one of the four §2.1 layouts.
+///
+/// Each disk is an FCFS queue: [`DiskArray::submit`] computes when a
+/// request would complete given each involved disk's current backlog and
+/// head position, updates that state, and returns the service window (queue
+/// wait excluded from `begin`, so throughput attribution over the span
+/// reflects when bytes actually move). Submissions must be made in
+/// non-decreasing `ready` order per disk for the queueing model to be
+/// meaningful; the simulator's event loop guarantees this globally.
 #[derive(Debug, Clone)]
-pub struct StripedArray {
+pub struct DiskArray {
     disks: Vec<Disk>,
+    layout: ArrayLayout,
     stripe_unit_bytes: u64,
     disk_unit_bytes: u64,
-    /// Usable bytes per member (the smallest disk's capacity, stripe
-    /// aligned) — relevant for heterogeneous arrays.
-    per_disk_share_bytes: u64,
+    /// Usable capacity, from [`ArrayConfig::capacity_units`].
+    capacity_units: u64,
     stats: StorageStats,
+    /// Index of a failed disk, if a RAID-5 array is degraded.
+    failed: Option<usize>,
 }
 
-impl StripedArray {
-    /// Builds an array of `ndisks` identical disks.
-    ///
-    /// `stripe_unit_bytes` must be a positive multiple of both the sector
-    /// size and `disk_unit_bytes`; `disk_unit_bytes` must be a multiple of
-    /// the sector size (§2.1 requires the stripe unit ≥ every sector size).
-    pub fn new(geom: DiskGeometry, ndisks: usize, stripe_unit_bytes: u64, disk_unit_bytes: u64) -> Self {
-        Self::heterogeneous(vec![geom; ndisks], stripe_unit_bytes, disk_unit_bytes)
-    }
-
-    /// Builds an array from per-disk geometries — §2.1: "the disk system is
-    /// designed to allow multiple heterogeneous devices."
-    ///
-    /// Striping requires an equal logical share per member, so the usable
-    /// space per disk is the *smallest* member's capacity (rounded down to
-    /// whole stripe units); larger members' surplus cylinders go unused.
-    /// Mechanics stay per-disk: a slow spindle gates every row it serves.
-    pub fn heterogeneous(geoms: Vec<DiskGeometry>, stripe_unit_bytes: u64, disk_unit_bytes: u64) -> Self {
-        assert!(!geoms.is_empty(), "array needs at least one disk");
-        for geom in &geoms {
-            // simlint::allow(r3, "constructor contract: an invalid geometry is a caller bug, not a runtime condition")
-            geom.validate().expect("invalid disk geometry");
-            assert!(disk_unit_bytes > 0 && disk_unit_bytes.is_multiple_of(geom.sector_bytes),
-                "disk unit must be a positive multiple of every sector size");
-        }
-        assert!(stripe_unit_bytes > 0 && stripe_unit_bytes.is_multiple_of(disk_unit_bytes),
-            "stripe unit must be a positive multiple of the disk unit");
-        let min_capacity = geoms
-            .iter()
-            .map(DiskGeometry::capacity_bytes)
-            .min()
-            // simlint::allow(r3, "geoms non-emptiness asserted at the top of the constructor")
-            .unwrap_or_else(|| unreachable!("asserted non-empty above"));
-        let share = min_capacity / stripe_unit_bytes * stripe_unit_bytes;
-        assert!(share > 0, "smallest disk below one stripe unit");
-        let ndisks = geoms.len();
-        StripedArray {
-            disks: geoms.into_iter().map(Disk::new).collect(),
-            stripe_unit_bytes,
-            disk_unit_bytes,
-            per_disk_share_bytes: share,
-            stats: StorageStats::new(ndisks),
+impl DiskArray {
+    /// Builds the array `config` describes; [`ArrayConfig::build`] has
+    /// validated it.
+    pub(crate) fn new(config: &ArrayConfig) -> Self {
+        DiskArray {
+            disks: (0..config.ndisks).map(|_| Disk::new(config.geometry)).collect(),
+            layout: config.layout,
+            stripe_unit_bytes: config.stripe_unit_bytes,
+            disk_unit_bytes: config.disk_unit_bytes,
+            capacity_units: config.capacity_units(),
+            stats: StorageStats::new(config.ndisks),
+            failed: None,
         }
     }
 
-    /// The stripe unit in bytes.
-    pub fn stripe_unit_bytes(&self) -> u64 {
-        self.stripe_unit_bytes
+    /// Size of one disk unit in bytes.
+    pub fn disk_unit_bytes(&self) -> u64 {
+        self.disk_unit_bytes
     }
 
-    /// Immutable view of the underlying disks.
-    pub fn disks(&self) -> &[Disk] {
-        &self.disks
+    /// Usable capacity in disk units (excludes parity/mirror overhead).
+    pub fn capacity_units(&self) -> u64 {
+        self.capacity_units
     }
 
-    fn account(&mut self, req: &IoRequest) {
+    /// Number of physical disks (including parity/mirror disks).
+    pub fn ndisks(&self) -> usize {
+        self.disks.len()
+    }
+
+    /// Submits a logical request that becomes ready at `ready`; returns its
+    /// service window.
+    pub fn submit(&mut self, ready: SimTime, req: &IoRequest) -> IoSpan {
+        debug_assert!(req.units > 0, "empty request");
+        debug_assert!(req.end() <= self.capacity_units, "request beyond array end");
         let bytes = req.units * self.disk_unit_bytes;
         match req.kind {
             IoKind::Read => {
@@ -194,27 +193,18 @@ impl StripedArray {
                 self.stats.logical_bytes_written += bytes;
             }
         }
+        match self.layout {
+            ArrayLayout::Striped => self.submit_striped(ready, req),
+            ArrayLayout::Mirrored => self.submit_mirrored(ready, req),
+            ArrayLayout::Raid5 => self.submit_raid5(ready, req),
+            ArrayLayout::ParityStriped => self.submit_parity_striped(ready, req),
+        }
     }
 
-}
-
-impl Storage for StripedArray {
-    fn disk_unit_bytes(&self) -> u64 {
-        self.disk_unit_bytes
-    }
-
-    fn capacity_units(&self) -> u64 {
-        self.disks.len() as u64 * self.per_disk_share_bytes / self.disk_unit_bytes
-    }
-
-    fn ndisks(&self) -> usize {
-        self.disks.len()
-    }
-
-    fn submit(&mut self, ready: SimTime, req: &IoRequest) -> IoSpan {
-        debug_assert!(req.units > 0, "empty request");
-        debug_assert!(req.end() <= self.capacity_units(), "request beyond array end");
-        self.account(req);
+    /// Plain striping, no redundancy (the paper's default: "the results
+    /// described in this study assume no parity information … and merely
+    /// stripe the data").
+    fn submit_striped(&mut self, ready: SimTime, req: &IoRequest) -> IoSpan {
         let start = req.unit * self.disk_unit_bytes;
         let len = req.units * self.disk_unit_bytes;
         let mut begin = SimTime::MAX;
@@ -227,11 +217,14 @@ impl Storage for StripedArray {
         IoSpan { begin: begin.min(end), end }
     }
 
-    fn next_idle(&self) -> SimTime {
+    /// Earliest time at which every disk has drained its queued work (the
+    /// array is fully idle). Used to separate consecutive tests cleanly.
+    pub fn next_idle(&self) -> SimTime {
         self.disks.iter().map(Disk::free_at).max().unwrap_or(SimTime::ZERO)
     }
 
-    fn stats(&self) -> StorageStats {
+    /// Snapshot of the accumulated activity counters.
+    pub fn stats(&self) -> StorageStats {
         let mut snap = self.stats.clone();
         for (i, d) in self.disks.iter().enumerate() {
             snap.per_disk[i] = d.stats().clone();
@@ -239,7 +232,8 @@ impl Storage for StripedArray {
         snap
     }
 
-    fn reset_stats(&mut self) {
+    /// Clears activity counters (head positions and queue state persist).
+    pub fn reset_stats(&mut self) {
         for d in &mut self.disks {
             d.reset_stats();
         }
@@ -250,17 +244,10 @@ impl Storage for StripedArray {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::geometry::KB;
+    use crate::geometry::{DiskGeometry, KB};
 
-    fn array() -> StripedArray {
-        StripedArray::new(DiskGeometry::wren_iv(), 8, 24 * KB, KB)
-    }
-
-    #[test]
-    fn capacity_is_eight_disks() {
-        let a = array();
-        assert_eq!(a.capacity_bytes(), 8 * DiskGeometry::wren_iv().capacity_bytes());
-        assert_eq!(a.capacity_units() * KB, a.capacity_bytes());
+    fn array() -> DiskArray {
+        ArrayConfig::paper_default().build()
     }
 
     #[test]
@@ -360,7 +347,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "stripe unit")]
     fn rejects_stripe_unit_not_multiple_of_disk_unit() {
-        StripedArray::new(DiskGeometry::wren_iv(), 8, 1536, KB);
+        ArrayConfig { stripe_unit_bytes: 1536, ..ArrayConfig::paper_default() }.build();
     }
 
     #[test]
@@ -391,40 +378,5 @@ mod tests {
         let s1 = a.submit(SimTime::ZERO, &IoRequest::read(24, 8)); // disk 1
         assert_eq!(s1.begin, SimTime::ZERO, "different spindle: no wait");
         assert!(s0.end > SimTime::ZERO && s1.end > SimTime::ZERO);
-    }
-
-    #[test]
-    fn heterogeneous_capacity_is_bounded_by_smallest_member() {
-        let geoms = vec![
-            DiskGeometry::wren_iv_scaled(16), // 100 cylinders
-            DiskGeometry::wren_iv_scaled(8),  // 200 cylinders
-            DiskGeometry::wren_iv_scaled(16),
-            DiskGeometry::wren_iv_scaled(4),  // 400 cylinders
-        ];
-        let a = StripedArray::heterogeneous(geoms, 24 * KB, KB);
-        assert_eq!(
-            a.capacity_bytes(),
-            4 * DiskGeometry::wren_iv_scaled(16).capacity_bytes(),
-            "every member contributes only the smallest member's share"
-        );
-        assert_eq!(a.ndisks(), 4);
-    }
-
-    #[test]
-    fn slow_member_gates_heterogeneous_rows() {
-        // One member spins at half speed: a full-row read completes when
-        // the slow disk finishes.
-        let slow = DiskGeometry { rotation_ms: 33.34, ..DiskGeometry::wren_iv_scaled(16) };
-        let geoms = vec![
-            DiskGeometry::wren_iv_scaled(16),
-            DiskGeometry::wren_iv_scaled(16),
-            DiskGeometry::wren_iv_scaled(16),
-            slow,
-        ];
-        let mut hetero = StripedArray::heterogeneous(geoms, 24 * KB, KB);
-        let mut uniform = StripedArray::new(DiskGeometry::wren_iv_scaled(16), 4, 24 * KB, KB);
-        let h = hetero.submit(SimTime::ZERO, &IoRequest::read(0, 4 * 24)).end;
-        let u = uniform.submit(SimTime::ZERO, &IoRequest::read(0, 4 * 24)).end;
-        assert!(h.as_ms() > 1.5 * u.as_ms(), "hetero {h} vs uniform {u}");
     }
 }

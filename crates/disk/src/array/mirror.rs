@@ -2,77 +2,21 @@
 //! (§2.1). Data is striped across disk *pairs*; every write goes to both
 //! replicas, every read is served by whichever replica can finish it first
 //! (shortest completion time given queue backlog and head position).
+//!
+//! Pair `i` consists of physical disks `2i` (primary) and `2i + 1` (mirror).
+//! Usable capacity is half the raw capacity.
 
-use crate::array::striped_runs;
-use crate::disk::Disk;
-use crate::geometry::DiskGeometry;
-use crate::request::{IoKind, IoRequest, IoSpan, Storage};
-use crate::stats::StorageStats;
+use super::{striped_runs, DiskArray};
+use crate::request::{IoKind, IoRequest, IoSpan};
 use crate::time::SimTime;
 
-/// A striped array of mirrored disk pairs.
-///
-/// Pair `i` consists of physical disks `2i` (primary) and `2i + 1` (mirror).
-/// Usable capacity is half the raw capacity.
-#[derive(Debug, Clone)]
-pub struct MirroredArray {
-    disks: Vec<Disk>,
-    stripe_unit_bytes: u64,
-    disk_unit_bytes: u64,
-    stats: StorageStats,
-}
-
-impl MirroredArray {
-    /// Builds a mirrored array; `ndisks` must be even and ≥ 2.
-    pub fn new(geom: DiskGeometry, ndisks: usize, stripe_unit_bytes: u64, disk_unit_bytes: u64) -> Self {
-        assert!(ndisks >= 2 && ndisks.is_multiple_of(2), "mirroring requires an even disk count");
-        assert!(disk_unit_bytes > 0 && disk_unit_bytes.is_multiple_of(geom.sector_bytes),
-            "disk unit must be a positive multiple of the sector size");
-        assert!(stripe_unit_bytes > 0 && stripe_unit_bytes.is_multiple_of(disk_unit_bytes),
-            "stripe unit must be a positive multiple of the disk unit");
-        assert!(geom.capacity_bytes().is_multiple_of(stripe_unit_bytes),
-            "disk capacity must be a whole number of stripe units");
-        MirroredArray {
-            disks: (0..ndisks).map(|_| Disk::new(geom)).collect(),
-            stripe_unit_bytes,
-            disk_unit_bytes,
-            stats: StorageStats::new(ndisks),
-        }
-    }
-
+impl DiskArray {
     /// Number of mirrored pairs (the striping width).
-    pub fn pairs(&self) -> usize {
+    fn pairs(&self) -> usize {
         self.disks.len() / 2
     }
 
-}
-
-impl Storage for MirroredArray {
-    fn disk_unit_bytes(&self) -> u64 {
-        self.disk_unit_bytes
-    }
-
-    fn capacity_units(&self) -> u64 {
-        self.pairs() as u64 * self.disks[0].geometry().capacity_bytes() / self.disk_unit_bytes
-    }
-
-    fn ndisks(&self) -> usize {
-        self.disks.len()
-    }
-
-    fn submit(&mut self, ready: SimTime, req: &IoRequest) -> IoSpan {
-        debug_assert!(req.units > 0 && req.end() <= self.capacity_units());
-        let bytes = req.units * self.disk_unit_bytes;
-        match req.kind {
-            IoKind::Read => {
-                self.stats.logical_reads += 1;
-                self.stats.logical_bytes_read += bytes;
-            }
-            IoKind::Write => {
-                self.stats.logical_writes += 1;
-                self.stats.logical_bytes_written += bytes;
-            }
-        }
+    pub(super) fn submit_mirrored(&mut self, ready: SimTime, req: &IoRequest) -> IoSpan {
         let start = req.unit * self.disk_unit_bytes;
         let len = req.units * self.disk_unit_bytes;
         let mut begin = SimTime::MAX;
@@ -105,40 +49,16 @@ impl Storage for MirroredArray {
         }
         IoSpan { begin: begin.min(end), end }
     }
-
-    fn next_idle(&self) -> SimTime {
-        self.disks.iter().map(Disk::free_at).max().unwrap_or(SimTime::ZERO)
-    }
-
-    fn stats(&self) -> StorageStats {
-        let mut snap = self.stats.clone();
-        for (i, d) in self.disks.iter().enumerate() {
-            snap.per_disk[i] = d.stats().clone();
-        }
-        snap
-    }
-
-    fn reset_stats(&mut self) {
-        for d in &mut self.disks {
-            d.reset_stats();
-        }
-        self.stats.reset();
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{ArrayConfig, ArrayLayout};
     use crate::geometry::KB;
 
-    fn mirror() -> MirroredArray {
-        MirroredArray::new(DiskGeometry::wren_iv(), 8, 24 * KB, KB)
-    }
-
-    #[test]
-    fn capacity_is_half_of_raw() {
-        let m = mirror();
-        assert_eq!(m.capacity_bytes(), 4 * DiskGeometry::wren_iv().capacity_bytes());
+    fn mirror() -> DiskArray {
+        ArrayConfig { layout: ArrayLayout::Mirrored, ..ArrayConfig::paper_default() }.build()
     }
 
     #[test]
@@ -174,8 +94,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "even disk count")]
+    #[should_panic(expected = "even number of disks")]
     fn rejects_odd_disk_count() {
-        MirroredArray::new(DiskGeometry::wren_iv(), 7, 24 * KB, KB);
+        ArrayConfig { layout: ArrayLayout::Mirrored, ndisks: 7, ..ArrayConfig::paper_default() }.build();
     }
 }

@@ -14,49 +14,22 @@
 //! plus one parity RMW on a different disk), not a bit-exact reconstruction
 //! of his parity map — see DESIGN.md §"Substitutions".
 
-use crate::disk::Disk;
-use crate::geometry::DiskGeometry;
-use crate::request::{IoKind, IoRequest, IoSpan, Storage};
-use crate::stats::StorageStats;
+use super::DiskArray;
+use crate::request::{IoKind, IoRequest, IoSpan};
 use crate::time::SimTime;
 
-/// A parity-striped array in Gray's style.
-#[derive(Debug, Clone)]
-pub struct ParityStripedArray {
-    disks: Vec<Disk>,
-    disk_unit_bytes: u64,
-    /// Bytes of the data region at the front of each disk.
-    data_bytes_per_disk: u64,
-    stats: StorageStats,
-}
-
-impl ParityStripedArray {
-    /// Builds a parity-striped array over `ndisks ≥ 3` identical disks.
-    pub fn new(geom: DiskGeometry, ndisks: usize, disk_unit_bytes: u64) -> Self {
-        assert!(ndisks >= 3, "parity striping requires at least 3 disks");
-        assert!(disk_unit_bytes > 0 && disk_unit_bytes.is_multiple_of(geom.sector_bytes),
-            "disk unit must be a positive multiple of the sector size");
-        let raw = geom.capacity_bytes();
-        // Data region: (N-1)/N of the disk, rounded down to a whole unit.
-        let data = raw / ndisks as u64 * (ndisks as u64 - 1);
-        let data = data - data % disk_unit_bytes;
-        ParityStripedArray {
-            disks: (0..ndisks).map(|_| Disk::new(geom)).collect(),
-            disk_unit_bytes,
-            data_bytes_per_disk: data,
-            stats: StorageStats::new(ndisks),
-        }
-    }
-
-    /// Bytes of data region per disk.
-    pub fn data_bytes_per_disk(&self) -> u64 {
-        self.data_bytes_per_disk
+impl DiskArray {
+    /// Bytes of the data region at the front of each disk: `(N-1)/N` of
+    /// it, rounded down to a whole disk unit (see
+    /// [`crate::ArrayConfig::capacity_units`]).
+    fn data_bytes_per_disk(&self) -> u64 {
+        self.capacity_units / self.disks.len() as u64 * self.disk_unit_bytes
     }
 
     /// Maps a logical byte to (disk, physical byte within its data region).
     fn map(&self, byte: u64) -> (usize, u64) {
-        let disk = (byte / self.data_bytes_per_disk) as usize;
-        (disk, byte % self.data_bytes_per_disk)
+        let disk = (byte / self.data_bytes_per_disk()) as usize;
+        (disk, byte % self.data_bytes_per_disk())
     }
 
     /// The parity location protecting data byte `phys` of disk `disk`:
@@ -65,48 +38,22 @@ impl ParityStripedArray {
         let n = self.disks.len() as u64;
         let pdisk = (disk + 1) % self.disks.len();
         let slot = phys / (n - 1) / self.disk_unit_bytes * self.disk_unit_bytes;
-        let region = self.disks[0].geometry().capacity_bytes() - self.data_bytes_per_disk;
-        (pdisk, self.data_bytes_per_disk + slot.min(region - self.disk_unit_bytes))
+        let region = self.disks[0].geometry().capacity_bytes() - self.data_bytes_per_disk();
+        (pdisk, self.data_bytes_per_disk() + slot.min(region - self.disk_unit_bytes))
     }
 
-}
-
-impl Storage for ParityStripedArray {
-    fn disk_unit_bytes(&self) -> u64 {
-        self.disk_unit_bytes
-    }
-
-    fn capacity_units(&self) -> u64 {
-        self.disks.len() as u64 * self.data_bytes_per_disk / self.disk_unit_bytes
-    }
-
-    fn ndisks(&self) -> usize {
-        self.disks.len()
-    }
-
-    fn submit(&mut self, ready: SimTime, req: &IoRequest) -> IoSpan {
-        debug_assert!(req.units > 0 && req.end() <= self.capacity_units());
+    pub(super) fn submit_parity_striped(&mut self, ready: SimTime, req: &IoRequest) -> IoSpan {
         let bytes = req.units * self.disk_unit_bytes;
         let start = req.unit * self.disk_unit_bytes;
         let mut begin = SimTime::MAX;
         let mut completion = ready;
-        match req.kind {
-            IoKind::Read => {
-                self.stats.logical_reads += 1;
-                self.stats.logical_bytes_read += bytes;
-            }
-            IoKind::Write => {
-                self.stats.logical_writes += 1;
-                self.stats.logical_bytes_written += bytes;
-            }
-        }
         // Split at data-region (disk) boundaries; runs inside a region are
         // physically contiguous on a single disk.
         let mut cursor = start;
         let end_byte = start + bytes;
         while cursor < end_byte {
             let (disk, phys) = self.map(cursor);
-            let run = (self.data_bytes_per_disk - phys).min(end_byte - cursor);
+            let run = (self.data_bytes_per_disk() - phys).min(end_byte - cursor);
             match req.kind {
                 IoKind::Read => {
                     begin = begin.min(self.disks[disk].free_at().max(ready));
@@ -134,43 +81,16 @@ impl Storage for ParityStripedArray {
         }
         IoSpan { begin: begin.min(completion), end: completion }
     }
-
-    fn next_idle(&self) -> SimTime {
-        self.disks.iter().map(Disk::free_at).max().unwrap_or(SimTime::ZERO)
-    }
-
-    fn stats(&self) -> StorageStats {
-        let mut snap = self.stats.clone();
-        for (i, d) in self.disks.iter().enumerate() {
-            snap.per_disk[i] = d.stats().clone();
-        }
-        snap
-    }
-
-    fn reset_stats(&mut self) {
-        for d in &mut self.disks {
-            d.reset_stats();
-        }
-        self.stats.reset();
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{ArrayConfig, ArrayLayout};
     use crate::geometry::KB;
 
-    fn psa() -> ParityStripedArray {
-        ParityStripedArray::new(DiskGeometry::wren_iv(), 8, KB)
-    }
-
-    #[test]
-    fn capacity_reserves_one_nth_for_parity() {
-        let p = psa();
-        let raw = 8 * DiskGeometry::wren_iv().capacity_bytes();
-        let cap = p.capacity_bytes();
-        assert!(cap <= raw * 7 / 8);
-        assert!(cap > raw * 6 / 8);
+    fn psa() -> DiskArray {
+        ArrayConfig { layout: ArrayLayout::ParityStriped, ..ArrayConfig::paper_default() }.build()
     }
 
     #[test]

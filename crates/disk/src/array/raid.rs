@@ -9,10 +9,10 @@
 //! flags as future work ("the impact of a RAID … will reduce the small write
 //! performance"); the `ablation_raid` bench measures exactly that.
 
+use super::DiskArray;
+use crate::config::ArrayLayout;
 use crate::disk::Disk;
-use crate::geometry::DiskGeometry;
-use crate::request::{IoKind, IoRequest, IoSpan, Storage};
-use crate::stats::StorageStats;
+use crate::request::{IoKind, IoRequest, IoSpan};
 use crate::time::SimTime;
 
 /// One stripe-unit-sized piece of a logical request, located within a row.
@@ -38,55 +38,24 @@ fn touched_span(chunks: &[RowChunk]) -> (u64, u64) {
     })
 }
 
-/// A rotated-parity RAID-5 array.
-#[derive(Debug, Clone)]
-pub struct Raid5Array {
-    disks: Vec<Disk>,
-    stripe_unit_bytes: u64,
-    disk_unit_bytes: u64,
-    stats: StorageStats,
-    /// Index of a failed disk, if the array is degraded.
-    failed: Option<usize>,
-}
-
-impl Raid5Array {
-    /// Builds a RAID-5 array over `ndisks ≥ 3` identical disks.
-    pub fn new(geom: DiskGeometry, ndisks: usize, stripe_unit_bytes: u64, disk_unit_bytes: u64) -> Self {
-        assert!(ndisks >= 3, "RAID-5 requires at least 3 disks");
-        assert!(disk_unit_bytes > 0 && disk_unit_bytes.is_multiple_of(geom.sector_bytes),
-            "disk unit must be a positive multiple of the sector size");
-        assert!(stripe_unit_bytes > 0 && stripe_unit_bytes.is_multiple_of(disk_unit_bytes),
-            "stripe unit must be a positive multiple of the disk unit");
-        assert!(geom.capacity_bytes().is_multiple_of(stripe_unit_bytes),
-            "disk capacity must be a whole number of stripe units");
-        Raid5Array {
-            disks: (0..ndisks).map(|_| Disk::new(geom)).collect(),
-            stripe_unit_bytes,
-            disk_unit_bytes,
-            stats: StorageStats::new(ndisks),
-            failed: None,
-        }
-    }
-
-    /// Marks one disk as failed: the array keeps running *degraded*. Reads
-    /// of lost chunks reconstruct from every surviving disk; writes update
-    /// only the surviving members.
+impl DiskArray {
+    /// Marks one disk of a RAID-5 array as failed: the array keeps running
+    /// *degraded*. Reads of lost chunks reconstruct from every surviving
+    /// disk; writes update only the surviving members. Panics on any other
+    /// layout, which has no degraded mode.
     pub fn fail_disk(&mut self, disk: usize) {
+        assert_eq!(self.layout, ArrayLayout::Raid5, "only a RAID-5 array can run degraded");
         assert!(disk < self.disks.len());
         assert!(self.failed.is_none(), "single-failure model");
         self.failed = Some(disk);
     }
 
-    /// The failed disk, if any.
-    pub fn failed_disk(&self) -> Option<usize> {
-        self.failed
-    }
-
     /// Rebuilds the failed disk onto a fresh replacement: streams every
     /// surviving disk in full, then streams the reconstructed contents onto
     /// the replacement. Returns the rebuild completion time; the array is
-    /// healthy afterwards.
+    /// healthy afterwards. Panics on any layout but RAID-5.
     pub fn rebuild(&mut self, ready: SimTime) -> SimTime {
+        assert_eq!(self.layout, ArrayLayout::Raid5, "only a RAID-5 array has a rebuild");
         let Some(failed) = self.failed else {
             // Nothing to rebuild: the array is already healthy.
             return ready;
@@ -112,7 +81,7 @@ impl Raid5Array {
     }
 
     /// The disk holding row `row`'s parity (rotates left-symmetrically).
-    pub fn parity_disk(&self, row: u64) -> usize {
+    fn parity_disk(&self, row: u64) -> usize {
         let n = self.disks.len() as u64;
         (n - 1 - row % n) as usize
     }
@@ -151,31 +120,13 @@ impl Raid5Array {
         self.disks[disk].free_at().max(ready)
     }
 
-}
-
-impl Storage for Raid5Array {
-    fn disk_unit_bytes(&self) -> u64 {
-        self.disk_unit_bytes
-    }
-
-    fn capacity_units(&self) -> u64 {
-        self.data_width() * self.disks[0].geometry().capacity_bytes() / self.disk_unit_bytes
-    }
-
-    fn ndisks(&self) -> usize {
-        self.disks.len()
-    }
-
-    fn submit(&mut self, ready: SimTime, req: &IoRequest) -> IoSpan {
-        debug_assert!(req.units > 0 && req.end() <= self.capacity_units());
+    pub(super) fn submit_raid5(&mut self, ready: SimTime, req: &IoRequest) -> IoSpan {
         let bytes = req.units * self.disk_unit_bytes;
         let start = req.unit * self.disk_unit_bytes;
         let mut begin = SimTime::MAX;
         let mut completion = ready;
         match req.kind {
             IoKind::Read => {
-                self.stats.logical_reads += 1;
-                self.stats.logical_bytes_read += bytes;
                 for c in self.chunks(start, bytes) {
                     if Some(c.disk) == self.failed {
                         // Reconstruct the lost chunk: read the same span
@@ -197,8 +148,6 @@ impl Storage for Raid5Array {
                 }
             }
             IoKind::Write => {
-                self.stats.logical_writes += 1;
-                self.stats.logical_bytes_written += bytes;
                 // Group chunks by parity row; each row commits independently.
                 let chunks = self.chunks(start, bytes);
                 let su = self.stripe_unit_bytes;
@@ -288,40 +237,16 @@ impl Storage for Raid5Array {
         }
         IoSpan { begin: begin.min(completion), end: completion }
     }
-
-    fn next_idle(&self) -> SimTime {
-        self.disks.iter().map(Disk::free_at).max().unwrap_or(SimTime::ZERO)
-    }
-
-    fn stats(&self) -> StorageStats {
-        let mut snap = self.stats.clone();
-        for (i, d) in self.disks.iter().enumerate() {
-            snap.per_disk[i] = d.stats().clone();
-        }
-        snap
-    }
-
-    fn reset_stats(&mut self) {
-        for d in &mut self.disks {
-            d.reset_stats();
-        }
-        self.stats.reset();
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::geometry::KB;
+    use crate::config::ArrayConfig;
+    use crate::geometry::{DiskGeometry, KB};
 
-    fn raid() -> Raid5Array {
-        Raid5Array::new(DiskGeometry::wren_iv(), 8, 24 * KB, KB)
-    }
-
-    #[test]
-    fn capacity_excludes_parity() {
-        let r = raid();
-        assert_eq!(r.capacity_bytes(), 7 * DiskGeometry::wren_iv().capacity_bytes());
+    fn raid() -> DiskArray {
+        ArrayConfig { layout: ArrayLayout::Raid5, ..ArrayConfig::paper_default() }.build()
     }
 
     #[test]
@@ -381,9 +306,8 @@ mod tests {
 
     #[test]
     fn small_write_slower_than_on_plain_array() {
-        use crate::array::StripedArray;
         let mut r = raid();
-        let mut a = StripedArray::new(DiskGeometry::wren_iv(), 8, 24 * KB, KB);
+        let mut a = ArrayConfig::paper_default().build();
         let raid_end = r.submit(SimTime::ZERO, &IoRequest::write(0, 8)).end;
         let plain_end = a.submit(SimTime::ZERO, &IoRequest::write(0, 8)).end;
         assert!(raid_end > plain_end, "RMW must cost more: {raid_end} vs {plain_end}");
@@ -392,14 +316,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least 3")]
     fn rejects_two_disks() {
-        Raid5Array::new(DiskGeometry::wren_iv(), 2, 24 * KB, KB);
+        ArrayConfig { layout: ArrayLayout::Raid5, ndisks: 2, ..ArrayConfig::paper_default() }.build();
     }
 
     #[test]
     fn degraded_read_reconstructs_from_all_survivors() {
         let mut r = raid();
         r.fail_disk(0);
-        assert_eq!(r.failed_disk(), Some(0));
+        assert_eq!(r.failed, Some(0));
         // Row 0: parity on disk 7; stripe 0 lives on disk 0.
         r.submit(SimTime::ZERO, &IoRequest::read(0, 24));
         let stats = r.stats();
@@ -458,10 +382,11 @@ mod tests {
 
     #[test]
     fn rebuild_restores_health_and_costs_a_full_scan() {
-        let mut r = Raid5Array::new(DiskGeometry::wren_iv_scaled(64), 4, 24 * KB, KB);
+        let mut r =
+            ArrayConfig { layout: ArrayLayout::Raid5, ndisks: 4, ..ArrayConfig::scaled(64) }.build();
         r.fail_disk(2);
         let end = r.rebuild(SimTime::ZERO);
-        assert_eq!(r.failed_disk(), None);
+        assert_eq!(r.failed, None);
         // Rebuild >= read a whole disk + write a whole disk, back to back.
         let per_disk = DiskGeometry::wren_iv_scaled(64).capacity_bytes() as f64;
         let rate = DiskGeometry::wren_iv_scaled(64).nominal_sequential_rate();
@@ -478,5 +403,11 @@ mod tests {
         let mut r = raid();
         r.fail_disk(0);
         r.fail_disk(1);
+    }
+
+    #[test]
+    #[should_panic(expected = "only a RAID-5 array can run degraded")]
+    fn fail_disk_needs_raid5() {
+        ArrayConfig::paper_default().build().fail_disk(0);
     }
 }

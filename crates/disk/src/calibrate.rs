@@ -3,39 +3,33 @@
 //! §3 of the paper expresses every performance number "as a percent of the
 //! sustained sequential performance the disk system is capable of
 //! providing" (10.8 MB/s for the Table 1 system). The paper does not say how
-//! that reference was derived, so we *measure* it: scan a large logically
-//! contiguous region of a freshly built array with row-sized requests and
-//! take the observed rate. Because the same mechanics model produces both
-//! the reference and the experiment numbers, the reported percentages are
-//! self-consistent (see DESIGN.md §"Substitutions").
+//! that reference was derived, so we *measure* it: read a freshly built
+//! array with `2 × ndisks` concurrent maximal requests spread evenly across
+//! its logical space and take the observed rate. Because the same mechanics
+//! model produces both the reference and the experiment numbers, the
+//! reported percentages are self-consistent (see DESIGN.md
+//! §"Substitutions").
 
 use crate::config::ArrayConfig;
 use crate::geometry::MB;
-use crate::request::{IoRequest, Storage};
+use crate::request::IoRequest;
 use crate::time::SimTime;
 
 /// Sustained sequential bandwidth of a fresh instance of `config`, in
 /// bytes per millisecond.
 ///
-/// Scans min(capacity, 64 MB × ndisks) from the start of the logical space
-/// in requests of one full stripe row (all layouts benefit from whatever
-/// parallelism they have; parity-striped arrays simply stream one disk at a
-/// time, which matches their design point).
-pub fn calibrate_max_bandwidth(config: &ArrayConfig) -> f64 {
-    let mut storage = config.build();
-    calibrate_storage(storage.as_mut(), config)
-}
-
-/// Calibration against an existing (fresh) storage instance.
-///
-/// The scan is issued as `2 × ndisks` huge concurrent requests spread
-/// evenly across the logical space, all ready at time zero. Each request
-/// is a maximal contiguous run (no per-request overhead) and the spread
+/// The logical space is cut into `2 × ndisks` equal segments, and one read
+/// starts at the head of each, all ready at time zero. Each read is one
+/// maximal contiguous run of whole stripe rows (at least one row); together
+/// they cover about min(capacity, 64 MB × ndisks). The rate is the bytes
+/// read over the time the last read completes. Issuing few huge requests
+/// keeps per-request overhead out of the reference, and the spread
 /// guarantees every spindle participates regardless of layout — a single
 /// request would only touch one disk of a parity-striped array and one
 /// replica of each mirrored pair, under-reporting what the hardware can
 /// deliver to a concurrent workload.
-pub fn calibrate_storage(storage: &mut dyn Storage, config: &ArrayConfig) -> f64 {
+pub fn calibrate_max_bandwidth(config: &ArrayConfig) -> f64 {
+    let mut storage = config.build();
     let unit = storage.disk_unit_bytes();
     let row_units = (config.stripe_unit_bytes * config.ndisks as u64 / unit).max(1);
     let budget_units = (64 * MB * config.ndisks as u64 / unit).min(storage.capacity_units());
@@ -54,7 +48,6 @@ pub fn calibrate_storage(storage: &mut dyn Storage, config: &ArrayConfig) -> f64
         end = end.max(span.end);
         bytes += len * unit;
     }
-    storage.reset_stats();
     assert!(end > SimTime::ZERO, "calibration scanned nothing");
     bytes as f64 / end.as_ms()
 }

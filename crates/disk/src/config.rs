@@ -1,12 +1,8 @@
 //! Declarative description of a disk system, used by the simulator and the
-//! experiment drivers to build [`Storage`] instances.
+//! experiment drivers to build [`DiskArray`] instances.
 
-use crate::array::StripedArray;
+use crate::array::DiskArray;
 use crate::geometry::{DiskGeometry, KB};
-use crate::mirror::MirroredArray;
-use crate::parity_stripe::ParityStripedArray;
-use crate::raid::Raid5Array;
-use crate::request::Storage;
 use serde::{Deserialize, Serialize};
 
 /// Which of the four §2.1 configurations to build.
@@ -84,27 +80,16 @@ impl ArrayConfig {
         }
     }
 
-    /// Builds the configured storage.
-    pub fn build(&self) -> Box<dyn Storage> {
+    /// Builds the configured array; panics if the configuration is invalid.
+    pub fn build(&self) -> DiskArray {
         // simlint::allow(r3, "constructor contract: an invalid config is a caller bug, not a runtime condition")
         self.validate().expect("invalid array configuration");
-        match self.layout {
-            ArrayLayout::Striped => Box::new(StripedArray::new(
-                self.geometry, self.ndisks, self.stripe_unit_bytes, self.disk_unit_bytes,
-            )),
-            ArrayLayout::Mirrored => Box::new(MirroredArray::new(
-                self.geometry, self.ndisks, self.stripe_unit_bytes, self.disk_unit_bytes,
-            )),
-            ArrayLayout::Raid5 => Box::new(Raid5Array::new(
-                self.geometry, self.ndisks, self.stripe_unit_bytes, self.disk_unit_bytes,
-            )),
-            ArrayLayout::ParityStriped => Box::new(ParityStripedArray::new(
-                self.geometry, self.ndisks, self.disk_unit_bytes,
-            )),
-        }
+        DiskArray::new(self)
     }
 
-    /// Usable capacity of the configured storage, in disk units.
+    /// Usable capacity of the configured array, in disk units: the one
+    /// place that sizes each layout (parity striping keeps `(N-1)/N` of
+    /// each disk, rounded down to a whole disk unit, as its data region).
     pub fn capacity_units(&self) -> u64 {
         let per_disk = self.geometry.capacity_bytes();
         let bytes = match self.layout {
@@ -140,7 +125,14 @@ mod tests {
     }
 
     #[test]
-    fn build_matches_declared_capacity() {
+    fn capacity_follows_the_layout() {
+        let disk = DiskGeometry::wren_iv().capacity_bytes();
+        let cap = |layout| ArrayConfig { layout, ..ArrayConfig::paper_default() }.capacity_bytes();
+        assert_eq!(cap(ArrayLayout::Striped), 8 * disk);
+        assert_eq!(cap(ArrayLayout::Mirrored), 4 * disk, "half of raw");
+        assert_eq!(cap(ArrayLayout::Raid5), 7 * disk, "one disk's worth of parity");
+        let parity_striped = cap(ArrayLayout::ParityStriped);
+        assert!(parity_striped <= 8 * disk * 7 / 8 && parity_striped > 8 * disk * 6 / 8);
         for layout in [
             ArrayLayout::Striped,
             ArrayLayout::Mirrored,

@@ -2,14 +2,17 @@
 //!
 //! This crate models the storage hardware described in §2.1 of Seltzer &
 //! Stonebraker, *"Read Optimized File System Designs: A Performance
-//! Evaluation"* (ICDE 1991): a set of (possibly heterogeneous) disks that can
-//! be configured as
+//! Evaluation"* (ICDE 1991): a set of identical disks (§2.1 allows
+//! heterogeneous ones; see DESIGN.md §"Substitutions") behind one
+//! [`DiskArray`] type, laid out as the [`ArrayLayout`] of its
+//! [`ArrayConfig`] names:
 //!
-//! * a plain **striped array** ([`StripedArray`]) — the configuration all of
-//!   the paper's published results use,
-//! * a set of **mirrored disks** ([`MirroredArray`]),
-//! * a **RAID-5** array with rotated parity ([`Raid5Array`]), or
-//! * a **parity-striped** array in Gray's style ([`ParityStripedArray`]).
+//! * a plain **striped array** — the configuration all of the paper's
+//!   published results use,
+//! * a set of **mirrored disks**,
+//! * a **RAID-5** array with rotated parity (which can also run degraded
+//!   and rebuild: [`DiskArray::fail_disk`], [`DiskArray::rebuild`]), or
+//! * a **parity-striped** array in Gray's style.
 //!
 //! Each individual [`Disk`] is described by its physical layout (tracks,
 //! cylinders, platters) and performance characteristics (rotation speed and
@@ -19,9 +22,9 @@
 //! track boundary and a single-track seek per cylinder boundary (i.e. a
 //! well-skewed drive; see DESIGN.md §"Substitutions").
 //!
-//! The array types expose a single logical linear address space measured in
+//! The array exposes a single logical linear address space measured in
 //! **disk units** (the minimum unit of transfer between disk and memory,
-//! §2.1) through the [`Storage`] trait. Per-disk queueing is modelled as an
+//! §2.1) through [`DiskArray::submit`]. Per-disk queueing is modelled as an
 //! open FCFS queue: each disk remembers when it becomes free, and a logical
 //! request completes when the last of its per-disk chains completes.
 //!
@@ -48,21 +51,15 @@ pub mod config;
 pub mod disk;
 pub mod geometry;
 pub mod mechanics;
-pub mod mirror;
-pub mod parity_stripe;
-pub mod raid;
 pub mod request;
 pub mod stats;
 pub mod time;
 
-pub use array::StripedArray;
+pub use array::DiskArray;
 pub use calibrate::calibrate_max_bandwidth;
 pub use config::{ArrayConfig, ArrayLayout};
 pub use disk::Disk;
 pub use geometry::DiskGeometry;
-pub use mirror::MirroredArray;
-pub use parity_stripe::ParityStripedArray;
-pub use raid::Raid5Array;
-pub use request::{IoKind, IoRequest, Storage};
+pub use request::{IoKind, IoRequest};
 pub use stats::{DiskStats, StorageStats, QUEUE_DEPTH_BUCKETS};
 pub use time::{SimDuration, SimTime};

@@ -1,6 +1,6 @@
-//! Logical I/O requests and the [`Storage`] trait all array layouts expose.
+//! Logical I/O requests against a [`crate::DiskArray`] and their service
+//! windows.
 
-use crate::stats::StorageStats;
 use crate::time::SimTime;
 use serde::{Deserialize, Serialize};
 
@@ -56,48 +56,6 @@ impl IoSpan {
     /// Service-window length.
     pub fn duration_ms(&self) -> f64 {
         self.end.since(self.begin).as_ms()
-    }
-}
-
-/// A disk system presenting a linear space of disk units.
-///
-/// Implementations model per-disk FCFS queues: `submit` computes when the
-/// request would complete given each involved disk's current backlog and
-/// head position, updates that state, and returns the service window (queue
-/// wait excluded from `begin`, so throughput attribution over the span
-/// reflects when bytes actually move). Submissions must be made in
-/// non-decreasing `ready` order per disk for the queueing model to be
-/// meaningful; the simulator's event loop guarantees this globally.
-///
-/// `Send` is required so boxed storage (and the simulations owning it) can
-/// move to experiment-runner worker threads.
-pub trait Storage: Send {
-    /// Size of one disk unit in bytes.
-    fn disk_unit_bytes(&self) -> u64;
-
-    /// Usable capacity in disk units (excludes parity/mirror overhead).
-    fn capacity_units(&self) -> u64;
-
-    /// Number of physical disks (including parity/mirror disks).
-    fn ndisks(&self) -> usize;
-
-    /// Submits a logical request that becomes ready at `ready`; returns its
-    /// service window.
-    fn submit(&mut self, ready: SimTime, req: &IoRequest) -> IoSpan;
-
-    /// Earliest time at which every disk has drained its queued work (the
-    /// array is fully idle). Used to separate consecutive tests cleanly.
-    fn next_idle(&self) -> SimTime;
-
-    /// Snapshot of the accumulated activity counters.
-    fn stats(&self) -> StorageStats;
-
-    /// Clears activity counters (head positions and queue state persist).
-    fn reset_stats(&mut self);
-
-    /// Usable capacity in bytes.
-    fn capacity_bytes(&self) -> u64 {
-        self.capacity_units() * self.disk_unit_bytes()
     }
 }
 

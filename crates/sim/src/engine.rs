@@ -11,7 +11,7 @@ use crate::results::{FragReport, PerfReport, SuiteReport};
 use crate::rng::SimRng;
 use crate::state::{FileTable, UserTable};
 use readopt_alloc::{AllocError, Extent, FileHints, FileId, Policy};
-use readopt_disk::{calibrate_max_bandwidth, IoKind, IoRequest, SimDuration, SimTime, Storage};
+use readopt_disk::{calibrate_max_bandwidth, DiskArray, IoKind, IoRequest, SimDuration, SimTime};
 
 /// Which test procedure the event loop is running.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,7 +41,7 @@ enum StepOutcome {
 
 /// The simulator (§2's three-component model, assembled).
 pub struct Simulation {
-    storage: Box<dyn Storage>,
+    storage: DiskArray,
     policy: Box<dyn Policy>,
     types: Vec<FileTypeConfig>,
     /// Per-file hot state, packed struct-of-arrays (see [`crate::state`]).
@@ -167,8 +167,8 @@ impl Simulation {
     }
 
     /// The disk system under test (for inspection).
-    pub fn storage(&self) -> &dyn Storage {
-        self.storage.as_ref()
+    pub fn storage(&self) -> &DiskArray {
+        &self.storage
     }
 
     /// Clears the disk system's activity counters (queue state and head

@@ -2,8 +2,8 @@
 //!
 //! Three components make up the model, mirroring the paper exactly:
 //!
-//! 1. **the disk system** (`readopt-disk`) — an array of disks behind the
-//!    [`readopt_disk::Storage`] trait;
+//! 1. **the disk system** (`readopt-disk`) — one
+//!    [`readopt_disk::DiskArray`] in the configured layout;
 //! 2. **the workload characterization** ([`filetype::FileTypeConfig`], the
 //!    fourteen Table 2 parameters) — file types defining size, access and
 //!    growth behaviour for a population of files driven by *users* (parallel

@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 gate (see ROADMAP.md). Legs, in order:
-#   1. warnings-as-errors release build;
+#   1. warnings-as-errors release build of every workspace package and
+#      target (libraries, binaries, tests, examples), so a warning in
+#      repro, simlint, any test or any example fails the gate too;
 #   2. the simlint determinism/robustness pass over the workspace, then a
 #      --crates simlint self-lint pass;
 #   3. every workspace crate's test suite (cargo test --workspace);
@@ -32,8 +34,8 @@ if [ "$#" -gt 0 ]; then
     exit 2
 fi
 
-echo "== cargo build --release (warnings deny) =="
-RUSTFLAGS="-D warnings" cargo build --release
+echo "== cargo build --release --workspace --all-targets (warnings deny) =="
+RUSTFLAGS="-D warnings" cargo build --release --workspace --all-targets
 
 echo "== simlint (r1-r9, full workspace) =="
 mkdir -p target/check
